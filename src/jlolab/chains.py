@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frob, opnorm, matrix_from_json, matrix_to_json
+from .linalg import _freeze, frob, opnorm, matrix_from_json, matrix_to_json
 from .shuffles import enumerate_cyclic_shuffles, enumerate_shuffles
 
 __all__ = [
@@ -43,12 +43,6 @@ class TermBudgetError(RuntimeError):
     """An operation would produce an unreasonable number of elementary terms."""
 
 
-def _freeze(m) -> np.ndarray:
-    a = np.array(m, dtype=np.complex128)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class ElementaryChain:
     """coeff times the elementary tensor (factors[0], ..., factors[n])."""
@@ -62,7 +56,7 @@ class ElementaryChain:
             raise ValueError("need at least one tensor factor")
         d = facs[0].shape[0]
         for f in facs:
-            if f.ndim != 2 or f.shape != (d, d):
+            if f.shape != (d, d):
                 raise ValueError("factors must be square matrices of equal dimension")
         object.__setattr__(self, "factors", facs)
         object.__setattr__(self, "coeff", complex(self.coeff))
@@ -136,22 +130,22 @@ class Chain:
     def __rmul__(self, c) -> "Chain":
         return Chain(self.algebra_dim, tuple(t.scaled(c) for t in self.terms))
 
-    def normalized(self, tol: float = SCALAR_SLOT_TOL) -> "Chain":
+    def normalized(self) -> "Chain":
         """Drop vanishing terms and terms with a scalar matrix in a slot >= 1."""
         kept = []
         for t in self.terms:
             if t.coeff == 0:
                 continue
-            if any(_is_scalar_matrix(f, tol) for f in t.factors[1:]):
+            if any(_is_scalar_matrix(f) for f in t.factors[1:]):
                 continue
             kept.append(t)
         return Chain(self.algebra_dim, tuple(kept))
 
 
-def _is_scalar_matrix(f: np.ndarray, tol: float) -> bool:
+def _is_scalar_matrix(f: np.ndarray) -> bool:
     d = f.shape[0]
     mu = np.trace(f) / d
-    return frob(f - mu * np.eye(d)) <= tol * max(1.0, frob(f))
+    return frob(f - mu * np.eye(d)) <= SCALAR_SLOT_TOL * max(1.0, frob(f))
 
 
 def hochschild_b(chain: Chain) -> Chain:
@@ -325,13 +319,14 @@ def random_probes(d: int, degrees, rng) -> dict:
     return out
 
 
-def probe_distance(c1: Chain, c2: Chain, rng, trials: int = 4) -> float:
-    """Max over random probes of the normalized pairing difference."""
+def probe_distance(c1: Chain, c2: Chain, rng) -> float:
+    """Max over four random probe families of the normalized pairing
+    difference."""
     if c1.algebra_dim != c2.algebra_dim:
         raise ValueError("chains live over different algebra dimensions")
     degs = sorted(set(c1.degrees()) | set(c2.degrees()))
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(4):
         probes = random_probes(c1.algebra_dim, degs, rng)
         v1 = probe_functional(c1, probes)
         v2 = probe_functional(c2, probes)

@@ -22,13 +22,20 @@ from .chains import shuffle_product
 from .jlo import (
     NonConvergentError,
     NonIntegerIndexError,
+    bch_cochain,
     index_pairing,
     jlo_cochain,
     jlo_cochain_mc,
 )
 from .randomgen import random_chain, random_triple
-from .shuffles import enumerate_cyclic_shuffles, enumerate_shuffles
+from .shuffles import (
+    enumerate_cyclic_shuffles,
+    enumerate_shuffles,
+    sample_simplex_batch,
+    sorting_images,
+)
 from .spectral import (
+    INDEX_INTEGER_TOL,
     Idempotent,
     SpectralGapWarning,
     idempotent_from_json,
@@ -36,7 +43,7 @@ from .spectral import (
     product_triple,
     triple_from_json,
 )
-from .suites import default_thread_count, format_report_rows, run_suite
+from .suites import format_report_rows, run_suite
 
 __all__ = ["RunConfig", "main"]
 
@@ -44,7 +51,6 @@ MAX_DEGREE_LIMIT = 4
 MAX_SPACE_DIM = 16
 DECOMPOSE_DEGREE_LIMIT = 6
 DECOMPOSE_REGION_BUDGET = 2_000_000
-INDEX_AGREEMENT_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -127,8 +133,7 @@ def cmd_verify(config: RunConfig) -> int:
     rows = run_suite(config.seed, dims=config.dims, trials=config.trials,
                      max_degree=config.max_degree,
                      mc_samples=config.mc_samples,
-                     tolerance=config.tolerance,
-                     threads=default_thread_count())
+                     tolerance=config.tolerance)
     print(format_report_rows(rows), end="")
     passed = sum(1 for r in rows if r["pass"])
     ok = passed == len(rows)
@@ -201,7 +206,7 @@ def cmd_index(triple_path, idem_path, times_paths, config: RunConfig) -> int:
             for label, t, e in factors:
                 rep, fred, diff = _index_lines(label, t, e)
                 results.append((rep, fred))
-                ok = ok and diff <= INDEX_AGREEMENT_TOL
+                ok = ok and diff <= INDEX_INTEGER_TOL
             if len(factors) == 2:
                 (_, t1, e1), (_, t2, e2) = factors
                 if e1.blocks == 1 and e2.blocks == 1:
@@ -212,7 +217,7 @@ def cmd_index(triple_path, idem_path, times_paths, config: RunConfig) -> int:
                     print(f"  product law       : {fred12:+d} vs "
                           f"{results[0][1]:+d} * {results[1][1]:+d}"
                           f" = {expected:+d}")
-                    ok = ok and diff12 <= INDEX_AGREEMENT_TOL \
+                    ok = ok and diff12 <= INDEX_INTEGER_TOL \
                         and fred12 == expected
                 else:
                     print("product law skipped: matrix-amplified idempotents")
@@ -256,22 +261,28 @@ def _print_volume_stats(counter, n_located, n_regions, samples, skipped):
           f" {max(zs):.2f}" if zs else "  no populated regions")
 
 
-def _locate_batch(values, region_keys):
-    """Map each row to its sorting permutation; ties are dropped."""
-    order = np.argsort(values, axis=1, kind="stable")
-    svals = np.take_along_axis(values, order, axis=1)
-    tied = np.any(np.diff(svals, axis=1) == 0.0, axis=1)
+def _sample_regions(perms, values) -> int:
+    """Locate every row of values in the region of its sorting permutation
+    and print the per-region counts; exact ties are skipped.  Returns 1
+    when a row falls outside every enumerated region."""
+    keys = {chi.images: k for k, chi in enumerate(perms)}
+    images, tied = sorting_images(values)
     counter = Counter()
     strays = 0
-    for row, bad in zip(order, tied):
-        if bad:
-            continue
-        key = region_keys.get(tuple(row))
+    for row in images[~tied].tolist():
+        key = keys.get(tuple(row))
         if key is None:
             strays += 1
         else:
             counter[key] += 1
-    return counter, int(np.count_nonzero(tied)), strays
+    used = sum(counter.values())
+    _print_volume_stats(counter, used, len(perms), len(values),
+                        int(np.count_nonzero(tied)))
+    if strays:
+        print(f"  WARNING: {strays} samples fell outside every region",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def decompose_shuffle(p: int, q: int, samples: int, rng) -> int:
@@ -285,18 +296,9 @@ def decompose_shuffle(p: int, q: int, samples: int, rng) -> int:
         return 1
     if p + q == 0 or samples == 0:
         return 0
-    keys = {tuple(i - 1 for i in chi.inverse_images): k
-            for k, chi in enumerate(perms)}
-    values = np.hstack([np.sort(rng.random((samples, p)), axis=1),
-                        np.sort(rng.random((samples, q)), axis=1)])
-    counter, ties, strays = _locate_batch(values, keys)
-    used = sum(counter.values())
-    _print_volume_stats(counter, used, len(perms), samples, ties)
-    if strays:
-        print(f"  WARNING: {strays} samples fell outside every region",
-              file=sys.stderr)
-        return 1
-    return 0
+    values = np.hstack([sample_simplex_batch(p, rng, samples),
+                        sample_simplex_batch(q, rng, samples)])
+    return _sample_regions(perms, values)
 
 
 def decompose_cyclic(degrees, samples: int, rng) -> int:
@@ -319,23 +321,14 @@ def decompose_cyclic(degrees, samples: int, rng) -> int:
         return 1
     if samples == 0:
         return 0
-    keys = {tuple(i - 1 for i in chi.inverse_images): k
-            for k, chi in enumerate(perms)}
-    s = np.sort(rng.random((samples, r)), axis=1)
+    s = sample_simplex_batch(r, rng, samples)
     cols = []
     for i, p in enumerate(degrees):
         cols.append(s[:, i:i + 1])
         if p:
-            t = np.sort(rng.random((samples, p)), axis=1)
+            t = sample_simplex_batch(p, rng, samples)
             cols.append((s[:, i:i + 1] + t) % 1.0)
-    counter, ties, strays = _locate_batch(np.hstack(cols), keys)
-    used = sum(counter.values())
-    _print_volume_stats(counter, used, len(perms), samples, ties)
-    if strays:
-        print(f"  WARNING: {strays} samples fell outside every region",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _sample_regions(perms, np.hstack(cols))
 
 
 def cmd_decompose(args, config: RunConfig) -> int:
@@ -375,7 +368,8 @@ def cmd_bench(config: RunConfig) -> int:
     print(f"timings on GradedSpace(2, 1), seed {config.seed}")
     _timed("heat operator, fresh time", lambda: t.heat(rng.random()), 50)
     _timed("degree-2 cochain, exact", lambda: jlo_cochain(t, a2), 50)
-    _timed("degree-3 cochain, exact", lambda: jlo_cochain(t, a3), 50)
+    _timed("degree-3 contraction cochain, exact",
+           lambda: bch_cochain(t, a3), 50)
     _timed(f"degree-(1,2) cochain, mc {config.mc_samples}",
            lambda: jlo_cochain_mc(t, b, config.mc_samples, rng), 3)
     _timed("shuffle product, degrees (1,2)x(0,1)",

@@ -25,9 +25,9 @@ from scipy.linalg import expm
 from .chains import Chain, ElementaryChain, TermBudgetError, br_operation, \
     shuffle_product
 from .linalg import Parity, parity_of
-from .shuffles import SimplexPoint
-from .spectral import Idempotent, NonIntegerIndexError, SpectralTripleFD, \
-    ampliate, commutator_d, product_triple
+from .shuffles import SimplexPoint, sample_simplex_batch
+from .spectral import INDEX_INTEGER_TOL, Idempotent, NonIntegerIndexError, \
+    SpectralTripleFD, ampliate, commutator_d, product_triple
 
 __all__ = [
     "DEGREE_CAP",
@@ -52,7 +52,6 @@ __all__ = [
 DEGREE_CAP = 12
 EIGENSUM_BUDGET = 2_000_000
 PAIRING_TRUNCATION = 1e-12
-INDEX_INTEGER_TOL = 0.01
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -226,7 +225,7 @@ class JLOEvaluator:
         done = 0
         while done < samples:
             b = min(chunk, samples - done)
-            ts = np.sort(rng.random((b, n)), axis=1)
+            ts = sample_simplex_batch(n, rng, b)
             pad = np.concatenate(
                 [np.zeros((b, 1)), ts, np.ones((b, 1))], axis=1)
             gaps = np.diff(pad, axis=1)
@@ -348,13 +347,12 @@ class PairingReport:
     integer: int = None
 
 
-def index_pairing(triple: SpectralTripleFD, idem: Idempotent,
-                  tol: float = INDEX_INTEGER_TOL) -> PairingReport:
+def index_pairing(triple: SpectralTripleFD, idem: Idempotent) -> PairingReport:
     """Pair the idempotent character against the triple's cochain.
 
     Even degrees are summed until a term falls below the truncation
     threshold relative to the accumulated value; the total must then sit
-    within tol of an integer.
+    within INDEX_INTEGER_TOL of an integer.
     """
     amp = ampliate(triple, idem.blocks)
     if idem.matrix.shape[0] != amp.hilbert_dim:
@@ -377,9 +375,10 @@ def index_pairing(triple: SpectralTripleFD, idem: Idempotent,
         raise NonConvergentError(
             f"pairing terms still at {last:.3g} at degree {degree}")
     r = round(acc.real)
-    if abs(acc - r) > tol:
+    if abs(acc - r) > INDEX_INTEGER_TOL:
         raise NonIntegerIndexError(
-            f"pairing value {acc:.6g} is not within {tol} of an integer")
+            f"pairing value {acc:.6g} is not within {INDEX_INTEGER_TOL} "
+            "of an integer")
     return PairingReport(value=acc, truncation_degree=degree,
                          last_term_magnitude=last, integer=int(r))
 

@@ -21,10 +21,7 @@ __all__ = [
     "ParityError",
     "as_matrix",
     "frob",
-    "graded_right_factor",
     "hermitian_eigen",
-    "kron",
-    "kron_all",
     "matrix_from_json",
     "matrix_to_json",
     "opnorm",
@@ -55,6 +52,13 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
+    return a
+
+
+def _freeze(m) -> np.ndarray:
+    """Read-only complex128 copy of a matrix."""
+    a = as_matrix(m).copy()
+    a.setflags(write=False)
     return a
 
 
@@ -119,15 +123,15 @@ def supertrace(x, gamma) -> complex:
     return complex(np.sum(g * np.diagonal(a)))
 
 
-def parity_of(m, space_or_gamma, tol: float = PARITY_TOL) -> Parity:
+def parity_of(m, space_or_gamma) -> Parity:
     """Classify a matrix as even, odd, or mixed for the given grading."""
     a = as_matrix(m)
     g = _gamma_diag_of(space_or_gamma)
     conj = g[:, None] * a * g[None, :]
     scale = max(1.0, frob(a))
-    if frob(conj - a) <= tol * scale:
+    if frob(conj - a) <= PARITY_TOL * scale:
         return Parity.EVEN
-    if frob(conj + a) <= tol * scale:
+    if frob(conj + a) <= PARITY_TOL * scale:
         return Parity.ODD
     return Parity.MIXED
 
@@ -146,42 +150,6 @@ def hermitian_eigen(m, tol: float = DEFAULT_TOL):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
     return w, u
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, row-major block convention: (A (x) B)(C (x) D) = AC (x) BD."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def kron_all(mats) -> np.ndarray:
-    """Left-associated iterated Kronecker product.
-
-    Fixing the association order makes repeated evaluation bitwise
-    reproducible, so iterated products can be compared exactly.
-    """
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one factor")
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
-
-
-def graded_right_factor(gamma1, x, gamma2=None, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Matrix realization of (1 tensor X) for an odd operator X on the right factor.
-
-    The Koszul sign of the graded tensor product is absorbed into the first
-    slot: the realization is kron(gamma1, X).  With this convention
-    (Y tensor 1)(1 tensor X) picks up the correct anticommutation signs for
-    odd Y on the left factor.  When gamma2 is supplied, X is checked to be
-    odd for it.
-    """
-    g1 = _gamma_diag_of(gamma1)
-    xm = as_matrix(x)
-    if gamma2 is not None and parity_of(xm, gamma2, tol) is not Parity.ODD:
-        raise ParityError("right tensor factor must be odd for its grading")
-    return np.kron(np.diag(g1).astype(np.complex128), xm)
 
 
 def matrix_to_json(m) -> dict:
@@ -206,4 +174,6 @@ def matrix_from_json(obj) -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("matrix entries must be finite")
     return flat.reshape(rows, cols)

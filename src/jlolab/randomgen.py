@@ -27,9 +27,8 @@ def _cplx(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_even(rng, space: GradedSpace, hermitian: bool = False,
-                contraction: bool = True) -> np.ndarray:
-    """Random block-diagonal (grading-preserving) matrix."""
+def random_even(rng, space: GradedSpace, hermitian: bool = False) -> np.ndarray:
+    """Random block-diagonal (grading-preserving) contraction."""
     de, do = space.dim_even, space.dim_odd
     a = np.zeros((space.dim, space.dim), dtype=np.complex128)
     if de:
@@ -38,9 +37,7 @@ def random_even(rng, space: GradedSpace, hermitian: bool = False,
         a[de:, de:] = _cplx(rng, (do, do))
     if hermitian:
         a = (a + a.conj().T) / 2.0
-    if contraction:
-        a = a / max(1.0, opnorm(a))
-    return a
+    return a / max(1.0, opnorm(a))
 
 
 def random_odd_hermitian(rng, space: GradedSpace,
@@ -59,12 +56,13 @@ def random_odd_hermitian(rng, space: GradedSpace,
     return d
 
 
-def random_triple(rng, dim_even: int, dim_odd: int, n_generators: int = 2,
-                  dirac_scale: float = 1.0, label: str = "") -> SpectralTripleFD:
+def random_triple(rng, dim_even: int, dim_odd: int, dirac_scale: float = 1.0,
+                  label: str = "") -> SpectralTripleFD:
+    """Triple with a random odd Dirac of norm dirac_scale and two random
+    even Hermitian contractions as generators."""
     space = GradedSpace(dim_even, dim_odd)
     dirac = random_odd_hermitian(rng, space, scale=dirac_scale)
-    gens = tuple(random_even(rng, space, hermitian=True)
-                 for _ in range(n_generators))
+    gens = tuple(random_even(rng, space, hermitian=True) for _ in range(2))
     return SpectralTripleFD(space, dirac, gens, label=label)
 
 

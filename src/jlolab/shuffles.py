@@ -30,6 +30,7 @@ __all__ = [
     "sample_simplex",
     "sample_simplex_batch",
     "shuffle_region_contains",
+    "sorting_images",
 ]
 
 
@@ -63,10 +64,6 @@ class SignedPermutation:
         images = tuple(int(i) for i in images)
         return cls(len(images), images, cls.signature_of(images))
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(n, tuple(range(1, n + 1)), 1)
-
     @cached_property
     def inverse_images(self) -> tuple:
         inv = [0] * self.n
@@ -85,21 +82,6 @@ class SignedPermutation:
             raise ValueError("sequence length must equal n")
         inv = self.inverse_images
         return tuple(items[inv[j] - 1] for j in range(self.n))
-
-    def to_json(self) -> dict:
-        return {"images": list(self.images), "sign": int(self.sign)}
-
-    @classmethod
-    def from_json(cls, obj) -> "SignedPermutation":
-        try:
-            images = tuple(int(i) for i in obj["images"])
-            sign = int(obj["sign"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed permutation object: {exc}") from exc
-        perm = cls(len(images), images, sign if sign in (-1, 1) else 1)
-        if perm.sign != cls.signature_of(images) or sign not in (-1, 1):
-            raise ValueError("declared sign disagrees with the signature")
-        return perm
 
 
 @lru_cache(maxsize=None)
@@ -261,6 +243,24 @@ def shuffle_region_contains(chi: SignedPermutation, s, t) -> bool:
     return all(arranged[k] <= arranged[k + 1] for k in range(chi.n - 1))
 
 
+def sorting_images(values):
+    """Sorting permutations of the rows of an (N, n) coordinate array.
+
+    Returns (images, tied): row k of the (N, n) integer array images holds
+    the 1-based images of the permutation that sorts row k ascending, so
+    entry j lands in slot images[k, j]; tied[k] is True when row k has two
+    exactly equal entries, in which case its region is not unique.
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=1)
+    tied = np.any(np.diff(ranked, axis=1) == 0.0, axis=1)
+    images = np.empty_like(order)
+    images[np.arange(values.shape[0])[:, None], order] = \
+        np.arange(1, values.shape[1] + 1)
+    return images, tied
+
+
 def cyclic_region_locate(block_degrees, s, ts):
     """Locate the cyclic-shuffle region of offset coordinates, or None on ties.
 
@@ -280,11 +280,7 @@ def cyclic_region_locate(block_degrees, s, ts):
             raise ValueError("block coordinate count disagrees with its degree")
         vals.append(sv[i])
         vals.extend((sv[i] + tv) % 1.0)
-    vals = np.asarray(vals)
-    order = np.argsort(vals, kind="stable")
-    svals = vals[order]
-    if np.any(np.diff(svals) == 0.0):
+    images, tied = sorting_images([vals])
+    if tied[0]:
         return None
-    images = np.empty(vals.size, dtype=np.int64)
-    images[order] = np.arange(1, vals.size + 1)
-    return SignedPermutation.from_images(images)
+    return SignedPermutation.from_images(images[0])

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOL,
     GradedSpace,
     Parity,
     ParityError,
+    _freeze,
     as_matrix,
     hermitian_eigen,
     matrix_from_json,
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 INDEX_INTEGER_TOL = 0.01
+IDEMPOTENT_TOL = 1e-8
 
 
 class NotIdempotentError(ValueError):
@@ -74,17 +77,12 @@ class SpectralGapWarning(RuntimeWarning):
     """Eigenvalues sit near the kernel cutoff; the index may be unstable."""
 
 
-def _freeze(m) -> np.ndarray:
-    a = as_matrix(m).copy()
-    a.setflags(write=False)
-    return a
-
-
 class SpectralTripleFD:
     """Graded space + odd Hermitian Dirac + even algebra generators.
 
-    Heat semigroup values and the eigensystem of the Laplacian are cached
-    on the instance; triples are cheap to copy but treat them as immutable.
+    The Laplacian and its eigensystem are cached on the instance, so treat
+    triples as immutable; heat operators are recomputed from the cached
+    eigensystem on every call.
     """
 
     def __init__(self, space: GradedSpace, dirac, generators,
@@ -110,15 +108,11 @@ class SpectralTripleFD:
             self.basis_map = bm
         self._delta = None
         self._delta_eig = None
-        self._heat_cache: dict = {}
         self._jlo = None
 
     @property
     def hilbert_dim(self) -> int:
         return self.space.dim
-
-    # chain factors are matrices of the same size as the Hilbert space
-    algebra_dim = hilbert_dim
 
     @property
     def delta(self) -> np.ndarray:
@@ -132,16 +126,12 @@ class SpectralTripleFD:
         return self._delta_eig
 
     def heat(self, t: float) -> np.ndarray:
-        """exp(-t Delta) through the eigendecomposition, cached per t."""
+        """exp(-t Delta) through the cached eigendecomposition."""
         t = float(t)
         if t < 0:
             raise ValueError("heat time must be nonnegative")
-        cached = self._heat_cache.get(t)
-        if cached is None:
-            w, v = self.delta_eigensystem()
-            cached = (v * np.exp(-t * w)) @ v.conj().T
-            self._heat_cache[t] = cached
-        return cached
+        w, v = self.delta_eigensystem()
+        return (v * np.exp(-t * w)) @ v.conj().T
 
     def supertrace(self, x) -> complex:
         return supertrace(x, self.space.gamma_diag)
@@ -198,17 +188,22 @@ def diagnose(triple: SpectralTripleFD) -> TripleDiagnostics:
     return TripleDiagnostics(herm, odd, even)
 
 
-def validate_triple(triple: SpectralTripleFD, tol: float = 1e-10) -> TripleDiagnostics:
+def validate_triple(triple: SpectralTripleFD) -> TripleDiagnostics:
+    """Raise unless the Dirac operator is Hermitian and odd and every
+    generator is even, each to DEFAULT_TOL in operator norm."""
     diag = diagnose(triple)
-    if diag.dirac_hermiticity > tol:
+    if diag.dirac_hermiticity > DEFAULT_TOL:
         raise NotSelfAdjointError(
-            f"Dirac hermiticity residual {diag.dirac_hermiticity:.3g} > {tol:g}")
-    if diag.dirac_oddness > tol:
+            f"Dirac hermiticity residual {diag.dirac_hermiticity:.3g}"
+            f" > {DEFAULT_TOL:g}")
+    if diag.dirac_oddness > DEFAULT_TOL:
         raise ParityError(
-            f"Dirac oddness residual {diag.dirac_oddness:.3g} > {tol:g}")
-    if diag.generator_evenness > tol:
+            f"Dirac oddness residual {diag.dirac_oddness:.3g}"
+            f" > {DEFAULT_TOL:g}")
+    if diag.generator_evenness > DEFAULT_TOL:
         raise ParityError(
-            f"generator evenness residual {diag.generator_evenness:.3g} > {tol:g}")
+            f"generator evenness residual {diag.generator_evenness:.3g}"
+            f" > {DEFAULT_TOL:g}")
     return diag
 
 
@@ -254,17 +249,16 @@ def product_triple(t1: SpectralTripleFD, t2: SpectralTripleFD,
     return SpectralTripleFD(space, dirac, gens, basis_map=bm, label=label)
 
 
-def kernel_projection(h, eps: float = None) -> np.ndarray:
+def kernel_projection(h) -> np.ndarray:
     """Orthogonal projection onto the near-kernel of a Hermitian matrix.
 
-    Eigenvalues with |w| <= eps count as kernel; the default cutoff scales
-    with the spectral radius.  Eigenvalues in [eps, 10 eps) trigger a
-    SpectralGapWarning because the rank is then sensitive to the cutoff.
+    Eigenvalues with |w| <= eps count as kernel, where the cutoff eps
+    scales with the spectral radius.  Eigenvalues in [eps, 10 eps) trigger
+    a SpectralGapWarning because the rank is then sensitive to the cutoff.
     """
     w, v = hermitian_eigen(h)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if eps is None:
-        eps = max(1e-9 * scale, 1e-12)
+    eps = max(1e-9 * scale, 1e-12)
     aw = np.abs(w)
     if np.any((aw >= eps) & (aw < 10 * eps)):
         warnings.warn(
@@ -274,9 +268,9 @@ def kernel_projection(h, eps: float = None) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def mckean_singer_index(triple: SpectralTripleFD, eps: float = None) -> int:
+def mckean_singer_index(triple: SpectralTripleFD) -> int:
     """Supertrace of the kernel projection of the Dirac operator."""
-    p = kernel_projection(triple.dirac, eps=eps)
+    p = kernel_projection(triple.dirac)
     s = triple.supertrace(p)
     r = round(s.real)
     if abs(s - r) > INDEX_INTEGER_TOL:
@@ -326,8 +320,8 @@ def ampliate(triple: SpectralTripleFD, k: int) -> SpectralTripleFD:
                             label=triple.label and f"{triple.label}(x){k}")
 
 
-def compress_by_idempotent(triple: SpectralTripleFD, idem: Idempotent,
-                           tol: float = 1e-8) -> SpectralTripleFD:
+def compress_by_idempotent(triple: SpectralTripleFD,
+                           idem: Idempotent) -> SpectralTripleFD:
     """Restrict e D e to the range of a self-adjoint even idempotent e.
 
     The range basis is assembled per parity block, so the compressed triple
@@ -339,16 +333,16 @@ def compress_by_idempotent(triple: SpectralTripleFD, idem: Idempotent,
         raise ValueError("idempotent size disagrees with the ampliated triple")
     e = amp.represent(idem.matrix)
     scale = max(1.0, opnorm(e))
-    if opnorm(e - e.conj().T) > tol * scale:
+    if opnorm(e - e.conj().T) > IDEMPOTENT_TOL * scale:
         raise NotSelfAdjointError("idempotent is not self-adjoint within tolerance")
-    if opnorm(e @ e - e) > tol * scale:
+    if opnorm(e @ e - e) > IDEMPOTENT_TOL * scale:
         raise NotIdempotentError("matrix is not idempotent within tolerance")
     if parity_of(e, amp.space) is not Parity.EVEN:
         raise ParityError("idempotent must be even with respect to the grading")
 
     de = amp.space.dim_even
-    we, ve = hermitian_eigen(e[:de, :de], tol=10 * tol)
-    wo, vo = hermitian_eigen(e[de:, de:], tol=10 * tol)
+    we, ve = hermitian_eigen(e[:de, :de], tol=10 * IDEMPOTENT_TOL)
+    wo, vo = hermitian_eigen(e[de:, de:], tol=10 * IDEMPOTENT_TOL)
     re = int(np.count_nonzero(we > 0.5))
     ro = int(np.count_nonzero(wo > 0.5))
     v = np.zeros((amp.hilbert_dim, re + ro), dtype=np.complex128)
@@ -363,10 +357,9 @@ def compress_by_idempotent(triple: SpectralTripleFD, idem: Idempotent,
                             label=triple.label and f"e({triple.label})e")
 
 
-def index_of_pair(triple: SpectralTripleFD, idem: Idempotent,
-                  eps: float = None) -> int:
+def index_of_pair(triple: SpectralTripleFD, idem: Idempotent) -> int:
     """Fredholm index of the idempotent-compressed Dirac operator."""
-    return mckean_singer_index(compress_by_idempotent(triple, idem), eps=eps)
+    return mckean_singer_index(compress_by_idempotent(triple, idem))
 
 
 def triple_to_json(triple: SpectralTripleFD) -> dict:
@@ -382,6 +375,8 @@ def triple_to_json(triple: SpectralTripleFD) -> dict:
 
 
 def triple_from_json(obj) -> SpectralTripleFD:
+    """Rebuild a triple from its wire form and check its structure with
+    validate_triple; every rejection is a ValueError."""
     try:
         space = GradedSpace(int(obj["dim_even"]), int(obj["dim_odd"]))
         dirac = matrix_from_json(obj["dirac"])
@@ -390,7 +385,9 @@ def triple_from_json(obj) -> SpectralTripleFD:
         label = str(obj.get("label", ""))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed triple object: {exc}") from exc
-    return SpectralTripleFD(space, dirac, gens, basis_map=bm, label=label)
+    triple = SpectralTripleFD(space, dirac, gens, basis_map=bm, label=label)
+    validate_triple(triple)
+    return triple
 
 
 def idempotent_to_json(idem: Idempotent) -> dict:

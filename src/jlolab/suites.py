@@ -2,16 +2,14 @@
 
 Each trial function draws fresh data from an explicit Generator and returns
 a normalized residual; `run_suite` wraps them into report rows with
-per-identity tolerances.  Identities run concurrently but each owns a
-deterministic seed stream, so reports are reproducible for a fixed master
-seed regardless of thread count.
+per-identity tolerances.  Identities run one after another in IDENTITIES
+order, each on its own seed stream spawned from the master seed, so
+reports are reproducible for a fixed master seed.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,6 +32,7 @@ from .jlo import (
 from .linalg import GradedSpace, opnorm
 from .randomgen import random_chain, random_even, random_triple
 from .spectral import (
+    INDEX_INTEGER_TOL,
     Idempotent,
     SpectralGapWarning,
     SpectralTripleFD,
@@ -379,24 +378,14 @@ IDENTITIES = (
     ("hochschild_derivation_shuffle", 1e-10, trial_hochschild_derivation),
     ("scalar_slot_invariance", 1e-10, trial_scalar_slot_invariance),
     ("exact_vs_mc", 1.0, trial_exact_vs_mc),
-    ("index_pairing_vs_fredholm", 0.01, trial_index_pairing),
+    ("index_pairing_vs_fredholm", INDEX_INTEGER_TOL, trial_index_pairing),
     ("index_multiplicativity", 0.5, trial_index_product),
 )
 
 
-def default_thread_count() -> int:
-    env = os.environ.get("JLOLAB_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def run_suite(seed: int, dims=DEFAULT_DIMS, trials: int = 3,
               max_degree: int = 2, mc_samples: int = 20_000,
-              tolerance: float = None, threads: int = None):
+              tolerance: float = None):
     """Run every identity `trials` times; returns one report row each.
 
     A row's residual is the worst over its trials.  `tolerance` overrides
@@ -406,20 +395,17 @@ def run_suite(seed: int, dims=DEFAULT_DIMS, trials: int = 3,
         raise ValueError("trials must be non-negative")
     if trials == 0:
         return []
-    if threads is None:
-        threads = default_thread_count()
     dims = tuple(tuple(d) for d in dims)
     streams = np.random.SeedSequence(seed).spawn(len(IDENTITIES))
-
-    def task(i):
-        name, default_tol, fn = IDENTITIES[i]
+    rows = []
+    for (name, default_tol, fn), stream in zip(IDENTITIES, streams):
         tol = default_tol if tolerance is None else tolerance
-        rng = np.random.default_rng(streams[i])
+        rng = np.random.default_rng(stream)
         worst = 0.0
         for _ in range(trials):
             worst = max(worst, float(fn(rng, dims, max_degree=max_degree,
                                         mc_samples=mc_samples)))
-        return {
+        rows.append({
             "identity": name,
             "residual": worst,
             "tolerance": tol,
@@ -427,10 +413,7 @@ def run_suite(seed: int, dims=DEFAULT_DIMS, trials: int = 3,
             "seed": int(seed),
             "params": {"trials": trials, "dims": [list(d) for d in dims],
                        "max_degree": max_degree, "mc_samples": mc_samples},
-        }
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(task, range(len(IDENTITIES))))
+        })
     return rows
 
 

@@ -140,6 +140,17 @@ def test_index_malformed_file_exits_two(tmp_path, capsys):
     broken.write_text("{}")
     assert main(["index", str(broken), ep]) == 2
     assert main(["index", tp, str(tmp_path / "missing.json")]) == 2
+    # a Hermitian but even Dirac operator, and a NaN Dirac entry
+    even = SpectralTripleFD(GradedSpace(1, 1), np.diag([0.3, -0.2]),
+                            (np.eye(2),))
+    even_path = tmp_path / "even.json"
+    even_path.write_text(json.dumps(triple_to_json(even)))
+    assert main(["index", str(even_path), ep]) == 2
+    nan = json.loads((tmp_path / "t.json").read_text())
+    nan["dirac"]["data"][1] = [float("nan"), 0.0]
+    nan_path = tmp_path / "nan.json"
+    nan_path.write_text(json.dumps(nan))
+    assert main(["index", str(nan_path), ep]) == 2
     capsys.readouterr()
 
 
@@ -192,3 +203,4 @@ def test_bench_runs_clean(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ms/call" in out
+    assert "degree-3 contraction cochain, exact" in out

@@ -7,12 +7,8 @@ from jlolab.linalg import (
     GradedSpace,
     NonHermitianError,
     Parity,
-    ParityError,
     frob,
-    graded_right_factor,
     hermitian_eigen,
-    kron,
-    kron_all,
     matrix_from_json,
     matrix_to_json,
     opnorm,
@@ -82,38 +78,6 @@ def test_hermitian_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_kron_mixed_product_rule():
-    rng = np.random.default_rng(3)
-    a, b, c, d = (_rand(rng, 3) for _ in range(4))
-    assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d))
-
-
-def test_kron_all_left_association():
-    rng = np.random.default_rng(4)
-    mats = [_rand(rng, 2) for _ in range(3)]
-    expect = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    assert np.array_equal(kron_all(mats), expect)
-    with pytest.raises(ValueError):
-        kron_all([])
-
-
-def test_graded_right_factor_anticommutes_with_odd_left_factor():
-    rng = np.random.default_rng(5)
-    s1, s2 = GradedSpace(2, 1), GradedSpace(1, 1)
-    y = _rand(rng, s1.dim)
-    y_odd = y - s1.gamma_diag[:, None] * y * s1.gamma_diag[None, :]
-    x = np.array([[0.0, 1.0], [2.0, 0.0]])
-    left = np.kron(y_odd, np.eye(s2.dim))
-    right = graded_right_factor(s1.gamma_diag, x, s2.gamma_diag)
-    assert np.allclose(left @ right, -right @ left, atol=1e-12)
-
-
-def test_graded_right_factor_requires_odd_input():
-    s1, s2 = GradedSpace(1, 1), GradedSpace(1, 1)
-    with pytest.raises(ParityError):
-        graded_right_factor(s1.gamma_diag, np.eye(2), s2.gamma_diag)
-
-
 def test_norms_on_known_matrix():
     m = np.array([[3.0, 0.0], [0.0, -4.0]])
     assert frob(m) == pytest.approx(5.0)
@@ -133,6 +97,8 @@ def test_matrix_json_round_trip():
     {"rows": 2, "cols": 2, "data": [[0.0, 0.0]]},
     {"rows": 1, "cols": 1, "data": [[0.0]]},
     {"rows": 1, "cols": 1, "data": "nope"},
+    {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]},
+    {"rows": 1, "cols": 1, "data": [[0.0, float("inf")]]},
 ])
 def test_matrix_json_rejects_malformed(bad):
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from jlolab.chains import chain_from_json, chain_to_json
 from jlolab.jlo import jlo_cochain
 from jlolab.linalg import matrix_from_json, matrix_to_json
 from jlolab.randomgen import random_chain, random_triple
-from jlolab.shuffles import SignedPermutation
 from jlolab.spectral import (
     Idempotent,
     idempotent_from_json,
@@ -100,8 +99,3 @@ def test_chain_json_rejects_malformed():
     }
     with pytest.raises(ValueError):
         chain_from_json(wrong_dim)
-
-
-def test_permutation_round_trip_through_text():
-    chi = SignedPermutation.from_images((3, 1, 2))
-    assert SignedPermutation.from_json(_through_wire(chi.to_json())) == chi

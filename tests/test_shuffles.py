@@ -15,6 +15,7 @@ from jlolab.shuffles import (
     sample_simplex,
     sample_simplex_batch,
     shuffle_region_contains,
+    sorting_images,
 )
 
 
@@ -39,16 +40,6 @@ def test_apply_to_slots_moves_item_k_to_slot_image_k():
     # item k lands in slot images[k]; reading slots gives the inverse
     assert chi.apply_to_slots(("a", "b", "c")) == ("c", "a", "b")
     assert chi.apply_to_slots((1, 2, 3)) == chi.inverse_images
-
-
-def test_permutation_json_round_trip_and_sign_check():
-    chi = SignedPermutation.from_images((2, 1, 3))
-    back = SignedPermutation.from_json(chi.to_json())
-    assert back == chi
-    with pytest.raises(ValueError):
-        SignedPermutation.from_json({"images": [2, 1, 3], "sign": 1})
-    with pytest.raises(ValueError):
-        SignedPermutation.from_json({"images": [1, 2], "sign": 3})
 
 
 def test_shuffle_enumeration_small_cases():
@@ -164,6 +155,7 @@ def test_cyclic_region_locate_lands_in_enumerated_set():
     rng = np.random.default_rng(12)
     degrees = (1, 1)
     members = {sg.images for sg in enumerate_cyclic_shuffles(degrees)}
+    located, rows = [], []
     for _ in range(300):
         s = sample_simplex(len(degrees), rng)
         ts = [sample_simplex(p, rng) for p in degrees]
@@ -171,6 +163,14 @@ def test_cyclic_region_locate_lands_in_enumerated_set():
         assert sg is not None
         assert sg.images in members
         assert is_cyclic_shuffle(sg, degrees)
+        located.append(sg.images)
+        rows.append([s.t[0], (s.t[0] + ts[0].t[0]) % 1.0,
+                     s.t[1], (s.t[1] + ts[1].t[0]) % 1.0])
+    # the batched locator agrees row by row and flags an exact tie
+    rows.append([0.25, 0.5, 0.25, 0.75])
+    images, tied = sorting_images(np.array(rows))
+    assert [tuple(row) for row in images[:-1].tolist()] == located
+    assert tied.tolist() == [False] * len(located) + [True]
 
 
 def test_cyclic_region_locate_reports_ties_as_none():

@@ -136,6 +136,18 @@ def test_product_triple_grading_and_dims():
     assert np.array_equal(np.sort(gk)[::-1], prod.space.gamma_diag)
 
 
+def test_product_triple_dirac_summands_anticommute():
+    # the Koszul sign sits in the gamma1 (x) D2 summand: without it the two
+    # summands would commute instead
+    rng = np.random.default_rng(5)
+    t1, t2 = random_triple(rng, 2, 1), random_triple(rng, 1, 1)
+    prod = product_triple(t1, t2)
+    left = prod.represent(np.kron(t1.dirac, np.eye(t2.hilbert_dim)))
+    right = prod.dirac - left
+    assert opnorm(left @ right) > 0.1
+    assert opnorm(left @ right + right @ left) < 1e-12
+
+
 def test_product_triple_heat_factorizes():
     rng = np.random.default_rng(5)
     t1 = random_triple(rng, 2, 1)
