@@ -16,7 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _freeze, frob, opnorm, matrix_from_json, matrix_to_json
-from .shuffles import enumerate_cyclic_shuffles, enumerate_shuffles
+from .shuffles import (
+    enumerate_cyclic_shuffles,
+    enumerate_shuffles,
+    permutation_signs,
+)
 
 __all__ = [
     "Chain",
@@ -190,6 +194,20 @@ def _budget(count: int):
         )
 
 
+def _signed_terms(coeff, head, slots, images) -> list:
+    """One term per row of an image array: coeff times the row's sign, with
+    head in slot 0 and slots[k] moved to slot images[k].
+
+    shuffles.sorting_images places simplex coordinates by the same rule, so
+    algebra and geometry share one sign convention.
+    """
+    signs = permutation_signs(images).tolist()
+    # column j of the inverse permutation names the item that lands in slot j
+    inverse = np.argsort(images, axis=1).tolist()
+    return [ElementaryChain(coeff * sign, (head,) + tuple(slots[k] for k in row))
+            for sign, row in zip(signs, inverse)]
+
+
 def shuffle_product(left: Chain, right: Chain) -> Chain:
     """Signed sum over (p, q)-shuffles of the interleaved Kronecker factors.
 
@@ -207,15 +225,11 @@ def shuffle_product(left: Chain, right: Chain) -> Chain:
         # closed-form count so the budget trips before any big enumeration
         count += math.comb(p + q, p)
         _budget(count)
-        shuffles = enumerate_shuffles(p, q)
         head = np.kron(ta.factors[0], tb.factors[0])
         slots = [np.kron(a, i2) for a in ta.factors[1:]]
         slots += [np.kron(i1, b) for b in tb.factors[1:]]
-        base = ta.coeff * tb.coeff
-        for chi in shuffles:
-            out.append(
-                ElementaryChain(base * chi.sign, (head,) + chi.apply_to_slots(slots))
-            )
+        out += _signed_terms(ta.coeff * tb.coeff, head, slots,
+                             enumerate_shuffles(p, q))
     return Chain(d1 * d2, tuple(out)).normalized()
 
 
@@ -255,15 +269,11 @@ def br_operation(chains) -> Chain:
             math.factorial(len(ps))
             * math.prod(math.factorial(p) for p in ps))
         _budget(count)
-        sigmas = enumerate_cyclic_shuffles(ps)
         slots = [embed(i, f) for i, t in enumerate(combo) for f in t.factors]
         base = 1.0 + 0.0j
         for t in combo:
             base *= t.coeff
-        for sg in sigmas:
-            out.append(
-                ElementaryChain(base * sg.sign, (lead,) + sg.apply_to_slots(slots))
-            )
+        out += _signed_terms(base, lead, slots, enumerate_cyclic_shuffles(ps))
     return Chain(total, tuple(out)).normalized()
 
 

@@ -263,9 +263,10 @@ def _print_volume_stats(counter, n_located, n_regions, samples, skipped):
 
 def _sample_regions(perms, values) -> int:
     """Locate every row of values in the region of its sorting permutation
-    and print the per-region counts; exact ties are skipped.  Returns 1
-    when a row falls outside every enumerated region."""
-    keys = {chi.images: k for k, chi in enumerate(perms)}
+    and print the per-region counts, one region per row of the image array
+    perms; exact ties are skipped.  Returns 1 when a row falls outside every
+    enumerated region."""
+    keys = {tuple(row): k for k, row in enumerate(perms.tolist())}
     images, tied = sorting_images(values)
     counter = Counter()
     strays = 0
@@ -333,6 +334,9 @@ def decompose_cyclic(degrees, samples: int, rng) -> int:
 
 def cmd_decompose(args, config: RunConfig) -> int:
     degrees = args.shuffle if args.shuffle is not None else args.cyclic
+    if args.samples < 0:
+        print("error: --samples must be non-negative", file=sys.stderr)
+        return 2
     if any(p < 0 for p in degrees):
         print("error: degrees must be non-negative", file=sys.stderr)
         return 2
@@ -374,7 +378,7 @@ def cmd_bench(config: RunConfig) -> int:
            lambda: jlo_cochain_mc(t, b, config.mc_samples, rng), 3)
     _timed("shuffle product, degrees (1,2)x(0,1)",
            lambda: shuffle_product(b, c), 20)
-    _timed("cyclic shuffles (2,2,2), cached",
+    _timed("cyclic shuffles (2,2,2)",
            lambda: enumerate_cyclic_shuffles((2, 2, 2)), 5)
     return 0
 

@@ -6,187 +6,119 @@ blocks of sizes p_i + 1 (a lead element plus p_i rows), rotates each block
 cyclically, interleaves the rotated blocks order-preservingly, and requires
 the lead elements to land in increasing positions in block order.
 
+A family of either kind is an (N, n) integer image array: row k is one
+permutation of {1, ..., n}, and item j of a sequence lands in slot
+row[j].  permutation_signs gives the signatures of the rows.
+
 Geometrically, the product of ordered simplices splits, up to measure zero,
 into one region per shuffle; the cyclic variant does the same for products
-with mod-1 offsets.  Both decompositions are exposed here through the
-region membership and locate helpers.
+with mod-1 offsets.  sorting_images locates points in these regions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
 __all__ = [
-    "SignedPermutation",
     "SimplexPoint",
     "cyclic_region_locate",
     "enumerate_cyclic_shuffles",
     "enumerate_shuffles",
     "is_cyclic_shuffle",
+    "permutation_signs",
     "sample_simplex",
     "sample_simplex_batch",
-    "shuffle_region_contains",
     "sorting_images",
 ]
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Permutation of {1, ..., n} stored as its image tuple, with signature."""
+def _ordered_partitions(n: int, sizes) -> np.ndarray:
+    """Every split of 1..n into blocks of the given sizes, as rows.
 
-    n: int
-    images: tuple
-    sign: int
-
-    def __post_init__(self):
-        if len(self.images) != self.n or len(set(self.images)) != self.n:
-            raise ValueError("images must be a bijection of 1..n")
-        if self.n and (min(self.images) != 1 or max(self.images) != self.n):
-            raise ValueError("images must be a bijection of 1..n")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-    @staticmethod
-    def signature_of(images) -> int:
-        inv = 0
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if images[i] > images[j]:
-                    inv += 1
-        return -1 if inv % 2 else 1
-
-    @classmethod
-    def from_images(cls, images) -> "SignedPermutation":
-        images = tuple(int(i) for i in images)
-        return cls(len(images), images, cls.signature_of(images))
-
-    @cached_property
-    def inverse_images(self) -> tuple:
-        inv = [0] * self.n
-        for k, img in enumerate(self.images, start=1):
-            inv[img - 1] = k
-        return tuple(inv)
-
-    def apply_to_slots(self, items) -> tuple:
-        """Permute a length-n sequence: output slot j receives items[inverse(j)].
-
-        This is the slot action used on both chain factors and simplex
-        coordinates, so algebra and geometry share one sign convention.
-        """
-        items = tuple(items)
-        if len(items) != self.n:
-            raise ValueError("sequence length must equal n")
-        inv = self.inverse_images
-        return tuple(items[inv[j] - 1] for j in range(self.n))
-
-
-@lru_cache(maxsize=None)
-def enumerate_shuffles(p: int, q: int) -> tuple:
-    """All (p, q)-shuffles of {1, ..., p+q} with signatures.
-
-    Positions 1..p and p+1..p+q each keep their internal order; there are
-    binomial(p+q, p) of them.
+    Each row concatenates the blocks, each block increasing; rows are in
+    lexicographic order of (block 1, block 2, ...).
     """
-    if p < 0 or q < 0:
-        raise ValueError("block sizes must be non-negative")
-    n = p + q
-    out = []
-    for first in itertools.combinations(range(1, n + 1), p):
-        chosen = set(first)
-        images = [0] * n
-        for k, pos in enumerate(first):
-            images[k] = pos
-        k = p
-        for pos in range(1, n + 1):
-            if pos not in chosen:
-                images[k] = pos
-                k += 1
-        out.append(SignedPermutation.from_images(images))
-    return tuple(out)
+    def split(positions, block_sizes):
+        if len(block_sizes) == 1:
+            yield positions
+            return
+        for head in itertools.combinations(positions, block_sizes[0]):
+            chosen = set(head)
+            rest = tuple(x for x in positions if x not in chosen)
+            for tail in split(rest, block_sizes[1:]):
+                yield head + tail
+
+    rows = list(split(tuple(range(1, n + 1)), tuple(sizes)))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
-def _ordered_partitions(positions, sizes):
-    """Split the ordered tuple into blocks of the given sizes, order kept."""
-    if len(sizes) == 1:
-        yield (positions,)
-        return
-    for head in itertools.combinations(positions, sizes[0]):
-        chosen = set(head)
-        rest = tuple(x for x in positions if x not in chosen)
-        for tail in _ordered_partitions(rest, sizes[1:]):
-            yield (head,) + tail
-
-
-def _signature_batch(rows, n: int) -> np.ndarray:
-    if not rows:
-        return np.ones(0, dtype=np.int64)
-    imgs = np.array(rows, dtype=np.int64)
-    i, j = np.triu_indices(n, k=1)
-    inv = (imgs[:, i] > imgs[:, j]).sum(axis=1)
+def permutation_signs(images) -> np.ndarray:
+    """Signatures (+1 or -1) of the rows of an (N, n) image array."""
+    images = np.asarray(images)
+    i, j = np.triu_indices(images.shape[1], k=1)
+    inv = (images[:, i] > images[:, j]).sum(axis=1)
     return 1 - 2 * (inv & 1)
 
 
-@lru_cache(maxsize=8)
-def enumerate_cyclic_shuffles(block_degrees: tuple) -> tuple:
-    """All (p_1, ..., p_r)-cyclic shuffles of {1, ..., r + sum p_i}.
+def enumerate_shuffles(p: int, q: int) -> np.ndarray:
+    """All (p, q)-shuffles of {1, ..., p+q} as a (binomial(p+q, p), p+q)
+    image array.
+
+    Positions 1..p and p+1..p+q each keep their internal order.
+    """
+    if p < 0 or q < 0:
+        raise ValueError("block sizes must be non-negative")
+    return _ordered_partitions(p + q, (p, q))
+
+
+def enumerate_cyclic_shuffles(block_degrees: tuple) -> np.ndarray:
+    """All (p_1, ..., p_r)-cyclic shuffles of {1, ..., r + sum p_i} as an
+    image array.
 
     Block i occupies domain positions off_i .. off_i + p_i with the lead
-    element first.  For each choice of rotation j_i the block rows
-    j_i, j_i+1, ..., p_i, 0, ..., j_i-1 must appear in increasing image
-    order, and the lead elements must map to increasing positions across
-    blocks.  The count is (r + sum p_i)! / (r! * prod p_i!).
+    element first.  Each block's images are one of its ordered-partition
+    blocks rotated by j_i, and the lead elements must map to increasing
+    positions across blocks.  Rows are ordered by partition, then by
+    (j_1, ..., j_r).  The count is (r + sum p_i)! / (r! * prod p_i!).
     """
     ps = tuple(int(p) for p in block_degrees)
     if len(ps) < 1 or any(p < 0 for p in ps):
         raise ValueError("need r >= 1 non-negative block degrees")
     sizes = [p + 1 for p in ps]
-    n = sum(sizes)
-    offs = []
-    acc = 0
+    parts = _ordered_partitions(sum(sizes), sizes)
+    images = np.zeros((len(parts), 0), dtype=np.int64)
+    source = np.arange(len(parts))
+    lead = np.zeros(len(parts), dtype=np.int64)
+    off = 0
     for s in sizes:
-        offs.append(acc)
-        acc += s
-    rows = []
-    rotranges = [range(s) for s in sizes]
-    for parts in _ordered_partitions(tuple(range(1, n + 1)), tuple(sizes)):
-        for rots in itertools.product(*rotranges):
-            prev = 0
-            ok = True
-            for part, s, j in zip(parts, sizes, rots):
-                # lead element sits at index (s - j) mod s of the rotated order
-                z = part[(s - j) % s]
-                if z <= prev:
-                    ok = False
-                    break
-                prev = z
-            if not ok:
-                continue
-            images = [0] * n
-            for i, (part, s, j) in enumerate(zip(parts, sizes, rots)):
-                base = offs[i]
-                for k in range(s):
-                    images[base + (j + k) % s] = part[k]
-            rows.append(tuple(images))
-    signs = _signature_batch(rows, n)
-    return tuple(
-        SignedPermutation(n, row, int(sg)) for row, sg in zip(rows, signs)
-    )
+        # rotation j puts block item (m - j) mod s in domain slot m; a
+        # rotation whose lead does not exceed the previous block's lead
+        # is dropped here, before the later blocks are expanded
+        turn = np.arange(s)
+        blocks = parts[source][:, off + (turn[None, :] - turn[:, None]) % s]
+        keep, j = np.nonzero(blocks[:, :, 0] > lead[:, None])
+        images = np.hstack([images[keep], blocks[keep, j]])
+        source, lead = source[keep], blocks[keep, j, 0]
+        off += s
+    return images
 
 
-def is_cyclic_shuffle(perm: SignedPermutation, block_degrees) -> bool:
-    """Check the defining block conditions directly."""
+def is_cyclic_shuffle(images, block_degrees) -> bool:
+    """Check that an image row is a permutation meeting the defining block
+    conditions."""
+    images = tuple(int(i) for i in images)
     ps = tuple(int(p) for p in block_degrees)
     sizes = [p + 1 for p in ps]
-    if perm.n != sum(sizes):
+    n = sum(sizes)
+    if len(images) != n or sorted(images) != list(range(1, n + 1)):
         return False
     pos = 0
     prev_lead = 0
     for s in sizes:
-        block = perm.images[pos:pos + s]
+        block = images[pos:pos + s]
         if block[0] <= prev_lead:
             return False
         prev_lead = block[0]
@@ -233,16 +165,6 @@ def sample_simplex_batch(n: int, rng, count: int) -> np.ndarray:
     return np.sort(rng.random((count, n)), axis=1)
 
 
-def shuffle_region_contains(chi: SignedPermutation, s, t) -> bool:
-    """True when interleaving the two coordinate blocks by chi sorts them."""
-    sv, tv = _coords(s), _coords(t)
-    merged = tuple(np.concatenate([sv, tv]))
-    if len(merged) != chi.n:
-        raise ValueError("coordinate count must equal the permutation size")
-    arranged = chi.apply_to_slots(merged)
-    return all(arranged[k] <= arranged[k + 1] for k in range(chi.n - 1))
-
-
 def sorting_images(values):
     """Sorting permutations of the rows of an (N, n) coordinate array.
 
@@ -265,8 +187,9 @@ def cyclic_region_locate(block_degrees, s, ts):
     """Locate the cyclic-shuffle region of offset coordinates, or None on ties.
 
     The entry for row l of block i is s_i + t_i[l] reduced mod 1 (row 0 is
-    s_i itself).  Returns the unique permutation sorting the resulting
-    tuple ascending; for almost every input it is a cyclic shuffle.
+    s_i itself).  Returns the image tuple of the unique permutation sorting
+    the resulting tuple ascending; for almost every input it is a cyclic
+    shuffle.
     """
     ps = tuple(int(p) for p in block_degrees)
     r = len(ps)
@@ -283,4 +206,4 @@ def cyclic_region_locate(block_degrees, s, ts):
     images, tied = sorting_images([vals])
     if tied[0]:
         return None
-    return SignedPermutation.from_images(images[0])
+    return tuple(images[0].tolist())

@@ -32,11 +32,10 @@ from jlolab.jlo import (
 from jlolab.linalg import GradedSpace, opnorm
 from jlolab.randomgen import random_chain, random_even, random_triple
 from jlolab.shuffles import (
-    cyclic_region_locate,
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
     sample_simplex,
-    shuffle_region_contains,
+    sorting_images,
 )
 from jlolab.spectral import (
     Idempotent,
@@ -265,28 +264,34 @@ def _partition_volume_worst_z(rng, samples):
     worst = 0.0
 
     shuffles = enumerate_shuffles(2, 2)
-    counts = {chi.images: 0 for chi in shuffles}
+    counts = {tuple(row): 0 for row in shuffles.tolist()}
+    rows = []
     for _ in range(samples):
         s, t = sample_simplex(2, rng), sample_simplex(2, rng)
-        for chi in shuffles:
-            if shuffle_region_contains(chi, s, t):
-                counts[chi.images] += 1
-                break
+        rows.append(s.t + t.t)
+    # the stable sort keeps each block's order through exact ties, so every
+    # sample lands in one shuffle region
+    images, _ = sorting_images(rows)
+    for row in images.tolist():
+        counts[tuple(row)] += 1
     f = 1.0 / len(shuffles)
     sigma = math.sqrt(samples * f * (1.0 - f))
     for c in counts.values():
         worst = max(worst, abs(c - samples * f) / sigma)
 
     degrees = (1, 1)
-    members = {sg.images: 0 for sg in enumerate_cyclic_shuffles(degrees)}
-    located = 0
+    members = {tuple(row): 0
+               for row in enumerate_cyclic_shuffles(degrees).tolist()}
+    rows = []
     for _ in range(samples):
         s = sample_simplex(2, rng)
         ts = [sample_simplex(1, rng) for _ in degrees]
-        sg = cyclic_region_locate(degrees, s, ts)
-        if sg is not None:
-            members[sg.images] += 1
-            located += 1
+        rows.append([s.t[0], (s.t[0] + ts[0].t[0]) % 1.0,
+                     s.t[1], (s.t[1] + ts[1].t[0]) % 1.0])
+    images, tied = sorting_images(rows)
+    for row in images[~tied].tolist():
+        members[tuple(row)] += 1
+    located = int(np.count_nonzero(~tied))
     f = 1.0 / len(members)
     sigma = math.sqrt(located * f * (1.0 - f))
     for c in members.values():

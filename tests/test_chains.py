@@ -7,6 +7,7 @@ from jlolab.chains import (
     Chain,
     ElementaryChain,
     TermBudgetError,
+    _signed_terms,
     br_operation,
     chain_from_json,
     chain_to_json,
@@ -157,6 +158,18 @@ def test_shuffle_product_degrees_one_one_signs():
         - Chain.elementary(1.0, (head, sb, sa))
     assert out.num_terms == 2
     assert _close(out, expect)
+
+
+def test_signed_terms_move_item_k_to_slot_image_k():
+    # items a, b, c are the 1x1 matrices 1, 2, 3; (2, 3, 1) is not an
+    # involution, so it tells the action from its inverse
+    head = np.full((1, 1), 7.0)
+    items = [np.full((1, 1), v) for v in (1.0, 2.0, 3.0)]
+    terms = _signed_terms(2.0, head, items, np.array([[2, 3, 1], [2, 1, 3]]))
+    # item k lands in slot images[k]; reading slots gives the inverse
+    assert [[f[0, 0].real for f in t.factors] for t in terms] == \
+        [[7, 3, 1, 2], [7, 2, 1, 3]]
+    assert [t.coeff for t in terms] == [2.0, -2.0]
 
 
 def test_shuffle_associativity_random():

@@ -186,7 +186,10 @@ def test_decompose_cyclic_counts(capsys):
 def test_decompose_degree_overflow_exits_two(capsys):
     assert main(["decompose", "--shuffle", "7", "1"]) == 2
     assert main(["decompose", "--cyclic", "-1"]) == 2
-    capsys.readouterr()
+    assert main(["decompose", "--shuffle", "2", "2", "--samples", "-1"]) == 2
+    assert main(["decompose", "--cyclic", "1", "1", "--samples", "-1"]) == 2
+    assert capsys.readouterr().err.count(
+        "error: --samples must be non-negative") == 2
 
 
 def test_decompose_requires_exactly_one_mode():
@@ -204,3 +207,5 @@ def test_bench_runs_clean(capsys):
     assert code == 0
     assert "ms/call" in out
     assert "degree-3 contraction cochain, exact" in out
+    assert "cyclic shuffles (2,2,2) " in out
+    assert "cached" not in out

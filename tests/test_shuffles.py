@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,58 +7,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jlolab.shuffles import (
-    SignedPermutation,
     SimplexPoint,
     cyclic_region_locate,
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
     is_cyclic_shuffle,
+    permutation_signs,
     sample_simplex,
     sample_simplex_batch,
-    shuffle_region_contains,
     sorting_images,
 )
 
 
-def test_signed_permutation_validation():
-    SignedPermutation(3, (2, 3, 1), 1)
-    with pytest.raises(ValueError):
-        SignedPermutation(3, (1, 1, 2), 1)
-    with pytest.raises(ValueError):
-        SignedPermutation(3, (2, 3, 4), 1)
-    with pytest.raises(ValueError):
-        SignedPermutation(2, (1, 2), 0)
+def _inversion_sign(row):
+    inv = sum(1 for i in range(len(row)) for j in range(i + 1, len(row))
+              if row[i] > row[j])
+    return -1 if inv % 2 else 1
 
 
 def test_signature_matches_inversion_parity():
-    assert SignedPermutation.signature_of((1, 2, 3)) == 1
-    assert SignedPermutation.signature_of((2, 1, 3)) == -1
-    assert SignedPermutation.signature_of((3, 1, 2)) == 1
-
-
-def test_apply_to_slots_moves_item_k_to_slot_image_k():
-    chi = SignedPermutation.from_images((2, 3, 1))
-    # item k lands in slot images[k]; reading slots gives the inverse
-    assert chi.apply_to_slots(("a", "b", "c")) == ("c", "a", "b")
-    assert chi.apply_to_slots((1, 2, 3)) == chi.inverse_images
+    assert permutation_signs([(1, 2, 3), (2, 1, 3), (3, 1, 2)]).tolist() == \
+        [1, -1, 1]
 
 
 def test_shuffle_enumeration_small_cases():
-    assert [chi.images for chi in enumerate_shuffles(1, 1)] == \
-        [(1, 2), (2, 1)]
-    assert [chi.sign for chi in enumerate_shuffles(1, 1)] == [1, -1]
+    assert enumerate_shuffles(1, 1).tolist() == [[1, 2], [2, 1]]
+    assert permutation_signs(enumerate_shuffles(1, 1)).tolist() == [1, -1]
     assert len(enumerate_shuffles(2, 2)) == 6
     assert len(enumerate_shuffles(0, 3)) == 1
 
 
 def test_shuffles_preserve_block_orders():
     for p, q in [(1, 2), (2, 2), (3, 2)]:
-        for chi in enumerate_shuffles(p, q):
-            first = [chi.images[k] for k in range(p)]
-            second = [chi.images[p + k] for k in range(q)]
+        perms = enumerate_shuffles(p, q)
+        for row, sign in zip(perms.tolist(), permutation_signs(perms)):
+            first = [row[k] for k in range(p)]
+            second = [row[p + k] for k in range(q)]
             assert first == sorted(first)
             assert second == sorted(second)
-            assert chi.sign == SignedPermutation.signature_of(chi.images)
+            assert sign == _inversion_sign(row)
 
 
 @settings(deadline=None, max_examples=30)
@@ -68,7 +56,12 @@ def test_shuffle_count_is_binomial(p, q):
 
 def test_cyclic_shuffle_count_examples():
     assert len(enumerate_cyclic_shuffles((0, 0))) == 1
-    assert len(enumerate_cyclic_shuffles((1, 1))) == 12
+    # the order is frozen: chain term order and the byte-stable verify
+    # report follow it
+    assert enumerate_cyclic_shuffles((1, 1)).tolist() == [
+        [1, 2, 3, 4], [1, 2, 4, 3], [2, 1, 3, 4], [2, 1, 4, 3],
+        [1, 3, 2, 4], [1, 3, 4, 2], [3, 1, 4, 2], [1, 4, 2, 3],
+        [1, 4, 3, 2], [2, 3, 4, 1], [3, 2, 4, 1], [2, 4, 3, 1]]
     assert len(enumerate_cyclic_shuffles((1,))) == 2
     with pytest.raises(ValueError):
         enumerate_cyclic_shuffles(())
@@ -80,23 +73,38 @@ def test_cyclic_shuffle_count_formula_small():
         n = r + total
         want = math.factorial(n) // (
             math.factorial(r) * math.prod(math.factorial(p) for p in degrees))
-        assert len(enumerate_cyclic_shuffles(degrees)) == want
+        perms = enumerate_cyclic_shuffles(degrees)
+        assert len(perms) == want
+        if n > 6:
+            continue
+        # the builder against the definition: distinct rows, exactly the
+        # permutations passing the block conditions, inversion-count signs
+        rows = [tuple(row) for row in perms.tolist()]
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == {
+            row for row in itertools.permutations(range(1, n + 1))
+            if is_cyclic_shuffle(row, degrees)}
+        assert permutation_signs(perms).tolist() == \
+            [_inversion_sign(row) for row in rows]
 
 
 def test_cyclic_shuffles_pass_membership_predicate():
     degrees = (2, 1)
     perms = enumerate_cyclic_shuffles(degrees)
-    for sg in perms:
-        assert is_cyclic_shuffle(sg, degrees)
+    for row in perms:
+        assert is_cyclic_shuffle(row, degrees)
     # an arbitrary non-member: swap two images of the identity arrangement
-    bad = SignedPermutation.from_images((2, 1, 3, 4, 5))
-    assert bad not in perms
+    bad = (2, 1, 3, 4, 5)
+    assert bad not in {tuple(row) for row in perms.tolist()}
+    # rows that are not permutations of 1..5 fail the predicate
+    assert not is_cyclic_shuffle((1, 2, 3, 4, 6), degrees)
+    assert not is_cyclic_shuffle((1, 2, 3, 4), degrees)
 
 
 def test_single_block_cyclic_shuffles_are_rotations():
     # one block of degree n: the r+n slots are rotated cyclically
     perms = enumerate_cyclic_shuffles((2,))
-    images = {sg.images for sg in perms}
+    images = {tuple(row) for row in perms.tolist()}
     assert images == {(1, 2, 3), (3, 1, 2), (2, 3, 1)}
 
 
@@ -124,27 +132,33 @@ def test_sample_simplex_sorted_in_unit_box():
 def test_shuffle_regions_partition_product_of_simplices():
     rng = np.random.default_rng(10)
     p, q = 2, 2
-    perms = enumerate_shuffles(p, q)
+    members = {tuple(row) for row in enumerate_shuffles(p, q).tolist()}
+    rows = []
     for _ in range(200):
         s = sample_simplex(p, rng)
         t = sample_simplex(q, rng)
-        hits = [chi for chi in perms if shuffle_region_contains(chi, s, t)]
-        assert len(hits) == 1
+        rows.append(s.t + t.t)
+    # each untied point has one sorting permutation, and it is a shuffle
+    images, tied = sorting_images(rows)
+    assert not tied.any()
+    assert all(tuple(row) in members for row in images.tolist())
 
 
 def test_shuffle_region_volumes_uniform():
     rng = np.random.default_rng(11)
     p, q = 2, 1
     perms = enumerate_shuffles(p, q)
-    counts = {chi.images: 0 for chi in perms}
+    counts = {tuple(row): 0 for row in perms.tolist()}
     n = 6000
+    rows = []
     for _ in range(n):
         s = sample_simplex(p, rng)
         t = sample_simplex(q, rng)
-        for chi in perms:
-            if shuffle_region_contains(chi, s, t):
-                counts[chi.images] += 1
-                break
+        rows.append(s.t + t.t)
+    images, tied = sorting_images(rows)
+    assert not tied.any()
+    for row in images.tolist():
+        counts[tuple(row)] += 1
     expect = n / len(perms)
     sigma = math.sqrt(n * (1 / len(perms)) * (1 - 1 / len(perms)))
     for c in counts.values():
@@ -154,16 +168,16 @@ def test_shuffle_region_volumes_uniform():
 def test_cyclic_region_locate_lands_in_enumerated_set():
     rng = np.random.default_rng(12)
     degrees = (1, 1)
-    members = {sg.images for sg in enumerate_cyclic_shuffles(degrees)}
+    members = {tuple(row) for row in enumerate_cyclic_shuffles(degrees).tolist()}
     located, rows = [], []
     for _ in range(300):
         s = sample_simplex(len(degrees), rng)
         ts = [sample_simplex(p, rng) for p in degrees]
-        sg = cyclic_region_locate(degrees, s, ts)
-        assert sg is not None
-        assert sg.images in members
-        assert is_cyclic_shuffle(sg, degrees)
-        located.append(sg.images)
+        row = cyclic_region_locate(degrees, s, ts)
+        assert row is not None
+        assert row in members
+        assert is_cyclic_shuffle(row, degrees)
+        located.append(row)
         rows.append([s.t[0], (s.t[0] + ts[0].t[0]) % 1.0,
                      s.t[1], (s.t[1] + ts[1].t[0]) % 1.0])
     # the batched locator agrees row by row and flags an exact tie
@@ -178,6 +192,6 @@ def test_cyclic_region_locate_reports_ties_as_none():
 
 
 def test_cyclic_region_locate_sorted_inputs_give_identity():
-    sg = cyclic_region_locate((0, 0, 0), (0.1, 0.4, 0.8), [(), (), ()])
-    assert sg.images == (1, 2, 3)
-    assert sg.sign == 1
+    row = cyclic_region_locate((0, 0, 0), (0.1, 0.4, 0.8), [(), (), ()])
+    assert row == (1, 2, 3)
+    assert permutation_signs([row]).tolist() == [1]
