@@ -9,6 +9,7 @@ which is the computable shadow of working in A tensor (A / C1)^n.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -135,14 +136,15 @@ class Chain:
         return Chain(self.algebra_dim, tuple(t.scaled(c) for t in self.terms))
 
     def normalized(self) -> "Chain":
-        """Drop vanishing terms and terms with a scalar matrix in a slot >= 1."""
-        kept = []
-        for t in self.terms:
-            if t.coeff == 0:
-                continue
-            if any(_is_scalar_matrix(f) for f in t.factors[1:]):
-                continue
-            kept.append(t)
+        """Drop vanishing terms and terms with a scalar matrix in a slot >= 1.
+
+        Each distinct slot array is tested once: the terms of a product
+        share their factor arrays, and while they live an id names one.
+        """
+        slots = {id(f): f for t in self.terms for f in t.factors[1:]}
+        scalar = {k: _is_scalar_matrix(f) for k, f in slots.items()}
+        kept = [t for t in self.terms if t.coeff != 0
+                and not any(scalar[id(f)] for f in t.factors[1:])]
         return Chain(self.algebra_dim, tuple(kept))
 
 
@@ -176,7 +178,7 @@ def hochschild_b(chain: Chain) -> Chain:
 def connes_B(chain: Chain) -> Chain:
     """Cyclic boundary B(a0, ..., an) = sum_i (-1)^{ni} (1, a_i, ..., a_{i-1})."""
     out = []
-    eye = np.eye(chain.algebra_dim, dtype=np.complex128)
+    eye = _freeze(np.eye(chain.algebra_dim))
     for term in chain.terms:
         n = term.degree
         f = term.factors
@@ -199,8 +201,11 @@ def _signed_terms(coeff, head, slots, images) -> list:
     head in slot 0 and slots[k] moved to slot images[k].
 
     shuffles.sorting_images places simplex coordinates by the same rule, so
-    algebra and geometry share one sign convention.
+    algebra and geometry share one sign convention.  head and slots are
+    frozen once, so every row shares their arrays.
     """
+    head = _freeze(head)
+    slots = [_freeze(s) for s in slots]
     signs = permutation_signs(images).tolist()
     # column j of the inverse permutation names the item that lands in slot j
     inverse = np.argsort(images, axis=1).tolist()
@@ -363,15 +368,20 @@ def chain_from_json(obj) -> Chain:
         raw_terms = obj["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed chain object: {exc}") from exc
+    if d < 1:
+        raise ValueError("algebra_dim must be positive")
     terms = []
     for rt in raw_terms:
         try:
             re, im = rt["coeff"]
+            coeff = complex(re, im)
             factors = [matrix_from_json(f) for f in rt["factors"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed chain term: {exc}") from exc
+        if not cmath.isfinite(coeff):
+            raise ValueError("chain coefficients must be finite")
         for f in factors:
             if f.shape != (d, d):
                 raise ValueError("chain factor shape disagrees with algebra_dim")
-        terms.append(ElementaryChain(complex(re, im), tuple(factors)))
+        terms.append(ElementaryChain(coeff, tuple(factors)))
     return Chain(d, tuple(terms))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 import warnings
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import shuffle_product
+from .chains import cyclic_shuffle_product, shuffle_product
 from .jlo import (
     NonConvergentError,
     NonIntegerIndexError,
@@ -26,6 +27,7 @@ from .jlo import (
     index_pairing,
     jlo_cochain,
     jlo_cochain_mc,
+    perturbed_cochain,
 )
 from .randomgen import random_chain, random_triple
 from .shuffles import (
@@ -66,6 +68,13 @@ class RunConfig:
     report_path: str = ""
 
     def __post_init__(self):
+        for name in ("seed", "max_degree", "trials", "mc_samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         dims = tuple(tuple(int(x) for x in pair) for pair in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
@@ -77,26 +86,28 @@ class RunConfig:
                 raise ValueError(
                     f"dimension pair {pair} exceeds total dimension "
                     f"{MAX_SPACE_DIM}")
-        if not 0 <= int(self.max_degree) <= MAX_DEGREE_LIMIT:
+        if not 0 <= self.max_degree <= MAX_DEGREE_LIMIT:
             raise ValueError(
                 f"max_degree must lie in 0..{MAX_DEGREE_LIMIT}")
-        if int(self.trials) < 0:
+        if self.trials < 0:
             raise ValueError("trials must be non-negative")
-        if int(self.mc_samples) < 1:
+        if self.mc_samples < 1:
             raise ValueError("mc_samples must be positive")
-        if self.tolerance is not None and not float(self.tolerance) > 0:
-            raise ValueError("tolerance must be positive when given")
+        tol = self.tolerance
+        if tol is not None and (isinstance(tol, bool) or not isinstance(
+                tol, numbers.Real) or not tol > 0):
+            raise ValueError("tolerance must be a positive number when given")
 
     def as_report_dict(self) -> dict:
         # report_path is deliberately excluded so reports written to
         # different destinations stay byte-comparable
         return {
-            "seed": int(self.seed),
+            "seed": self.seed,
             "dims": [list(p) for p in self.dims],
-            "max_degree": int(self.max_degree),
-            "trials": int(self.trials),
+            "max_degree": self.max_degree,
+            "trials": self.trials,
             "tolerance": self.tolerance,
-            "mc_samples": int(self.mc_samples),
+            "mc_samples": self.mc_samples,
         }
 
 
@@ -380,6 +391,9 @@ def cmd_bench(config: RunConfig) -> int:
            lambda: shuffle_product(b, c), 20)
     _timed("cyclic shuffles (2,2,2)",
            lambda: enumerate_cyclic_shuffles((2, 2, 2)), 5)
+    prod = product_triple(t, t2)
+    _timed("perturbed cochain, shuffle + cyclic", lambda: perturbed_cochain(
+        prod, shuffle_product(b, c) + cyclic_shuffle_product(b, c)), 5)
     return 0
 
 

@@ -6,7 +6,10 @@ e^{-un Delta}) over the gap variables u.  Three evaluation routes live
 here: a block matrix exponential that performs the simplex integral in
 closed form, an eigenbasis sum weighted by divided differences of exp
 (mathematically identical, kept as a cross-check), and Monte-Carlo
-quadrature over sorted uniform times (the independent oracle).
+quadrature over sorted uniform times (the independent oracle).  All three
+run over one term loop: it represents, brackets and parity-classifies each
+distinct factor of a chain once, and marks the terms whose supertrace
+vanishes by parity, which no route then evaluates.
 
 The module also carries the contraction variant with [D, a0] in the first
 slot, the perturbed mixed-parity cochain built from it, the idempotent
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -25,7 +27,7 @@ from scipy.linalg import expm
 from .chains import Chain, ElementaryChain, TermBudgetError, br_operation, \
     shuffle_product
 from .linalg import Parity, parity_of
-from .shuffles import SimplexPoint, sample_simplex_batch
+from .shuffles import sample_simplex_batch
 from .spectral import INDEX_INTEGER_TOL, Idempotent, NonIntegerIndexError, \
     SpectralTripleFD, ampliate, commutator_d, product_triple
 
@@ -40,7 +42,6 @@ __all__ = [
     "chern_idempotent",
     "delta_perturbation",
     "divided_diff_exp",
-    "get_evaluator",
     "index_pairing",
     "jlo_cochain",
     "jlo_cochain_mc",
@@ -67,81 +68,97 @@ class SimplexOrderError(ValueError):
     """Simplex coordinates were not sorted into [0, 1]."""
 
 
-def divided_diff_exp(mu) -> float:
+def divided_diff_exp(mu):
     """Integral of exp(-u . mu) over the barycentric n-simplex.
 
     Equals the divided difference of exp at the negated nodes, computed in
     one shot as the corner entry of the exponential of the bidiagonal node
-    matrix; exact for repeated nodes, stable for clustered ones.
+    matrix; exact for repeated nodes, stable for clustered ones.  mu is one
+    node string (a float comes back) or a stack of them along the last
+    axis (an array comes back, from one batched expm call).
     """
     arr = np.asarray(mu, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim == 0 or arr.shape[-1] == 0:
         raise ValueError("need at least one node")
-    n = arr.size - 1
+    n = arr.shape[-1] - 1
     if n == 0:
-        return float(np.exp(-arr[0]))
-    m = np.diag(-arr).astype(float)
-    idx = np.arange(n)
-    m[idx + 1, idx] = 1.0
-    return float(expm(m)[n, 0])
-
-
-@lru_cache(maxsize=1 << 18)
-def _ddexp_sorted(nodes: tuple) -> float:
-    return divided_diff_exp(np.array(nodes))
-
-
-def ddexp_cached(mu) -> float:
-    """divided_diff_exp memoized on the sorted node multiset (it is symmetric)."""
-    return _ddexp_sorted(tuple(sorted(float(x) for x in mu)))
+        out = np.exp(-arr[..., 0])
+    else:
+        idx = np.arange(n + 1)
+        m = np.zeros(arr.shape + (n + 1,))
+        m[..., idx, idx] = -arr
+        m[..., idx[1:], idx[:-1]] = 1.0
+        out = expm(m)[..., n, 0]
+    return float(out) if arr.ndim == 1 else out
 
 
 class JLOEvaluator:
-    """Per-triple evaluation engine; reuses the cached eigensystem of Delta."""
+    """Per-triple evaluation engine; reuses the cached eigensystem of Delta.
+    Every cochain route loops over _prepared_terms."""
 
     def __init__(self, triple: SpectralTripleFD):
         self.triple = triple
 
     # ---------------------------------------------------------------- slots
-    def _slot_operators(self, factors, first_slot_d: bool):
+    def _operator(self, f, bracketed: bool) -> np.ndarray:
+        """Canonical-basis operator of one factor, or its bracket [D, .]."""
         t = self.triple
-        d = t.hilbert_dim
+        r = t.represent(f)
+        if r.shape != (t.hilbert_dim, t.hilbert_dim):
+            raise ValueError("factor shape disagrees with the Hilbert space")
+        if bracketed:
+            r = t.dirac @ r - r @ t.dirac
+        return r
+
+    @staticmethod
+    def _slots(factors, first_slot_d: bool, prepare) -> list:
+        """prepare(head, first_slot_d), then prepare(f, True) per slot."""
         if len(factors) - 1 > DEGREE_CAP:
             raise DegreeCapError(
                 f"degree {len(factors) - 1} exceeds the cap {DEGREE_CAP}")
-        reps = []
-        for f in factors:
-            r = t.represent(f)
-            if r.shape != (d, d):
-                raise ValueError("factor shape disagrees with the Hilbert space")
-            reps.append(r)
-        dm = t.dirac
-        head = reps[0]
-        if first_slot_d:
-            head = dm @ head - head @ dm
-        return [head] + [dm @ r - r @ dm for r in reps[1:]]
+        return [prepare(factors[0], first_slot_d)] + \
+            [prepare(f, True) for f in factors[1:]]
 
-    def _parity_zero(self, ops) -> bool:
-        """True when the supertrace vanishes identically by parity counting."""
-        odd = 0
-        for op in ops:
-            p = parity_of(op, self.triple.space)
-            if p is Parity.MIXED:
-                return False
-            odd += p is Parity.ODD
-        return odd % 2 == 1
+    def _prepared_terms(self, terms, first_slot_d: bool):
+        """Yield (coeff, ops) per term: its slot operators, or None when the
+        supertrace vanishes by parity.  Each distinct (factor, bracketed)
+        pair is prepared once; terms keeps the factors alive, so an id names
+        one array."""
+        prepared = {}
+
+        def prepare(f, bracketed):
+            key = (id(f), bracketed)
+            if key not in prepared:
+                op = self._operator(f, bracketed)
+                prepared[key] = (op, parity_of(op, self.triple.space))
+            return prepared[key]
+
+        for term in terms:
+            slots = self._slots(term.factors, first_slot_d, prepare)
+            parities = [p for _, p in slots]
+            if Parity.MIXED not in parities and parities.count(Parity.ODD) % 2:
+                yield term.coeff, None
+            else:
+                yield term.coeff, [op for op, _ in slots]
+
+    def _eigenbasis(self, ops):
+        """(w, mats): Delta's eigenvalues and the slot operators in its
+        eigenbasis, with the grading folded into the head."""
+        t = self.triple
+        w, u = t.delta_eigensystem()
+        uh = u.conj().T
+        g = t.space.gamma_diag
+        return w, [uh @ (g[:, None] * ops[0]) @ u] + \
+            [uh @ op @ u for op in ops[1:]]
 
     # ---------------------------------------------------------------- exact
-    def term_exact(self, factors, first_slot_d: bool = False) -> complex:
+    def term_exact(self, ops) -> complex:
         """Closed-form simplex integral through one block matrix exponential.
 
         The block bidiagonal matrix with -Delta on the diagonal and the
         differentiated slots above it has the full time-ordered integral as
         the top-right block of its exponential.
         """
-        ops = self._slot_operators(factors, first_slot_d)
-        if self._parity_zero(ops):
-            return 0.0 + 0.0j
         t = self.triple
         n = len(ops) - 1
         if n == 0:
@@ -156,26 +173,21 @@ class JLOEvaluator:
         kernel = expm(m)[:d, n * d:]
         return t.supertrace(ops[0] @ kernel)
 
-    def term_eigensum(self, factors, first_slot_d: bool = False) -> complex:
+    def term_eigensum(self, ops) -> complex:
         """Eigenbasis route: matrix-element strings weighted by divided
         differences of exp at the eigenvalue strings."""
-        ops = self._slot_operators(factors, first_slot_d)
-        if self._parity_zero(ops):
-            return 0.0 + 0.0j
-        t = self.triple
         n = len(ops) - 1
-        w, u = t.delta_eigensystem()
+        w, mats = self._eigenbasis(ops)
         d = w.size
         if d ** (n + 1) > EIGENSUM_BUDGET:
             raise TermBudgetError(
                 f"eigenbasis sum needs {d ** (n + 1)} index strings "
                 f"(cap {EIGENSUM_BUDGET})")
-        g = t.space.gamma_diag
-        mats = [u.conj().T @ (g[:, None] * ops[0]) @ u]
-        mats += [u.conj().T @ op @ u for op in ops[1:]]
-        weights = np.empty((d,) * (n + 1))
-        for idx in np.ndindex(*([d] * (n + 1))):
-            weights[idx] = ddexp_cached(w[list(idx)])
+        # divided differences are symmetric: one per sorted index string
+        strings = np.indices((d,) * (n + 1), dtype=np.min_scalar_type(d))
+        strings = np.sort(strings.reshape(n + 1, -1).T, axis=1)
+        nodes, where = np.unique(strings, axis=0, return_inverse=True)
+        weights = divided_diff_exp(w[nodes])[where].reshape((d,) * (n + 1))
         letters = "abcdefghijklm"
         spec = ",".join(letters[k] + letters[(k + 1) % (n + 1)]
                         for k in range(n + 1))
@@ -185,33 +197,25 @@ class JLOEvaluator:
     # ------------------------------------------------------------- pointwise
     def integrand(self, factors, t, first_slot_d: bool = False) -> complex:
         """Supertraced heat string at one fixed simplex point."""
-        if not isinstance(t, SimplexPoint):
-            try:
-                t = SimplexPoint(tuple(np.atleast_1d(np.asarray(t, dtype=float))))
-            except ValueError as exc:
-                raise SimplexOrderError(str(exc)) from exc
-        ops = self._slot_operators(factors, first_slot_d)
-        if len(t.t) != len(ops) - 1:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.size and (t[0] < 0.0 or t[-1] > 1.0):
+            raise SimplexOrderError("coordinates must lie in [0, 1]")
+        if np.any(np.diff(t) < 0.0):
+            raise SimplexOrderError("coordinates must be non-decreasing")
+        ops = self._slots(factors, first_slot_d, self._operator)
+        if t.size != len(ops) - 1:
             raise ValueError("simplex dimension must equal the chain degree")
-        gaps = np.diff(np.concatenate([[0.0], t.t, [1.0]]))
+        gaps = np.diff(np.concatenate([[0.0], t, [1.0]]))
         cur = ops[0] @ self.triple.heat(gaps[0])
         for k in range(1, len(ops)):
             cur = cur @ ops[k] @ self.triple.heat(gaps[k])
         return self.triple.supertrace(cur)
 
     # ------------------------------------------------------------------- MC
-    def term_mc(self, factors, samples: int, rng,
-                first_slot_d: bool = False):
+    def term_mc(self, ops, samples: int, rng):
         """(estimate, standard error) by sorted-uniform simplex sampling."""
-        ops = self._slot_operators(factors, first_slot_d)
         n = len(ops) - 1
-        if self._parity_zero(ops):
-            return 0.0 + 0.0j, 0.0
-        t = self.triple
-        w, u = t.delta_eigensystem()
-        g = t.space.gamma_diag
-        mats = [u.conj().T @ (g[:, None] * ops[0]) @ u]
-        mats += [u.conj().T @ op @ u for op in ops[1:]]
+        w, mats = self._eigenbasis(ops)
         if n == 0:
             val = complex(np.sum(np.diagonal(mats[0]) * np.exp(-w)))
             return val, 0.0
@@ -244,18 +248,20 @@ class JLOEvaluator:
         return mean * inv_fact, se
 
     # ------------------------------------------------------------ chain API
-    def cochain(self, chain: Chain, first_slot_d: bool = False) -> complex:
+    def _exact_sum(self, chain: Chain, first_slot_d: bool, term) -> complex:
         total = 0.0 + 0.0j
-        for term in chain.normalized().terms:
-            total += term.coeff * self.term_exact(term.factors, first_slot_d)
+        for coeff, ops in self._prepared_terms(chain.normalized().terms,
+                                               first_slot_d):
+            if ops is not None:
+                total += coeff * term(ops)
         return total
+
+    def cochain(self, chain: Chain, first_slot_d: bool = False) -> complex:
+        return self._exact_sum(chain, first_slot_d, self.term_exact)
 
     def cochain_eigensum(self, chain: Chain,
                          first_slot_d: bool = False) -> complex:
-        total = 0.0 + 0.0j
-        for term in chain.normalized().terms:
-            total += term.coeff * self.term_eigensum(term.factors, first_slot_d)
-        return total
+        return self._exact_sum(chain, first_slot_d, self.term_eigensum)
 
     def cochain_mc(self, chain: Chain, samples: int, rng,
                    first_slot_d: bool = False):
@@ -265,35 +271,31 @@ class JLOEvaluator:
         seeds = rng.integers(0, 2 ** 63 - 1, size=max(len(terms), 1))
         total = 0.0 + 0.0j
         var = 0.0
-        for term, seed in zip(terms, seeds):
-            sub = np.random.default_rng(int(seed))
-            est, se = self.term_mc(term.factors, samples, sub, first_slot_d)
-            total += term.coeff * est
-            var += (abs(term.coeff) * se) ** 2
+        for (coeff, ops), seed in zip(
+                self._prepared_terms(terms, first_slot_d), seeds):
+            if ops is not None:
+                sub = np.random.default_rng(int(seed))
+                est, se = self.term_mc(ops, samples, sub)
+                total += coeff * est
+                var += (abs(coeff) * se) ** 2
         return total, math.sqrt(var)
 
 
-def get_evaluator(triple: SpectralTripleFD) -> JLOEvaluator:
-    if triple._jlo is None:
-        triple._jlo = JLOEvaluator(triple)
-    return triple._jlo
-
-
 def jlo_integrand(triple: SpectralTripleFD, factors, t) -> complex:
-    return get_evaluator(triple).integrand(factors, t)
+    return JLOEvaluator(triple).integrand(factors, t)
 
 
 def jlo_cochain(triple: SpectralTripleFD, chain: Chain) -> complex:
-    return get_evaluator(triple).cochain(chain)
+    return JLOEvaluator(triple).cochain(chain)
 
 
 def jlo_cochain_mc(triple: SpectralTripleFD, chain: Chain, samples: int, rng):
-    return get_evaluator(triple).cochain_mc(chain, samples, rng)
+    return JLOEvaluator(triple).cochain_mc(chain, samples, rng)
 
 
 def bch_cochain(triple: SpectralTripleFD, chain: Chain) -> complex:
     """Contraction cochain: first slot bracketed with the Dirac operator."""
-    return get_evaluator(triple).cochain(chain, first_slot_d=True)
+    return JLOEvaluator(triple).cochain(chain, first_slot_d=True)
 
 
 def delta_perturbation(triple: SpectralTripleFD, chain: Chain) -> Chain:
@@ -313,7 +315,7 @@ def perturbed_cochain(triple: SpectralTripleFD, chain: Chain,
     With via_delta the same number is computed by evaluating the plain
     cochain on the delta-perturbed chain; the two routes must agree.
     """
-    ev = get_evaluator(triple)
+    ev = JLOEvaluator(triple)
     if via_delta:
         return ev.cochain(chain) + ev.cochain(delta_perturbation(triple, chain))
     return ev.cochain(chain) + INV_SQRT2 * ev.cochain(chain, first_slot_d=True)
@@ -357,7 +359,7 @@ def index_pairing(triple: SpectralTripleFD, idem: Idempotent) -> PairingReport:
     amp = ampliate(triple, idem.blocks)
     if idem.matrix.shape[0] != amp.hilbert_dim:
         raise ValueError("idempotent size disagrees with the ampliated triple")
-    ev = get_evaluator(amp)
+    ev = JLOEvaluator(amp)
     mat = np.asarray(idem.matrix)
     acc = 0.0 + 0.0j
     last = math.inf

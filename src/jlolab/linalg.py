@@ -56,7 +56,11 @@ def as_matrix(m) -> np.ndarray:
 
 
 def _freeze(m) -> np.ndarray:
-    """Read-only complex128 copy of a matrix."""
+    """Read-only complex128 matrix: one that is already frozen (read-only,
+    owning its data) is shared, anything else is copied."""
+    if (isinstance(m, np.ndarray) and m.dtype == np.complex128
+            and m.ndim == 2 and not m.flags.writeable and m.flags.owndata):
+        return m
     a = as_matrix(m).copy()
     a.setflags(write=False)
     return a

@@ -12,24 +12,23 @@ row[j].  permutation_signs gives the signatures of the rows.
 
 Geometrically, the product of ordered simplices splits, up to measure zero,
 into one region per shuffle; the cyclic variant does the same for products
-with mod-1 offsets.  sorting_images locates points in these regions.
+with mod-1 offsets.  Points are plain float arrays: sample_simplex_batch
+draws a batch of sorted uniforms, and sorting_images locates a batch of
+points in these regions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SimplexPoint",
     "cyclic_region_locate",
     "enumerate_cyclic_shuffles",
     "enumerate_shuffles",
     "is_cyclic_shuffle",
     "permutation_signs",
-    "sample_simplex",
     "sample_simplex_batch",
     "sorting_images",
 ]
@@ -130,36 +129,6 @@ def is_cyclic_shuffle(images, block_degrees) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Point 0 <= t_1 <= ... <= t_n <= 1 of the ordered n-simplex."""
-
-    t: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(x) for x in self.t)
-        object.__setattr__(self, "t", vals)
-        if vals and (vals[0] < 0.0 or vals[-1] > 1.0):
-            raise ValueError("coordinates must lie in [0, 1]")
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise ValueError("coordinates must be non-decreasing")
-
-    @property
-    def n(self) -> int:
-        return len(self.t)
-
-
-def _coords(x) -> np.ndarray:
-    if isinstance(x, SimplexPoint):
-        return np.asarray(x.t, dtype=float)
-    return np.atleast_1d(np.asarray(x, dtype=float))
-
-
-def sample_simplex(n: int, rng) -> SimplexPoint:
-    """Uniform point of the ordered n-simplex via sorted uniforms."""
-    return SimplexPoint(tuple(np.sort(rng.random(n))))
-
-
 def sample_simplex_batch(n: int, rng, count: int) -> np.ndarray:
     """(count, n) array of uniform ordered-simplex points."""
     return np.sort(rng.random((count, n)), axis=1)
@@ -193,12 +162,12 @@ def cyclic_region_locate(block_degrees, s, ts):
     """
     ps = tuple(int(p) for p in block_degrees)
     r = len(ps)
-    sv = _coords(s)
+    sv = np.atleast_1d(np.asarray(s, dtype=float))
     if sv.size != r:
         raise ValueError("need one offset per block")
     vals = []
     for i in range(r):
-        tv = _coords(ts[i]) if ps[i] else np.zeros(0)
+        tv = np.atleast_1d(np.asarray(ts[i] if ps[i] else (), dtype=float))
         if tv.size != ps[i]:
             raise ValueError("block coordinate count disagrees with its degree")
         vals.append(sv[i])

@@ -108,7 +108,6 @@ class SpectralTripleFD:
             self.basis_map = bm
         self._delta = None
         self._delta_eig = None
-        self._jlo = None
 
     @property
     def hilbert_dim(self) -> int:
@@ -293,6 +292,8 @@ class Idempotent:
 
     def __post_init__(self):
         m = _freeze(self.matrix)
+        if m.shape[0] != m.shape[1]:
+            raise ValueError("idempotent matrix must be square")
         if self.blocks < 1:
             raise ValueError("blocks must be >= 1")
         if m.shape[0] % self.blocks != 0:

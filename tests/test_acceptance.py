@@ -21,8 +21,8 @@ from jlolab.chains import (
     shuffle_product,
 )
 from jlolab.jlo import (
+    JLOEvaluator,
     bch_cochain,
-    get_evaluator,
     index_pairing,
     jlo_cochain,
     jlo_cochain_mc,
@@ -34,7 +34,6 @@ from jlolab.randomgen import random_chain, random_even, random_triple
 from jlolab.shuffles import (
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
-    sample_simplex,
     sorting_images,
 )
 from jlolab.spectral import (
@@ -265,10 +264,9 @@ def _partition_volume_worst_z(rng, samples):
 
     shuffles = enumerate_shuffles(2, 2)
     counts = {tuple(row): 0 for row in shuffles.tolist()}
-    rows = []
-    for _ in range(samples):
-        s, t = sample_simplex(2, rng), sample_simplex(2, rng)
-        rows.append(s.t + t.t)
+    # each sample is two sorted uniform pairs, drawn consecutively
+    u = rng.random((samples, 4))
+    rows = np.hstack([np.sort(u[:, :2], axis=1), np.sort(u[:, 2:], axis=1)])
     # the stable sort keeps each block's order through exact ties, so every
     # sample lands in one shuffle region
     images, _ = sorting_images(rows)
@@ -282,12 +280,11 @@ def _partition_volume_worst_z(rng, samples):
     degrees = (1, 1)
     members = {tuple(row): 0
                for row in enumerate_cyclic_shuffles(degrees).tolist()}
-    rows = []
-    for _ in range(samples):
-        s = sample_simplex(2, rng)
-        ts = [sample_simplex(1, rng) for _ in degrees]
-        rows.append([s.t[0], (s.t[0] + ts[0].t[0]) % 1.0,
-                     s.t[1], (s.t[1] + ts[1].t[0]) % 1.0])
+    # each sample is two sorted offsets, then one coordinate per block
+    u = rng.random((samples, 4))
+    s, t = np.sort(u[:, :2], axis=1), u[:, 2:]
+    rows = np.column_stack([s[:, 0], (s[:, 0] + t[:, 0]) % 1.0,
+                            s[:, 1], (s[:, 1] + t[:, 1]) % 1.0])
     images, tied = sorting_images(rows)
     for row in images[~tied].tolist():
         members[tuple(row)] += 1
@@ -354,7 +351,7 @@ def test_cochain_routes_cross_validate():
     rng = np.random.default_rng(20_260_831)
     t = random_triple(rng, 2, 1)
     a = random_chain(rng, t.space, (2,))
-    ev = get_evaluator(t)
+    ev = JLOEvaluator(t)
     exact = ev.cochain(a)
     eig = ev.cochain_eigensum(a)
     est, se = ev.cochain_mc(a, 50_000, rng)

@@ -45,6 +45,15 @@ def test_run_config_validation():
         RunConfig(trials=-1)
     with pytest.raises(ValueError):
         RunConfig(tolerance=0.0)
+    with pytest.raises(ValueError):
+        RunConfig(seed=-3)
+    for field, bad in [("seed", 1.5), ("trials", "1"), ("max_degree", 1.5),
+                       ("mc_samples", 2.5), ("trials", True),
+                       ("tolerance", "1e-3"), ("tolerance", True)]:
+        with pytest.raises(ValueError):
+            RunConfig(**{field: bad})
+    cfg = RunConfig(seed=np.int64(7), trials=np.int32(2))
+    assert type(cfg.seed) is int and type(cfg.trials) is int
 
 
 def test_verify_passes_and_writes_versioned_report(tmp_path, fast_cfg, capsys):
@@ -104,6 +113,14 @@ def test_config_errors_exit_two(tmp_path):
     bad.write_text("{not json")
     assert main(["verify", "--config", str(bad)]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
+    for raw in ({"seed": 1.5}, {"trials": "1"}, {"max_degree": 1.5},
+                {"mc_samples": 2.5}, {"seed": -3}, {"tolerance": "1e-3"}):
+        bad.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(bad)]) == 2
+        assert main(["decompose", "--shuffle", "1", "1",
+                     "--config", str(bad)]) == 2
+    assert main(["verify", "--seed", "-3"]) == 2
+    assert main(["decompose", "--cyclic", "1", "--seed", "-3"]) == 2
 
 
 def test_index_agreement_exits_zero(tmp_path, capsys):
@@ -208,4 +225,5 @@ def test_bench_runs_clean(capsys):
     assert "ms/call" in out
     assert "degree-3 contraction cochain, exact" in out
     assert "cyclic shuffles (2,2,2) " in out
+    assert "perturbed cochain, shuffle + cyclic" in out
     assert "cached" not in out

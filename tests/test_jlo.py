@@ -3,23 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from jlolab.chains import Chain, connes_B
+from jlolab.chains import Chain, ElementaryChain, connes_B
 from jlolab.jlo import (
     DegreeCapError,
+    JLOEvaluator,
     SimplexOrderError,
     bch_cochain,
-    ddexp_cached,
     divided_diff_exp,
-    get_evaluator,
     jlo_cochain,
     jlo_cochain_mc,
     jlo_integrand,
     perturbed_cochain,
 )
-from jlolab.linalg import GradedSpace
-from jlolab.randomgen import random_chain, random_even, random_triple
+from jlolab.linalg import GradedSpace, _freeze
+from jlolab.randomgen import (
+    random_chain,
+    random_even,
+    random_odd_hermitian,
+    random_triple,
+)
 from jlolab.spectral import SpectralTripleFD, commutator_d
-from jlolab.shuffles import SimplexPoint
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -47,10 +50,17 @@ def test_divided_diff_exp_repeated_nodes():
         assert divided_diff_exp(nodes) == pytest.approx(want, abs=1e-14)
 
 
-def test_divided_diff_exp_symmetric_and_cached():
-    a = ddexp_cached((2.0, 0.0, 1.0))
-    b = ddexp_cached((0.0, 1.0, 2.0))
-    assert a == b == pytest.approx(divided_diff_exp((1.0, 2.0, 0.0)))
+def test_divided_diff_exp_symmetric_and_stacked():
+    # a stack of node strings gives one value per string, each matching the
+    # single-string call; the value does not depend on the node order
+    stack = divided_diff_exp([(2.0, 0.0, 1.0), (0.0, 1.0, 2.0), (1.0, 1.0, 1.0)])
+    assert stack.shape == (3,)
+    assert stack[0] == pytest.approx(stack[1], abs=1e-15)
+    assert stack[1] == pytest.approx(0.19978820044686402, abs=1e-15)
+    assert stack[2] == pytest.approx(divided_diff_exp((1.0, 1.0, 1.0)),
+                                     abs=1e-15)
+    assert divided_diff_exp([[0.5], [2.0]]) == pytest.approx(
+        [math.exp(-0.5), math.exp(-2.0)])
 
 
 def test_divided_diff_exp_matches_simplex_monte_carlo():
@@ -92,7 +102,7 @@ def test_exact_and_eigensum_routes_agree():
     for de, do in [(1, 1), (2, 1), (2, 2)]:
         t = random_triple(rng, de, do)
         chain = random_chain(rng, t.space, (0, 1, 2, 3))
-        ev = get_evaluator(t)
+        ev = JLOEvaluator(t)
         a = ev.cochain(chain)
         b = ev.cochain_eigensum(chain)
         assert a == pytest.approx(b, abs=1e-12)
@@ -102,7 +112,7 @@ def test_first_slot_bracket_routes_agree():
     rng = np.random.default_rng(3)
     t = random_triple(rng, 2, 1)
     chain = random_chain(rng, t.space, (1, 2))
-    ev = get_evaluator(t)
+    ev = JLOEvaluator(t)
     assert ev.cochain(chain, first_slot_d=True) == pytest.approx(
         ev.cochain_eigensum(chain, first_slot_d=True), abs=1e-12)
 
@@ -133,13 +143,14 @@ def test_integrand_at_simplex_points():
     rng = np.random.default_rng(6)
     t = random_triple(rng, 1, 1)
     a0, a1 = random_even(rng, t.space), random_even(rng, t.space)
-    v = jlo_integrand(t, (a0, a1), SimplexPoint((0.25,)))
+    v = jlo_integrand(t, (a0, a1), (0.25,))
     r0 = t.represent(a0)
     width = commutator_d(t, a1)
     want = t.supertrace(r0 @ t.heat(0.25) @ width @ t.heat(0.75))
     assert v == pytest.approx(want, abs=1e-13)
-    with pytest.raises(SimplexOrderError):
-        jlo_integrand(t, (a0, a1, a1), (0.9, 0.2))
+    for bad in [(0.9, 0.2), (-0.1,), (1.1,)]:
+        with pytest.raises(SimplexOrderError):
+            jlo_integrand(t, (a0, a1, a1)[:len(bad) + 1], bad)
 
 
 def test_integrand_requires_matching_degree():
@@ -202,3 +213,37 @@ def test_perturbed_cochain_two_routes():
     chain = random_chain(rng, t.space, (0, 1, 2))
     assert perturbed_cochain(t, chain) == pytest.approx(
         perturbed_cochain(t, chain, via_delta=True), abs=1e-12)
+
+
+def test_shared_factor_objects_match_per_term_copies():
+    # terms that share frozen factor objects, one of them both as a head
+    # and as a bracketed slot, evaluate exactly like per-term copies
+    rng = np.random.default_rng(14)
+    t = random_triple(rng, 2, 1)
+    a, b, c = (_freeze(random_even(rng, t.space)) for _ in range(3))
+    m = _freeze(random_even(rng, t.space) + random_odd_hermitian(rng, t.space))
+    layout = [(1.0, (a, b, a)), (0.5 - 0.25j, (b, a, c, a)),
+              (-0.7, (a, m, b)), (1.5j, (m, a)), (0.3, (c, b, a, m))]
+    shared = Chain(t.hilbert_dim, tuple(
+        ElementaryChain(k, fs) for k, fs in layout))
+    copied = Chain(t.hilbert_dim, tuple(
+        ElementaryChain(k, tuple(np.array(f) for f in fs))
+        for k, fs in layout))
+    assert shared.terms[0].factors[0] is shared.terms[1].factors[1] is a
+    assert copied.terms[0].factors[0] is not copied.terms[0].factors[2]
+    ev = JLOEvaluator(t)
+    for first_slot_d in (False, True):
+        want = ev.cochain(copied, first_slot_d)
+        assert want != 0
+        assert ev.cochain(shared, first_slot_d) == want
+        assert ev.cochain_eigensum(shared, first_slot_d) == \
+            ev.cochain_eigensum(copied, first_slot_d)
+    assert jlo_cochain(t, shared) == jlo_cochain(t, copied)
+    assert bch_cochain(t, shared) == bch_cochain(t, copied)
+    # a writable source is still copied, so mutating it later changes nothing
+    src = np.array(b)
+    chain = Chain.elementary(1.0, (a, src, c))
+    before = jlo_cochain(t, chain)
+    src += 1.0
+    assert chain.terms[0].factors[1] is not src
+    assert jlo_cochain(t, chain) == before

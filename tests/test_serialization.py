@@ -99,3 +99,14 @@ def test_chain_json_rejects_malformed():
     }
     with pytest.raises(ValueError):
         chain_from_json(wrong_dim)
+    nan_coeff = {
+        "algebra_dim": 2,
+        "terms": [{
+            "coeff": [float("nan"), 0.0],
+            "factors": [matrix_to_json(np.eye(2))],
+        }],
+    }
+    with pytest.raises(ValueError):
+        chain_from_json(nan_coeff)
+    with pytest.raises(ValueError):
+        chain_from_json({"algebra_dim": -1, "terms": []})

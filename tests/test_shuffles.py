@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jlolab.shuffles import (
-    SimplexPoint,
     cyclic_region_locate,
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
     is_cyclic_shuffle,
     permutation_signs,
-    sample_simplex,
     sample_simplex_batch,
     sorting_images,
 )
@@ -108,22 +106,11 @@ def test_single_block_cyclic_shuffles_are_rotations():
     assert images == {(1, 2, 3), (3, 1, 2), (2, 3, 1)}
 
 
-def test_simplex_point_validation():
-    SimplexPoint((0.1, 0.5, 0.9))
-    SimplexPoint(())
-    with pytest.raises(ValueError):
-        SimplexPoint((0.5, 0.1))
-    with pytest.raises(ValueError):
-        SimplexPoint((-0.1, 0.5))
-    with pytest.raises(ValueError):
-        SimplexPoint((0.5, 1.1))
-
-
 def test_sample_simplex_sorted_in_unit_box():
     rng = np.random.default_rng(9)
-    pt = sample_simplex(5, rng)
-    assert all(0.0 <= c <= 1.0 for c in pt.t)
-    assert list(pt.t) == sorted(pt.t)
+    pt = sample_simplex_batch(5, rng, 1)[0]
+    assert np.all((0.0 <= pt) & (pt <= 1.0))
+    assert pt.tolist() == sorted(pt.tolist())
     batch = sample_simplex_batch(4, rng, 100)
     assert batch.shape == (100, 4)
     assert np.all(np.diff(batch, axis=1) >= 0)
@@ -133,11 +120,9 @@ def test_shuffle_regions_partition_product_of_simplices():
     rng = np.random.default_rng(10)
     p, q = 2, 2
     members = {tuple(row) for row in enumerate_shuffles(p, q).tolist()}
-    rows = []
-    for _ in range(200):
-        s = sample_simplex(p, rng)
-        t = sample_simplex(q, rng)
-        rows.append(s.t + t.t)
+    # one point of each simplex per row, drawn as consecutive uniforms
+    u = rng.random((200, p + q))
+    rows = np.hstack([np.sort(u[:, :p], axis=1), np.sort(u[:, p:], axis=1)])
     # each untied point has one sorting permutation, and it is a shuffle
     images, tied = sorting_images(rows)
     assert not tied.any()
@@ -150,11 +135,8 @@ def test_shuffle_region_volumes_uniform():
     perms = enumerate_shuffles(p, q)
     counts = {tuple(row): 0 for row in perms.tolist()}
     n = 6000
-    rows = []
-    for _ in range(n):
-        s = sample_simplex(p, rng)
-        t = sample_simplex(q, rng)
-        rows.append(s.t + t.t)
+    u = rng.random((n, p + q))
+    rows = np.hstack([np.sort(u[:, :p], axis=1), np.sort(u[:, p:], axis=1)])
     images, tied = sorting_images(rows)
     assert not tied.any()
     for row in images.tolist():
@@ -169,17 +151,18 @@ def test_cyclic_region_locate_lands_in_enumerated_set():
     rng = np.random.default_rng(12)
     degrees = (1, 1)
     members = {tuple(row) for row in enumerate_cyclic_shuffles(degrees).tolist()}
+    # per point: two sorted offsets, then one coordinate per block
+    u = rng.random((300, 4))
+    s, t = np.sort(u[:, :2], axis=1), u[:, 2:]
     located, rows = [], []
-    for _ in range(300):
-        s = sample_simplex(len(degrees), rng)
-        ts = [sample_simplex(p, rng) for p in degrees]
-        row = cyclic_region_locate(degrees, s, ts)
+    for k in range(300):
+        row = cyclic_region_locate(degrees, s[k], [t[k, :1], t[k, 1:]])
         assert row is not None
         assert row in members
         assert is_cyclic_shuffle(row, degrees)
         located.append(row)
-        rows.append([s.t[0], (s.t[0] + ts[0].t[0]) % 1.0,
-                     s.t[1], (s.t[1] + ts[1].t[0]) % 1.0])
+        rows.append([s[k, 0], (s[k, 0] + t[k, 0]) % 1.0,
+                     s[k, 1], (s[k, 1] + t[k, 1]) % 1.0])
     # the batched locator agrees row by row and flags an exact tie
     rows.append([0.25, 0.5, 0.25, 0.75])
     images, tied = sorting_images(np.array(rows))

@@ -190,6 +190,8 @@ def test_idempotent_validation_and_blocks():
     assert e2.base_dim == 2
     with pytest.raises(ValueError):
         Idempotent(np.eye(4), blocks=3)
+    with pytest.raises(ValueError):
+        Idempotent(np.ones((2, 3)))
 
 
 def test_ampliate_scales_everything_but_index():
