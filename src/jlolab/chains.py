@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _freeze, frob, opnorm, matrix_from_json, matrix_to_json
+from .linalg import _freeze, frob, matrix_from_json, matrix_to_json
 from .shuffles import (
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
@@ -32,11 +32,8 @@ __all__ = [
     "chain_to_json",
     "connes_B",
     "cyclic_shuffle_product",
-    "entire_norm",
     "hochschild_b",
     "probe_distance",
-    "probe_functional",
-    "random_probes",
     "shuffle_product",
 ]
 
@@ -287,30 +284,16 @@ def cyclic_shuffle_product(left: Chain, right: Chain) -> Chain:
     return br_operation([left, right])
 
 
-def entire_norm(chain: Chain, lam: float) -> float:
-    """Growth norm sum_n lam^n |chain_n| / sqrt(n!).
-
-    The degree-n size is the projective-norm surrogate: sum over terms of
-    |coeff| times the product of operator norms of the factors.
-    """
-    if lam < 1:
-        raise ValueError("growth parameter must be >= 1")
-    total = 0.0
-    for t in chain.terms:
-        size = abs(t.coeff)
-        for f in t.factors:
-            size *= opnorm(f)
-        total += lam ** t.degree / math.sqrt(math.factorial(t.degree)) * size
-    return total
-
-
-def probe_functional(chain: Chain, probes) -> complex:
+def _probe_functional(chain: Chain, probes) -> complex:
     """Pair against fixed probe matrices: sum of coeff * prod_k tr(f_k P_k).
 
     Faithful on formal chains outside a measure-zero set of probes, which
     makes it a cheap randomized equality test for chain-valued identities.
-    The probe map must cover every degree present in the chain.
+    The probe map must cover every degree present in the chain.  Each
+    distinct (factor, degree, slot) trace is computed once: the terms of a
+    product share their factor arrays, and while they live an id names one.
     """
+    traces = {}
     total = 0.0 + 0.0j
     for t in chain.terms:
         try:
@@ -318,13 +301,16 @@ def probe_functional(chain: Chain, probes) -> complex:
         except KeyError as exc:
             raise ValueError(f"no probe family for degree {t.degree}") from exc
         val = t.coeff
-        for f, p in zip(t.factors, pr):
-            val *= np.trace(f @ p)
+        for k, (f, p) in enumerate(zip(t.factors, pr)):
+            key = (id(f), t.degree, k)
+            if key not in traces:
+                traces[key] = np.trace(f @ p)
+            val *= traces[key]
         total += val
     return complex(total)
 
 
-def random_probes(d: int, degrees, rng) -> dict:
+def _random_probes(d: int, degrees, rng) -> dict:
     out = {}
     for n in degrees:
         out[n] = tuple(
@@ -342,9 +328,9 @@ def probe_distance(c1: Chain, c2: Chain, rng) -> float:
     degs = sorted(set(c1.degrees()) | set(c2.degrees()))
     worst = 0.0
     for _ in range(4):
-        probes = random_probes(c1.algebra_dim, degs, rng)
-        v1 = probe_functional(c1, probes)
-        v2 = probe_functional(c2, probes)
+        probes = _random_probes(c1.algebra_dim, degs, rng)
+        v1 = _probe_functional(c1, probes)
+        v2 = _probe_functional(c2, probes)
         worst = max(worst, abs(v1 - v2) / (1.0 + max(abs(v1), abs(v2))))
     return worst
 

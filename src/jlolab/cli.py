@@ -1,8 +1,11 @@
 """Batch front end: verification suites, index runs, simplex decompositions.
 
-Exit codes across all subcommands: 0 success, 1 a numerical check failed,
-2 usage or input-parsing failure.  Reports are deterministic for a fixed
-configuration and seed up to the timestamp field.
+Each subcommand takes only the flags it reads: `verify` the RunConfig flags
+(--seed, --tolerance, --mc-samples, --report, --config), `index` its two
+files and --times, `decompose` its mode, --samples and --seed.  Exit codes
+across all subcommands: 0 success, 1 a numerical check failed, 2 usage or
+input-parsing failure.  Reports are deterministic for a fixed configuration
+and seed up to the timestamp field.
 """
 
 from __future__ import annotations
@@ -19,17 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import cyclic_shuffle_product, shuffle_product
-from .jlo import (
-    NonConvergentError,
-    NonIntegerIndexError,
-    bch_cochain,
-    index_pairing,
-    jlo_cochain,
-    jlo_cochain_mc,
-    perturbed_cochain,
-)
-from .randomgen import random_chain, random_triple
+from .jlo import NonConvergentError, NonIntegerIndexError, index_pairing
 from .shuffles import (
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
@@ -55,9 +48,19 @@ DECOMPOSE_DEGREE_LIMIT = 6
 DECOMPOSE_REGION_BUDGET = 2_000_000
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings shared by the batch subcommands."""
+    """Validated settings of `verify`; `decompose` reads only the seed.
+
+    Integer fields, dims entries included, reject bools and non-integral
+    values; numpy integers are stored as int.
+    """
 
     seed: int = 42
     dims: tuple = ((1, 1), (2, 1))
@@ -69,13 +72,11 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("seed", "max_degree", "trials", "mc_samples"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        dims = tuple(tuple(int(x) for x in pair) for pair in self.dims)
+        dims = tuple(tuple(_integer(x, "dims entries") for x in pair)
+                     for pair in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValueError("dims must list at least one (even, odd) pair")
@@ -116,7 +117,10 @@ CONFIG_KEYS = ("seed", "dims", "max_degree", "trials", "tolerance",
 
 
 def load_config(args) -> RunConfig:
-    """Merge defaults, an optional JSON config file, and command flags."""
+    """Merge defaults, an optional JSON config file, and command flags.
+
+    A flag the subcommand does not take leaves its field at the default.
+    """
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -189,7 +193,7 @@ def _index_lines(label, triple, idem):
     return rep, fred, diff
 
 
-def cmd_index(triple_path, idem_path, times_paths, config: RunConfig) -> int:
+def cmd_index(triple_path, idem_path, times_paths) -> int:
     if times_paths and len(times_paths) > 2:
         print("error: --times takes a triple file and at most one "
               "idempotent file", file=sys.stderr)
@@ -343,7 +347,7 @@ def decompose_cyclic(degrees, samples: int, rng) -> int:
     return _sample_regions(perms, np.hstack(cols))
 
 
-def cmd_decompose(args, config: RunConfig) -> int:
+def cmd_decompose(args, seed: int) -> int:
     degrees = args.shuffle if args.shuffle is not None else args.cyclic
     if args.samples < 0:
         print("error: --samples must be non-negative", file=sys.stderr)
@@ -355,64 +359,15 @@ def cmd_decompose(args, config: RunConfig) -> int:
         print(f"error: degrees above {DECOMPOSE_DEGREE_LIMIT} are not "
               f"supported", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     if args.shuffle is not None:
         return decompose_shuffle(degrees[0], degrees[1], args.samples, rng)
     return decompose_cyclic(degrees, args.samples, rng)
 
 
-# --------------------------------------------------------------------- bench
-
-def _timed(label, fn, reps: int):
-    fn()  # warm caches before timing
-    start = time.perf_counter()
-    for _ in range(reps):
-        fn()
-    total = time.perf_counter() - start
-    print(f"  {label:<38} {reps:>5} reps  {1e3 * total / reps:>9.3f} ms/call")
-
-
-def cmd_bench(config: RunConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    t = random_triple(rng, 2, 1)
-    a2 = random_chain(rng, t.space, (2,))
-    a3 = random_chain(rng, t.space, (3,))
-    b = random_chain(rng, t.space, (1, 2))
-    t2 = random_triple(rng, 1, 1)
-    c = random_chain(rng, t2.space, (0, 1))
-    print(f"timings on GradedSpace(2, 1), seed {config.seed}")
-    _timed("heat operator, fresh time", lambda: t.heat(rng.random()), 50)
-    _timed("degree-2 cochain, exact", lambda: jlo_cochain(t, a2), 50)
-    _timed("degree-3 contraction cochain, exact",
-           lambda: bch_cochain(t, a3), 50)
-    _timed(f"degree-(1,2) cochain, mc {config.mc_samples}",
-           lambda: jlo_cochain_mc(t, b, config.mc_samples, rng), 3)
-    _timed("shuffle product, degrees (1,2)x(0,1)",
-           lambda: shuffle_product(b, c), 20)
-    _timed("cyclic shuffles (2,2,2)",
-           lambda: enumerate_cyclic_shuffles((2, 2, 2)), 5)
-    prod = product_triple(t, t2)
-    _timed("perturbed cochain, shuffle + cyclic", lambda: perturbed_cochain(
-        prod, shuffle_product(b, c) + cyclic_shuffle_product(b, c)), 5)
-    return 0
-
-
 # ---------------------------------------------------------------- entrypoint
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None,
-                        help="master seed for all randomness")
-    shared.add_argument("--tolerance", type=float, default=None,
-                        help="override every per-identity tolerance")
-    shared.add_argument("--mc-samples", type=int, default=None,
-                        dest="mc_samples",
-                        help="Monte Carlo sample count per estimate")
-    shared.add_argument("--report", default=None, metavar="PATH",
-                        help="write a JSON report to PATH")
-    shared.add_argument("--config", default=None, metavar="PATH",
-                        help="JSON file with RunConfig fields")
-
     parser = argparse.ArgumentParser(
         prog="jlolab",
         description="Numerical laboratory for graded spectral triples: "
@@ -420,10 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "pairings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", parents=[shared],
-                   help="run every identity suite and report residuals")
+    vf = sub.add_parser("verify",
+                        help="run every identity suite and report residuals")
+    vf.add_argument("--seed", type=int, default=None,
+                    help="master seed for all randomness")
+    vf.add_argument("--tolerance", type=float, default=None,
+                    help="override every per-identity tolerance")
+    vf.add_argument("--mc-samples", type=int, default=None, dest="mc_samples",
+                    help="Monte Carlo sample count per estimate")
+    vf.add_argument("--report", default=None, metavar="PATH",
+                    help="write a JSON report to PATH")
+    vf.add_argument("--config", default=None, metavar="PATH",
+                    help="JSON file with RunConfig fields")
 
-    ix = sub.add_parser("index", parents=[shared],
+    ix = sub.add_parser("index",
                         help="pair a triple with an idempotent both ways")
     ix.add_argument("triple", help="JSON file holding the triple")
     ix.add_argument("idempotent", help="JSON file holding the idempotent")
@@ -431,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="second triple file, optionally followed by its "
                          "idempotent file (defaults to the unit)")
 
-    dc = sub.add_parser("decompose", parents=[shared],
+    dc = sub.add_parser("decompose",
                         help="check simplex decompositions by enumeration "
                              "and sampling")
     group = dc.add_mutually_exclusive_group(required=True)
@@ -439,27 +404,24 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--cyclic", nargs="+", type=int, metavar="P")
     dc.add_argument("--samples", type=int, default=100_000,
                     help="Monte Carlo sample count (default 100000)")
-
-    sub.add_parser("bench", parents=[shared],
-                   help="time representative kernel operations")
+    dc.add_argument("--seed", type=int, default=None,
+                    help="seed for the samples (default 42)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    try:
+        if args.command == "index":
+            return cmd_index(args.triple, args.idempotent, args.times)
+        try:
+            config = load_config(args)
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            print(f"error: invalid configuration: {exc}", file=sys.stderr)
+            return 2
         if args.command == "verify":
             return cmd_verify(config)
-        if args.command == "index":
-            return cmd_index(args.triple, args.idempotent, args.times, config)
-        if args.command == "decompose":
-            return cmd_decompose(args, config)
-        return cmd_bench(config)
+        return cmd_decompose(args, config.seed)
     except KeyboardInterrupt:
         return 1
 

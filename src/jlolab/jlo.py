@@ -39,7 +39,6 @@ __all__ = [
     "PairingReport",
     "SimplexOrderError",
     "bch_cochain",
-    "chern_idempotent",
     "delta_perturbation",
     "divided_diff_exp",
     "index_pairing",
@@ -329,16 +328,6 @@ def _chern_component(matrix: np.ndarray, n: int) -> Chain:
     coeff = (-1) ** n * math.factorial(2 * n) / math.factorial(n)
     head = matrix - 0.5 * np.eye(m, dtype=np.complex128)
     return Chain.elementary(coeff, (head,) + (matrix,) * (2 * n))
-
-
-def chern_idempotent(idem: Idempotent, max_degree: int) -> Chain:
-    """Even character chain of an idempotent through the given degree."""
-    if max_degree < 0 or max_degree % 2:
-        raise ValueError("truncation degree must be even and non-negative")
-    total = Chain.zero(idem.matrix.shape[0])
-    for n in range(0, max_degree // 2 + 1):
-        total = total + _chern_component(np.asarray(idem.matrix), n)
-    return total
 
 
 @dataclass(frozen=True)

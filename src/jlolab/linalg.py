@@ -99,12 +99,6 @@ class GradedSpace:
         g.setflags(write=False)
         return g
 
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        g = np.diag(self.gamma_diag).astype(np.complex128)
-        g.setflags(write=False)
-        return g
-
     def supertrace(self, x) -> complex:
         return supertrace(x, self.gamma_diag)
 
@@ -112,14 +106,12 @@ class GradedSpace:
 def _gamma_diag_of(space_or_gamma) -> np.ndarray:
     if isinstance(space_or_gamma, GradedSpace):
         return space_or_gamma.gamma_diag
-    g = np.asarray(space_or_gamma)
-    if g.ndim == 2:
-        return np.real(np.diagonal(g))
-    return np.real(g)
+    return np.real(np.asarray(space_or_gamma))
 
 
 def supertrace(x, gamma) -> complex:
-    """trace(gamma @ x) for a grading operator given as matrix or diagonal."""
+    """trace(gamma @ x) for a grading given as a GradedSpace or its
+    diagonal."""
     a = as_matrix(x)
     g = _gamma_diag_of(gamma)
     if g.size != a.shape[0]:
@@ -128,7 +120,8 @@ def supertrace(x, gamma) -> complex:
 
 
 def parity_of(m, space_or_gamma) -> Parity:
-    """Classify a matrix as even, odd, or mixed for the given grading."""
+    """Classify a matrix as even, odd, or mixed for a grading given as a
+    GradedSpace or its diagonal."""
     a = as_matrix(m)
     g = _gamma_diag_of(space_or_gamma)
     conj = g[:, None] * a * g[None, :]

@@ -66,15 +66,14 @@ def random_triple(rng, dim_even: int, dim_odd: int, dirac_scale: float = 1.0,
     return SpectralTripleFD(space, dirac, gens, label=label)
 
 
-def random_chain(rng, space: GradedSpace, degrees,
-                 terms_per_degree: int = 1) -> Chain:
-    """Chain with random even contraction factors and unit-scale coefficients."""
+def random_chain(rng, space: GradedSpace, degrees) -> Chain:
+    """Chain with one term per listed degree: random even contraction
+    factors and a unit-scale coefficient."""
     out = []
     for n in degrees:
-        for _ in range(terms_per_degree):
-            coeff = complex(*rng.standard_normal(2))
-            factors = tuple(random_even(rng, space) for _ in range(n + 1))
-            out.append(ElementaryChain(coeff, factors))
+        coeff = complex(*rng.standard_normal(2))
+        factors = tuple(random_even(rng, space) for _ in range(n + 1))
+        out.append(ElementaryChain(coeff, factors))
     return Chain(space.dim, tuple(out))
 
 

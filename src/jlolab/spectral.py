@@ -171,10 +171,6 @@ class TripleDiagnostics:
     dirac_oddness: float
     generator_evenness: float
 
-    def max_residual(self) -> float:
-        return max(self.dirac_hermiticity, self.dirac_oddness,
-                   self.generator_evenness)
-
 
 def diagnose(triple: SpectralTripleFD) -> TripleDiagnostics:
     g = triple.space.gamma_diag

@@ -76,17 +76,15 @@ def trial_shuffle_multiplicativity(rng, dim_pairs, max_degree=2,
     return rep["normalized_residual"]
 
 
-def trial_cyclic_shuffle(rng, dim_pairs, r=2, degrees=None,
-                         max_degree=2, mc_samples=None) -> float:
+def trial_cyclic_shuffle(rng, dim_pairs, r=2, max_degree=2,
+                         mc_samples=None) -> float:
     # contraction cochains vanish identically when the even subalgebra is
     # commutative (total dimension 2), so use the largest listed space to
     # keep the right-hand side nonvacuous
     dims = [tuple(max(dim_pairs, key=sum))] * r
-    if degrees is None:
-        degrees = (1,) * r
     triples = [random_triple(rng, *d, dirac_scale=float(rng.uniform(0.4, 1.0)))
                for d in dims]
-    chains = [random_chain(rng, t.space, [p]) for t, p in zip(triples, degrees)]
+    chains = [random_chain(rng, t.space, [1]) for t in triples]
     rep = verify_theorem_ainf(triples, chains, part=2)
     return rep["normalized_residual"]
 

@@ -13,7 +13,6 @@ from jlolab.chains import (
     chain_to_json,
     connes_B,
     cyclic_shuffle_product,
-    entire_norm,
     hochschild_b,
     probe_distance,
     shuffle_product,
@@ -226,20 +225,6 @@ def test_term_budget_guards_big_enumerations():
     big = Chain.elementary(1.0, tuple(_mats(rng, 2, 4)))
     with pytest.raises(TermBudgetError):
         br_operation([big, big, big, big])
-
-
-def test_entire_norm_matches_closed_form_single_term():
-    rng = np.random.default_rng(16)
-    a0, a1, a2 = _mats(rng, 2, 3)
-    c = Chain.elementary(2.0, (a0, a1, a2))
-    lam = 1.5
-    from jlolab.linalg import opnorm
-    expect = 2.0 * lam ** 2 / np.sqrt(2.0) \
-        * opnorm(a0) * opnorm(a1) * opnorm(a2)
-    assert entire_norm(c, lam) == pytest.approx(expect)
-    assert entire_norm(c, 3.0) > entire_norm(c, 1.5)
-    with pytest.raises(ValueError):
-        entire_norm(c, 0.5)
 
 
 def test_probe_distance_separates_unequal_chains():

@@ -52,6 +52,10 @@ def test_run_config_validation():
                        ("tolerance", "1e-3"), ("tolerance", True)]:
         with pytest.raises(ValueError):
             RunConfig(**{field: bad})
+    for bad in ((1.5, 1), ("2", 1), (True, 1)):
+        with pytest.raises(ValueError):
+            RunConfig(dims=(bad,))
+    assert RunConfig(dims=((np.int64(2), np.int32(1)),)).dims == ((2, 1),)
     cfg = RunConfig(seed=np.int64(7), trials=np.int32(2))
     assert type(cfg.seed) is int and type(cfg.trials) is int
 
@@ -114,11 +118,14 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["verify", "--config", str(bad)]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     for raw in ({"seed": 1.5}, {"trials": "1"}, {"max_degree": 1.5},
-                {"mc_samples": 2.5}, {"seed": -3}, {"tolerance": "1e-3"}):
+                {"mc_samples": 2.5}, {"seed": -3}, {"tolerance": "1e-3"},
+                {"dims": [[1.5, 1]]}):
         bad.write_text(json.dumps(raw))
         assert main(["verify", "--config", str(bad)]) == 2
-        assert main(["decompose", "--shuffle", "1", "1",
-                     "--config", str(bad)]) == 2
+        # decompose takes no --config: argparse rejects the flag itself
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--shuffle", "1", "1", "--config", str(bad)])
+        assert exc.value.code == 2
     assert main(["verify", "--seed", "-3"]) == 2
     assert main(["decompose", "--cyclic", "1", "--seed", "-3"]) == 2
 
@@ -218,12 +225,14 @@ def test_decompose_requires_exactly_one_mode():
     assert exc.value.code == 2
 
 
-def test_bench_runs_clean(capsys):
-    code = main(["bench", "--mc-samples", "2000"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "ms/call" in out
-    assert "degree-3 contraction cochain, exact" in out
-    assert "cyclic shuffles (2,2,2) " in out
-    assert "perturbed cochain, shuffle + cyclic" in out
-    assert "cached" not in out
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    for argv in (["index", "t", "e", "--report", "x"],
+                 ["index", "t", "e", "--seed", "1"],
+                 ["index", "t", "e", "--config", "f"],
+                 ["decompose", "--shuffle", "1", "1", "--tolerance", "1e-3"],
+                 ["decompose", "--shuffle", "1", "1", "--config", "f"],
+                 ["bench"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()

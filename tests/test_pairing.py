@@ -7,7 +7,7 @@ import pytest
 from jlolab.jlo import (
     NonConvergentError,
     NonIntegerIndexError,
-    chern_idempotent,
+    _chern_component,
     index_pairing,
     jlo_cochain,
 )
@@ -31,13 +31,13 @@ def _kick(s):
 
 
 def test_chern_chain_structure():
-    c = chern_idempotent(Idempotent(E_EVEN), 4)
-    assert c.degrees() == (0, 2, 4)
-    deg2 = c.component(2).terms[0]
+    for n in range(3):
+        c = _chern_component(E_EVEN, n)
+        assert c.degrees() == (2 * n,) and c.num_terms == 1
+    deg2 = _chern_component(E_EVEN, 1).terms[0]
     assert deg2.coeff == pytest.approx(-2.0)  # -(2!)/1!
     assert np.allclose(deg2.factors[0], E_EVEN - 0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        chern_idempotent(Idempotent(E_EVEN), 3)
+    assert all(np.array_equal(f, E_EVEN) for f in deg2.factors[1:])
 
 
 def test_kick_family_pairs_to_plus_one():
@@ -128,6 +128,6 @@ def test_product_of_kicks_pairs_to_one():
     rep = index_pairing(t, e)
     assert rep.integer == 1
     # degree-0 sanity on the product: the character chain pairs linearly
-    c0 = chern_idempotent(e, 0)
+    c0 = _chern_component(e.matrix, 0)
     assert jlo_cochain(t, c0).real == pytest.approx(
         t.supertrace(t.represent(e.matrix) @ t.heat(1.0)).real)

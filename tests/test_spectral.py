@@ -62,7 +62,6 @@ def test_diagnose_flags_even_dirac():
     diag = diagnose(SpectralTripleFD(s, np.eye(2), (np.eye(2),)))
     assert diag.dirac_oddness == pytest.approx(2.0)
     assert diag.dirac_hermiticity == pytest.approx(0.0)
-    assert diag.max_residual() == pytest.approx(2.0)
 
 
 def test_validate_triple_raises_on_bad_inputs():
