@@ -9,14 +9,15 @@ which is the computable shadow of working in A tensor (A / C1)^n.
 
 from __future__ import annotations
 
-import cmath
+import collections
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _freeze, frob, matrix_from_json, matrix_to_json
+from .linalg import _freeze, frob
 from .shuffles import (
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
@@ -28,8 +29,6 @@ __all__ = [
     "ElementaryChain",
     "TermBudgetError",
     "br_operation",
-    "chain_from_json",
-    "chain_to_json",
     "connes_B",
     "cyclic_shuffle_product",
     "hochschild_b",
@@ -185,7 +184,20 @@ def connes_B(chain: Chain) -> Chain:
     return Chain(chain.algebra_dim, tuple(out)).normalized()
 
 
-def _budget(count: int):
+def _budget(chains, extra=()):
+    """Raise TermBudgetError before a product of chains is built if it would
+    have more than MAX_OUTPUT_TERMS terms.
+
+    A combination of terms of degrees ps yields multinomial(ps + extra)
+    terms; combinations are counted per distinct tuple of degrees.
+    """
+    count = 0
+    for combo in itertools.product(*(
+            collections.Counter(t.degree for t in c.terms).items()
+            for c in chains)):
+        parts = tuple(p for p, _ in combo) + extra
+        count += math.prod(m for _, m in combo) * (
+            math.factorial(sum(parts)) // math.prod(map(math.factorial, parts)))
     if count > MAX_OUTPUT_TERMS:
         raise TermBudgetError(
             f"operation would produce {count} elementary terms "
@@ -193,21 +205,54 @@ def _budget(count: int):
         )
 
 
-def _signed_terms(coeff, head, slots, images) -> list:
-    """One term per row of an image array: coeff times the row's sign, with
-    head in slot 0 and slots[k] moved to slot images[k].
+def _embedder(dims):
+    """embed(i, f): a factor f over algebra i as 1 (x) .. (x) f (x) .. (x) 1
+    over the tensor product of algebras of the given dims, frozen.
 
-    shuffles.sorting_images places simplex coordinates by the same rule, so
-    algebra and geometry share one sign convention.  head and slots are
-    frozen once, so every row shares their arrays.
+    Each distinct (i, array) is embedded once per embedder, so the terms of
+    a product share one array per input factor; while the inputs live an
+    id names one array.
+    """
+    total = math.prod(dims)
+    pre = list(itertools.accumulate(dims[:-1], operator.mul, initial=1))
+    done = {}
+
+    def embed(i: int, f: np.ndarray) -> np.ndarray:
+        key = (i, id(f))
+        if key not in done:
+            out = f
+            if pre[i] > 1:
+                out = np.kron(np.eye(pre[i], dtype=np.complex128), out)
+            post = total // (pre[i] * dims[i])
+            if post > 1:
+                out = np.kron(out, np.eye(post, dtype=np.complex128))
+            done[key] = _freeze(out)
+        return done[key]
+
+    return embed
+
+
+def _placements(images) -> list:
+    """(sign, inverse row) for each row of an image array.
+
+    Column j of the inverse permutation names the item that lands in slot
+    j.  shuffles.sorting_images places simplex coordinates by the same
+    rule, so algebra and geometry share one sign convention.
+    """
+    return list(zip(permutation_signs(images).tolist(),
+                    np.argsort(images, axis=1).tolist()))
+
+
+def _signed_terms(coeff, head, slots, placements) -> list:
+    """One term per placement (sign, inverse row): coeff times the sign,
+    head in slot 0 and slots[row[j]] in slot j + 1.
+
+    head and slots are frozen once, so every row shares their arrays.
     """
     head = _freeze(head)
     slots = [_freeze(s) for s in slots]
-    signs = permutation_signs(images).tolist()
-    # column j of the inverse permutation names the item that lands in slot j
-    inverse = np.argsort(images, axis=1).tolist()
     return [ElementaryChain(coeff * sign, (head,) + tuple(slots[k] for k in row))
-            for sign, row in zip(signs, inverse)]
+            for sign, row in placements]
 
 
 def shuffle_product(left: Chain, right: Chain) -> Chain:
@@ -217,22 +262,23 @@ def shuffle_product(left: Chain, right: Chain) -> Chain:
     1 (x) b_j interleaved by each shuffle with its signature.  Associative,
     with unit the degree-0 chain (1) over the one-dimensional algebra.
     """
-    d1, d2 = left.algebra_dim, right.algebra_dim
-    i1 = np.eye(d1, dtype=np.complex128)
-    i2 = np.eye(d2, dtype=np.complex128)
+    _budget((left, right))
+    embed = _embedder((left.algebra_dim, right.algebra_dim))
+    heads, families = {}, {}
     out = []
-    count = 0
     for ta, tb in itertools.product(left.terms, right.terms):
-        p, q = ta.degree, tb.degree
-        # closed-form count so the budget trips before any big enumeration
-        count += math.comb(p + q, p)
-        _budget(count)
-        head = np.kron(ta.factors[0], tb.factors[0])
-        slots = [np.kron(a, i2) for a in ta.factors[1:]]
-        slots += [np.kron(i1, b) for b in tb.factors[1:]]
-        out += _signed_terms(ta.coeff * tb.coeff, head, slots,
-                             enumerate_shuffles(p, q))
-    return Chain(d1 * d2, tuple(out)).normalized()
+        a0, b0 = ta.factors[0], tb.factors[0]
+        key = (id(a0), id(b0))
+        if key not in heads:
+            heads[key] = _freeze(np.kron(a0, b0))
+        slots = [embed(0, a) for a in ta.factors[1:]]
+        slots += [embed(1, b) for b in tb.factors[1:]]
+        ps = (ta.degree, tb.degree)
+        if ps not in families:
+            families[ps] = _placements(enumerate_shuffles(*ps))
+        out += _signed_terms(ta.coeff * tb.coeff, heads[key], slots,
+                             families[ps])
+    return Chain(left.algebra_dim * right.algebra_dim, tuple(out)).normalized()
 
 
 def br_operation(chains) -> Chain:
@@ -246,68 +292,25 @@ def br_operation(chains) -> Chain:
     chains = list(chains)
     if not chains:
         raise ValueError("need at least one chain")
+    _budget(chains, (len(chains),))
     dims = [c.algebra_dim for c in chains]
-    total = 1
-    for d in dims:
-        total *= d
-    lead = np.eye(total, dtype=np.complex128)
-    pre = list(itertools.accumulate([1] + dims[:-1], lambda a, b: a * b))
-    post = [total // (pre[i] * dims[i]) for i in range(len(dims))]
-
-    def embed(i: int, f: np.ndarray) -> np.ndarray:
-        out = f
-        if pre[i] > 1:
-            out = np.kron(np.eye(pre[i], dtype=np.complex128), out)
-        if post[i] > 1:
-            out = np.kron(out, np.eye(post[i], dtype=np.complex128))
-        return out
-
+    embed = _embedder(dims)
+    lead = _freeze(np.eye(math.prod(dims)))
+    families = {}
     out = []
-    count = 0
     for combo in itertools.product(*[c.terms for c in chains]):
-        ps = tuple(t.degree for t in combo)
-        n = len(ps) + sum(ps)
-        count += math.factorial(n) // (
-            math.factorial(len(ps))
-            * math.prod(math.factorial(p) for p in ps))
-        _budget(count)
         slots = [embed(i, f) for i, t in enumerate(combo) for f in t.factors]
-        base = 1.0 + 0.0j
-        for t in combo:
-            base *= t.coeff
-        out += _signed_terms(base, lead, slots, enumerate_cyclic_shuffles(ps))
-    return Chain(total, tuple(out)).normalized()
+        base = math.prod((t.coeff for t in combo), start=1.0 + 0.0j)
+        ps = tuple(t.degree for t in combo)
+        if ps not in families:
+            families[ps] = _placements(enumerate_cyclic_shuffles(ps))
+        out += _signed_terms(base, lead, slots, families[ps])
+    return Chain(math.prod(dims), tuple(out)).normalized()
 
 
 def cyclic_shuffle_product(left: Chain, right: Chain) -> Chain:
     """Two-argument cyclic-shuffle product, degree p + q + 2."""
     return br_operation([left, right])
-
-
-def _probe_functional(chain: Chain, probes) -> complex:
-    """Pair against fixed probe matrices: sum of coeff * prod_k tr(f_k P_k).
-
-    Faithful on formal chains outside a measure-zero set of probes, which
-    makes it a cheap randomized equality test for chain-valued identities.
-    The probe map must cover every degree present in the chain.  Each
-    distinct (factor, degree, slot) trace is computed once: the terms of a
-    product share their factor arrays, and while they live an id names one.
-    """
-    traces = {}
-    total = 0.0 + 0.0j
-    for t in chain.terms:
-        try:
-            pr = probes[t.degree]
-        except KeyError as exc:
-            raise ValueError(f"no probe family for degree {t.degree}") from exc
-        val = t.coeff
-        for k, (f, p) in enumerate(zip(t.factors, pr)):
-            key = (id(f), t.degree, k)
-            if key not in traces:
-                traces[key] = np.trace(f @ p)
-            val *= traces[key]
-        total += val
-    return complex(total)
 
 
 def _random_probes(d: int, degrees, rng) -> dict:
@@ -322,52 +325,46 @@ def _random_probes(d: int, degrees, rng) -> dict:
 
 def probe_distance(c1: Chain, c2: Chain, rng) -> float:
     """Max over four random probe families of the normalized pairing
-    difference."""
+    difference.
+
+    A family holds probe matrices (P_0, ..., P_n) for each degree n and
+    pairs a chain to the sum of coeff * prod_k tr(f_k P_k) over its terms.
+    Faithful on formal chains outside a measure-zero set of probes, which
+    makes it a cheap randomized equality test for chain-valued identities.
+    One matrix product gives the trace of every distinct factor array
+    against every probe; the terms of a product share their factor arrays,
+    and while they live an id names one.
+    """
     if c1.algebra_dim != c2.algebra_dim:
         raise ValueError("chains live over different algebra dimensions")
+    d = c1.algebra_dim
     degs = sorted(set(c1.degrees()) | set(c2.degrees()))
-    worst = 0.0
-    for _ in range(4):
-        probes = _random_probes(c1.algebra_dim, degs, rng)
-        v1 = _probe_functional(c1, probes)
-        v2 = _probe_functional(c2, probes)
-        worst = max(worst, abs(v1 - v2) / (1.0 + max(abs(v1), abs(v2))))
-    return worst
+    families = [_random_probes(d, degs, rng) for _ in range(4)]
+    # probe columns run degree by degree, then family by family, then slot
+    start = dict(zip(degs, itertools.accumulate(
+        (4 * (n + 1) for n in degs), initial=0)))
+    probes_t = np.array([p.T for n in degs for fam in families for p in fam[n]],
+                        dtype=np.complex128)
+    table = {id(f): f for c in (c1, c2) for t in c.terms for f in t.factors}
+    row_of = {k: i for i, k in enumerate(table)}
+    factors = np.array(list(table.values()), dtype=np.complex128)
+    # tr(f P) = sum_ij f_ij (P^T)_ij
+    traces = factors.reshape(-1, d * d) @ probes_t.reshape(-1, d * d).T
 
+    def pairings(chain):
+        grouped = {}
+        for t in chain.terms:
+            rows, coeffs = grouped.setdefault(t.degree, ([], []))
+            rows.append([row_of[id(f)] for f in t.factors])
+            coeffs.append(t.coeff)
+        values = np.zeros(4, dtype=np.complex128)
+        for n, (rows, coeffs) in grouped.items():
+            # traces of shape (family, term, slot), one table row per factor
+            cols = start[n] + np.arange(4 * (n + 1)).reshape(4, 1, n + 1)
+            values += np.prod(traces[np.array(rows)[None], cols], axis=2) \
+                @ np.array(coeffs)
+        return values
 
-def chain_to_json(chain: Chain) -> dict:
-    return {
-        "algebra_dim": int(chain.algebra_dim),
-        "terms": [
-            {
-                "coeff": [float(t.coeff.real), float(t.coeff.imag)],
-                "factors": [matrix_to_json(f) for f in t.factors],
-            }
-            for t in chain.terms
-        ],
-    }
-
-
-def chain_from_json(obj) -> Chain:
-    try:
-        d = int(obj["algebra_dim"])
-        raw_terms = obj["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed chain object: {exc}") from exc
-    if d < 1:
-        raise ValueError("algebra_dim must be positive")
-    terms = []
-    for rt in raw_terms:
-        try:
-            re, im = rt["coeff"]
-            coeff = complex(re, im)
-            factors = [matrix_from_json(f) for f in rt["factors"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed chain term: {exc}") from exc
-        if not cmath.isfinite(coeff):
-            raise ValueError("chain coefficients must be finite")
-        for f in factors:
-            if f.shape != (d, d):
-                raise ValueError("chain factor shape disagrees with algebra_dim")
-        terms.append(ElementaryChain(coeff, tuple(factors)))
-    return Chain(d, tuple(terms))
+    v1, v2 = pairings(c1), pairings(c2)
+    scale = 1.0 + np.maximum(np.abs(v1), np.abs(v2))
+    return float(np.max(np.abs(v1 - v2) / scale))

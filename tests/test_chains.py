@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +9,12 @@ from hypothesis import strategies as st
 from jlolab.chains import (
     Chain,
     ElementaryChain,
+    MAX_OUTPUT_TERMS,
     TermBudgetError,
+    _placements,
+    _random_probes,
     _signed_terms,
     br_operation,
-    chain_from_json,
-    chain_to_json,
     connes_B,
     cyclic_shuffle_product,
     hochschild_b,
@@ -18,6 +22,11 @@ from jlolab.chains import (
     shuffle_product,
 )
 from jlolab.linalg import GradedSpace
+from jlolab.shuffles import (
+    enumerate_cyclic_shuffles,
+    enumerate_shuffles,
+    permutation_signs,
+)
 from jlolab.randomgen import random_chain
 
 
@@ -164,7 +173,8 @@ def test_signed_terms_move_item_k_to_slot_image_k():
     # involution, so it tells the action from its inverse
     head = np.full((1, 1), 7.0)
     items = [np.full((1, 1), v) for v in (1.0, 2.0, 3.0)]
-    terms = _signed_terms(2.0, head, items, np.array([[2, 3, 1], [2, 1, 3]]))
+    terms = _signed_terms(2.0, head, items,
+                          _placements(np.array([[2, 3, 1], [2, 1, 3]])))
     # item k lands in slot images[k]; reading slots gives the inverse
     assert [[f[0, 0].real for f in t.factors] for t in terms] == \
         [[7, 3, 1, 2], [7, 2, 1, 3]]
@@ -236,16 +246,125 @@ def test_probe_distance_separates_unequal_chains():
     assert probe_distance(a, a, rng) == 0.0
 
 
-def test_chain_json_round_trip():
-    rng = np.random.default_rng(18)
+def _reference_distance(c1, c2, rng):
+    """probe_distance with one np.trace(f @ p) per factor and slot."""
+    degs = sorted(set(c1.degrees()) | set(c2.degrees()))
+    worst = 0.0
+    for _ in range(4):
+        probes = _random_probes(c1.algebra_dim, degs, rng)
+        v1, v2 = (sum((t.coeff * np.prod([np.trace(f @ p) for f, p in
+                                          zip(t.factors, probes[t.degree])])
+                       for t in c.terms), 0j)
+                  for c in (c1, c2))
+        worst = max(worst, abs(v1 - v2) / (1.0 + max(abs(v1), abs(v2))))
+    return worst
+
+
+def test_probe_distance_matches_plain_traces():
+    rng = np.random.default_rng(19)
     space = GradedSpace(2, 1)
-    c = random_chain(rng, space, (0, 2))
-    back = chain_from_json(chain_to_json(c))
-    assert back.algebra_dim == c.algebra_dim
-    assert back.num_terms == c.num_terms
-    assert _close(back, c)
-    with pytest.raises(ValueError):
-        chain_from_json({"algebra_dim": 2})
+    a = random_chain(rng, space, (0, 1, 2, 3))
+    f, g = _mats(rng, 3, 2)
+    for m in (f, g):
+        m.setflags(write=False)
+    # one array in several terms and slots, next to fresh arrays
+    shared = Chain.elementary(0.5, (f, g, f)) + Chain.elementary(-2.0, (g, f)) \
+        + Chain.elementary(1j, (f,))
+    assert all(t.factors[-1] is f for t in shared.terms)
+    small = random_chain(rng, GradedSpace(1, 1), (0, 1))
+    prod = shuffle_product(small, small)
+    zero = Chain.zero(3)
+    cases = [(a, shared), (a + shared, zero), (zero, shared), (zero, zero),
+             (prod, Chain.zero(4)), (prod, -1.0 * prod), (connes_B(a), a)]
+    for seed, (c1, c2) in enumerate(cases):
+        got_rng = np.random.default_rng([20, seed])
+        ref_rng = np.random.default_rng([20, seed])
+        got = probe_distance(c1, c2, got_rng)
+        ref = _reference_distance(c1, c2, ref_rng)
+        assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref)), (seed, got, ref)
+        # the caller's stream is left where four plain draws leave it
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    for c in (a, shared, prod, zero):
+        assert probe_distance(c, c, rng) == 0.0
+
+
+def _kron_shuffle_product(left, right):
+    """shuffle_product rebuilt with np.kron for every pair of terms."""
+    d1, d2 = left.algebra_dim, right.algebra_dim
+    terms = []
+    for ta, tb in itertools.product(left.terms, right.terms):
+        head = np.kron(ta.factors[0], tb.factors[0])
+        slots = [np.kron(a, np.eye(d2)) for a in ta.factors[1:]]
+        slots += [np.kron(np.eye(d1), b) for b in tb.factors[1:]]
+        images = enumerate_shuffles(ta.degree, tb.degree)
+        for sign, row in zip(permutation_signs(images), images):
+            terms.append(ElementaryChain(
+                ta.coeff * tb.coeff * sign,
+                (head,) + tuple(slots[k] for k in np.argsort(row))))
+    return Chain(d1 * d2, tuple(terms)).normalized()
+
+
+def _kron_br_operation(chains):
+    """br_operation rebuilt with np.kron for every combination of terms."""
+    dims = [c.algebra_dim for c in chains]
+    total = int(np.prod(dims))
+    terms = []
+    for combo in itertools.product(*[c.terms for c in chains]):
+        slots = []
+        for i, t in enumerate(combo):
+            pre = int(np.prod(dims[:i]))
+            post = total // (pre * dims[i])
+            slots += [np.kron(np.kron(np.eye(pre), f), np.eye(post))
+                      for f in t.factors]
+        images = enumerate_cyclic_shuffles(tuple(t.degree for t in combo))
+        coeff = np.prod([t.coeff for t in combo])
+        for sign, row in zip(permutation_signs(images), images):
+            terms.append(ElementaryChain(
+                coeff * sign,
+                (np.eye(total),) + tuple(slots[k] for k in np.argsort(row))))
+    return Chain(total, tuple(terms)).normalized()
+
+
+def _assert_rebuilt_with_one_array_per_factor(out, ref):
+    assert out.num_terms == ref.num_terms > 0
+    objects = {}
+    for t, r in zip(out.terms, ref.terms):
+        assert t.coeff == r.coeff
+        for f, g in zip(t.factors, r.factors, strict=True):
+            assert np.array_equal(f, g)
+            objects.setdefault(g.tobytes(), set()).add(id(f))
+    # random factors have distinct values, so a value names one input
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_products_embed_each_factor_once():
+    rng = np.random.default_rng(21)
+    s1, s2, s3 = GradedSpace(1, 1), GradedSpace(2, 1), GradedSpace(1, 1)
+    a = random_chain(rng, s1, (0, 1, 2))
+    b = random_chain(rng, s2, (0, 1, 2))
+    c = random_chain(rng, s3, (0, 1))
+    assert a.num_terms > 1 and b.num_terms > 1
+    for left, right in ((a, b), (b, a), (shuffle_product(a, c), b)):
+        _assert_rebuilt_with_one_array_per_factor(
+            shuffle_product(left, right), _kron_shuffle_product(left, right))
+    for args in ((a, b), (a, b, c)):
+        _assert_rebuilt_with_one_array_per_factor(
+            br_operation(list(args)), _kron_br_operation(list(args)))
+
+
+def test_shuffle_product_budget_trips_before_any_work(monkeypatch):
+    rng = np.random.default_rng(22)
+    big = Chain.elementary(1.0, tuple(_mats(rng, 2, 13)))
+    assert big.degrees() == (12,)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr("jlolab.chains.enumerate_shuffles", forbidden)
+    monkeypatch.setattr(np, "kron", forbidden)
+    assert math.comb(24, 12) > MAX_OUTPUT_TERMS
+    with pytest.raises(TermBudgetError):
+        shuffle_product(big, big)
 
 
 @settings(deadline=None, max_examples=20)

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -236,3 +238,12 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
             main(argv)
         assert exc.value.code == 2, argv
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["python -m jlolab", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("jlolab", run_name="__main__")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(cmd in out for cmd in ("verify", "index", "decompose"))

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from jlolab.chains import chain_from_json, chain_to_json
 from jlolab.jlo import jlo_cochain
 from jlolab.linalg import matrix_from_json, matrix_to_json
 from jlolab.randomgen import random_chain, random_triple
@@ -70,43 +69,3 @@ def test_idempotent_round_trip_with_blocks():
     assert np.array_equal(back.matrix, e.matrix)
     with pytest.raises(ValueError):
         idempotent_from_json({"blocks": 1})
-
-
-def test_chain_round_trip_preserves_complex_coefficients():
-    rng = np.random.default_rng(3)
-    t = random_triple(rng, 1, 1)
-    chain = random_chain(rng, t.space, (0, 1, 2))
-    back = chain_from_json(_through_wire(chain_to_json(chain)))
-    assert back.num_terms == chain.num_terms
-    for a, b in zip(back.terms, chain.terms):
-        assert a.coeff == b.coeff
-        for fa, fb in zip(a.factors, b.factors):
-            assert np.array_equal(fa, fb)
-    assert jlo_cochain(t, back) == jlo_cochain(t, chain)
-
-
-def test_chain_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        chain_from_json({"terms": []})
-    with pytest.raises(ValueError):
-        chain_from_json({"algebra_dim": 2, "terms": [{"coeff": [1.0, 0.0]}]})
-    wrong_dim = {
-        "algebra_dim": 2,
-        "terms": [{
-            "coeff": [1.0, 0.0],
-            "factors": [matrix_to_json(np.eye(3))],
-        }],
-    }
-    with pytest.raises(ValueError):
-        chain_from_json(wrong_dim)
-    nan_coeff = {
-        "algebra_dim": 2,
-        "terms": [{
-            "coeff": [float("nan"), 0.0],
-            "factors": [matrix_to_json(np.eye(2))],
-        }],
-    }
-    with pytest.raises(ValueError):
-        chain_from_json(nan_coeff)
-    with pytest.raises(ValueError):
-        chain_from_json({"algebra_dim": -1, "terms": []})
