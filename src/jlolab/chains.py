@@ -4,12 +4,12 @@ A chain is a finite complex-linear combination of elementary tensors
 (a0, ..., an) of square matrices over a fixed algebra dimension.  Slots
 1..n are understood modulo scalars: the normalization pass drops any
 elementary term carrying a scalar multiple of the identity in such a slot,
-which is the computable shadow of working in A tensor (A / C1)^n.
+which is the computable shadow of working in A tensor (A / C1)^n.  Every
+operation works on a chain's factor table and integer term rows (Chain).
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _freeze, frob
+from .linalg import _freeze
 from .shuffles import (
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
@@ -70,25 +70,49 @@ class ElementaryChain:
     def dim(self) -> int:
         return self.factors[0].shape[0]
 
-    def scaled(self, c) -> "ElementaryChain":
-        return ElementaryChain(self.coeff * c, self.factors)
 
-
-@dataclass(frozen=True)
 class Chain:
-    """Finite sum of elementary chains over a fixed algebra dimension."""
+    """Finite sum of elementary chains over a fixed algebra dimension.
 
-    algebra_dim: int
-    terms: tuple
+    `table` is the read-only (F, d, d) factor table; `blocks` maps each
+    degree n, ascending, to (rows, coeffs): integer rows (T, n + 1) into the
+    table and complex coefficients (T,), terms in order.
+    """
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    __slots__ = ("algebra_dim", "table", "blocks")
+
+    def __init__(self, algebra_dim: int, terms=()):
+        """The chain of the given ElementaryChain terms.  A factor array
+        that several terms share is stored once."""
+        # id -> (table index, array); the terms keep their arrays alive
+        index, grouped = {}, {}
         for t in terms:
             if not isinstance(t, ElementaryChain):
                 raise TypeError("terms must be ElementaryChain instances")
-            if t.dim != self.algebra_dim:
+            if t.dim != algebra_dim:
                 raise ValueError("term dimension disagrees with the algebra dimension")
-        object.__setattr__(self, "terms", terms)
+            rows, coeffs = grouped.setdefault(t.degree, ([], []))
+            rows.append([index.setdefault(id(f), (len(index), f))[0]
+                         for f in t.factors])
+            coeffs.append(t.coeff)
+        table = np.array([f for _, f in index.values()], dtype=np.complex128) \
+            .reshape(-1, algebra_dim, algebra_dim)
+        self._set(algebra_dim, table, {
+            n: (np.array(rows, dtype=np.intp), np.array(coeffs, dtype=np.complex128))
+            for n, (rows, coeffs) in grouped.items()})
+
+    def _set(self, algebra_dim, table, blocks):
+        table.setflags(write=False)
+        self.algebra_dim = algebra_dim
+        self.table = table
+        self.blocks = dict(sorted(blocks.items()))
+
+    @classmethod
+    def from_table(cls, algebra_dim: int, table, blocks) -> "Chain":
+        """The chain of a table and {degree: (rows, coeffs)}, unchecked."""
+        chain = cls.__new__(cls)
+        chain._set(algebra_dim, table, blocks)
+        return chain
 
     @classmethod
     def zero(cls, algebra_dim: int) -> "Chain":
@@ -100,54 +124,62 @@ class Chain:
         return cls(term.dim, (term,))
 
     @property
+    def terms(self) -> tuple:
+        """The terms as ElementaryChain, degrees ascending; a table entry
+        that several terms use is one array."""
+        facs = [_freeze(f) for f in self.table]
+        return tuple(ElementaryChain(c, tuple(facs[k] for k in row))
+                     for rows, coeffs in self.blocks.values()
+                     for row, c in zip(rows.tolist(), coeffs.tolist()))
+
+    @property
     def num_terms(self) -> int:
-        return len(self.terms)
+        return sum(len(coeffs) for _, coeffs in self.blocks.values())
 
     def degrees(self) -> tuple:
-        return tuple(sorted({t.degree for t in self.terms}))
-
-    def component(self, n: int) -> "Chain":
-        return Chain(self.algebra_dim, tuple(t for t in self.terms if t.degree == n))
-
-    def by_degree(self) -> dict:
-        out: dict = {}
-        for t in self.terms:
-            out.setdefault(t.degree, []).append(t)
-        return {n: Chain(self.algebra_dim, tuple(ts)) for n, ts in out.items()}
+        return tuple(self.blocks)
 
     def __add__(self, other: "Chain") -> "Chain":
         if not isinstance(other, Chain):
             return NotImplemented
         if other.algebra_dim != self.algebra_dim:
             raise ValueError("cannot add chains over different algebra dimensions")
-        return Chain(self.algebra_dim, self.terms + other.terms)
+        blocks = dict(self.blocks)
+        for n, (rows, coeffs) in other.blocks.items():
+            own_rows, own_coeffs = blocks.get(n, (rows[:0], coeffs[:0]))
+            blocks[n] = (np.vstack([own_rows, rows + len(self.table)]),
+                         np.concatenate([own_coeffs, coeffs]))
+        return Chain.from_table(self.algebra_dim,
+                                np.concatenate([self.table, other.table]), blocks)
 
     def __neg__(self) -> "Chain":
-        return Chain(self.algebra_dim, tuple(t.scaled(-1.0) for t in self.terms))
+        return -1.0 * self
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
 
     def __rmul__(self, c) -> "Chain":
-        return Chain(self.algebra_dim, tuple(t.scaled(c) for t in self.terms))
+        return Chain.from_table(self.algebra_dim, self.table, {
+            n: (rows, coeffs * c) for n, (rows, coeffs) in self.blocks.items()})
 
     def normalized(self) -> "Chain":
         """Drop vanishing terms and terms with a scalar matrix in a slot >= 1.
 
-        Each distinct slot array is tested once: the terms of a product
-        share their factor arrays, and while they live an id names one.
+        One batched test marks the scalar table entries, then one mask per
+        degree drops the rows; the table is kept as it is.
         """
-        slots = {id(f): f for t in self.terms for f in t.factors[1:]}
-        scalar = {k: _is_scalar_matrix(f) for k, f in slots.items()}
-        kept = [t for t in self.terms if t.coeff != 0
-                and not any(scalar[id(f)] for f in t.factors[1:])]
-        return Chain(self.algebra_dim, tuple(kept))
-
-
-def _is_scalar_matrix(f: np.ndarray) -> bool:
-    d = f.shape[0]
-    mu = np.trace(f) / d
-    return frob(f - mu * np.eye(d)) <= SCALAR_SLOT_TOL * max(1.0, frob(f))
+        d = self.algebra_dim
+        mu = self.table.trace(axis1=1, axis2=2) / d
+        dev = self.table - mu[:, None, None] * np.eye(d)
+        # squared Frobenius norms, compared squared: |f|^2 = |dev|^2 + d |mu|^2
+        off = np.einsum("kij,kij->k", dev.conj(), dev).real
+        scalar = off <= SCALAR_SLOT_TOL ** 2 * np.maximum(1.0, off + d * abs(mu) ** 2)
+        kept = {}
+        for n, (rows, coeffs) in self.blocks.items():
+            keep = (coeffs != 0) & ~scalar[rows[:, 1:]].any(axis=1)
+            if keep.any():
+                kept[n] = (rows[keep], coeffs[keep])
+        return Chain.from_table(d, self.table, kept)
 
 
 def hochschild_b(chain: Chain) -> Chain:
@@ -155,33 +187,35 @@ def hochschild_b(chain: Chain) -> Chain:
 
     b(a0, ..., an) = sum_{i<n} (-1)^i (a0, ..., a_i a_{i+1}, ..., an)
                      + (-1)^n (an a0, a1, ..., a_{n-1}).
-    Degree-0 terms are annihilated.
+    Degree-0 terms are annihilated.  Each distinct adjacent pair of table
+    entries is multiplied once, in one batched product.
     """
-    out = []
-    for term in chain.terms:
-        n = term.degree
-        if n == 0:
-            continue
-        f = term.factors
-        for i in range(n):
-            merged = f[:i] + (f[i] @ f[i + 1],) + f[i + 2:]
-            out.append(ElementaryChain(term.coeff * (-1) ** i, merged))
-        wrap = (f[n] @ f[0],) + f[1:n]
-        out.append(ElementaryChain(term.coeff * (-1) ** n, wrap))
-    return Chain(chain.algebra_dim, tuple(out)).normalized()
+    blocks = {n: b for n, b in chain.blocks.items() if n > 0}
+    # face k of a degree-n term multiplies slots k and k + 1 (mod n + 1)
+    pairs, which = np.unique(np.concatenate([np.zeros((0, 2), np.intp)] + [
+        np.stack([rows, np.roll(rows, -1, axis=1)], axis=2).reshape(-1, 2)
+        for rows, _ in blocks.values()]), axis=0, return_inverse=True)
+    merged = np.split(len(chain.table) + which.ravel(), np.cumsum(
+        [rows.size for rows, _ in blocks.values()])[:-1])
+    out = {}
+    for (n, (rows, coeffs)), products in zip(blocks.items(), merged):
+        # face k keeps slots j < k, the product at slot k and slots j + 1
+        # after it; the last face puts the product first, then slots 1..n-1
+        j = np.arange(n)
+        src = np.array([np.where(j < k, j, j + 1) for k in range(n)] + [j])
+        src[np.arange(n + 1), np.arange(n + 1) % n] = n + 1 + np.arange(n + 1)
+        faces = np.hstack([rows, products.reshape(rows.shape)])[:, src]
+        out[n - 1] = (faces.reshape(-1, n),
+                      (coeffs[:, None] * (-1.0) ** np.arange(n + 1)).ravel())
+    table = np.concatenate([chain.table,
+                            chain.table[pairs[:, 0]] @ chain.table[pairs[:, 1]]])
+    return Chain.from_table(chain.algebra_dim, table, out).normalized()
 
 
 def connes_B(chain: Chain) -> Chain:
-    """Cyclic boundary B(a0, ..., an) = sum_i (-1)^{ni} (1, a_i, ..., a_{i-1})."""
-    out = []
-    eye = _freeze(np.eye(chain.algebra_dim))
-    for term in chain.terms:
-        n = term.degree
-        f = term.factors
-        for i in range(n + 1):
-            rotated = f[i:] + f[:i]
-            out.append(ElementaryChain(term.coeff * (-1) ** (n * i), (eye,) + rotated))
-    return Chain(chain.algebra_dim, tuple(out)).normalized()
+    """Cyclic boundary B(a0, ..., an) = sum_i (-1)^{ni} (1, a_i, ..., a_{i-1}):
+    the one-argument br_operation, whose family is the n + 1 rotations."""
+    return br_operation([chain])
 
 
 def _budget(chains, extra=()):
@@ -189,11 +223,11 @@ def _budget(chains, extra=()):
     have more than MAX_OUTPUT_TERMS terms.
 
     A combination of terms of degrees ps yields multinomial(ps + extra)
-    terms; combinations are counted per distinct tuple of degrees.
+    terms; combinations are counted per tuple of degree blocks.
     """
     count = 0
     for combo in itertools.product(*(
-            collections.Counter(t.degree for t in c.terms).items()
+            [(n, len(coeffs)) for n, (_, coeffs) in c.blocks.items()]
             for c in chains)):
         parts = tuple(p for p, _ in combo) + extra
         count += math.prod(m for _, m in combo) * (
@@ -205,54 +239,66 @@ def _budget(chains, extra=()):
         )
 
 
-def _embedder(dims):
-    """embed(i, f): a factor f over algebra i as 1 (x) .. (x) f (x) .. (x) 1
-    over the tensor product of algebras of the given dims, frozen.
+def _kron(a, b):
+    """Kronecker products of two stacks of square matrices (one broadcasts)."""
+    m, n = a.shape[1], b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+        -1, m * n, m * n)
 
-    Each distinct (i, array) is embedded once per embedder, so the terms of
-    a product share one array per input factor; while the inputs live an
-    id names one array.
-    """
+
+def _embedded(chains):
+    """(table, offsets): every chain's table embedded as
+    1 (x) .. (x) f (x) .. (x) 1 over the tensor product of the chains'
+    algebras, stacked, and where each chain's entries start."""
+    dims = [c.algebra_dim for c in chains]
     total = math.prod(dims)
-    pre = list(itertools.accumulate(dims[:-1], operator.mul, initial=1))
-    done = {}
-
-    def embed(i: int, f: np.ndarray) -> np.ndarray:
-        key = (i, id(f))
-        if key not in done:
-            out = f
-            if pre[i] > 1:
-                out = np.kron(np.eye(pre[i], dtype=np.complex128), out)
-            post = total // (pre[i] * dims[i])
-            if post > 1:
-                out = np.kron(out, np.eye(post, dtype=np.complex128))
-            done[key] = _freeze(out)
-        return done[key]
-
-    return embed
+    parts = []
+    for pre, c in zip(itertools.accumulate(dims, operator.mul, initial=1), chains):
+        post = total // (pre * c.algebra_dim)
+        parts.append(_kron(_kron(np.eye(pre)[None], c.table), np.eye(post)[None]))
+    offsets = list(itertools.accumulate((len(p) for p in parts), initial=0))
+    return np.concatenate(parts), offsets
 
 
-def _placements(images) -> list:
-    """(sign, inverse row) for each row of an image array.
+def _interleave(chains, offsets, first, head, family) -> dict:
+    """{degree: (rows, coeffs)} of a product of chains: one term per
+    combination of a term of each chain and row of family(degrees).
 
-    Column j of the inverse permutation names the item that lands in slot
-    j.  shuffles.sorting_images places simplex coordinates by the same
-    rule, so algebra and geometry share one sign convention.
+    Slot 0 holds head(rows), the combination's head entry from its terms'
+    rows; the factors from slot `first` on, shifted by their chain's table
+    offset, fill slots 1.. as the family row places them; the coefficient
+    is the terms' product times the row's sign.  Within a degree, terms
+    follow the chains' term order, then the family.
     """
-    return list(zip(permutation_signs(images).tolist(),
-                    np.argsort(images, axis=1).tolist()))
-
-
-def _signed_terms(coeff, head, slots, placements) -> list:
-    """One term per placement (sign, inverse row): coeff times the sign,
-    head in slot 0 and slots[row[j]] in slot j + 1.
-
-    head and slots are frozen once, so every row shares their arrays.
-    """
-    head = _freeze(head)
-    slots = [_freeze(s) for s in slots]
-    return [ElementaryChain(coeff * sign, (head,) + tuple(slots[k] for k in row))
-            for sign, row in placements]
+    grouped = {}
+    for combo in itertools.product(*(c.blocks.items() for c in chains)):
+        # one combination per tuple of term indices, the last chain fastest
+        pick = np.indices([len(k) for _, (_, k) in combo]).reshape(len(combo), -1)
+        rows = [r[p] for (_, (r, _)), p in zip(combo, pick)]
+        slots = np.hstack([off + r[:, first:] for off, r in zip(offsets, rows)])
+        images = family(tuple(n for n, _ in combo))
+        # column j of the inverse permutation names the item in slot j + 1
+        placed = slots[:, np.argsort(images, axis=1)]
+        lead = np.broadcast_to(head(rows)[:, None, None], placed.shape[:2] + (1,))
+        # scalar complex products: numpy's vectorised multiply may fuse
+        # operations and round them differently
+        coeff = np.array([math.prod(cs) for cs in zip(
+            *(k[p].tolist() for (_, (_, k)), p in zip(combo, pick)))])
+        # term order is (degree, index within the degree) chain by chain
+        order = np.hstack([np.stack([np.full_like(p, n), p], axis=1)
+                           for (n, _), p in zip(combo, pick)])
+        degree = placed.shape[2]
+        grouped.setdefault(degree, []).append((
+            np.repeat(order, len(images), axis=0),
+            np.concatenate([lead, placed], axis=2).reshape(-1, degree + 1),
+            (coeff[:, None] * permutation_signs(images)).ravel()))
+    out = {}
+    for n, parts in grouped.items():
+        order, rows, coeffs = (np.concatenate(x) for x in zip(*parts))
+        # a stable sort: the rows of one combination keep the family order
+        by_term = np.lexsort(order.T[::-1])
+        out[n] = (rows[by_term], coeffs[by_term])
+    return out
 
 
 def shuffle_product(left: Chain, right: Chain) -> Chain:
@@ -261,24 +307,25 @@ def shuffle_product(left: Chain, right: Chain) -> Chain:
     The head slot is a0 (x) b0; the remaining slots are a_i (x) 1 and
     1 (x) b_j interleaved by each shuffle with its signature.  Associative,
     with unit the degree-0 chain (1) over the one-dimensional algebra.
+    Each input table is embedded once and each distinct head pair is one
+    table entry.
     """
     _budget((left, right))
-    embed = _embedder((left.algebra_dim, right.algebra_dim))
-    heads, families = {}, {}
-    out = []
-    for ta, tb in itertools.product(left.terms, right.terms):
-        a0, b0 = ta.factors[0], tb.factors[0]
-        key = (id(a0), id(b0))
-        if key not in heads:
-            heads[key] = _freeze(np.kron(a0, b0))
-        slots = [embed(0, a) for a in ta.factors[1:]]
-        slots += [embed(1, b) for b in tb.factors[1:]]
-        ps = (ta.degree, tb.degree)
-        if ps not in families:
-            families[ps] = _placements(enumerate_shuffles(*ps))
-        out += _signed_terms(ta.coeff * tb.coeff, heads[key], slots,
-                             families[ps])
-    return Chain(left.algebra_dim * right.algebra_dim, tuple(out)).normalized()
+    table, offsets = _embedded((left, right))
+    width = len(right.table)
+    heads = [np.concatenate([np.zeros(0, np.intp)] + [
+        rows[:, 0] for rows, _ in c.blocks.values()]) for c in (left, right)]
+    pairs = np.unique(np.add.outer(heads[0] * width, heads[1]))
+    first_head = len(table)
+    table = np.concatenate([table, _kron(left.table[pairs // width],
+                                         right.table[pairs % width])])
+    blocks = _interleave(
+        (left, right), offsets, 1,
+        lambda rows: first_head + np.searchsorted(
+            pairs, rows[0][:, 0] * width + rows[1][:, 0]),
+        lambda ps: enumerate_shuffles(*ps))
+    return Chain.from_table(left.algebra_dim * right.algebra_dim, table,
+                            blocks).normalized()
 
 
 def br_operation(chains) -> Chain:
@@ -286,26 +333,21 @@ def br_operation(chains) -> Chain:
 
     Inserts the unit in slot 0, embeds the arguments' factors into the
     tensor-product algebra, and sums the signed cyclic-shuffle
-    interleavings.  One argument reproduces the cyclic boundary connes_B;
+    interleavings.  One argument is the cyclic boundary connes_B;
     two arguments give the cyclic shuffle product.
     """
     chains = list(chains)
     if not chains:
         raise ValueError("need at least one chain")
     _budget(chains, (len(chains),))
-    dims = [c.algebra_dim for c in chains]
-    embed = _embedder(dims)
-    lead = _freeze(np.eye(math.prod(dims)))
-    families = {}
-    out = []
-    for combo in itertools.product(*[c.terms for c in chains]):
-        slots = [embed(i, f) for i, t in enumerate(combo) for f in t.factors]
-        base = math.prod((t.coeff for t in combo), start=1.0 + 0.0j)
-        ps = tuple(t.degree for t in combo)
-        if ps not in families:
-            families[ps] = _placements(enumerate_cyclic_shuffles(ps))
-        out += _signed_terms(base, lead, slots, families[ps])
-    return Chain(math.prod(dims), tuple(out)).normalized()
+    table, offsets = _embedded(chains)
+    unit = len(table)
+    d = math.prod(c.algebra_dim for c in chains)
+    table = np.concatenate([table, np.eye(d, dtype=np.complex128)[None]])
+    blocks = _interleave(chains, offsets, 0,
+                         lambda rows: np.full(len(rows[0]), unit),
+                         enumerate_cyclic_shuffles)
+    return Chain.from_table(d, table, blocks).normalized()
 
 
 def cyclic_shuffle_product(left: Chain, right: Chain) -> Chain:
@@ -331,9 +373,8 @@ def probe_distance(c1: Chain, c2: Chain, rng) -> float:
     pairs a chain to the sum of coeff * prod_k tr(f_k P_k) over its terms.
     Faithful on formal chains outside a measure-zero set of probes, which
     makes it a cheap randomized equality test for chain-valued identities.
-    One matrix product gives the trace of every distinct factor array
-    against every probe; the terms of a product share their factor arrays,
-    and while they live an id names one.
+    One matrix product gives the trace of every entry of both factor tables
+    against every probe.
     """
     if c1.algebra_dim != c2.algebra_dim:
         raise ValueError("chains live over different algebra dimensions")
@@ -345,26 +386,19 @@ def probe_distance(c1: Chain, c2: Chain, rng) -> float:
         (4 * (n + 1) for n in degs), initial=0)))
     probes_t = np.array([p.T for n in degs for fam in families for p in fam[n]],
                         dtype=np.complex128)
-    table = {id(f): f for c in (c1, c2) for t in c.terms for f in t.factors}
-    row_of = {k: i for i, k in enumerate(table)}
-    factors = np.array(list(table.values()), dtype=np.complex128)
     # tr(f P) = sum_ij f_ij (P^T)_ij
-    traces = factors.reshape(-1, d * d) @ probes_t.reshape(-1, d * d).T
+    traces = np.concatenate([c1.table, c2.table]).reshape(-1, d * d) \
+        @ probes_t.reshape(-1, d * d).T
 
-    def pairings(chain):
-        grouped = {}
-        for t in chain.terms:
-            rows, coeffs = grouped.setdefault(t.degree, ([], []))
-            rows.append([row_of[id(f)] for f in t.factors])
-            coeffs.append(t.coeff)
+    def pairings(chain, offset):
         values = np.zeros(4, dtype=np.complex128)
-        for n, (rows, coeffs) in grouped.items():
+        for n, (rows, coeffs) in chain.blocks.items():
             # traces of shape (family, term, slot), one table row per factor
             cols = start[n] + np.arange(4 * (n + 1)).reshape(4, 1, n + 1)
-            values += np.prod(traces[np.array(rows)[None], cols], axis=2) \
-                @ np.array(coeffs)
+            values += np.prod(traces[(offset + rows)[None], cols], axis=2) \
+                @ coeffs
         return values
 
-    v1, v2 = pairings(c1), pairings(c2)
+    v1, v2 = pairings(c1, 0), pairings(c2, len(c1.table))
     scale = 1.0 + np.maximum(np.abs(v1), np.abs(v2))
     return float(np.max(np.abs(v1 - v2) / scale))

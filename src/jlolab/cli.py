@@ -3,9 +3,9 @@
 Each subcommand takes only the flags it reads: `verify` the RunConfig flags
 (--seed, --tolerance, --mc-samples, --report, --config), `index` its two
 files and --times, `decompose` its mode, --samples and --seed.  Exit codes
-across all subcommands: 0 success, 1 a numerical check failed, 2 usage or
-input-parsing failure.  Reports are deterministic for a fixed configuration
-and seed up to the timestamp field.
+across all subcommands: 0 success, 1 a numerical check failed or stdout
+was closed early (quietly), 2 usage or input-parsing failure.  Reports are
+deterministic for a fixed configuration and seed up to the timestamp field.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 import time
 import warnings
@@ -409,21 +410,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _dispatch(args) -> int:
+    if args.command == "index":
+        return cmd_index(args.triple, args.idempotent, args.times)
     try:
-        if args.command == "index":
-            return cmd_index(args.triple, args.idempotent, args.times)
-        try:
-            config = load_config(args)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
-            print(f"error: invalid configuration: {exc}", file=sys.stderr)
-            return 2
-        if args.command == "verify":
-            return cmd_verify(config)
-        return cmd_decompose(args, config.seed)
+        config = load_config(args)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "verify":
+        return cmd_verify(config)
+    return cmd_decompose(args, config.seed)
+
+
+def main(argv=None) -> int:
+    try:
+        code = _dispatch(build_parser().parse_args(argv))
+        sys.stdout.flush()
     except KeyboardInterrupt:
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush
+        # at interpreter exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

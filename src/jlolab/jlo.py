@@ -2,14 +2,12 @@
 
 The degree-n cochain of factors (a0, ..., an) is the ordered-simplex
 integral of Str(a0 e^{-u0 Delta} [D,a1] e^{-u1 Delta} ... [D,an]
-e^{-un Delta}) over the gap variables u.  Three evaluation routes live
-here: a block matrix exponential that performs the simplex integral in
-closed form, an eigenbasis sum weighted by divided differences of exp
-(mathematically identical, kept as a cross-check), and Monte-Carlo
-quadrature over sorted uniform times (the independent oracle).  All three
-run over one term loop: it represents, brackets and parity-classifies each
-distinct factor of a chain once, and marks the terms whose supertrace
-vanishes by parity, which no route then evaluates.
+e^{-un Delta}) over the gap variables u.  Two evaluation routes live here:
+a block matrix exponential that performs the simplex integral in closed
+form, and Monte-Carlo quadrature over sorted uniform times (the independent
+oracle).  Both run over one term loop: it represents, brackets and
+parity-classifies each entry of a chain's factor table once, and masks the
+terms whose supertrace vanishes by parity, which no route then evaluates.
 
 The module also carries the contraction variant with [D, a0] in the first
 slot, the perturbed mixed-parity cochain built from it, the idempotent
@@ -24,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .chains import Chain, ElementaryChain, TermBudgetError, br_operation, \
-    shuffle_product
-from .linalg import Parity, parity_of
+from .chains import Chain, ElementaryChain, br_operation, shuffle_product
+from .linalg import Parity, _freeze, parity_of
 from .shuffles import sample_simplex_batch
 from .spectral import INDEX_INTEGER_TOL, Idempotent, NonIntegerIndexError, \
     SpectralTripleFD, ampliate, commutator_d, product_triple
@@ -40,7 +37,6 @@ __all__ = [
     "SimplexOrderError",
     "bch_cochain",
     "delta_perturbation",
-    "divided_diff_exp",
     "index_pairing",
     "jlo_cochain",
     "jlo_cochain_mc",
@@ -50,8 +46,9 @@ __all__ = [
 ]
 
 DEGREE_CAP = 12
-EIGENSUM_BUDGET = 2_000_000
 PAIRING_TRUNCATION = 1e-12
+# a term vanishes by parity when no slot is mixed and the odd count is odd
+PARITY_CODE = {Parity.EVEN: 0, Parity.ODD: 1, Parity.MIXED: 2}
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -67,33 +64,9 @@ class SimplexOrderError(ValueError):
     """Simplex coordinates were not sorted into [0, 1]."""
 
 
-def divided_diff_exp(mu):
-    """Integral of exp(-u . mu) over the barycentric n-simplex.
-
-    Equals the divided difference of exp at the negated nodes, computed in
-    one shot as the corner entry of the exponential of the bidiagonal node
-    matrix; exact for repeated nodes, stable for clustered ones.  mu is one
-    node string (a float comes back) or a stack of them along the last
-    axis (an array comes back, from one batched expm call).
-    """
-    arr = np.asarray(mu, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] == 0:
-        raise ValueError("need at least one node")
-    n = arr.shape[-1] - 1
-    if n == 0:
-        out = np.exp(-arr[..., 0])
-    else:
-        idx = np.arange(n + 1)
-        m = np.zeros(arr.shape + (n + 1,))
-        m[..., idx, idx] = -arr
-        m[..., idx[1:], idx[:-1]] = 1.0
-        out = expm(m)[..., n, 0]
-    return float(out) if arr.ndim == 1 else out
-
-
 class JLOEvaluator:
     """Per-triple evaluation engine; reuses the cached eigensystem of Delta.
-    Every cochain route loops over _prepared_terms."""
+    Both cochain routes loop over _prepared_terms."""
 
     def __init__(self, triple: SpectralTripleFD):
         self.triple = triple
@@ -109,46 +82,35 @@ class JLOEvaluator:
             r = t.dirac @ r - r @ t.dirac
         return r
 
-    @staticmethod
-    def _slots(factors, first_slot_d: bool, prepare) -> list:
-        """prepare(head, first_slot_d), then prepare(f, True) per slot."""
-        if len(factors) - 1 > DEGREE_CAP:
+    def _prepared_terms(self, chain: Chain, first_slot_d: bool):
+        """Yield (coeff, ops) per term of the normalized chain, degrees
+        ascending: its slot operators, or None when the supertrace vanishes
+        by parity.  Each table entry is prepared once per form it takes
+        (plain or bracketed)."""
+        chain = chain.normalized()
+        if chain.degrees() and chain.degrees()[-1] > DEGREE_CAP:
             raise DegreeCapError(
-                f"degree {len(factors) - 1} exceeds the cap {DEGREE_CAP}")
-        return [prepare(factors[0], first_slot_d)] + \
-            [prepare(f, True) for f in factors[1:]]
-
-    def _prepared_terms(self, terms, first_slot_d: bool):
-        """Yield (coeff, ops) per term: its slot operators, or None when the
-        supertrace vanishes by parity.  Each distinct (factor, bracketed)
-        pair is prepared once; terms keeps the factors alive, so an id names
-        one array."""
-        prepared = {}
-
-        def prepare(f, bracketed):
-            key = (id(f), bracketed)
-            if key not in prepared:
-                op = self._operator(f, bracketed)
-                prepared[key] = (op, parity_of(op, self.triple.space))
-            return prepared[key]
-
-        for term in terms:
-            slots = self._slots(term.factors, first_slot_d, prepare)
-            parities = [p for _, p in slots]
-            if Parity.MIXED not in parities and parities.count(Parity.ODD) % 2:
-                yield term.coeff, None
-            else:
-                yield term.coeff, [op for op, _ in slots]
-
-    def _eigenbasis(self, ops):
-        """(w, mats): Delta's eigenvalues and the slot operators in its
-        eigenbasis, with the grading folded into the head."""
-        t = self.triple
-        w, u = t.delta_eigensystem()
-        uh = u.conj().T
-        g = t.space.gamma_diag
-        return w, [uh @ (g[:, None] * ops[0]) @ u] + \
-            [uh @ op @ u for op in ops[1:]]
+                f"degree {chain.degrees()[-1]} exceeds the cap {DEGREE_CAP}")
+        listed = [(r, r.tolist(), c) for r, c in chain.blocks.values()]
+        need = {False: set(),
+                True: {k for _, lr, _ in listed for row in lr for k in row[1:]}}
+        need[first_slot_d] |= {row[0] for _, lr, _ in listed for row in lr}
+        forms = {}
+        for bracketed, entries in need.items():
+            ops = [None] * len(chain.table)
+            code = np.zeros(len(chain.table), dtype=np.intp)
+            for k in entries:
+                ops[k] = self._operator(chain.table[k], bracketed)
+                code[k] = PARITY_CODE[parity_of(ops[k], self.triple.space)]
+            forms[bracketed] = ops, code
+        (head_ops, head_code), (slot_ops, slot_code) = forms[first_slot_d], forms[True]
+        for rows, listed_rows, coeffs in listed:
+            codes = slot_code[rows]
+            codes[:, 0] = head_code[rows[:, 0]]
+            vanish = (codes.max(axis=1) < 2) & (codes.sum(axis=1) % 2 == 1)
+            for row, coeff, zero in zip(listed_rows, coeffs.tolist(), vanish.tolist()):
+                yield coeff, None if zero else \
+                    [head_ops[row[0]]] + [slot_ops[k] for k in row[1:]]
 
     # ---------------------------------------------------------------- exact
     def term_exact(self, ops) -> complex:
@@ -172,27 +134,6 @@ class JLOEvaluator:
         kernel = expm(m)[:d, n * d:]
         return t.supertrace(ops[0] @ kernel)
 
-    def term_eigensum(self, ops) -> complex:
-        """Eigenbasis route: matrix-element strings weighted by divided
-        differences of exp at the eigenvalue strings."""
-        n = len(ops) - 1
-        w, mats = self._eigenbasis(ops)
-        d = w.size
-        if d ** (n + 1) > EIGENSUM_BUDGET:
-            raise TermBudgetError(
-                f"eigenbasis sum needs {d ** (n + 1)} index strings "
-                f"(cap {EIGENSUM_BUDGET})")
-        # divided differences are symmetric: one per sorted index string
-        strings = np.indices((d,) * (n + 1), dtype=np.min_scalar_type(d))
-        strings = np.sort(strings.reshape(n + 1, -1).T, axis=1)
-        nodes, where = np.unique(strings, axis=0, return_inverse=True)
-        weights = divided_diff_exp(w[nodes])[where].reshape((d,) * (n + 1))
-        letters = "abcdefghijklm"
-        spec = ",".join(letters[k] + letters[(k + 1) % (n + 1)]
-                        for k in range(n + 1))
-        spec += "," + letters[:n + 1] + "->"
-        return complex(np.einsum(spec, *mats, weights))
-
     # ------------------------------------------------------------- pointwise
     def integrand(self, factors, t, first_slot_d: bool = False) -> complex:
         """Supertraced heat string at one fixed simplex point."""
@@ -201,7 +142,11 @@ class JLOEvaluator:
             raise SimplexOrderError("coordinates must lie in [0, 1]")
         if np.any(np.diff(t) < 0.0):
             raise SimplexOrderError("coordinates must be non-decreasing")
-        ops = self._slots(factors, first_slot_d, self._operator)
+        if len(factors) - 1 > DEGREE_CAP:
+            raise DegreeCapError(
+                f"degree {len(factors) - 1} exceeds the cap {DEGREE_CAP}")
+        ops = [self._operator(factors[0], first_slot_d)] + \
+            [self._operator(f, True) for f in factors[1:]]
         if t.size != len(ops) - 1:
             raise ValueError("simplex dimension must equal the chain degree")
         gaps = np.diff(np.concatenate([[0.0], t, [1.0]]))
@@ -214,7 +159,11 @@ class JLOEvaluator:
     def term_mc(self, ops, samples: int, rng):
         """(estimate, standard error) by sorted-uniform simplex sampling."""
         n = len(ops) - 1
-        w, mats = self._eigenbasis(ops)
+        # Delta's eigenbasis, with the grading folded into the head
+        w, u = self.triple.delta_eigensystem()
+        uh = u.conj().T
+        g = self.triple.space.gamma_diag
+        mats = [uh @ (g[:, None] * ops[0]) @ u] + [uh @ op @ u for op in ops[1:]]
         if n == 0:
             val = complex(np.sum(np.diagonal(mats[0]) * np.exp(-w)))
             return val, 0.0
@@ -247,31 +196,23 @@ class JLOEvaluator:
         return mean * inv_fact, se
 
     # ------------------------------------------------------------ chain API
-    def _exact_sum(self, chain: Chain, first_slot_d: bool, term) -> complex:
-        total = 0.0 + 0.0j
-        for coeff, ops in self._prepared_terms(chain.normalized().terms,
-                                               first_slot_d):
-            if ops is not None:
-                total += coeff * term(ops)
-        return total
-
     def cochain(self, chain: Chain, first_slot_d: bool = False) -> complex:
-        return self._exact_sum(chain, first_slot_d, self.term_exact)
-
-    def cochain_eigensum(self, chain: Chain,
-                         first_slot_d: bool = False) -> complex:
-        return self._exact_sum(chain, first_slot_d, self.term_eigensum)
+        total = 0.0 + 0.0j
+        for coeff, ops in self._prepared_terms(chain, first_slot_d):
+            if ops is not None:
+                total += coeff * self.term_exact(ops)
+        return total
 
     def cochain_mc(self, chain: Chain, samples: int, rng,
                    first_slot_d: bool = False):
         """(estimate, standard error); independent sample streams per term,
         errors combined in quadrature."""
-        terms = chain.normalized().terms
-        seeds = rng.integers(0, 2 ** 63 - 1, size=max(len(terms), 1))
+        seeds = rng.integers(0, 2 ** 63 - 1,
+                             size=max(chain.normalized().num_terms, 1))
         total = 0.0 + 0.0j
         var = 0.0
         for (coeff, ops), seed in zip(
-                self._prepared_terms(terms, first_slot_d), seeds):
+                self._prepared_terms(chain, first_slot_d), seeds):
             if ops is not None:
                 sub = np.random.default_rng(int(seed))
                 est, se = self.term_mc(ops, samples, sub)
@@ -298,13 +239,21 @@ def bch_cochain(triple: SpectralTripleFD, chain: Chain) -> complex:
 
 
 def delta_perturbation(triple: SpectralTripleFD, chain: Chain) -> Chain:
-    """Chain map a0 -> [D, a0] / sqrt(2), identity on the other slots."""
-    out = []
-    for term in chain.normalized().terms:
-        head = commutator_d(triple, term.factors[0])
-        out.append(ElementaryChain(term.coeff * INV_SQRT2,
-                                   (head,) + term.factors[1:]))
-    return Chain(chain.algebra_dim, tuple(out))
+    """Chain map a0 -> [D, a0] / sqrt(2), identity on the other slots.
+
+    Each head entry of the table is bracketed once, into a new entry.
+    """
+    chain = chain.normalized()
+    heads = np.unique(np.concatenate([np.zeros(0, np.intp)] + [
+        rows[:, 0] for rows, _ in chain.blocks.values()]))
+    brackets = np.array([commutator_d(triple, chain.table[k]) for k in heads],
+                        dtype=np.complex128).reshape(-1, *chain.table.shape[1:])
+    blocks = {}
+    for n, (rows, coeffs) in chain.blocks.items():
+        head = len(chain.table) + np.searchsorted(heads, rows[:, :1])
+        blocks[n] = (np.hstack([head, rows[:, 1:]]), coeffs * INV_SQRT2)
+    return Chain.from_table(chain.algebra_dim,
+                            np.concatenate([chain.table, brackets]), blocks)
 
 
 def perturbed_cochain(triple: SpectralTripleFD, chain: Chain,
@@ -320,14 +269,15 @@ def perturbed_cochain(triple: SpectralTripleFD, chain: Chain,
     return ev.cochain(chain) + INV_SQRT2 * ev.cochain(chain, first_slot_d=True)
 
 
-def _chern_component(matrix: np.ndarray, n: int) -> Chain:
-    """Degree-2n component of the idempotent character."""
-    m = matrix.shape[0]
-    if n == 0:
-        return Chain.elementary(1.0, (matrix,))
-    coeff = (-1) ** n * math.factorial(2 * n) / math.factorial(n)
-    head = matrix - 0.5 * np.eye(m, dtype=np.complex128)
-    return Chain.elementary(coeff, (head,) + (matrix,) * (2 * n))
+def _chern_character(matrix: np.ndarray) -> Chain:
+    """The idempotent character through DEGREE_CAP over a two-entry table:
+    (e) in degree 0 and (-1)^n (2n)!/n! (e - 1/2, e, ..., e) in degree 2n."""
+    e = _freeze(matrix)
+    head = _freeze(e - 0.5 * np.eye(e.shape[0], dtype=np.complex128))
+    return Chain(e.shape[0], [ElementaryChain(1.0, (e,))] + [
+        ElementaryChain((-1) ** n * math.factorial(2 * n) / math.factorial(n),
+                        (head,) + (e,) * (2 * n))
+        for n in range(1, DEGREE_CAP // 2 + 1)])
 
 
 @dataclass(frozen=True)
@@ -341,21 +291,25 @@ class PairingReport:
 def index_pairing(triple: SpectralTripleFD, idem: Idempotent) -> PairingReport:
     """Pair the idempotent character against the triple's cochain.
 
-    Even degrees are summed until a term falls below the truncation
-    threshold relative to the accumulated value; the total must then sit
-    within INDEX_INTEGER_TOL of an integer.
+    The character's table is prepared once; even degrees are summed until
+    a term falls below the truncation threshold relative to the accumulated
+    value; the total must then sit within INDEX_INTEGER_TOL of an integer.
     """
     amp = ampliate(triple, idem.blocks)
     if idem.matrix.shape[0] != amp.hilbert_dim:
         raise ValueError("idempotent size disagrees with the ampliated triple")
     ev = JLOEvaluator(amp)
-    mat = np.asarray(idem.matrix)
+    chern = _chern_character(np.asarray(idem.matrix))
+    # one term per degree; a degree that normalization drops pairs to zero
+    terms = dict(zip(chern.normalized().degrees(),
+                     ev._prepared_terms(chern, False)))
     acc = 0.0 + 0.0j
     last = math.inf
     degree = 0
     converged = False
     for n in range(0, DEGREE_CAP // 2 + 1):
-        term = ev.cochain(_chern_component(mat, n))
+        coeff, ops = terms.get(2 * n, (0.0, None))
+        term = 0.0 + 0.0j if ops is None else coeff * ev.term_exact(ops)
         acc += term
         last = abs(term)
         degree = 2 * n

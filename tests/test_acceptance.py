@@ -46,6 +46,8 @@ from jlolab.spectral import (
 )
 from jlolab.suites import curated_index_pairs, index_product_checks
 
+from eigensum_oracle import cochain_eigensum
+
 
 def _verdict(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -346,14 +348,14 @@ def test_criterion_9_chain_complex_axioms():
 
 
 def test_cochain_routes_cross_validate():
-    # supporting dual-route spot check: the two exact evaluators and the
-    # sampler agree on one fixed instance
+    # supporting dual-route spot check: the exact evaluator, the eigensum
+    # oracle and the sampler agree on one fixed instance
     rng = np.random.default_rng(20_260_831)
     t = random_triple(rng, 2, 1)
     a = random_chain(rng, t.space, (2,))
     ev = JLOEvaluator(t)
     exact = ev.cochain(a)
-    eig = ev.cochain_eigensum(a)
+    eig = cochain_eigensum(t, a)
     est, se = ev.cochain_mc(a, 50_000, rng)
     assert abs(exact - eig) <= 1e-12
     assert abs(exact - est) <= 4.0 * se + 1e-12

@@ -11,9 +11,8 @@ from jlolab.chains import (
     ElementaryChain,
     MAX_OUTPUT_TERMS,
     TermBudgetError,
-    _placements,
+    _interleave,
     _random_probes,
-    _signed_terms,
     br_operation,
     connes_B,
     cyclic_shuffle_product,
@@ -53,8 +52,6 @@ def test_chain_arithmetic_and_components():
     a0, a1 = _mats(rng, 2, 2)
     c = Chain.elementary(1.0, (a0,)) + Chain.elementary(2.0, (a0, a1))
     assert c.degrees() == (0, 1)
-    assert c.component(1).num_terms == 1
-    assert set(c.by_degree()) == {0, 1}
     # no like-term combining: arithmetic concatenates term lists
     d = 3.0 * c - c
     assert sorted(t.coeff.real for t in d.terms) == [-2.0, -1.0, 3.0, 6.0]
@@ -169,12 +166,17 @@ def test_shuffle_product_degrees_one_one_signs():
 
 
 def test_signed_terms_move_item_k_to_slot_image_k():
-    # items a, b, c are the 1x1 matrices 1, 2, 3; (2, 3, 1) is not an
-    # involution, so it tells the action from its inverse
-    head = np.full((1, 1), 7.0)
-    items = [np.full((1, 1), v) for v in (1.0, 2.0, 3.0)]
-    terms = _signed_terms(2.0, head, items,
-                          _placements(np.array([[2, 3, 1], [2, 1, 3]])))
+    # items a, b, c are non-scalar matrices marked 1, 2, 3 and the head is
+    # marked 7; (2, 3, 1) is not an involution, so it tells the action from
+    # its inverse
+    def marker(v):
+        return np.array([[v, 1.0], [0.0, 0.0]])
+
+    items = Chain.elementary(2.0, [marker(v) for v in (1.0, 2.0, 3.0)])
+    table = np.concatenate([items.table, marker(7.0)[None]])
+    blocks = _interleave([items], [0], 0, lambda rows: np.full(len(rows[0]), 3),
+                         lambda ps: np.array([[2, 3, 1], [2, 1, 3]]))
+    terms = Chain.from_table(2, table, blocks).terms
     # item k lands in slot images[k]; reading slots gives the inverse
     assert [[f[0, 0].real for f in t.factors] for t in terms] == \
         [[7, 3, 1, 2], [7, 2, 1, 3]]
@@ -268,9 +270,9 @@ def test_probe_distance_matches_plain_traces():
     for m in (f, g):
         m.setflags(write=False)
     # one array in several terms and slots, next to fresh arrays
-    shared = Chain.elementary(0.5, (f, g, f)) + Chain.elementary(-2.0, (g, f)) \
-        + Chain.elementary(1j, (f,))
-    assert all(t.factors[-1] is f for t in shared.terms)
+    shared = Chain(3, (ElementaryChain(0.5, (f, g, f)),
+                       ElementaryChain(-2.0, (g, f)), ElementaryChain(1j, (f,))))
+    assert len(shared.table) == 2
     small = random_chain(rng, GradedSpace(1, 1), (0, 1))
     prod = shuffle_product(small, small)
     zero = Chain.zero(3)
@@ -325,16 +327,18 @@ def _kron_br_operation(chains):
     return Chain(total, tuple(terms)).normalized()
 
 
-def _assert_rebuilt_with_one_array_per_factor(out, ref):
+def _assert_rebuilt(out, ref, table_size):
     assert out.num_terms == ref.num_terms > 0
-    objects = {}
     for t, r in zip(out.terms, ref.terms):
         assert t.coeff == r.coeff
         for f, g in zip(t.factors, r.factors, strict=True):
             assert np.array_equal(f, g)
-            objects.setdefault(g.tobytes(), set()).add(id(f))
+    assert len(out.table) == table_size
+
+
+def _distinct(arrays) -> int:
     # random factors have distinct values, so a value names one input
-    assert all(len(ids) == 1 for ids in objects.values())
+    return len({f.tobytes() for f in arrays})
 
 
 def test_products_embed_each_factor_once():
@@ -344,12 +348,19 @@ def test_products_embed_each_factor_once():
     b = random_chain(rng, s2, (0, 1, 2))
     c = random_chain(rng, s3, (0, 1))
     assert a.num_terms > 1 and b.num_terms > 1
+    for x in (a, b, c):
+        assert len(x.table) == _distinct(f for t in x.terms for f in t.factors)
     for left, right in ((a, b), (b, a), (shuffle_product(a, c), b)):
-        _assert_rebuilt_with_one_array_per_factor(
-            shuffle_product(left, right), _kron_shuffle_product(left, right))
+        # each input table entry embedded once, plus one entry per head pair
+        heads = _distinct(np.kron(ta.factors[0], tb.factors[0])
+                          for ta in left.terms for tb in right.terms)
+        _assert_rebuilt(shuffle_product(left, right),
+                        _kron_shuffle_product(left, right),
+                        len(left.table) + len(right.table) + heads)
     for args in ((a, b), (a, b, c)):
-        _assert_rebuilt_with_one_array_per_factor(
-            br_operation(list(args)), _kron_br_operation(list(args)))
+        # each input table entry embedded once, plus the unit
+        _assert_rebuilt(br_operation(list(args)), _kron_br_operation(list(args)),
+                        1 + sum(len(x.table) for x in args))
 
 
 def test_shuffle_product_budget_trips_before_any_work(monkeypatch):

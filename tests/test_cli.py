@@ -1,10 +1,13 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import jlolab
 from jlolab.cli import RunConfig, main
 from jlolab.linalg import GradedSpace
 from jlolab.spectral import (
@@ -247,3 +250,18 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert all(cmd in out for cmd in ("verify", "index", "decompose"))
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # the reader closes the pipe before the command writes anything
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(jlolab.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jlolab", "decompose", "--shuffle", "2", "2",
+         "--samples", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

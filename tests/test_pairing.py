@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from jlolab.chains import Chain
 from jlolab.jlo import (
     NonConvergentError,
     NonIntegerIndexError,
-    _chern_component,
+    _chern_character,
     index_pairing,
     jlo_cochain,
 )
@@ -31,10 +32,11 @@ def _kick(s):
 
 
 def test_chern_chain_structure():
-    for n in range(3):
-        c = _chern_component(E_EVEN, n)
-        assert c.degrees() == (2 * n,) and c.num_terms == 1
-    deg2 = _chern_component(E_EVEN, 1).terms[0]
+    c = _chern_character(E_EVEN)
+    assert c.degrees() == tuple(range(0, 13, 2)) and c.num_terms == 7
+    # e and its shifted head, each stored once
+    assert len(c.table) == 2
+    deg2 = c.terms[1]
     assert deg2.coeff == pytest.approx(-2.0)  # -(2!)/1!
     assert np.allclose(deg2.factors[0], E_EVEN - 0.5 * np.eye(2))
     assert all(np.array_equal(f, E_EVEN) for f in deg2.factors[1:])
@@ -127,7 +129,8 @@ def test_product_of_kicks_pairs_to_one():
     e = Idempotent(np.kron(E_EVEN, E_EVEN))
     rep = index_pairing(t, e)
     assert rep.integer == 1
-    # degree-0 sanity on the product: the character chain pairs linearly
-    c0 = _chern_component(e.matrix, 0)
+    # degree-0 sanity on the product: the character's degree-0 term (e)
+    # pairs to the heat supertrace
+    c0 = Chain.elementary(1.0, (e.matrix,))
     assert jlo_cochain(t, c0).real == pytest.approx(
         t.supertrace(t.represent(e.matrix) @ t.heat(1.0)).real)
