@@ -44,6 +44,16 @@ class TermBudgetError(RuntimeError):
     """An operation would produce an unreasonable number of elementary terms."""
 
 
+def _scalar_entries(table) -> np.ndarray:
+    """Mask of the table entries that are scalar within SCALAR_SLOT_TOL."""
+    d = table.shape[-1]
+    mu = table.trace(axis1=1, axis2=2) / d
+    dev = table - mu[:, None, None] * np.eye(d)
+    # squared Frobenius norms, compared squared: |f|^2 = |dev|^2 + d |mu|^2
+    off = np.einsum("kij,kij->k", dev.conj(), dev).real
+    return off <= SCALAR_SLOT_TOL ** 2 * np.maximum(1.0, off + d * abs(mu) ** 2)
+
+
 @dataclass(frozen=True)
 class ElementaryChain:
     """coeff times the elementary tensor (factors[0], ..., factors[n])."""
@@ -169,11 +179,7 @@ class Chain:
         degree drops the rows; the table is kept as it is.
         """
         d = self.algebra_dim
-        mu = self.table.trace(axis1=1, axis2=2) / d
-        dev = self.table - mu[:, None, None] * np.eye(d)
-        # squared Frobenius norms, compared squared: |f|^2 = |dev|^2 + d |mu|^2
-        off = np.einsum("kij,kij->k", dev.conj(), dev).real
-        scalar = off <= SCALAR_SLOT_TOL ** 2 * np.maximum(1.0, off + d * abs(mu) ** 2)
+        scalar = _scalar_entries(self.table)
         kept = {}
         for n, (rows, coeffs) in self.blocks.items():
             keep = (coeffs != 0) & ~scalar[rows[:, 1:]].any(axis=1)

@@ -19,7 +19,7 @@ import sys
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .spectral import (
     index_of_pair,
     product_triple,
     triple_from_json,
+    validate_idempotent,
 )
 from .suites import format_report_rows, run_suite
 
@@ -100,18 +101,6 @@ class RunConfig:
                 tol, numbers.Real) or not tol > 0):
             raise ValueError("tolerance must be a positive number when given")
 
-    def as_report_dict(self) -> dict:
-        # report_path is deliberately excluded so reports written to
-        # different destinations stay byte-comparable
-        return {
-            "seed": self.seed,
-            "dims": [list(p) for p in self.dims],
-            "max_degree": self.max_degree,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "mc_samples": self.mc_samples,
-        }
-
 
 CONFIG_KEYS = ("seed", "dims", "max_degree", "trials", "tolerance",
                "mc_samples", "report_path")
@@ -162,7 +151,10 @@ def cmd_verify(config: RunConfig) -> int:
         report = {
             "schema": 1,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "config": config.as_report_dict(),
+            # report_path is left out so that reports written to different
+            # destinations stay byte-comparable
+            "config": {k: v for k, v in asdict(config).items()
+                       if k != "report_path"},
             "identities": rows,
             "summary": {"checks": len(rows), "passed": passed,
                         "failed": len(rows) - passed, "all_pass": ok},
@@ -210,6 +202,8 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
             else:
                 e2 = Idempotent(np.eye(t2.hilbert_dim))
             factors.append(("factor 2", t2, e2))
+        for _, t, e in factors:
+            validate_idempotent(t, e)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -248,8 +242,8 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
 
 # ----------------------------------------------------------------- decompose
 
-def _region_table(counter: Counter, n_located: int, n_regions: int):
-    """Per-region hit statistics against the uniform-volume prediction."""
+def _print_volume_stats(counter, n_located, n_regions, samples, skipped):
+    # per-region hit statistics against the uniform-volume prediction
     expected = 1.0 / n_regions
     rows = []
     for key in sorted(counter):
@@ -257,11 +251,6 @@ def _region_table(counter: Counter, n_located: int, n_regions: int):
         se = math.sqrt(expected * (1.0 - expected) / n_located)
         z = (frac - expected) / se if se else 0.0
         rows.append((key, counter[key], frac, z))
-    return expected, rows
-
-
-def _print_volume_stats(counter, n_located, n_regions, samples, skipped):
-    expected, rows = _region_table(counter, n_located, n_regions)
     print(f"  samples: {samples} located, {n_located} used,"
           f" {skipped} tied/skipped")
     print(f"  expected volume fraction per region: {expected:.6f}")
@@ -368,7 +357,7 @@ def cmd_decompose(args, seed: int) -> int:
 
 # ---------------------------------------------------------------- entrypoint
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jlolab",
         description="Numerical laboratory for graded spectral triples: "
@@ -410,6 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parse_args returns a fresh namespace per call
+_PARSER = _build_parser()
+
+
 def _dispatch(args) -> int:
     if args.command == "index":
         return cmd_index(args.triple, args.idempotent, args.times)
@@ -425,7 +418,7 @@ def _dispatch(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        code = _dispatch(build_parser().parse_args(argv))
+        code = _dispatch(_PARSER.parse_args(argv))
         sys.stdout.flush()
     except KeyboardInterrupt:
         return 1

@@ -4,14 +4,17 @@ The degree-n cochain of factors (a0, ..., an) is the ordered-simplex
 integral of Str(a0 e^{-u0 Delta} [D,a1] e^{-u1 Delta} ... [D,an]
 e^{-un Delta}) over the gap variables u.  Two evaluation routes live here:
 a block matrix exponential that performs the simplex integral in closed
-form, and Monte-Carlo quadrature over sorted uniform times (the independent
-oracle).  Both run over one term loop: it represents, brackets and
-parity-classifies each entry of a chain's factor table once, and masks the
-terms whose supertrace vanishes by parity, which no route then evaluates.
+form (one exponential gives a whole row of blocks, the integral over every
+prefix of the slots), and Monte-Carlo quadrature over sorted uniform times
+(the independent oracle).  Both run over one term loop: it represents,
+brackets and parity-classifies each entry of a chain's factor table once,
+and masks the terms whose supertrace vanishes by parity, which no route
+then evaluates.
 
 The module also carries the contraction variant with [D, a0] in the first
-slot, the perturbed mixed-parity cochain built from it, the idempotent
-character chains, and the integer index pairing.
+slot, the perturbed mixed-parity cochain built from it, and the integer
+index pairing, which reads every degree of the idempotent's character from
+one such row.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .chains import Chain, ElementaryChain, br_operation, shuffle_product
-from .linalg import Parity, _freeze, parity_of
+from .chains import Chain, _scalar_entries, br_operation, shuffle_product
+from .linalg import Parity, parity_of
 from .shuffles import sample_simplex_batch
 from .spectral import INDEX_INTEGER_TOL, Idempotent, NonIntegerIndexError, \
     SpectralTripleFD, ampliate, commutator_d, product_triple
@@ -113,25 +116,26 @@ class JLOEvaluator:
                     [head_ops[row[0]]] + [slot_ops[k] for k in row[1:]]
 
     # ---------------------------------------------------------------- exact
-    def term_exact(self, ops) -> complex:
-        """Closed-form simplex integral through one block matrix exponential.
+    def _first_block_row(self, slots) -> np.ndarray:
+        """First block row, (d, (n + 1) d), of the exponential of the block
+        bidiagonal matrix with -Delta on the diagonal and slots[0..n-1]
+        above it.  Block k is the time-ordered simplex integral of
+        e^{-u0 Delta} slots[0] ... slots[k-1] e^{-uk Delta}."""
+        n, d = len(slots), self.triple.hilbert_dim
+        m = np.zeros((n + 1, d, n + 1, d), dtype=np.complex128)
+        k = np.arange(n + 1)
+        m[k, :, k] = -self.triple.delta
+        m[k[:-1], :, k[1:]] = slots
+        return expm(m.reshape((n + 1) * d, (n + 1) * d))[:d]
 
-        The block bidiagonal matrix with -Delta on the diagonal and the
-        differentiated slots above it has the full time-ordered integral as
-        the top-right block of its exponential.
-        """
+    def term_exact(self, ops) -> complex:
+        """Closed-form simplex integral: the head times the last block of
+        the first block row of one block matrix exponential."""
         t = self.triple
         n = len(ops) - 1
         if n == 0:
             return t.supertrace(ops[0] @ t.heat(1.0))
-        d = t.hilbert_dim
-        m = np.zeros(((n + 1) * d, (n + 1) * d), dtype=np.complex128)
-        nd = -t.delta
-        for k in range(n + 1):
-            m[k * d:(k + 1) * d, k * d:(k + 1) * d] = nd
-        for k in range(1, n + 1):
-            m[(k - 1) * d:k * d, k * d:(k + 1) * d] = ops[k]
-        kernel = expm(m)[:d, n * d:]
+        kernel = self._first_block_row(ops[1:])[:, n * t.hilbert_dim:]
         return t.supertrace(ops[0] @ kernel)
 
     # ------------------------------------------------------------- pointwise
@@ -269,17 +273,6 @@ def perturbed_cochain(triple: SpectralTripleFD, chain: Chain,
     return ev.cochain(chain) + INV_SQRT2 * ev.cochain(chain, first_slot_d=True)
 
 
-def _chern_character(matrix: np.ndarray) -> Chain:
-    """The idempotent character through DEGREE_CAP over a two-entry table:
-    (e) in degree 0 and (-1)^n (2n)!/n! (e - 1/2, e, ..., e) in degree 2n."""
-    e = _freeze(matrix)
-    head = _freeze(e - 0.5 * np.eye(e.shape[0], dtype=np.complex128))
-    return Chain(e.shape[0], [ElementaryChain(1.0, (e,))] + [
-        ElementaryChain((-1) ** n * math.factorial(2 * n) / math.factorial(n),
-                        (head,) + (e,) * (2 * n))
-        for n in range(1, DEGREE_CAP // 2 + 1)])
-
-
 @dataclass(frozen=True)
 class PairingReport:
     value: complex
@@ -291,41 +284,42 @@ class PairingReport:
 def index_pairing(triple: SpectralTripleFD, idem: Idempotent) -> PairingReport:
     """Pair the idempotent character against the triple's cochain.
 
-    The character's table is prepared once; even degrees are summed until
-    a term falls below the truncation threshold relative to the accumulated
-    value; the total must then sit within INDEX_INTEGER_TOL of an integer.
+    The character is (e) plus (-1)^n (2n)!/n! (e - 1/2, e, ..., e) in
+    degree 2n; its slots are all [D, e], so one first block row holds every
+    degree's kernel, and a scalar e (dropped from slots by normalization)
+    pairs to zero.  Degrees are summed until a term falls below the
+    truncation threshold relative to the sum, which must then sit within
+    INDEX_INTEGER_TOL of an integer.
     """
     amp = ampliate(triple, idem.blocks)
     if idem.matrix.shape[0] != amp.hilbert_dim:
         raise ValueError("idempotent size disagrees with the ampliated triple")
-    ev = JLOEvaluator(amp)
-    chern = _chern_character(np.asarray(idem.matrix))
-    # one term per degree; a degree that normalization drops pairs to zero
-    terms = dict(zip(chern.normalized().degrees(),
-                     ev._prepared_terms(chern, False)))
+    d, e = amp.hilbert_dim, amp.represent(idem.matrix)
+    terms = [amp.supertrace(e @ amp.heat(1.0))]
+    if _scalar_entries(idem.matrix[None])[0]:
+        terms.append(0.0 + 0.0j)
+    else:
+        row = JLOEvaluator(amp)._first_block_row(
+            [amp.dirac @ e - e @ amp.dirac] * DEGREE_CAP)
+        head = e - 0.5 * np.eye(d)
+        terms += [(-1) ** n * math.factorial(2 * n) / math.factorial(n)
+                  * amp.supertrace(head @ row[:, 2 * n * d:(2 * n + 1) * d])
+                  for n in range(1, DEGREE_CAP // 2 + 1)]
     acc = 0.0 + 0.0j
-    last = math.inf
-    degree = 0
-    converged = False
-    for n in range(0, DEGREE_CAP // 2 + 1):
-        coeff, ops = terms.get(2 * n, (0.0, None))
-        term = 0.0 + 0.0j if ops is None else coeff * ev.term_exact(ops)
+    for n, term in enumerate(terms):
         acc += term
-        last = abs(term)
-        degree = 2 * n
-        if n >= 1 and last < PAIRING_TRUNCATION * (1.0 + abs(acc)):
-            converged = True
+        if n >= 1 and abs(term) < PAIRING_TRUNCATION * (1.0 + abs(acc)):
             break
-    if not converged:
+    else:
         raise NonConvergentError(
-            f"pairing terms still at {last:.3g} at degree {degree}")
+            f"pairing terms still at {abs(term):.3g} at degree {2 * n}")
     r = round(acc.real)
     if abs(acc - r) > INDEX_INTEGER_TOL:
         raise NonIntegerIndexError(
             f"pairing value {acc:.6g} is not within {INDEX_INTEGER_TOL} "
             "of an integer")
-    return PairingReport(value=acc, truncation_degree=degree,
-                         last_term_magnitude=last, integer=int(r))
+    return PairingReport(value=acc, truncation_degree=2 * n,
+                         last_term_magnitude=abs(term), integer=int(r))
 
 
 def verify_theorem_ainf(triples, chains, part: int) -> dict:

@@ -54,6 +54,7 @@ __all__ = [
     "product_triple",
     "triple_from_json",
     "triple_to_json",
+    "validate_idempotent",
     "validate_triple",
 ]
 
@@ -317,14 +318,9 @@ def ampliate(triple: SpectralTripleFD, k: int) -> SpectralTripleFD:
                             label=triple.label and f"{triple.label}(x){k}")
 
 
-def compress_by_idempotent(triple: SpectralTripleFD,
-                           idem: Idempotent) -> SpectralTripleFD:
-    """Restrict e D e to the range of a self-adjoint even idempotent e.
-
-    The range basis is assembled per parity block, so the compressed triple
-    inherits a clean grading; its Dirac is the compressed operator and its
-    generators are the compressed images of the ampliated originals.
-    """
+def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
+    """(ampliated triple, e as its operator); a ValueError unless e fits that
+    triple and is self-adjoint, idempotent (to IDEMPOTENT_TOL) and even."""
     amp = ampliate(triple, idem.blocks)
     if idem.matrix.shape[0] != amp.hilbert_dim:
         raise ValueError("idempotent size disagrees with the ampliated triple")
@@ -336,7 +332,18 @@ def compress_by_idempotent(triple: SpectralTripleFD,
         raise NotIdempotentError("matrix is not idempotent within tolerance")
     if parity_of(e, amp.space) is not Parity.EVEN:
         raise ParityError("idempotent must be even with respect to the grading")
+    return amp, e
 
+
+def compress_by_idempotent(triple: SpectralTripleFD,
+                           idem: Idempotent) -> SpectralTripleFD:
+    """Restrict e D e to the range of a self-adjoint even idempotent e.
+
+    The range basis is assembled per parity block, so the compressed triple
+    inherits a clean grading; its Dirac is the compressed operator and its
+    generators are the compressed images of the ampliated originals.
+    """
+    amp, e = validate_idempotent(triple, idem)
     de = amp.space.dim_even
     we, ve = hermitian_eigen(e[:de, :de], tol=10 * IDEMPOTENT_TOL)
     wo, vo = hermitian_eigen(e[de:, de:], tol=10 * IDEMPOTENT_TOL)

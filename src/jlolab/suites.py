@@ -238,9 +238,7 @@ def trial_scalar_slot_invariance(rng, dim_pairs, max_degree=2,
         factors = list(term.factors)
         factors[slot] = factors[slot] + lam * eye
         shifted.append(Chain.elementary(term.coeff, factors))
-    total = shifted[0]
-    for c in shifted[1:]:
-        total = total + c
+    total = sum(shifted[1:], shifted[0])
     return abs(jlo_cochain(t, a) - jlo_cochain(t, total))
 
 

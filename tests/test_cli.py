@@ -183,17 +183,63 @@ def test_index_malformed_file_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_index_non_integer_pairing_exits_one(tmp_path, capsys):
-    tp, _ = _write_pair(tmp_path)
+def test_index_tilted_idempotent_exits_two(tmp_path, capsys):
+    # a projection that is not even is rejected before any pairing, as the
+    # first factor and as the second
+    tp, ep = _write_pair(tmp_path)
     import math
     c, s = math.cos(0.5), math.sin(0.5)
     tilted = np.array([[c * c, c * s], [c * s, s * s]])
-    ep = tmp_path / "tilted.json"
-    ep.write_text(json.dumps(idempotent_to_json(Idempotent(tilted))))
-    code = main(["index", tp, str(ep)])
+    bad = tmp_path / "tilted.json"
+    bad.write_text(json.dumps(idempotent_to_json(Idempotent(tilted))))
+    for argv in ([tp, str(bad)], [tp, ep, "--times", tp, str(bad)]):
+        code = main(["index"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: idempotent must be even" in captured.err
+        assert captured.out == ""
+
+
+def test_index_kick_beyond_degree_cap_exits_one(tmp_path, capsys):
+    tp, ep = _write_pair(tmp_path, scale=1.0)
+    code = main(["index", tp, ep])
     err = capsys.readouterr().err
     assert code == 1
-    assert "check failed" in err
+    assert "check failed: pairing terms still at" in err
+
+
+def test_main_calls_in_one_process_share_no_state(tmp_path, monkeypatch,
+                                                   capsys):
+    import argparse
+
+    from jlolab import cli
+
+    tp, ep = _write_pair(tmp_path)
+    seen = []
+    dispatch = cli._dispatch
+    monkeypatch.setattr(cli, "_dispatch",
+                        lambda args: seen.append(args) or dispatch(args))
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or
+                        init(self, *a, **kw))
+    with pytest.raises(SystemExit) as exc:
+        main(["index", tp, ep, "--seed", "1"])
+    assert exc.value.code == 2
+    assert main(["index", tp, ep, "--times", tp]) == 0
+    assert "product law" in capsys.readouterr().out
+    assert main(["index", tp, ep]) == 0
+    assert "product law" not in capsys.readouterr().out
+    assert main(["decompose", "--cyclic", "1", "1", "--samples", "10"]) == 0
+    assert "enumerated regions: 12" in capsys.readouterr().out
+    times, plain, decompose = seen
+    assert times.times == [tp] and plain.times is None
+    assert vars(plain) == {"command": "index", "triple": tp,
+                           "idempotent": ep, "times": None}
+    assert vars(decompose) == {"command": "decompose", "shuffle": None,
+                               "cyclic": [1, 1], "samples": 10, "seed": None}
+    assert built == []
 
 
 def test_decompose_shuffle_counts(capsys):

@@ -4,19 +4,23 @@ import warnings
 import numpy as np
 import pytest
 
-from jlolab.chains import Chain
+from jlolab.chains import Chain, ElementaryChain
 from jlolab.jlo import (
+    DEGREE_CAP,
+    PAIRING_TRUNCATION,
+    JLOEvaluator,
     NonConvergentError,
     NonIntegerIndexError,
-    _chern_character,
     index_pairing,
     jlo_cochain,
 )
-from jlolab.linalg import GradedSpace
+from jlolab.linalg import GradedSpace, _freeze
+from jlolab.randomgen import random_even_projection, random_triple
 from jlolab.spectral import (
     Idempotent,
     SpectralGapWarning,
     SpectralTripleFD,
+    ampliate,
     index_of_pair,
     product_triple,
 )
@@ -29,6 +33,90 @@ E_ODD = np.diag([0.0, 1.0]).astype(np.complex128)
 
 def _kick(s):
     return SpectralTripleFD(GradedSpace(1, 1), s * X, (np.eye(2),))
+
+
+def _chern_character(matrix):
+    """The idempotent character through DEGREE_CAP over a two-entry table:
+    (e) in degree 0 and (-1)^n (2n)!/n! (e - 1/2, e, ..., e) in degree 2n."""
+    e = _freeze(matrix)
+    head = _freeze(e - 0.5 * np.eye(e.shape[0], dtype=np.complex128))
+    return Chain(e.shape[0], [ElementaryChain(1.0, (e,))] + [
+        ElementaryChain((-1) ** n * math.factorial(2 * n) / math.factorial(n),
+                        (head,) + (e,) * (2 * n))
+        for n in range(1, DEGREE_CAP // 2 + 1)])
+
+
+def _per_degree_pairing(triple, idem):
+    """(value, truncation degree, last term) of the character chain, one
+    term_exact call per degree on its normalized, parity-masked terms,
+    summed under index_pairing's truncation rule."""
+    ev = JLOEvaluator(ampliate(triple, idem.blocks))
+    chern = _chern_character(idem.matrix)
+    terms = dict(zip(chern.normalized().degrees(),
+                     ev._prepared_terms(chern, False)))
+    acc = 0.0 + 0.0j
+    for n in range(DEGREE_CAP // 2 + 1):
+        coeff, ops = terms.get(2 * n, (0.0, None))
+        term = 0.0 + 0.0j if ops is None else coeff * ev.term_exact(ops)
+        acc += term
+        if n >= 1 and abs(term) < PAIRING_TRUNCATION * (1.0 + abs(acc)):
+            return acc, 2 * n, abs(term)
+    raise NonConvergentError(f"per-degree terms still at {abs(term):.3g}")
+
+
+def _oracle_cases():
+    """(label, triple, idempotent) pairs on which both routes converge."""
+    rng = np.random.default_rng(8_101)
+    curated = curated_index_pairs()
+    cases = [(name, t, e) for name, t, e, _ in curated]
+    for i, k, rank in ((4, 2, 1), (7, 3, 2), (9, 2, 1), (10, 3, 1)):
+        name, t, e, _ = curated[i]
+        p = random_even_projection(rng, GradedSpace(k, 0), rank)
+        cases.append((f"{name} (x) rank {rank} in M_{k}", t,
+                      Idempotent(np.kron(e.matrix, p), blocks=k)))
+    # identical factors: every eigenvalue of D^2 on the product is paired
+    for de, do in ((1, 1), (2, 1)):
+        t = random_triple(rng, de, do, dirac_scale=0.1)
+        e = random_even_projection(rng, t.space, 1, do - 1)
+        cases.append((f"{de}|{do} squared", product_triple(t, t),
+                      Idempotent(np.kron(e, e))))
+    for s in (0.05, 0.1, 0.2):
+        for de, do in ((2, 1), (2, 2), (3, 2)):
+            t = random_triple(rng, de, do, dirac_scale=s)
+            e = random_even_projection(rng, t.space, 1, do - 1)
+            cases.append((f"random {de}|{do} at {s}", t, Idempotent(e)))
+    return cases
+
+
+def test_pairing_matches_per_degree_route():
+    for label, t, e in _oracle_cases():
+        value, degree, last = _per_degree_pairing(t, e)
+        rep = index_pairing(t, e)
+        assert abs(rep.value - value) <= 1e-12 * (1.0 + abs(value)), label
+        assert rep.truncation_degree == degree, label
+
+
+def test_scalar_idempotent_stops_at_degree_two_with_zero_term():
+    rng = np.random.default_rng(3)
+    for t in (_kick(0.1), random_triple(rng, 2, 1, dirac_scale=0.1)):
+        d = t.hilbert_dim
+        # q q^* is the identity up to rounding: scalar to SCALAR_SLOT_TOL,
+        # but its bracket with D is not exactly zero
+        q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+        for e in (Idempotent(np.eye(d)), Idempotent(np.zeros((d, d))),
+                  Idempotent(q @ q.conj().T)):
+            rep = index_pairing(t, e)
+            value, degree, last = _per_degree_pairing(t, e)
+            assert rep.truncation_degree == degree == 2
+            assert rep.last_term_magnitude == last == 0.0
+            assert rep.value == value
+
+
+def test_both_routes_reject_a_kick_beyond_the_degree_cap():
+    for route in (index_pairing, _per_degree_pairing):
+        with pytest.raises(NonConvergentError):
+            route(_kick(1.0), Idempotent(E_EVEN))
 
 
 def test_chern_chain_structure():
