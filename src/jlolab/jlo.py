@@ -7,9 +7,9 @@ a block matrix exponential that performs the simplex integral in closed
 form (one exponential gives a whole row of blocks, the integral over every
 prefix of the slots), and Monte-Carlo quadrature over sorted uniform times
 (the independent oracle).  Both run over one term loop: it represents,
-brackets and parity-classifies each entry of a chain's factor table once,
-and masks the terms whose supertrace vanishes by parity, which no route
-then evaluates.
+brackets and parity-classifies a chain's whole factor table as one stack,
+gathers each degree block's slots with one take, and masks the terms whose
+supertrace vanishes by parity, which no route then evaluates.
 
 The module also carries the contraction variant with [D, a0] in the first
 slot, the perturbed mixed-parity cochain built from it, and the integer
@@ -20,13 +20,14 @@ one such row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .chains import Chain, _scalar_entries, br_operation, shuffle_product
-from .linalg import Parity, parity_of
+from .linalg import parity_codes
 from .shuffles import sample_simplex_batch
 from .spectral import INDEX_INTEGER_TOL, Idempotent, NonIntegerIndexError, \
     SpectralTripleFD, ampliate, commutator_d, product_triple
@@ -50,8 +51,6 @@ __all__ = [
 
 DEGREE_CAP = 12
 PAIRING_TRUNCATION = 1e-12
-# a term vanishes by parity when no slot is mixed and the odd count is odd
-PARITY_CODE = {Parity.EVEN: 0, Parity.ODD: 1, Parity.MIXED: 2}
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -68,52 +67,39 @@ class SimplexOrderError(ValueError):
 
 
 class JLOEvaluator:
-    """Per-triple evaluation engine; reuses the cached eigensystem of Delta.
-    Both cochain routes loop over _prepared_terms."""
+    """Per-triple evaluation engine; reuses the cached eigensystem of Delta."""
 
     def __init__(self, triple: SpectralTripleFD):
         self.triple = triple
 
     # ---------------------------------------------------------------- slots
-    def _operator(self, f, bracketed: bool) -> np.ndarray:
-        """Canonical-basis operator of one factor, or its bracket [D, .]."""
+    def _forms(self, stack):
+        """(2, K, d, d): a factor stack in the canonical basis, then its [D, .]."""
         t = self.triple
-        r = t.represent(f)
-        if r.shape != (t.hilbert_dim, t.hilbert_dim):
+        r = np.asarray(stack, dtype=np.complex128)
+        if r.shape[1:] != (t.hilbert_dim, t.hilbert_dim):
             raise ValueError("factor shape disagrees with the Hilbert space")
-        if bracketed:
-            r = t.dirac @ r - r @ t.dirac
-        return r
+        ops = np.empty((2, *r.shape), dtype=np.complex128)
+        ops[0] = r if t.basis_map is None else r[:, t.basis_map[:, None], t.basis_map]
+        np.matmul(t.dirac, ops[0], out=ops[1])
+        ops[1] -= ops[0] @ t.dirac
+        return ops
 
-    def _prepared_terms(self, chain: Chain, first_slot_d: bool):
-        """Yield (coeff, ops) per term of the normalized chain, degrees
-        ascending: its slot operators, or None when the supertrace vanishes
-        by parity.  Each table entry is prepared once per form it takes
-        (plain or bracketed)."""
-        chain = chain.normalized()
-        if chain.degrees() and chain.degrees()[-1] > DEGREE_CAP:
-            raise DegreeCapError(
-                f"degree {chain.degrees()[-1]} exceeds the cap {DEGREE_CAP}")
-        listed = [(r, r.tolist(), c) for r, c in chain.blocks.values()]
-        need = {False: set(),
-                True: {k for _, lr, _ in listed for row in lr for k in row[1:]}}
-        need[first_slot_d] |= {row[0] for _, lr, _ in listed for row in lr}
-        forms = {}
-        for bracketed, entries in need.items():
-            ops = [None] * len(chain.table)
-            code = np.zeros(len(chain.table), dtype=np.intp)
-            for k in entries:
-                ops[k] = self._operator(chain.table[k], bracketed)
-                code[k] = PARITY_CODE[parity_of(ops[k], self.triple.space)]
-            forms[bracketed] = ops, code
-        (head_ops, head_code), (slot_ops, slot_code) = forms[first_slot_d], forms[True]
-        for rows, listed_rows, coeffs in listed:
-            codes = slot_code[rows]
-            codes[:, 0] = head_code[rows[:, 0]]
-            vanish = (codes.max(axis=1) < 2) & (codes.sum(axis=1) % 2 == 1)
-            for row, coeff, zero in zip(listed_rows, coeffs.tolist(), vanish.tolist()):
-                yield coeff, None if zero else \
-                    [head_ops[row[0]]] + [slot_ops[k] for k in row[1:]]
+    def _prepared_terms(self, chain: Chain, heads):
+        """Per degree block of a normalized chain, ascending, and per head
+        form in heads (False: a0, True: [D, a0]), yield (form, coeffs, slots,
+        vanish): slots (T, n + 1, d, d) bracketed after the head, and the
+        terms that vanish by parity (no slot mixed, odd count of odd slots)."""
+        if (top := max(chain.blocks, default=0)) > DEGREE_CAP:
+            raise DegreeCapError(f"degree {top} exceeds the cap {DEGREE_CAP}")
+        ops = self._forms(chain.table)
+        codes = parity_codes(ops, self.triple.space)
+        for rows, coeffs in chain.blocks.values():
+            for form in heads:
+                half = np.minimum(np.arange(rows.shape[1]), 1) | form
+                c = codes[half, rows]
+                vanish = (c.max(1) < 2) & (c.sum(1) % 2 == 1)
+                yield form, coeffs, ops[half, rows], vanish
 
     # ---------------------------------------------------------------- exact
     def _first_block_row(self, slots) -> np.ndarray:
@@ -142,15 +128,16 @@ class JLOEvaluator:
     def integrand(self, factors, t, first_slot_d: bool = False) -> complex:
         """Supertraced heat string at one fixed simplex point."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.size and (t[0] < 0.0 or t[-1] > 1.0):
-            raise SimplexOrderError("coordinates must lie in [0, 1]")
+        if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails both
+            raise SimplexOrderError("coordinates must be finite, in [0, 1]")
         if np.any(np.diff(t) < 0.0):
             raise SimplexOrderError("coordinates must be non-decreasing")
         if len(factors) - 1 > DEGREE_CAP:
             raise DegreeCapError(
                 f"degree {len(factors) - 1} exceeds the cap {DEGREE_CAP}")
-        ops = [self._operator(factors[0], first_slot_d)] + \
-            [self._operator(f, True) for f in factors[1:]]
+        plain, ops = self._forms(factors)
+        if not first_slot_d:
+            ops[0] = plain[0]
         if t.size != len(ops) - 1:
             raise ValueError("simplex dimension must equal the chain degree")
         gaps = np.diff(np.concatenate([[0.0], t, [1.0]]))
@@ -171,8 +158,6 @@ class JLOEvaluator:
         if n == 0:
             val = complex(np.sum(np.diagonal(mats[0]) * np.exp(-w)))
             return val, 0.0
-        if samples < 1:
-            raise ValueError("need at least one sample")
         d = w.size
         inv_fact = 1.0 / math.factorial(n)
         chunk = max(16, 1_000_000 // (d * d))
@@ -200,28 +185,35 @@ class JLOEvaluator:
         return mean * inv_fact, se
 
     # ------------------------------------------------------------ chain API
+    def _cochains(self, chain: Chain, heads) -> dict:
+        """{form: cochain value} per head form, from one preparation."""
+        totals = dict.fromkeys(heads, 0.0 + 0.0j)
+        chain = chain.normalized()
+        for form, coeffs, slots, vanish in self._prepared_terms(chain, heads):
+            for k in np.flatnonzero(~vanish).tolist():
+                totals[form] += complex(coeffs[k]) * self.term_exact(slots[k])
+        return totals
+
     def cochain(self, chain: Chain, first_slot_d: bool = False) -> complex:
-        total = 0.0 + 0.0j
-        for coeff, ops in self._prepared_terms(chain, first_slot_d):
-            if ops is not None:
-                total += coeff * self.term_exact(ops)
-        return total
+        return self._cochains(chain, (first_slot_d,))[first_slot_d]
 
     def cochain_mc(self, chain: Chain, samples: int, rng,
                    first_slot_d: bool = False):
         """(estimate, standard error); independent sample streams per term,
-        errors combined in quadrature."""
-        seeds = rng.integers(0, 2 ** 63 - 1,
-                             size=max(chain.normalized().num_terms, 1))
-        total = 0.0 + 0.0j
-        var = 0.0
-        for (coeff, ops), seed in zip(
-                self._prepared_terms(chain, first_slot_d), seeds):
-            if ops is not None:
-                sub = np.random.default_rng(int(seed))
-                est, se = self.term_mc(ops, samples, sub)
-                total += coeff * est
-                var += (abs(coeff) * se) ** 2
+        one seed per normalized term, errors combined in quadrature."""
+        if isinstance(samples, bool) or not isinstance(
+                samples, numbers.Integral) or samples < 1:
+            raise ValueError("samples must be a positive integer")
+        chain = chain.normalized()
+        seeds = iter(rng.integers(2 ** 63 - 1, size=max(chain.num_terms, 1)).tolist())
+        total, var = 0.0 + 0.0j, 0.0
+        for _, coeffs, slots, vanish in self._prepared_terms(chain, (first_slot_d,)):
+            for coeff, ops, zero, seed in zip(
+                    coeffs.tolist(), slots, vanish.tolist(), seeds):
+                if not zero:
+                    est, se = self.term_mc(ops, samples, np.random.default_rng(seed))
+                    total += coeff * est
+                    var += (abs(coeff) * se) ** 2
         return total, math.sqrt(var)
 
 
@@ -270,7 +262,8 @@ def perturbed_cochain(triple: SpectralTripleFD, chain: Chain,
     ev = JLOEvaluator(triple)
     if via_delta:
         return ev.cochain(chain) + ev.cochain(delta_perturbation(triple, chain))
-    return ev.cochain(chain) + INV_SQRT2 * ev.cochain(chain, first_slot_d=True)
+    value = ev._cochains(chain, (False, True))
+    return value[False] + INV_SQRT2 * value[True]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "opnorm",
+    "parity_codes",
     "parity_of",
     "supertrace",
 ]
@@ -119,18 +120,24 @@ def supertrace(x, gamma) -> complex:
     return complex(np.sum(g * np.diagonal(a)))
 
 
-def parity_of(m, space_or_gamma) -> Parity:
-    """Classify a matrix as even, odd, or mixed for a grading given as a
-    GradedSpace or its diagonal."""
-    a = as_matrix(m)
+def parity_codes(stack, space_or_gamma) -> np.ndarray:
+    """Parity codes of a (..., d, d) stack for a grading g (a GradedSpace or its
+    diagonal): 0 even, 1 odd, 2 mixed.  a is even when |g a g - a|, twice its
+    odd blocks' norm, is <= PARITY_TOL max(1, |a|); odd likewise for g a g + a."""
+    a = np.asarray(stack, dtype=np.complex128)
     g = _gamma_diag_of(space_or_gamma)
-    conj = g[:, None] * a * g[None, :]
-    scale = max(1.0, frob(a))
-    if frob(conj - a) <= PARITY_TOL * scale:
-        return Parity.EVEN
-    if frob(conj + a) <= PARITY_TOL * scale:
-        return Parity.ODD
-    return Parity.MIXED
+    if a.shape[-2:] != (g.size, g.size):
+        raise ValueError("grading and matrix dimensions disagree")
+    split = np.not_equal.outer(g, g).ravel()
+    sq = np.abs(a.reshape(*a.shape[:-2], g.size ** 2)) ** 2
+    odd, even = sq @ split, sq @ ~split
+    tol = (PARITY_TOL / 2) ** 2 * np.maximum(1.0, odd + even)
+    return (odd > tol) * (1 + (even > tol))
+
+
+def parity_of(m, space_or_gamma) -> Parity:
+    """Classify one matrix as even, odd, or mixed (see parity_codes)."""
+    return tuple(Parity)[parity_codes(as_matrix(m), space_or_gamma)]
 
 
 def hermitian_eigen(m, tol: float = DEFAULT_TOL):

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from jlolab.chains import Chain, ElementaryChain, connes_B
+from jlolab.chains import (
+    Chain,
+    ElementaryChain,
+    connes_B,
+    hochschild_b,
+    shuffle_product,
+)
 from jlolab.jlo import (
+    INV_SQRT2,
     DegreeCapError,
     JLOEvaluator,
     SimplexOrderError,
@@ -14,14 +21,14 @@ from jlolab.jlo import (
     jlo_integrand,
     perturbed_cochain,
 )
-from jlolab.linalg import GradedSpace, _freeze
+from jlolab.linalg import GradedSpace, Parity, _freeze, parity_of
 from jlolab.randomgen import (
     random_chain,
     random_even,
     random_odd_hermitian,
     random_triple,
 )
-from jlolab.spectral import SpectralTripleFD, commutator_d
+from jlolab.spectral import SpectralTripleFD, commutator_d, product_triple
 
 from eigensum_oracle import cochain_eigensum, divided_diff_exp
 
@@ -154,6 +161,40 @@ def test_integrand_at_simplex_points():
             jlo_integrand(t, (a0, a1, a1)[:len(bad) + 1], bad)
 
 
+def test_integrand_head_forms_match_heat_strings():
+    # the head is a0 or [D, a0] and every later slot [D, a_k], on a plain
+    # triple and on a product with a basis map; a degree of even total
+    # parity, so no value is zero by parity
+    rng = np.random.default_rng(19)
+    t1, t2 = random_triple(rng, 2, 1), random_triple(rng, 1, 1)
+    evens = [np.kron(random_even(rng, t1.space), random_even(rng, t2.space))
+             for _ in range(3)]
+    for t, mats in ((t1, [random_even(rng, t1.space) for _ in range(3)]),
+                    (product_triple(t1, t2), evens)):
+        r = [t.represent(a) for a in mats]
+        br = [t.dirac @ x - x @ t.dirac for x in r]
+        for first_slot_d, ops, pts in ((False, [r[0], br[1], br[2]], (0.2, 0.7)),
+                                       (True, [br[0], br[1]], (0.4,))):
+            gaps = np.diff([0.0, *pts, 1.0])
+            want = ops[0] @ t.heat(gaps[0])
+            for op, u in zip(ops[1:], gaps[1:]):
+                want = want @ op @ t.heat(u)
+            want = t.supertrace(want)
+            got = JLOEvaluator(t).integrand(mats[:len(ops)], pts, first_slot_d)
+            assert abs(want) > 1e-3
+            assert got == pytest.approx(want, abs=1e-13)
+
+
+def test_integrand_rejects_non_finite_coordinates():
+    rng = np.random.default_rng(16)
+    t = random_triple(rng, 1, 1)
+    a = random_even(rng, t.space)
+    for bad in [(math.nan, 0.5), (0.2, math.nan), (math.nan,), (math.inf,),
+                (-math.inf, 0.5), (0.5, math.inf)]:
+        with pytest.raises(SimplexOrderError):
+            jlo_integrand(t, (a,) * (len(bad) + 1), bad)
+
+
 def test_integrand_requires_matching_degree():
     rng = np.random.default_rng(7)
     t = random_triple(rng, 1, 1)
@@ -178,6 +219,22 @@ def test_monte_carlo_brackets_exact_value():
     est, se = jlo_cochain_mc(t, chain, 40_000, rng)
     assert se > 0
     assert abs(exact - est) < 4 * se
+
+
+def test_monte_carlo_rejects_bad_sample_counts_at_every_degree():
+    rng = np.random.default_rng(17)
+    t = random_triple(rng, 2, 1)
+    for degrees in ((0,), (1, 2)):
+        chain = random_chain(rng, t.space, degrees)
+        for bad in (0, -3, 2.5, 3.0, True, "10", None):
+            gen = np.random.default_rng(0)
+            state = gen.bit_generator.state
+            with pytest.raises(ValueError):
+                jlo_cochain_mc(t, chain, bad, gen)
+            # rejected before any work: no seed was drawn
+            assert gen.bit_generator.state == state
+        assert jlo_cochain_mc(t, chain, np.int64(50), np.random.default_rng(1)) \
+            == jlo_cochain_mc(t, chain, 50, np.random.default_rng(1))
 
 
 def test_monte_carlo_degree_zero_is_exact():
@@ -250,3 +307,64 @@ def test_shared_factor_objects_match_per_term_copies():
     src += 1.0
     assert not np.shares_memory(chain.table, src)
     assert jlo_cochain(t, chain) == before
+
+
+def _per_entry_cochain(ev, chain, first_slot_d=False):
+    """The cochain as the former per-entry loop computed it: each factor
+    represented and bracketed alone, classified by parity_of, and each term
+    whose supertrace does not vanish by parity evaluated by term_exact."""
+    t = ev.triple
+    code = {Parity.EVEN: 0, Parity.ODD: 1, Parity.MIXED: 2}
+
+    def operator(f, bracketed):
+        r = t.represent(f)
+        return t.dirac @ r - r @ t.dirac if bracketed else r
+
+    total = 0.0 + 0.0j
+    for term in chain.normalized().terms:
+        ops = [operator(term.factors[0], first_slot_d)] + \
+            [operator(f, True) for f in term.factors[1:]]
+        codes = [code[parity_of(op, t.space)] for op in ops]
+        if max(codes) < 2 and sum(codes) % 2 == 1:
+            continue
+        total += term.coeff * ev.term_exact(ops)
+    return total
+
+
+def _mixed_chain(rng, space, degrees):
+    """One term per degree with even factors and one with a mixed slot."""
+    mixed = random_even(rng, space) + random_odd_hermitian(rng, space)
+    return random_chain(rng, space, degrees) + sum(
+        (Chain.elementary(0.5, (random_even(rng, space),) + (mixed,) * n)
+         for n in degrees), Chain.zero(space.dim))
+
+
+def test_stacked_preparation_matches_per_entry_loop():
+    rng = np.random.default_rng(18)
+    t21, t11 = random_triple(rng, 2, 1), random_triple(rng, 1, 1)
+    product = product_triple(t21, t11)
+    assert product.basis_map is not None
+    flat = SpectralTripleFD(GradedSpace(2, 1), np.zeros((3, 3)),
+                            (random_even(rng, GradedSpace(2, 1)),))
+    pairs = shuffle_product(random_chain(rng, t21.space, (0, 1, 2)),
+                            random_chain(rng, t11.space, (0, 1)))
+    boundary = hochschild_b(random_chain(rng, t21.space, (1, 2, 3, 4)))
+    used = np.unique(np.concatenate([r.ravel() for r, _ in boundary.blocks.values()]))
+    assert len(used) < len(boundary.table)
+    vanishing = _mixed_chain(rng, t21.space, (0, 1, 2, 3))
+    odd_head = Chain.elementary(1.5, (random_odd_hermitian(rng, t21.space),))
+    cases = [(product, pairs), (flat, random_chain(rng, flat.space, (0, 1, 2, 3))),
+             (flat, vanishing), (t21, boundary), (t21, vanishing),
+             (t21, random_chain(rng, t21.space, (0,)) + odd_head)]
+    skipped = 0
+    for t, chain in cases:
+        ev = JLOEvaluator(t)
+        for first_slot_d in (False, True):
+            want = _per_entry_cochain(ev, chain, first_slot_d)
+            got = ev.cochain(chain, first_slot_d)
+            assert abs(got - want) <= 1e-13 * (1 + abs(want))
+            skipped += sum(int(v.sum()) for *_, v in ev._prepared_terms(
+                chain.normalized(), (first_slot_d,)))
+        assert perturbed_cochain(t, chain) == \
+            ev.cochain(chain) + INV_SQRT2 * ev.cochain(chain, True)
+    assert skipped > 0

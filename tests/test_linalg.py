@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jlolab.linalg import (
+    PARITY_TOL,
     GradedSpace,
     NonHermitianError,
     Parity,
@@ -12,6 +13,7 @@ from jlolab.linalg import (
     matrix_from_json,
     matrix_to_json,
     opnorm,
+    parity_codes,
     parity_of,
     supertrace,
 )
@@ -61,6 +63,33 @@ def test_parity_classification():
     assert parity_of(np.diag([2.0, 3.0]), s) is Parity.EVEN
     assert parity_of(np.array([[0, 1], [1j, 0]]), s) is Parity.ODD
     assert parity_of(np.array([[1, 1], [0, 0]]), s) is Parity.MIXED
+
+
+def test_parity_codes_match_parity_of_entry_for_entry():
+    # parity_of is the one-matrix case of parity_codes; a stack must give
+    # each matrix the code parity_of gives it alone, on both sides of the
+    # threshold PARITY_TOL * max(1, |m|) and for norms below and above 1
+    rng = np.random.default_rng(3)
+    s = GradedSpace(2, 3)
+    g = s.gamma_diag
+    x = _rand(rng, s.dim)
+    even = (x + g[:, None] * x * g[None, :]) / 2
+    odd = x - even
+    mats, want = [np.zeros((s.dim, s.dim)), x], [0, 2]
+    for norm in (0.3, 7.0):
+        e, o = even * norm / frob(even), odd * norm / frob(odd)
+        mats += [e, o, e + o]
+        want += [0, 1, 2]
+        for part, off, code in ((e, odd, 0), (o, even, 1)):
+            # |conj -/+ m| is 2 |off part|, compared with PARITY_TOL * scale
+            for factor, code_at in ((1 - 1e-3, code), (1 + 1e-3, 2)):
+                size = factor * PARITY_TOL * max(1.0, norm) / 2
+                mats.append(part + off * size / frob(off))
+                want.append(code_at)
+    codes = parity_codes(np.array(mats, dtype=np.complex128), s)
+    assert codes.tolist() == want
+    assert [tuple(Parity).index(parity_of(m, s)) for m in mats] == want
+    assert parity_codes(np.array(mats), s.gamma_diag).tolist() == want
 
 
 def test_hermitian_eigen_reconstructs_and_sorts():

@@ -51,9 +51,11 @@ def _per_degree_pairing(triple, idem):
     term_exact call per degree on its normalized, parity-masked terms,
     summed under index_pairing's truncation rule."""
     ev = JLOEvaluator(ampliate(triple, idem.blocks))
-    chern = _chern_character(idem.matrix)
-    terms = dict(zip(chern.normalized().degrees(),
-                     ev._prepared_terms(chern, False)))
+    terms = {}
+    # the character has one term per degree
+    for _, (coeff,), (ops,), (zero,) in ev._prepared_terms(
+            _chern_character(idem.matrix).normalized(), (False,)):
+        terms[len(ops) - 1] = coeff, None if zero else ops
     acc = 0.0 + 0.0j
     for n in range(DEGREE_CAP // 2 + 1):
         coeff, ops = terms.get(2 * n, (0.0, None))
