@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .jlo import NonConvergentError, NonIntegerIndexError, index_pairing
+from .linalg import _integer
 from .shuffles import (
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
@@ -48,12 +49,6 @@ MAX_DEGREE_LIMIT = 4
 MAX_SPACE_DIM = 16
 DECOMPOSE_DEGREE_LIMIT = 6
 DECOMPOSE_REGION_BUDGET = 2_000_000
-
-
-def _integer(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -172,10 +167,10 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _index_lines(label, triple, idem):
-    """Compute both sides for one (triple, idempotent) pair."""
-    rep = index_pairing(triple, idem)
-    fred = index_of_pair(triple, idem)
+def _index_lines(label, amp, e):
+    """Compute both sides for one checked (ampliated triple, e) pair."""
+    rep = index_pairing(amp, e)
+    fred = index_of_pair(amp, e)
     diff = abs(rep.value - fred)
     print(f"{label}:")
     print(f"  character pairing : {rep.value.real:+.9f}"
@@ -183,7 +178,7 @@ def _index_lines(label, triple, idem):
           f" last term {rep.last_term_magnitude:.2e})")
     print(f"  fredholm index    : {fred:+d}")
     print(f"  difference        : {diff:.3e}")
-    return rep, fred, diff
+    return fred, diff
 
 
 def cmd_index(triple_path, idem_path, times_paths) -> int:
@@ -194,49 +189,44 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
     try:
         t1 = triple_from_json(_load_json(triple_path))
         e1 = idempotent_from_json(_load_json(idem_path))
-        factors = [("factor 1", t1, e1)]
+        pairs = [validate_idempotent(t1, e1)]
         if times_paths:
             t2 = triple_from_json(_load_json(times_paths[0]))
             if len(times_paths) == 2:
                 e2 = idempotent_from_json(_load_json(times_paths[1]))
             else:
                 e2 = Idempotent(np.eye(t2.hilbert_dim))
-            factors.append(("factor 2", t2, e2))
-        for _, t, e in factors:
-            validate_idempotent(t, e)
+            pairs.append(validate_idempotent(t2, e2))
+            if e1.blocks == 1 and e2.blocks == 1:
+                pairs.append(validate_idempotent(
+                    product_triple(t1, t2),
+                    Idempotent(np.kron(e1.matrix, e2.matrix))))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     ok = True
-    results = []
+    freds = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
         try:
-            for label, t, e in factors:
-                rep, fred, diff = _index_lines(label, t, e)
-                results.append((rep, fred))
+            for label, pair in zip(("factor 1", "factor 2", "product"), pairs):
+                fred, diff = _index_lines(label, *pair)
+                freds.append(fred)
                 ok = ok and diff <= INDEX_INTEGER_TOL
-            if len(factors) == 2:
-                (_, t1, e1), (_, t2, e2) = factors
-                if e1.blocks == 1 and e2.blocks == 1:
-                    prod = product_triple(t1, t2)
-                    e12 = Idempotent(np.kron(e1.matrix, e2.matrix))
-                    _, fred12, diff12 = _index_lines("product", prod, e12)
-                    expected = results[0][1] * results[1][1]
-                    print(f"  product law       : {fred12:+d} vs "
-                          f"{results[0][1]:+d} * {results[1][1]:+d}"
-                          f" = {expected:+d}")
-                    ok = ok and diff12 <= INDEX_INTEGER_TOL \
-                        and fred12 == expected
-                else:
-                    print("product law skipped: matrix-amplified idempotents")
         except (NonConvergentError, NonIntegerIndexError) as exc:
             print(f"check failed: {exc}", file=sys.stderr)
             return 1
         except (ValueError, ArithmeticError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    if len(freds) == 3:
+        expected = freds[0] * freds[1]
+        print(f"  product law       : {freds[2]:+d} vs "
+              f"{freds[0]:+d} * {freds[1]:+d} = {expected:+d}")
+        ok = ok and freds[2] == expected
+    elif times_paths:
+        print("product law skipped: matrix-amplified idempotents")
     return 0 if ok else 1
 
 

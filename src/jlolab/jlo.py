@@ -29,8 +29,8 @@ from scipy.linalg import expm
 from .chains import Chain, _scalar_entries, br_operation, shuffle_product
 from .linalg import parity_codes
 from .shuffles import sample_simplex_batch
-from .spectral import INDEX_INTEGER_TOL, Idempotent, NonIntegerIndexError, \
-    SpectralTripleFD, ampliate, commutator_d, product_triple
+from .spectral import INDEX_INTEGER_TOL, NonIntegerIndexError, \
+    SpectralTripleFD, commutator_d, product_triple
 
 __all__ = [
     "DEGREE_CAP",
@@ -274,8 +274,9 @@ class PairingReport:
     integer: int = None
 
 
-def index_pairing(triple: SpectralTripleFD, idem: Idempotent) -> PairingReport:
-    """Pair the idempotent character against the triple's cochain.
+def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:
+    """Pair the idempotent character against the triple's cochain, for a
+    pair (amp, e) checked by spectral.validate_idempotent.
 
     The character is (e) plus (-1)^n (2n)!/n! (e - 1/2, e, ..., e) in
     degree 2n; its slots are all [D, e], so one first block row holds every
@@ -284,12 +285,9 @@ def index_pairing(triple: SpectralTripleFD, idem: Idempotent) -> PairingReport:
     truncation threshold relative to the sum, which must then sit within
     INDEX_INTEGER_TOL of an integer.
     """
-    amp = ampliate(triple, idem.blocks)
-    if idem.matrix.shape[0] != amp.hilbert_dim:
-        raise ValueError("idempotent size disagrees with the ampliated triple")
-    d, e = amp.hilbert_dim, amp.represent(idem.matrix)
+    d = amp.hilbert_dim
     terms = [amp.supertrace(e @ amp.heat(1.0))]
-    if _scalar_entries(idem.matrix[None])[0]:
+    if _scalar_entries(e[None])[0]:
         terms.append(0.0 + 0.0j)
     else:
         row = JLOEvaluator(amp)._first_block_row(

@@ -8,6 +8,7 @@ diag(+1, ..., +1, -1, ..., -1) with the even block first.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +66,13 @@ def _freeze(m) -> np.ndarray:
     a = as_matrix(m).copy()
     a.setflags(write=False)
     return a
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; bools and non-integral values are a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer")
+    return int(value)
 
 
 def frob(m) -> float:
@@ -168,12 +176,12 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = (_integer(obj[k], k) for k in ("rows", "cols"))
         data = obj["data"]
+        if rows < 0 or cols < 0 or len(data) != rows * cols:
+            raise ValueError("matrix data length disagrees with declared shape")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if rows < 0 or cols < 0 or len(data) != rows * cols:
-        raise ValueError("matrix data length disagrees with declared shape")
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     except (TypeError, ValueError) as exc:

@@ -25,6 +25,7 @@ from .linalg import (
     Parity,
     ParityError,
     _freeze,
+    _integer,
     as_matrix,
     hermitian_eigen,
     matrix_from_json,
@@ -308,7 +309,6 @@ def ampliate(triple: SpectralTripleFD, k: int) -> SpectralTripleFD:
         return triple
     if k < 1:
         raise ValueError("ampliation factor must be >= 1")
-    d = triple.hilbert_dim
     ik = np.eye(k, dtype=np.complex128)
     space = GradedSpace(triple.space.dim_even * k, triple.space.dim_odd * k)
     dirac = np.kron(triple.dirac, ik)
@@ -319,8 +319,9 @@ def ampliate(triple: SpectralTripleFD, k: int) -> SpectralTripleFD:
 
 
 def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
-    """(ampliated triple, e as its operator); a ValueError unless e fits that
-    triple and is self-adjoint, idempotent (to IDEMPOTENT_TOL) and even."""
+    """The checked pair (amp, e) every index route takes: the triple ampliated
+    by idem.blocks and idem as its operator; a ValueError unless e fits amp
+    and is self-adjoint, idempotent (to IDEMPOTENT_TOL) and even."""
     amp = ampliate(triple, idem.blocks)
     if idem.matrix.shape[0] != amp.hilbert_dim:
         raise ValueError("idempotent size disagrees with the ampliated triple")
@@ -335,15 +336,14 @@ def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
     return amp, e
 
 
-def compress_by_idempotent(triple: SpectralTripleFD,
-                           idem: Idempotent) -> SpectralTripleFD:
-    """Restrict e D e to the range of a self-adjoint even idempotent e.
+def compress_by_idempotent(amp: SpectralTripleFD, e) -> SpectralTripleFD:
+    """Restrict e D e to the range of e, for a pair checked by
+    validate_idempotent.
 
     The range basis is assembled per parity block, so the compressed triple
-    inherits a clean grading; its Dirac is the compressed operator and its
-    generators are the compressed images of the ampliated originals.
+    inherits a clean grading; its Dirac and generators are the compressed
+    images of amp's.
     """
-    amp, e = validate_idempotent(triple, idem)
     de = amp.space.dim_even
     we, ve = hermitian_eigen(e[:de, :de], tol=10 * IDEMPOTENT_TOL)
     wo, vo = hermitian_eigen(e[de:, de:], tol=10 * IDEMPOTENT_TOL)
@@ -358,12 +358,15 @@ def compress_by_idempotent(triple: SpectralTripleFD,
     dirac = 0.5 * (dirac + dirac.conj().T)
     gens = tuple(v.conj().T @ g @ v for g in amp.generators)
     return SpectralTripleFD(space, dirac, gens,
-                            label=triple.label and f"e({triple.label})e")
+                            label=amp.label and f"e({amp.label})e")
 
 
-def index_of_pair(triple: SpectralTripleFD, idem: Idempotent) -> int:
-    """Fredholm index of the idempotent-compressed Dirac operator."""
-    return mckean_singer_index(compress_by_idempotent(triple, idem))
+def index_of_pair(amp: SpectralTripleFD, e) -> int:
+    """Fredholm index of the compressed Dirac operator of a checked pair
+    (amp, e); 0 when e has rank 0 and the compression is empty."""
+    if np.trace(e).real < 0.5:
+        return 0
+    return mckean_singer_index(compress_by_idempotent(amp, e))
 
 
 def triple_to_json(triple: SpectralTripleFD) -> dict:
@@ -382,10 +385,13 @@ def triple_from_json(obj) -> SpectralTripleFD:
     """Rebuild a triple from its wire form and check its structure with
     validate_triple; every rejection is a ValueError."""
     try:
-        space = GradedSpace(int(obj["dim_even"]), int(obj["dim_odd"]))
+        space = GradedSpace(_integer(obj["dim_even"], "dim_even"),
+                            _integer(obj["dim_odd"], "dim_odd"))
         dirac = matrix_from_json(obj["dirac"])
         gens = [matrix_from_json(g) for g in obj["generators"]]
         bm = obj.get("basis_map")
+        if bm is not None:
+            bm = [_integer(i, "basis_map entries") for i in bm]
         label = str(obj.get("label", ""))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed triple object: {exc}") from exc
@@ -401,6 +407,6 @@ def idempotent_to_json(idem: Idempotent) -> dict:
 def idempotent_from_json(obj) -> Idempotent:
     try:
         return Idempotent(matrix_from_json(obj["matrix"]),
-                          blocks=int(obj.get("blocks", 1)))
+                          blocks=_integer(obj.get("blocks", 1), "blocks"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed idempotent object: {exc}") from exc

@@ -40,6 +40,7 @@ from .spectral import (
     index_of_pair,
     kernel_projection,
     product_triple,
+    validate_idempotent,
 )
 
 __all__ = [
@@ -285,7 +286,7 @@ def curated_index_pairs():
     open21 = SpectralTripleFD(GradedSpace(2, 1), d21, (np.eye(3),),
                               label="open kernel 2|1")
 
-    pairs = [
+    return [
         ("flat rank-1 even projection", flat11, Idempotent(e_even), 1),
         ("flat full unit on 1|1", flat11, Idempotent(np.eye(2)), 0),
         ("flat full unit on 2|1", flat21, Idempotent(np.eye(3)), 1),
@@ -301,26 +302,20 @@ def curated_index_pairs():
         ("product of two kicks", product_triple(kicked(0.1), kicked(0.1)),
          Idempotent(np.kron(e_even, e_even)), 1),
     ]
-    return pairs
 
 
 def index_product_checks():
     """Integer multiplicativity of the index over curated factor pairs."""
     base = curated_index_pairs()
-    picks = [(0, 4), (2, 0), (5, 7), (3, 1)]
     rows = []
-    for i, j in picks:
-        name1, t1, e1, exp1 = base[i]
-        name2, t2, e2, exp2 = base[j]
-        if e1.blocks != 1 or e2.blocks != 1:
-            continue
-        prod = product_triple(t1, t2)
+    for i, j in [(0, 4), (2, 0), (5, 7), (3, 1)]:
+        (name1, t1, e1, _), (name2, t2, e2, _) = base[i], base[j]
         e12 = Idempotent(np.kron(e1.matrix, e2.matrix))
+        pairs = ((t1, e1), (t2, e2), (product_triple(t1, t2), e12))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SpectralGapWarning)
-            i1 = index_of_pair(t1, e1)
-            i2 = index_of_pair(t2, e2)
-            i12 = index_of_pair(prod, e12)
+            i1, i2, i12 = (index_of_pair(*validate_idempotent(t, e))
+                           for t, e in pairs)
         rows.append({
             "factors": (name1, name2),
             "index_product": i1 * i2,
@@ -338,8 +333,9 @@ def trial_index_pairing(rng=None, dim_pairs=None, max_degree=None,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
         for _name, t, e, expected in curated_index_pairs():
-            rep = index_pairing(t, e)
-            fred = index_of_pair(t, e)
+            amp, op = validate_idempotent(t, e)
+            rep = index_pairing(amp, op)
+            fred = index_of_pair(amp, op)
             worst = max(worst,
                         abs(rep.value - expected),
                         float(abs(fred - expected)),

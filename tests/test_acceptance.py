@@ -43,6 +43,7 @@ from jlolab.spectral import (
     index_of_pair,
     kernel_projection,
     product_triple,
+    validate_idempotent,
 )
 from jlolab.suites import curated_index_pairs, index_product_checks
 
@@ -171,8 +172,9 @@ def test_criterion_5_index_pairing_and_multiplicativity():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
         for _name, t, e, expected in pairs:
-            rep = index_pairing(t, e)
-            fred = index_of_pair(t, e)
+            amp, op = validate_idempotent(t, e)
+            rep = index_pairing(amp, op)
+            fred = index_of_pair(amp, op)
             worst_gap = max(worst_gap, abs(rep.value - rep.integer))
             ok = ok and rep.integer == expected == fred
 

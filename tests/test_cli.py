@@ -200,6 +200,61 @@ def test_index_tilted_idempotent_exits_two(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_index_non_integer_fields_exit_two(tmp_path, capsys):
+    tp, ep = _write_pair(tmp_path)
+    triple, idem = (json.loads((tmp_path / name).read_text())
+                    for name in ("t.json", "e.json"))
+    bad = tmp_path / "bad.json"
+    for path, obj in ((tp, dict(triple, dim_even=1.5)),
+                      (tp, dict(triple, dim_odd=True)),
+                      (ep, dict(idem, blocks=1.0)),
+                      (ep, dict(idem, matrix=dict(idem["matrix"], rows="2")))):
+        bad.write_text(json.dumps(obj))
+        argv = [str(bad), ep] if path == tp else [tp, str(bad)]
+        assert main(["index"] + argv) == 2
+        captured = capsys.readouterr()
+        assert "must be an integer" in captured.err
+        assert captured.out == ""
+
+
+def test_index_zero_idempotent_is_zero_both_ways(tmp_path, capsys):
+    # rank 0: the compression is empty and both sides read +0, as the first
+    # factor and as the second
+    tp, ep = _write_pair(tmp_path)
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(idempotent_to_json(
+        Idempotent(np.zeros((2, 2))))))
+    assert main(["index", tp, str(zero)]) == 0
+    out = capsys.readouterr().out
+    assert "character pairing : +0.000000000" in out
+    assert "fredholm index    : +0" in out
+    assert main(["index", tp, ep, "--times", tp, str(zero)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("fredholm index    : +0") == 2
+    assert out.count("character pairing : +0.000000000") == 2
+    assert "+0 vs +1 * +0 = +0" in out
+
+
+def test_index_validates_each_pair_once(tmp_path, monkeypatch, capsys):
+    # one check per factor and one for the product, and no index route
+    # behind them checks again
+    from jlolab import cli, spectral
+
+    tp, ep = _write_pair(tmp_path)
+    calls = []
+    check = spectral.validate_idempotent
+
+    def counted(triple, idem):
+        calls.append(idem.blocks)
+        return check(triple, idem)
+
+    monkeypatch.setattr(cli, "validate_idempotent", counted)
+    monkeypatch.setattr(spectral, "validate_idempotent", counted)
+    assert main(["index", tp, ep, "--times", tp, ep]) == 0
+    assert "product law" in capsys.readouterr().out
+    assert len(calls) == 3
+
+
 def test_index_kick_beyond_degree_cap_exits_one(tmp_path, capsys):
     tp, ep = _write_pair(tmp_path, scale=1.0)
     code = main(["index", tp, ep])

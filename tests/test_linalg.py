@@ -127,6 +127,7 @@ def test_matrix_json_round_trip():
     {"rows": 1, "cols": 1, "data": "nope"},
     {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]},
     {"rows": 1, "cols": 1, "data": [[0.0, float("inf")]]},
+    {"rows": 1, "cols": 1, "data": 5},
 ])
 def test_matrix_json_rejects_malformed(bad):
     with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from jlolab.spectral import (
     ampliate,
     index_of_pair,
     product_triple,
+    validate_idempotent,
 )
 from jlolab.suites import curated_index_pairs, index_product_checks
 
@@ -33,6 +34,10 @@ E_ODD = np.diag([0.0, 1.0]).astype(np.complex128)
 
 def _kick(s):
     return SpectralTripleFD(GradedSpace(1, 1), s * X, (np.eye(2),))
+
+
+def _pairing(triple, idem):
+    return index_pairing(*validate_idempotent(triple, idem))
 
 
 def _chern_character(matrix):
@@ -93,7 +98,7 @@ def _oracle_cases():
 def test_pairing_matches_per_degree_route():
     for label, t, e in _oracle_cases():
         value, degree, last = _per_degree_pairing(t, e)
-        rep = index_pairing(t, e)
+        rep = _pairing(t, e)
         assert abs(rep.value - value) <= 1e-12 * (1.0 + abs(value)), label
         assert rep.truncation_degree == degree, label
 
@@ -108,7 +113,7 @@ def test_scalar_idempotent_stops_at_degree_two_with_zero_term():
                             + 1j * rng.standard_normal((d, d)))
         for e in (Idempotent(np.eye(d)), Idempotent(np.zeros((d, d))),
                   Idempotent(q @ q.conj().T)):
-            rep = index_pairing(t, e)
+            rep = _pairing(t, e)
             value, degree, last = _per_degree_pairing(t, e)
             assert rep.truncation_degree == degree == 2
             assert rep.last_term_magnitude == last == 0.0
@@ -116,7 +121,7 @@ def test_scalar_idempotent_stops_at_degree_two_with_zero_term():
 
 
 def test_both_routes_reject_a_kick_beyond_the_degree_cap():
-    for route in (index_pairing, _per_degree_pairing):
+    for route in (_pairing, _per_degree_pairing):
         with pytest.raises(NonConvergentError):
             route(_kick(1.0), Idempotent(E_EVEN))
 
@@ -134,7 +139,7 @@ def test_chern_chain_structure():
 
 def test_kick_family_pairs_to_plus_one():
     for s in (0.05, 0.10, 0.15):
-        rep = index_pairing(_kick(s), Idempotent(E_EVEN))
+        rep = _pairing(_kick(s), Idempotent(E_EVEN))
         assert rep.integer == 1
         assert rep.value.real == pytest.approx(1.0, abs=1e-3)
         assert rep.value.imag == pytest.approx(0.0, abs=1e-12)
@@ -143,7 +148,7 @@ def test_kick_family_pairs_to_plus_one():
 def test_kick_family_partial_sums_match_exponential_series():
     # degree-2n component contributes exp(-s^2) (s^2)^n / n!
     s = 0.12
-    rep = index_pairing(_kick(s), Idempotent(E_EVEN))
+    rep = _pairing(_kick(s), Idempotent(E_EVEN))
     nmax = rep.truncation_degree // 2
     want = math.exp(-s * s) * sum(
         (s * s) ** n / math.factorial(n) for n in range(nmax + 1))
@@ -151,16 +156,17 @@ def test_kick_family_partial_sums_match_exponential_series():
 
 
 def test_odd_projection_pairs_to_minus_one():
-    rep = index_pairing(_kick(0.12), Idempotent(E_ODD))
+    rep = _pairing(_kick(0.12), Idempotent(E_ODD))
     assert rep.integer == -1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
-        assert index_of_pair(_kick(0.12), Idempotent(E_ODD)) == -1
+        pair = validate_idempotent(_kick(0.12), Idempotent(E_ODD))
+        assert index_of_pair(*pair) == -1
 
 
 def test_large_dirac_fails_to_converge_within_degree_cap():
     with pytest.raises(NonConvergentError):
-        index_pairing(_kick(1.0), Idempotent(E_EVEN))
+        _pairing(_kick(1.0), Idempotent(E_EVEN))
 
 
 def test_parity_mixed_projection_is_caught_as_non_integer():
@@ -168,12 +174,14 @@ def test_parity_mixed_projection_is_caught_as_non_integer():
     c, sn = math.cos(th), math.sin(th)
     tilted = np.array([[c * c, c * sn], [c * sn, sn * sn]],
                       dtype=np.complex128)
+    # validate_idempotent rejects it as not even; unchecked, the pairing
+    # still refuses the non-integer value
     with pytest.raises(NonIntegerIndexError):
-        index_pairing(_kick(0.1), Idempotent(tilted))
+        index_pairing(_kick(0.1), tilted)
 
 
 def test_pairing_report_fields_are_coherent():
-    rep = index_pairing(_kick(0.1), Idempotent(E_EVEN))
+    rep = _pairing(_kick(0.1), Idempotent(E_EVEN))
     assert rep.truncation_degree % 2 == 0
     assert rep.truncation_degree <= 12
     assert rep.last_term_magnitude < 1e-10
@@ -182,14 +190,14 @@ def test_pairing_report_fields_are_coherent():
 
 def test_pairing_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        index_pairing(_kick(0.1), Idempotent(np.eye(3)))
+        validate_idempotent(_kick(0.1), Idempotent(np.eye(3)))
 
 
 def test_amplified_idempotent_keeps_the_index():
     flat = SpectralTripleFD(GradedSpace(1, 1), np.zeros((2, 2)),
                             (np.eye(2),))
     amp = Idempotent(np.kron(E_EVEN, np.diag([1.0, 0.0])), blocks=2)
-    rep = index_pairing(flat, amp)
+    rep = _pairing(flat, amp)
     assert rep.integer == 1
 
 
@@ -199,8 +207,9 @@ def test_curated_catalog_is_large_and_consistent():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
         for name, t, e, expected in pairs:
-            rep = index_pairing(t, e)
-            fred = index_of_pair(t, e)
+            amp, op = validate_idempotent(t, e)
+            rep = index_pairing(amp, op)
+            fred = index_of_pair(amp, op)
             assert rep.integer == expected, name
             assert fred == expected, name
             assert abs(rep.value - expected) <= 0.01, name
@@ -217,7 +226,7 @@ def test_index_product_checks_multiply_exactly():
 def test_product_of_kicks_pairs_to_one():
     t = product_triple(_kick(0.1), _kick(0.1))
     e = Idempotent(np.kron(E_EVEN, E_EVEN))
-    rep = index_pairing(t, e)
+    rep = _pairing(t, e)
     assert rep.integer == 1
     # degree-0 sanity on the product: the character's degree-0 term (e)
     # pairs to the heat supertrace

@@ -69,3 +69,47 @@ def test_idempotent_round_trip_with_blocks():
     assert np.array_equal(back.matrix, e.matrix)
     with pytest.raises(ValueError):
         idempotent_from_json({"blocks": 1})
+
+
+def _with(obj, path, value):
+    """Deep copy of a wire object with the entry at path replaced."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    inner = obj
+    for key in head:
+        inner = inner[key]
+    inner[last] = value
+    return obj
+
+
+_TRIPLE = triple_to_json(product_triple(
+    random_triple(np.random.default_rng(3), 1, 1),
+    random_triple(np.random.default_rng(4), 1, 1)))
+_IDEM = idempotent_to_json(Idempotent(np.eye(4), blocks=2))
+
+
+@pytest.mark.parametrize("load, obj, path, bad", [
+    (idempotent_from_json, _IDEM, ("blocks",), 2.9),
+    (idempotent_from_json, _IDEM, ("blocks",), True),
+    (idempotent_from_json, _IDEM, ("blocks",), "2"),
+    (idempotent_from_json, _IDEM, ("matrix", "rows"), "4"),
+    (idempotent_from_json, _IDEM, ("matrix", "cols"), 4.0),
+    (triple_from_json, _TRIPLE, ("dim_even",), 2.5),
+    (triple_from_json, _TRIPLE, ("dim_odd",), True),
+    (triple_from_json, _TRIPLE, ("basis_map", 1), 1.0),
+    (triple_from_json, _TRIPLE, ("dirac", "rows"), "4"),
+    (matrix_from_json, matrix_to_json(np.eye(2)), ("rows",), "2"),
+    (matrix_from_json, matrix_to_json(np.eye(2)), ("cols",), 2.0),
+])
+def test_json_integer_fields_reject_non_integers(load, obj, path, bad):
+    load(obj)
+    with pytest.raises(ValueError, match="must be an integer"):
+        load(_with(obj, path, bad))
+
+
+def test_json_integer_fields_accept_numpy_integers():
+    back = idempotent_from_json(dict(_IDEM, blocks=np.int64(2)))
+    assert back.blocks == 2 and type(back.blocks) is int
+    obj = dict(_TRIPLE, dim_even=np.int32(2), dim_odd=np.int64(2),
+               basis_map=np.array(_TRIPLE["basis_map"]))
+    assert triple_from_json(obj).space == triple_from_json(_TRIPLE).space

@@ -25,6 +25,7 @@ from jlolab.spectral import (
     kernel_projection,
     mckean_singer_index,
     product_triple,
+    validate_idempotent,
     validate_triple,
 )
 
@@ -205,7 +206,8 @@ def test_ampliate_scales_everything_but_index():
 def test_compress_by_identity_preserves_heat_supertrace():
     rng = np.random.default_rng(9)
     t = random_triple(rng, 2, 2)
-    comp = compress_by_idempotent(t, Idempotent(np.eye(4)))
+    comp = compress_by_idempotent(*validate_idempotent(t,
+                                                       Idempotent(np.eye(4))))
     assert comp.hilbert_dim == 4
     for time in (0.5, 1.5):
         assert abs(comp.supertrace(comp.heat(time))
@@ -216,7 +218,7 @@ def test_compress_by_projection_counts_ranks():
     rng = np.random.default_rng(10)
     t = _flat(2, 2)
     e = random_even_projection(rng, t.space, rank_even=1, rank_odd=1)
-    comp = compress_by_idempotent(t, Idempotent(e))
+    comp = compress_by_idempotent(*validate_idempotent(t, Idempotent(e)))
     assert (comp.space.dim_even, comp.space.dim_odd) == (1, 1)
     assert mckean_singer_index(comp) == 0
 
@@ -224,19 +226,30 @@ def test_compress_by_projection_counts_ranks():
 def test_compress_rejects_bad_idempotents():
     t = _flat(1, 1)
     with pytest.raises(NotIdempotentError):
-        compress_by_idempotent(t, Idempotent(0.5 * np.eye(2)))
+        validate_idempotent(t, Idempotent(0.5 * np.eye(2)))
     skew = np.array([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotSelfAdjointError):
-        compress_by_idempotent(t, Idempotent(skew))
+        validate_idempotent(t, Idempotent(skew))
     mixed = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ParityError):
-        compress_by_idempotent(t, Idempotent(mixed))
+        validate_idempotent(t, Idempotent(mixed))
+
+
+def _index(t, e):
+    return index_of_pair(*validate_idempotent(t, e))
 
 
 def test_index_of_pair_flat_cases():
-    assert index_of_pair(_flat(1, 1), Idempotent(np.diag([1.0, 0.0]))) == 1
-    assert index_of_pair(_flat(1, 1), Idempotent(np.eye(2))) == 0
-    assert index_of_pair(_flat(2, 1), Idempotent(np.eye(3))) == 1
+    assert _index(_flat(1, 1), Idempotent(np.diag([1.0, 0.0]))) == 1
+    assert _index(_flat(1, 1), Idempotent(np.eye(2))) == 0
+    assert _index(_flat(2, 1), Idempotent(np.eye(3))) == 1
+
+
+def test_index_of_pair_zero_idempotent_is_zero():
+    for t in (_flat(1, 1), _flat(2, 1)):
+        d = t.hilbert_dim
+        assert _index(t, Idempotent(np.zeros((d, d)))) == 0
+        assert _index(t, Idempotent(np.zeros((2 * d, 2 * d)), blocks=2)) == 0
 
 
 def test_index_multiplicative_on_product():
@@ -249,9 +262,9 @@ def test_index_multiplicative_on_product():
     e12 = Idempotent(np.kron(e1.matrix, e2.matrix))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
-        i1 = index_of_pair(t1, e1)
-        i2 = index_of_pair(t2, e2)
-        i12 = index_of_pair(prod, e12)
+        i1 = _index(t1, e1)
+        i2 = _index(t2, e2)
+        i12 = _index(prod, e12)
     assert i12 == i1 * i2 == 1
 
 
