@@ -275,8 +275,9 @@ class PairingReport:
 
 
 def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:
-    """Pair the idempotent character against the triple's cochain, for a
-    pair (amp, e) checked by spectral.validate_idempotent.
+    """Pair the idempotent character against the triple's cochain, for the
+    ampliated triple amp and operator e of a pair checked by
+    spectral.validate_idempotent.
 
     The character is (e) plus (-1)^n (2n)!/n! (e - 1/2, e, ..., e) in
     degree 2n; its slots are all [D, e], so one first block row holds every

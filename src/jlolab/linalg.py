@@ -148,17 +148,17 @@ def parity_of(m, space_or_gamma) -> Parity:
     return tuple(Parity)[parity_codes(as_matrix(m), space_or_gamma)]
 
 
-def hermitian_eigen(m, tol: float = DEFAULT_TOL):
+def hermitian_eigen(m):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Returns (w, u) with m reconstructed by u @ diag(w) @ u^*.  Raises
-    NonHermitianError when the anti-Hermitian part exceeds tol relative to
-    the matrix norm.
+    NonHermitianError when the anti-Hermitian part exceeds DEFAULT_TOL
+    relative to the matrix norm.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if frob(a - a.conj().T) > tol * frob(a):
+    if frob(a - a.conj().T) > DEFAULT_TOL * frob(a):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
     return w, u

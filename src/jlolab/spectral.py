@@ -2,8 +2,9 @@
 
 A triple bundles a graded Hilbert space, an odd Hermitian Dirac operator,
 and a list of even generators for the acting algebra.  The module builds
-graded tensor products, ampliations, and compressions by idempotents, and
-computes the supersymmetric index through the kernel projection.
+graded tensor products and ampliations, checks idempotents against a
+triple, and computes the supersymmetric index and the Fredholm index of
+e D e on range(e) through the kernel projection.
 
 Operators live in two bases.  The canonical basis lists even vectors
 before odd ones, so the grading is diag(+1, ..., -1, ...).  The algebra
@@ -27,10 +28,12 @@ from .linalg import (
     _freeze,
     _integer,
     as_matrix,
+    frob,
     hermitian_eigen,
     matrix_from_json,
     matrix_to_json,
     opnorm,
+    parity_codes,
     parity_of,
     supertrace,
 )
@@ -45,7 +48,6 @@ __all__ = [
     "TripleDiagnostics",
     "ampliate",
     "commutator_d",
-    "compress_by_idempotent",
     "diagnose",
     "idempotent_from_json",
     "idempotent_to_json",
@@ -265,16 +267,20 @@ def kernel_projection(h) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def mckean_singer_index(triple: SpectralTripleFD) -> int:
-    """Supertrace of the kernel projection of the Dirac operator."""
-    p = kernel_projection(triple.dirac)
-    s = triple.supertrace(p)
+def _rounded_index(s: complex) -> int:
+    """The integer a kernel supertrace s stands for; NonIntegerIndexError
+    unless s sits within INDEX_INTEGER_TOL of it."""
     r = round(s.real)
     if abs(s - r) > INDEX_INTEGER_TOL:
         raise NonIntegerIndexError(
             f"kernel supertrace {s:.6g} is not within {INDEX_INTEGER_TOL} "
             "of an integer")
     return int(r)
+
+
+def mckean_singer_index(triple: SpectralTripleFD) -> int:
+    """Supertrace of the kernel projection of the Dirac operator."""
+    return _rounded_index(triple.supertrace(kernel_projection(triple.dirac)))
 
 
 @dataclass(frozen=True)
@@ -319,54 +325,43 @@ def ampliate(triple: SpectralTripleFD, k: int) -> SpectralTripleFD:
 
 
 def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
-    """The checked pair (amp, e) every index route takes: the triple ampliated
-    by idem.blocks and idem as its operator; a ValueError unless e fits amp
-    and is self-adjoint, idempotent (to IDEMPOTENT_TOL) and even."""
+    """The checked pair every index route takes, as (amp, e, basis): the
+    triple ampliated by idem.blocks, idem as its operator e, and orthonormal
+    columns spanning range(e).  A ValueError unless e fits amp and is
+    self-adjoint, idempotent (to IDEMPOTENT_TOL) and even.
+
+    One eigendecomposition h = v diag(w) v^* of the Hermitian part of e
+    gives all of it.  With k = e - h, sigma = |k|_F and nu = max |w|,
+    |e - e^*| <= 2 sigma and |e^2 - e| <= max |w^2 - w| + (2 nu + 1) sigma
+    + sigma^2 in operator norm, and nu <= |e|; so each check below is at
+    least as strict as the operator-norm check it bounds.
+    """
     amp = ampliate(triple, idem.blocks)
     if idem.matrix.shape[0] != amp.hilbert_dim:
         raise ValueError("idempotent size disagrees with the ampliated triple")
     e = amp.represent(idem.matrix)
-    scale = max(1.0, opnorm(e))
-    if opnorm(e - e.conj().T) > IDEMPOTENT_TOL * scale:
+    w, v = np.linalg.eigh(0.5 * (e + e.conj().T))
+    sigma = 0.5 * frob(e - e.conj().T)
+    nu = float(np.max(np.abs(w)))
+    tol = IDEMPOTENT_TOL * max(1.0, nu)
+    if 2 * sigma > tol:
         raise NotSelfAdjointError("idempotent is not self-adjoint within tolerance")
-    if opnorm(e @ e - e) > IDEMPOTENT_TOL * scale:
+    if np.max(np.abs(w * w - w)) + (2 * nu + 1) * sigma + sigma ** 2 > tol:
         raise NotIdempotentError("matrix is not idempotent within tolerance")
-    if parity_of(e, amp.space) is not Parity.EVEN:
+    if parity_codes(e, amp.space) != 0:
         raise ParityError("idempotent must be even with respect to the grading")
-    return amp, e
+    return amp, e, v[:, w > 0.5]
 
 
-def compress_by_idempotent(amp: SpectralTripleFD, e) -> SpectralTripleFD:
-    """Restrict e D e to the range of e, for a pair checked by
-    validate_idempotent.
-
-    The range basis is assembled per parity block, so the compressed triple
-    inherits a clean grading; its Dirac and generators are the compressed
-    images of amp's.
-    """
-    de = amp.space.dim_even
-    we, ve = hermitian_eigen(e[:de, :de], tol=10 * IDEMPOTENT_TOL)
-    wo, vo = hermitian_eigen(e[de:, de:], tol=10 * IDEMPOTENT_TOL)
-    re = int(np.count_nonzero(we > 0.5))
-    ro = int(np.count_nonzero(wo > 0.5))
-    v = np.zeros((amp.hilbert_dim, re + ro), dtype=np.complex128)
-    v[:de, :re] = ve[:, we > 0.5]
-    v[de:, re:] = vo[:, wo > 0.5]
-
-    space = GradedSpace(re, ro)
-    dirac = v.conj().T @ amp.dirac @ v
-    dirac = 0.5 * (dirac + dirac.conj().T)
-    gens = tuple(v.conj().T @ g @ v for g in amp.generators)
-    return SpectralTripleFD(space, dirac, gens,
-                            label=amp.label and f"e({amp.label})e")
-
-
-def index_of_pair(amp: SpectralTripleFD, e) -> int:
-    """Fredholm index of the compressed Dirac operator of a checked pair
-    (amp, e); 0 when e has rank 0 and the compression is empty."""
-    if np.trace(e).real < 0.5:
-        return 0
-    return mckean_singer_index(compress_by_idempotent(amp, e))
+def index_of_pair(amp: SpectralTripleFD, basis) -> int:
+    """Fredholm index of e D e on range(e), for a pair checked by
+    validate_idempotent: the rounded tr(B^* gamma B K) with B = basis and K
+    the kernel projection of B^* D B.  The trace is the same for every
+    orthonormal basis of the range, and it is 0 when e has rank 0."""
+    dirac = basis.conj().T @ amp.dirac @ basis
+    k = kernel_projection(0.5 * (dirac + dirac.conj().T))
+    grading = basis.conj().T @ (amp.space.gamma_diag[:, None] * basis)
+    return _rounded_index(np.trace(grading @ k))
 
 
 def triple_to_json(triple: SpectralTripleFD) -> dict:

@@ -314,8 +314,9 @@ def index_product_checks():
         pairs = ((t1, e1), (t2, e2), (product_triple(t1, t2), e12))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SpectralGapWarning)
-            i1, i2, i12 = (index_of_pair(*validate_idempotent(t, e))
-                           for t, e in pairs)
+            checked = (validate_idempotent(t, e) for t, e in pairs)
+            i1, i2, i12 = (index_of_pair(amp, basis)
+                           for amp, _, basis in checked)
         rows.append({
             "factors": (name1, name2),
             "index_product": i1 * i2,
@@ -333,9 +334,9 @@ def trial_index_pairing(rng=None, dim_pairs=None, max_degree=None,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
         for _name, t, e, expected in curated_index_pairs():
-            amp, op = validate_idempotent(t, e)
+            amp, op, basis = validate_idempotent(t, e)
             rep = index_pairing(amp, op)
-            fred = index_of_pair(amp, op)
+            fred = index_of_pair(amp, basis)
             worst = max(worst,
                         abs(rep.value - expected),
                         float(abs(fred - expected)),

@@ -172,9 +172,9 @@ def test_criterion_5_index_pairing_and_multiplicativity():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
         for _name, t, e, expected in pairs:
-            amp, op = validate_idempotent(t, e)
+            amp, op, basis = validate_idempotent(t, e)
             rep = index_pairing(amp, op)
-            fred = index_of_pair(amp, op)
+            fred = index_of_pair(amp, basis)
             worst_gap = max(worst_gap, abs(rep.value - rep.integer))
             ok = ok and rep.integer == expected == fred
 

@@ -235,6 +235,19 @@ def test_index_zero_idempotent_is_zero_both_ways(tmp_path, capsys):
     assert "+0 vs +1 * +0 = +0" in out
 
 
+def test_index_near_zero_imaginary_block_reads_plus_one(tmp_path, capsys):
+    # diag(1, 1e-12j) passes the idempotent checks; its range is the even
+    # line of the flat 1|1 triple, so both sides read +1
+    tp, _ = _write_pair(tmp_path, scale=0.0)
+    ep = tmp_path / "noisy.json"
+    ep.write_text(json.dumps(idempotent_to_json(
+        Idempotent(np.diag([1.0, 1e-12j])))))
+    assert main(["index", tp, str(ep)]) == 0
+    out = capsys.readouterr().out
+    assert "character pairing : +1.000000000" in out
+    assert "fredholm index    : +1" in out
+
+
 def test_index_validates_each_pair_once(tmp_path, monkeypatch, capsys):
     # one check per factor and one for the product, and no index route
     # behind them checks again

@@ -37,7 +37,8 @@ def _kick(s):
 
 
 def _pairing(triple, idem):
-    return index_pairing(*validate_idempotent(triple, idem))
+    amp, e, _ = validate_idempotent(triple, idem)
+    return index_pairing(amp, e)
 
 
 def _chern_character(matrix):
@@ -160,8 +161,8 @@ def test_odd_projection_pairs_to_minus_one():
     assert rep.integer == -1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
-        pair = validate_idempotent(_kick(0.12), Idempotent(E_ODD))
-        assert index_of_pair(*pair) == -1
+        amp, _, basis = validate_idempotent(_kick(0.12), Idempotent(E_ODD))
+        assert index_of_pair(amp, basis) == -1
 
 
 def test_large_dirac_fails_to_converge_within_degree_cap():
@@ -207,9 +208,9 @@ def test_curated_catalog_is_large_and_consistent():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
         for name, t, e, expected in pairs:
-            amp, op = validate_idempotent(t, e)
+            amp, op, basis = validate_idempotent(t, e)
             rep = index_pairing(amp, op)
-            fred = index_of_pair(amp, op)
+            fred = index_of_pair(amp, basis)
             assert rep.integer == expected, name
             assert fred == expected, name
             assert abs(rep.value - expected) <= 0.01, name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from jlolab.linalg import GradedSpace, ParityError, opnorm
+from jlolab.linalg import GradedSpace, Parity, ParityError, opnorm, parity_of
 from jlolab.randomgen import (
     random_even,
     random_even_projection,
@@ -12,14 +12,15 @@ from jlolab.randomgen import (
     random_triple,
 )
 from jlolab.spectral import (
+    IDEMPOTENT_TOL,
     Idempotent,
+    NonIntegerIndexError,
     NotIdempotentError,
     NotSelfAdjointError,
     SpectralGapWarning,
     SpectralTripleFD,
     ampliate,
     commutator_d,
-    compress_by_idempotent,
     diagnose,
     index_of_pair,
     kernel_projection,
@@ -203,27 +204,24 @@ def test_ampliate_scales_everything_but_index():
     assert mckean_singer_index(t2) == 2 * mckean_singer_index(t)
 
 
-def test_compress_by_identity_preserves_heat_supertrace():
+def test_identity_basis_spans_the_space_and_keeps_the_index():
     rng = np.random.default_rng(9)
     t = random_triple(rng, 2, 2)
-    comp = compress_by_idempotent(*validate_idempotent(t,
-                                                       Idempotent(np.eye(4))))
-    assert comp.hilbert_dim == 4
-    for time in (0.5, 1.5):
-        assert abs(comp.supertrace(comp.heat(time))
-                   - t.supertrace(t.heat(time))) < 1e-9
+    amp, _, basis = validate_idempotent(t, Idempotent(np.eye(4)))
+    assert basis.shape == (4, 4)
+    assert index_of_pair(amp, basis) == mckean_singer_index(t)
 
 
-def test_compress_by_projection_counts_ranks():
+def test_projection_basis_counts_ranks():
     rng = np.random.default_rng(10)
     t = _flat(2, 2)
     e = random_even_projection(rng, t.space, rank_even=1, rank_odd=1)
-    comp = compress_by_idempotent(*validate_idempotent(t, Idempotent(e)))
-    assert (comp.space.dim_even, comp.space.dim_odd) == (1, 1)
-    assert mckean_singer_index(comp) == 0
+    amp, _, basis = validate_idempotent(t, Idempotent(e))
+    assert basis.shape == (4, 2)
+    assert index_of_pair(amp, basis) == 0
 
 
-def test_compress_rejects_bad_idempotents():
+def test_validate_idempotent_rejects_bad_idempotents():
     t = _flat(1, 1)
     with pytest.raises(NotIdempotentError):
         validate_idempotent(t, Idempotent(0.5 * np.eye(2)))
@@ -233,10 +231,14 @@ def test_compress_rejects_bad_idempotents():
     mixed = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ParityError):
         validate_idempotent(t, Idempotent(mixed))
+    # self-adjoint, mixed and not idempotent: idempotence is checked first
+    with pytest.raises(NotIdempotentError):
+        validate_idempotent(t, Idempotent([[0.3, 0.2], [0.2, 0.1]]))
 
 
 def _index(t, e):
-    return index_of_pair(*validate_idempotent(t, e))
+    amp, _, basis = validate_idempotent(t, e)
+    return index_of_pair(amp, basis)
 
 
 def test_index_of_pair_flat_cases():
@@ -250,6 +252,122 @@ def test_index_of_pair_zero_idempotent_is_zero():
         d = t.hilbert_dim
         assert _index(t, Idempotent(np.zeros((d, d)))) == 0
         assert _index(t, Idempotent(np.zeros((2 * d, 2 * d)), blocks=2)) == 0
+
+
+def test_idempotent_checks_switch_between_half_and_twice_the_tolerance():
+    # an imaginary diagonal defect has equal Frobenius and operator norms,
+    # so |e - e^*| = defect decides alone; a shifted eigenvalue 1 + defect
+    # leaves |e^2 - e| = defect (1 + defect) against tol (1 + defect)
+    t = _flat(1, 1)
+    for defect in (IDEMPOTENT_TOL / 2, 2 * IDEMPOTENT_TOL):
+        adjoint = Idempotent(np.diag([1.0, 0.5j * defect]))
+        shifted = Idempotent(np.diag([1.0 + defect, 0.0]))
+        if defect < IDEMPOTENT_TOL:
+            assert _index(t, adjoint) == _index(t, shifted) == 1
+        else:
+            with pytest.raises(NotSelfAdjointError):
+                validate_idempotent(t, adjoint)
+            with pytest.raises(NotIdempotentError):
+                validate_idempotent(t, shifted)
+
+
+def test_defects_inside_tolerance_can_add_up_to_a_rejection():
+    # eigenvalue 1 + 0.95 tol and |e - e^*| = 0.9 tol each pass alone, but
+    # |e^2 - e| is then about 1.05 tol: both rules reject as not idempotent
+    t = _flat(1, 1)
+    both = Idempotent(np.diag([1.0 + (0.95 + 0.45j) * IDEMPOTENT_TOL, 0.0]))
+    assert _old_rule_index(t, both) is None
+    with pytest.raises(NotIdempotentError):
+        validate_idempotent(t, both)
+
+
+def test_index_of_pair_refuses_an_ungraded_basis():
+    # tr(B^* gamma B) = cos(1) for this unchecked basis of a flat triple
+    basis = np.array([[np.cos(0.5)], [np.sin(0.5)]], dtype=complex)
+    with pytest.raises(NonIntegerIndexError):
+        index_of_pair(_flat(1, 1), basis)
+
+
+def test_index_of_pair_takes_the_hermitian_part_of_the_compression():
+    # D is Hermitian within validate_triple's absolute tolerance but not
+    # within hermitian_eigen's relative one, since D itself is small
+    t = SpectralTripleFD(GradedSpace(1, 1),
+                         1e-3 * X + np.array([[0, 1e-11], [0, 0]]),
+                         (np.eye(2),))
+    validate_triple(t)
+    assert _index(t, Idempotent(np.eye(2))) == 0
+
+
+def test_near_zero_imaginary_block_keeps_its_index():
+    # the odd block of e is 1e-12j: within tolerance of the zero block, so
+    # the range is the even line and the index is +1
+    assert _index(_flat(1, 1), Idempotent(np.diag([1.0, 1e-12j]))) == 1
+
+
+def _old_rule_index(t, idem):
+    """The operator-norm rule one eigendecomposition replaced: three norms
+    and parity_of, then an eigenbasis per parity block; None on rejection."""
+    amp = ampliate(t, idem.blocks)
+    e = amp.represent(idem.matrix)
+    scale = max(1.0, opnorm(e))
+    if (opnorm(e - e.conj().T) > IDEMPOTENT_TOL * scale
+            or opnorm(e @ e - e) > IDEMPOTENT_TOL * scale
+            or parity_of(e, amp.space) is not Parity.EVEN):
+        return None
+    de = amp.space.dim_even
+    cols = []
+    for block in (slice(0, de), slice(de, None)):
+        w, v = np.linalg.eigh(0.5 * (e[block, block] + e[block, block].conj().T))
+        frame = np.zeros((amp.hilbert_dim, int(np.sum(w > 0.5))), complex)
+        frame[block] = v[:, w > 0.5]
+        cols.append(frame)
+    if sum(c.shape[1] for c in cols) == 0:
+        return 0
+    v = np.hstack(cols)
+    d = v.conj().T @ amp.dirac @ v
+    comp = SpectralTripleFD(GradedSpace(*(c.shape[1] for c in cols)),
+                            0.5 * (d + d.conj().T), ())
+    return mckean_singer_index(comp)
+
+
+def _rule_sweep():
+    """(old index or None, new index or None) on seeded even projections,
+    blocks 1-3, perturbed by 1e-10 to 1e-7 in an anti-Hermitian even, a
+    Hermitian even, a mixed even (both at once) and a Hermitian odd
+    direction."""
+    rng = np.random.default_rng(23)
+    out = []
+    for case in range(12):
+        t = random_triple(rng, *rng.integers(1, 3, size=2), dirac_scale=0.3)
+        amp = ampliate(t, 1 + case % 3)
+        s = amp.space
+        base = random_even_projection(rng, s, rng.integers(0, s.dim_even + 1),
+                                      rng.integers(0, s.dim_odd + 1))
+        even = random_even(rng, s, hermitian=True)
+        odd = random_odd_hermitian(rng, s)
+        for direction in (1j * even, even, (1 + 1j) * even, odd):
+            for size in np.logspace(-10, -7, 7):
+                m = base + size / opnorm(direction) * direction
+                idem = Idempotent(amp.unrepresent(m), blocks=1 + case % 3)
+                try:
+                    new = _index(t, idem)
+                except ValueError:
+                    new = None
+                out.append((_old_rule_index(t, idem), new))
+    return out
+
+
+def test_eigendecomposition_rule_is_no_looser_than_operator_norms():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralGapWarning)
+        sweep = _rule_sweep()
+    assert len(sweep) == 336
+    for old, new in sweep:
+        if new is not None:
+            assert old == new
+    # the sweep reaches both sides of both rules
+    assert {old is None for old, _ in sweep} == {True, False}
+    assert {new is None for _, new in sweep} == {True, False}
 
 
 def test_index_multiplicative_on_product():
