@@ -18,7 +18,6 @@ import os
 import sys
 import time
 import warnings
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .jlo import NonConvergentError, NonIntegerIndexError, index_pairing
 from .linalg import _integer
 from .shuffles import (
+    cyclic_shuffle_peak_rows,
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
     sample_simplex_batch,
@@ -48,7 +48,7 @@ __all__ = ["RunConfig", "main"]
 MAX_DEGREE_LIMIT = 4
 MAX_SPACE_DIM = 16
 DECOMPOSE_DEGREE_LIMIT = 6
-DECOMPOSE_REGION_BUDGET = 2_000_000
+DECOMPOSE_ROW_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -234,15 +234,19 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
 
 # ----------------------------------------------------------------- decompose
 
-def _print_volume_stats(counter, n_located, n_regions, samples, skipped):
-    # per-region hit statistics against the uniform-volume prediction
+def _print_volume_stats(counts, samples, skipped):
+    # per-region hit statistics against the uniform-volume prediction;
+    # counts[k] is the number of samples located in region k
+    n_regions = len(counts)
+    n_located = int(counts.sum())
     expected = 1.0 / n_regions
     rows = []
-    for key in sorted(counter):
-        frac = counter[key] / n_located
+    for key in np.flatnonzero(counts).tolist():
+        hits = int(counts[key])
+        frac = hits / n_located
         se = math.sqrt(expected * (1.0 - expected) / n_located)
         z = (frac - expected) / se if se else 0.0
-        rows.append((key, counter[key], frac, z))
+        rows.append((key, hits, frac, z))
     print(f"  samples: {samples} located, {n_located} used,"
           f" {skipped} tied/skipped")
     print(f"  expected volume fraction per region: {expected:.6f}")
@@ -258,24 +262,33 @@ def _print_volume_stats(counter, n_located, n_regions, samples, skipped):
           f" {max(zs):.2f}" if zs else "  no populated regions")
 
 
+def _row_keys(rows) -> np.ndarray:
+    """One fixed-width byte key per row of an integer array, equal exactly
+    when the rows are equal."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
 def _sample_regions(perms, values) -> int:
     """Locate every row of values in the region of its sorting permutation
     and print the per-region counts, one region per row of the image array
     perms; exact ties are skipped.  Returns 1 when a row falls outside every
-    enumerated region."""
-    keys = {tuple(row): k for k, row in enumerate(perms.tolist())}
+    enumerated region.
+
+    Rows are compared as byte keys: one sort of the region keys, one
+    binary search for all samples, one bincount of the hits."""
     images, tied = sorting_images(values)
-    counter = Counter()
-    strays = 0
-    for row in images[~tied].tolist():
-        key = keys.get(tuple(row))
-        if key is None:
-            strays += 1
-        else:
-            counter[key] += 1
-    used = sum(counter.values())
-    _print_volume_stats(counter, used, len(perms), len(values),
-                        int(np.count_nonzero(tied)))
+    images = images[~tied]
+    keys, found = _row_keys(perms), _row_keys(images)
+    order = np.argsort(keys, kind="stable")
+    # the last region key at or below each sample key (of equal region
+    # rows the last one counts); a sample below every key reads the first
+    at = np.searchsorted(keys[order], found, side="right") - 1
+    region = order[np.maximum(at, 0)]
+    hit = keys[region] == found
+    counts = np.bincount(region[hit], minlength=len(perms))
+    strays = len(images) - int(np.count_nonzero(hit))
+    _print_volume_stats(counts, len(values), int(np.count_nonzero(tied)))
     if strays:
         print(f"  WARNING: {strays} samples fell outside every region",
               file=sys.stderr)
@@ -305,9 +318,10 @@ def decompose_cyclic(degrees, samples: int, rng) -> int:
     n = r + sum(degrees)
     closed = math.factorial(n) // (
         math.factorial(r) * math.prod(math.factorial(p) for p in degrees))
-    if closed > DECOMPOSE_REGION_BUDGET:
-        print(f"error: {closed} regions exceed the enumeration budget",
-              file=sys.stderr)
+    rows = cyclic_shuffle_peak_rows(degrees)
+    if rows > DECOMPOSE_ROW_BUDGET:
+        print(f"error: {closed} regions take {rows} rows to enumerate, over "
+              f"the budget of {DECOMPOSE_ROW_BUDGET}", file=sys.stderr)
         return 2
     perms = enumerate_cyclic_shuffles(degrees)
     print(f"cyclic-shuffle decomposition, {r} blocks of degrees {degrees}")

@@ -8,7 +8,13 @@ the lead elements to land in increasing positions in block order.
 
 A family of either kind is an (N, n) integer image array: row k is one
 permutation of {1, ..., n}, and item j of a sequence lands in slot
-row[j].  permutation_signs gives the signatures of the rows.
+row[j].  permutation_signs gives the signatures of the rows.  Both
+families are built as arrays from the ordered partitions of 1..n into
+blocks, which grow one block at a time: every row at once is extended by
+every subset of its remaining entries through one gather, with no Python
+loop over rows.  A cyclic family then keeps, block by block, the
+rotations whose leads increase; cyclic_shuffle_peak_rows counts the most
+rows it holds on the way, which can exceed the family's own size.
 
 Geometrically, the product of ordered simplices splits, up to measure zero,
 into one region per shuffle; the cyclic variant does the same for products
@@ -20,11 +26,13 @@ points in these regions.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 __all__ = [
     "cyclic_region_locate",
+    "cyclic_shuffle_peak_rows",
     "enumerate_cyclic_shuffles",
     "enumerate_shuffles",
     "is_cyclic_shuffle",
@@ -34,24 +42,39 @@ __all__ = [
 ]
 
 
+def _subsets(m: int, s: int) -> np.ndarray:
+    """The s-subsets of range(m) as rows, in lexicographic order."""
+    return np.array(list(itertools.combinations(range(m), s)), dtype=np.intp)
+
+
 def _ordered_partitions(n: int, sizes) -> np.ndarray:
     """Every split of 1..n into blocks of the given sizes, as rows.
 
     Each row concatenates the blocks, each block increasing; rows are in
-    lexicographic order of (block 1, block 2, ...).
+    lexicographic order of (block 1, block 2, ...).  The array grows block
+    by block: once `done` entries are placed, each row holds its blocks so
+    far and then the m entries left, in increasing order.  The next block
+    extends every row by every s-subset of those entries at once, through
+    one gather of column table `order`: subset k, then what it leaves.
     """
-    def split(positions, block_sizes):
-        if len(block_sizes) == 1:
-            yield positions
-            return
-        for head in itertools.combinations(positions, block_sizes[0]):
-            chosen = set(head)
-            rest = tuple(x for x in positions if x not in chosen)
-            for tail in split(rest, block_sizes[1:]):
-                yield head + tail
-
-    rows = list(split(tuple(range(1, n + 1)), tuple(sizes)))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    rows = np.arange(1, n + 1, dtype=np.int64)[None, :]
+    done = 0
+    for s in sizes[:-1]:
+        m = n - done
+        count = math.comb(m, s)
+        if count > 1:  # else the block is empty or takes every entry left
+            # the least entry where two subsets differ lies in one of them,
+            # and exactly in the other's complement: complements come in
+            # reverse lexicographic order, so subset k leaves the
+            # (count - 1 - k)-th (m - s)-subset
+            order = np.concatenate(
+                [_subsets(m, s), _subsets(m, m - s)[::-1]], axis=1)
+            grown = np.empty((len(rows), count, n), dtype=np.int64)
+            grown[:, :, :done] = rows[:, None, :done]
+            grown[:, :, done:] = rows[:, done:][:, order]
+            rows = grown.reshape(len(rows) * count, n)
+        done += s
+    return rows
 
 
 def permutation_signs(images) -> np.ndarray:
@@ -103,6 +126,25 @@ def enumerate_cyclic_shuffles(block_degrees: tuple) -> np.ndarray:
         source, lead = source[keep], blocks[keep, j, 0]
         off += s
     return images
+
+
+def cyclic_shuffle_peak_rows(block_degrees) -> int:
+    """The most rows enumerate_cyclic_shuffles(block_degrees) holds at once.
+
+    It starts from the n!/prod (p_i + 1)! ordered partitions, n = r + sum
+    p_i.  Once blocks 1..i have their leads, a row is a choice of i
+    increasing leads plus a split of the other n - i entries, so each
+    block multiplies the row count by (p_i + 1)/i, ending at the region
+    count n!/(r! prod p_i!).
+    """
+    ps = tuple(int(p) for p in block_degrees)
+    rows = math.factorial(len(ps) + sum(ps)) // math.prod(
+        math.factorial(p + 1) for p in ps)
+    peak = rows
+    for i, p in enumerate(ps, 1):
+        rows = rows * (p + 1) // i
+        peak = max(peak, rows)
+    return peak
 
 
 def is_cyclic_shuffle(images, block_degrees) -> bool:

@@ -28,6 +28,7 @@ from .linalg import (
     _freeze,
     _integer,
     as_matrix,
+    check_hermitian,
     frob,
     hermitian_eigen,
     matrix_from_json,
@@ -124,8 +125,13 @@ class SpectralTripleFD:
         return self._delta
 
     def delta_eigensystem(self):
+        """Eigensystem of the Hermitian part of Delta = D^2.  The
+        Hermiticity rule is checked on D itself: the anti-Hermitian part
+        of D^2 can be up to 2 ||D|| times that of D."""
         if self._delta_eig is None:
-            self._delta_eig = hermitian_eigen(self.delta)
+            check_hermitian(self.dirac)
+            d = self.delta
+            self._delta_eig = tuple(np.linalg.eigh((d + d.conj().T) / 2.0))
         return self._delta_eig
 
     def heat(self, t: float) -> np.ndarray:
@@ -249,7 +255,8 @@ def product_triple(t1: SpectralTripleFD, t2: SpectralTripleFD,
 
 
 def kernel_projection(h) -> np.ndarray:
-    """Orthogonal projection onto the near-kernel of a Hermitian matrix.
+    """Orthogonal projection onto the near-kernel of a Hermitian matrix
+    (its Hermitian part, under the rule of linalg.check_hermitian).
 
     Eigenvalues with |w| <= eps count as kernel, where the cutoff eps
     scales with the spectral radius.  Eigenvalues in [eps, 10 eps) trigger
@@ -358,8 +365,7 @@ def index_of_pair(amp: SpectralTripleFD, basis) -> int:
     validate_idempotent: the rounded tr(B^* gamma B K) with B = basis and K
     the kernel projection of B^* D B.  The trace is the same for every
     orthonormal basis of the range, and it is 0 when e has rank 0."""
-    dirac = basis.conj().T @ amp.dirac @ basis
-    k = kernel_projection(0.5 * (dirac + dirac.conj().T))
+    k = kernel_projection(basis.conj().T @ amp.dirac @ basis)
     grading = basis.conj().T @ (amp.space.gamma_diag[:, None] * basis)
     return _rounded_index(np.trace(grading @ k))
 

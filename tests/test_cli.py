@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import jlolab
-from jlolab.cli import RunConfig, main
+from jlolab import cli
+from jlolab.cli import RunConfig, _sample_regions, main
 from jlolab.linalg import GradedSpace
 from jlolab.spectral import (
     Idempotent,
@@ -183,6 +184,21 @@ def test_index_malformed_file_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_index_reads_a_small_complex_dirac_that_validation_accepts(
+        tmp_path, capsys):
+    # |D - D^*| = 1e-11 passes validate_triple; the heat kernel and the
+    # kernel projection must read the same D, not refuse it for being small
+    dirac = np.array([[0, 1e-3 + 1e-11j], [1e-3, 0]])
+    t = SpectralTripleFD(GradedSpace(1, 1), dirac, (np.eye(2),))
+    tp, ep = tmp_path / "t.json", tmp_path / "e.json"
+    tp.write_text(json.dumps(triple_to_json(t)))
+    ep.write_text(json.dumps(idempotent_to_json(Idempotent(np.eye(2)))))
+    assert main(["index", str(tp), str(ep)]) == 0
+    out, err = capsys.readouterr()
+    assert "fredholm index    : +0" in out
+    assert err == ""
+
+
 def test_index_tilted_idempotent_exits_two(tmp_path, capsys):
     # a projection that is not even is rejected before any pairing, as the
     # first factor and as the second
@@ -333,6 +349,128 @@ def test_decompose_degree_overflow_exits_two(capsys):
     assert main(["decompose", "--cyclic", "1", "1", "--samples", "-1"]) == 2
     assert capsys.readouterr().err.count(
         "error: --samples must be non-negative") == 2
+
+
+# stdout of the decompose calls perfbench's `algebra` workload makes, plus
+# a cyclic table and a sparse cyclic run, at --seed 7; frozen from the
+# dict-based region lookup that the byte-key search replaced
+DECOMPOSE_STDOUT = {
+    "--shuffle 3 2 --samples 4000": """\
+shuffle decomposition, degrees (3, 2)
+  enumerated regions: 10
+  closed form binomial(5, 3): 10
+  samples: 4000 located, 4000 used, 0 tied/skipped
+  expected volume fraction per region: 0.100000
+    region      hits   fraction       z
+         0       372    0.09300   -1.48
+         1       401    0.10025    0.05
+         2       403    0.10075    0.16
+         3       419    0.10475    1.00
+         4       448    0.11200    2.53
+         5       371    0.09275   -1.53
+         6       413    0.10325    0.69
+         7       409    0.10225    0.47
+         8       386    0.09650   -0.74
+         9       378    0.09450   -1.16
+  max |z| over 10 populated regions: 2.53
+""",
+    "--shuffle 4 4 --samples 4000": """\
+shuffle decomposition, degrees (4, 4)
+  enumerated regions: 70
+  closed form binomial(8, 4): 70
+  samples: 4000 located, 4000 used, 0 tied/skipped
+  expected volume fraction per region: 0.014286
+  max |z| over 70 populated regions: 3.18
+""",
+    "--cyclic 1 2 1 --samples 4000": """\
+cyclic-shuffle decomposition, 3 blocks of degrees (1, 2, 1)
+  enumerated regions: 420
+  closed form 7!/(3!*1!*2!*1!): 420
+  samples: 4000 located, 4000 used, 0 tied/skipped
+  expected volume fraction per region: 0.002381
+  max |z| over 420 populated regions: 2.75
+""",
+    "--cyclic 1 3 --samples 4000": """\
+cyclic-shuffle decomposition, 2 blocks of degrees (1, 3)
+  enumerated regions: 60
+  closed form 6!/(2!*1!*3!): 60
+  samples: 4000 located, 4000 used, 0 tied/skipped
+  expected volume fraction per region: 0.016667
+  max |z| over 60 populated regions: 2.31
+""",
+    "--cyclic 1 1 --samples 4000": """\
+cyclic-shuffle decomposition, 2 blocks of degrees (1, 1)
+  enumerated regions: 12
+  closed form 4!/(2!*1!*1!): 12
+  samples: 4000 located, 4000 used, 0 tied/skipped
+  expected volume fraction per region: 0.083333
+    region      hits   fraction       z
+         0       330    0.08250   -0.19
+         1       343    0.08575    0.55
+         2       342    0.08550    0.50
+         3       353    0.08825    1.13
+         4       294    0.07350   -2.25
+         5       325    0.08125   -0.48
+         6       337    0.08425    0.21
+         7       330    0.08250   -0.19
+         8       328    0.08200   -0.31
+         9       349    0.08725    0.90
+        10       309    0.07725   -1.39
+        11       360    0.09000    1.53
+  max |z| over 12 populated regions: 2.25
+""",
+    "--cyclic 2 1 1 --samples 300": """\
+cyclic-shuffle decomposition, 3 blocks of degrees (2, 1, 1)
+  enumerated regions: 420
+  closed form 7!/(3!*2!*1!*1!): 420
+  samples: 300 located, 300 used, 0 tied/skipped
+  expected volume fraction per region: 0.002381
+  WARNING: 217 regions received no samples
+  max |z| over 203 populated regions: 3.89
+""",
+}
+
+
+@pytest.mark.parametrize("args", sorted(DECOMPOSE_STDOUT))
+def test_decompose_stdout_is_frozen(args, capsys):
+    assert main(["decompose", *args.split(), "--seed", "7"]) == 0
+    out, err = capsys.readouterr()
+    assert out == DECOMPOSE_STDOUT[args]
+    assert err == ""
+
+
+def test_sample_regions_counts_strays_and_ties(capsys):
+    perms = jlolab.enumerate_shuffles(1, 1)
+    # row 0 sorts as (1, 2), row 2 as (2, 1); row 1 is an exact tie
+    values = np.array([[0.1, 0.2], [0.3, 0.3], [0.5, 0.4], [0.2, 0.7]])
+    assert _sample_regions(perms, values) == 0
+    out, err = capsys.readouterr()
+    assert "samples: 4 located, 3 used, 1 tied/skipped" in out
+    assert "         0         2    0.66667" in out
+    assert "         1         1    0.33333" in out
+    assert err == ""
+    # without the row (2, 1), the sample sorted by it falls outside
+    assert _sample_regions(perms[:1], values) == 1
+    out, err = capsys.readouterr()
+    assert "samples: 4 located, 2 used, 1 tied/skipped" in out
+    assert "         0         2    1.00000" in out
+    assert err == "  WARNING: 1 samples fell outside every region\n"
+
+
+def test_decompose_budget_counts_rows_before_enumerating(monkeypatch, capsys):
+    # 665,280 regions fit the budget, but the enumeration would first build
+    # 12!/(2!)^6 = 7,484,400 ordered partitions and keep twice as many rows
+    # after choosing the first lead
+    def refuse(*args):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(cli, "enumerate_cyclic_shuffles", refuse)
+    monkeypatch.setattr(jlolab.shuffles, "_ordered_partitions", refuse)
+    assert main(["decompose", "--cyclic", "1", "1", "1", "1", "1", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: 665280 regions take 14968800 rows to enumerate, "
+                   f"over the budget of {cli.DECOMPOSE_ROW_BUDGET}\n")
 
 
 def test_decompose_requires_exactly_one_mode():

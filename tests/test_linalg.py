@@ -8,6 +8,7 @@ from jlolab.linalg import (
     GradedSpace,
     NonHermitianError,
     Parity,
+    check_hermitian,
     frob,
     hermitian_eigen,
     matrix_from_json,
@@ -104,6 +105,23 @@ def test_hermitian_eigen_reconstructs_and_sorts():
 def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermiticity_rule_is_absolute_below_norm_one_relative_above():
+    # opnorm(m - m^*) <= DEFAULT_TOL * max(1, opnorm(m)); frob(m - m^*) is
+    # 1.8e-10 for the accepted small matrix, only its opnorm counts
+    for scale, defect, ok in [(1e-3, 0.45e-10, True), (1e-3, 1.5e-10, False),
+                              (1e3, 0.45e-7, True), (1e3, 1.5e-7, False)]:
+        m = scale * np.eye(4) + 1j * defect * np.eye(4)
+        if ok:
+            assert check_hermitian(m) is not None
+            w, _ = hermitian_eigen(m)
+            assert np.allclose(w, scale)
+        else:
+            with pytest.raises(NonHermitianError):
+                hermitian_eigen(m)
+    with pytest.raises(ValueError):
+        check_hermitian(np.zeros((1, 2)))
 
 
 def test_norms_on_known_matrix():

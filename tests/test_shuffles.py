@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jlolab import shuffles
 from jlolab.shuffles import (
+    _ordered_partitions,
     cyclic_region_locate,
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
@@ -21,6 +23,87 @@ def _inversion_sign(row):
     inv = sum(1 for i in range(len(row)) for j in range(i + 1, len(row))
               if row[i] > row[j])
     return -1 if inv % 2 else 1
+
+
+def _recursive_partitions(n, sizes):
+    """The recursive construction the array builder replaced: every split
+    of 1..n into increasing blocks, lexicographic in (block 1, block 2, ...)."""
+    def split(positions, block_sizes):
+        if len(block_sizes) == 1:
+            yield positions
+            return
+        for head in itertools.combinations(positions, block_sizes[0]):
+            chosen = set(head)
+            rest = tuple(x for x in positions if x not in chosen)
+            for tail in split(rest, block_sizes[1:]):
+                yield head + tail
+
+    rows = list(split(tuple(range(1, n + 1)), tuple(sizes)))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def _cyclic_by_definition(degrees):
+    """Cyclic shuffles from the recursive partitions, one row at a time:
+    per partition, per rotation tuple (j_1, ..., j_r) in product order,
+    rotation j putting block item (m - j) mod s in block slot m; a row is
+    kept when the block leads increase."""
+    sizes = [p + 1 for p in degrees]
+    out = []
+    for part in _recursive_partitions(sum(sizes), sizes).tolist():
+        blocks, off = [], 0
+        for s in sizes:
+            blocks.append(part[off:off + s])
+            off += s
+        for turns in itertools.product(*(range(s) for s in sizes)):
+            row = [b[(m - j) % len(b)] for b, j in zip(blocks, turns)
+                   for m in range(len(b))]
+            leads = [b[-j % len(b)] for b, j in zip(blocks, turns)]
+            if all(a < b for a, b in zip(leads, leads[1:])):
+                out.append(row)
+    return np.array(out, dtype=np.int64)
+
+
+def _size_tuples(max_blocks, max_total):
+    for r in range(1, max_blocks + 1):
+        for sizes in itertools.product(range(max_total + 1), repeat=r):
+            if sum(sizes) <= max_total:
+                yield sizes
+
+
+def _same_array(got, want):
+    return (np.array_equal(got, want) and got.dtype == want.dtype == np.int64
+            and got.shape == want.shape)
+
+
+def test_ordered_partitions_match_recursive_construction():
+    # every size tuple of at most 4 blocks and n <= 9, blocks of size 0
+    # and n = 0 included: same rows, same order, int64, shape (count, n)
+    for sizes in _size_tuples(4, 9):
+        n = sum(sizes)
+        got = _ordered_partitions(n, sizes)
+        assert _same_array(got, _recursive_partitions(n, sizes)), sizes
+        assert got.shape == (math.factorial(n) // math.prod(
+            math.factorial(s) for s in sizes), n)
+    assert _ordered_partitions(0, (0, 0)).shape == (1, 0)
+
+
+def test_shuffle_enumerations_match_recursive_construction(monkeypatch):
+    for p, q in (t for t in _size_tuples(2, 9) if len(t) == 2):
+        assert _same_array(enumerate_shuffles(p, q),
+                           _recursive_partitions(p + q, (p, q))), (p, q)
+    # degree tuples whose blocks (p_i + 1) fit the same range
+    cyclic = {}
+    for sizes in _size_tuples(4, 9):
+        if min(sizes) > 0:
+            degrees = tuple(s - 1 for s in sizes)
+            cyclic[degrees] = enumerate_cyclic_shuffles(degrees)
+            if sum(sizes) <= 7:
+                assert _same_array(cyclic[degrees],
+                                   _cyclic_by_definition(degrees)), degrees
+    # and built on the recursive partitions, every row in the same place
+    monkeypatch.setattr(shuffles, "_ordered_partitions", _recursive_partitions)
+    for degrees, got in cyclic.items():
+        assert _same_array(got, enumerate_cyclic_shuffles(degrees)), degrees
 
 
 def test_signature_matches_inversion_parity():

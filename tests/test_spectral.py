@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from jlolab.linalg import GradedSpace, Parity, ParityError, opnorm, parity_of
+from jlolab.jlo import index_pairing
+from jlolab.linalg import (
+    GradedSpace,
+    NonHermitianError,
+    Parity,
+    ParityError,
+    hermitian_eigen,
+    opnorm,
+    parity_of,
+)
 from jlolab.randomgen import (
     random_even,
     random_even_projection,
@@ -290,12 +299,47 @@ def test_index_of_pair_refuses_an_ungraded_basis():
 
 def test_index_of_pair_takes_the_hermitian_part_of_the_compression():
     # D is Hermitian within validate_triple's absolute tolerance but not
-    # within hermitian_eigen's relative one, since D itself is small
+    # relative to its own small norm
     t = SpectralTripleFD(GradedSpace(1, 1),
                          1e-3 * X + np.array([[0, 1e-11], [0, 0]]),
                          (np.eye(2),))
     validate_triple(t)
     assert _index(t, Idempotent(np.eye(2))) == 0
+
+
+def test_every_index_route_reads_a_small_dirac_that_validation_accepts():
+    # |D - D^*| = 1e-11 passes validate_triple; so must the kernel
+    # projection, the compression to the range of e and the heat kernel
+    t = SpectralTripleFD(GradedSpace(1, 1),
+                         np.array([[0, 1e-3 + 1e-11j], [1e-3, 0]]),
+                         (np.eye(2),))
+    validate_triple(t)
+    assert mckean_singer_index(t) == 0
+    assert _index(t, Idempotent(np.eye(2))) == 0
+    amp, e, _ = validate_idempotent(t, Idempotent(np.eye(2)))
+    assert index_pairing(amp, e).integer == 0
+
+
+def test_heat_checks_the_dirac_operator_not_its_square():
+    # |D - D^*| = 0.9e-10 with |D| = 1 passes validate_triple, while the
+    # anti-Hermitian part of D^2 is twice that: the rule is read on D
+    t = SpectralTripleFD(GradedSpace(1, 1),
+                         X + np.array([[0, 0.45e-10j], [0.45e-10j, 0]]),
+                         (np.eye(2),))
+    validate_triple(t)
+    with pytest.raises(NonHermitianError):
+        hermitian_eigen(t.delta)
+    assert abs(t.heat(1.0)[0, 0] - np.exp(-1.0)) < 1e-12
+    assert mckean_singer_index(t) == 0
+
+
+def test_heat_refuses_an_anti_hermitian_dirac():
+    # D = iX squares to the Hermitian -1, but D itself is far from Hermitian
+    t = SpectralTripleFD(GradedSpace(1, 1), 1j * X, (np.eye(2),))
+    with pytest.raises(NonHermitianError):
+        t.heat(1.0)
+    with pytest.raises(NonHermitianError):
+        mckean_singer_index(t)
 
 
 def test_near_zero_imaginary_block_keeps_its_index():
