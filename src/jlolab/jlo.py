@@ -2,23 +2,32 @@
 
 The degree-n cochain of factors (a0, ..., an) is the ordered-simplex
 integral of Str(a0 e^{-u0 Delta} [D,a1] e^{-u1 Delta} ... [D,an]
-e^{-un Delta}) over the gap variables u.  Two evaluation routes live here:
-a block matrix exponential that performs the simplex integral in closed
-form (one exponential gives a whole row of blocks, the integral over every
-prefix of the slots), and Monte-Carlo quadrature over sorted uniform times
-(the independent oracle).  Both run over one term loop: it represents,
-brackets and parity-classifies a chain's whole factor table as one stack,
-gathers each degree block's slots with one take, and masks the terms whose
-supertrace vanishes by parity, which no route then evaluates.
+e^{-un Delta}) over the gap variables u.  Both evaluation routes run over
+one term loop: it represents, brackets and parity-classifies a chain's
+whole factor table as one stack, takes it into Delta's eigenbasis once
+(the grading folded into the head), and gathers each degree block's live
+terms with one take; a term whose supertrace vanishes by parity reaches
+no route.
+
+The exact route is the Bromwich integral of the resolvent string: in the
+eigenbasis the degree-n term is Str(A0 (1/2 pi i) int e^z R(z) A1 R(z)
+... An R(z) dz) with R(z) = diag(1/(z + w)), and the trapezoid rule on a
+parabolic contour around (-inf, 0] (Weideman & Trefethen, Math. Comp. 76,
+2007) evaluates it with a node count derived a priori from n (see
+`_contour`).  All live terms of a block and all nodes step at once.
+Monte-Carlo quadrature over sorted uniform times is the independent
+oracle.
 
 The module also carries the contraction variant with [D, a0] in the first
 slot, the perturbed mixed-parity cochain built from it, and the integer
-index pairing, which reads every degree of the idempotent's character from
-one such row.
+index pairing, which still reads every degree of the idempotent's
+character from the first block row of one block matrix exponential.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -52,6 +61,14 @@ __all__ = [
 DEGREE_CAP = 12
 PAIRING_TRUNCATION = 1e-12
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# complex entries (1 MiB) of one (rows, nodes, d, d) stack of the contour kernel
+NODE_STACK_ELEMENTS = 1 << 16
+# quadrature error per term, relative to the largest possible term S / n!
+UNIT_ROUNDOFF = 2.0 ** -53
+# contour shapes tried for each node count M: the rule truncates at
+# X = M h = alpha and the parabola's apex sits at mu = beta M
+_ALPHA = 1.0 + 0.1 * np.arange(31)
+_BETA = 0.05 * np.arange(1, 61)
 
 
 class DegreeCapError(RuntimeError):
@@ -64,6 +81,70 @@ class NonConvergentError(RuntimeError):
 
 class SimplexOrderError(ValueError):
     """Simplex coordinates were not sorted into [0, 1]."""
+
+
+def _log_strip_error(y, mu, h, p):
+    """log of the discretization error over S of the strip whose far edge
+    maps to the parabola mu (y + iu)^2: (mu / pi)(y sqrt(pi / mu) + 1 / mu)
+    e^{mu y^2} (mu y^2)^{-p} / (e^{2 pi |1 - y| / h} - 1)."""
+    q = 2.0 * np.pi * np.abs(1.0 - y) / h
+    return (np.log(mu / np.pi * (y * np.sqrt(np.pi / mu) + 1.0 / mu))
+            + mu * y * y - p * np.log(mu * y * y)
+            - q - np.log(-np.expm1(-q)))
+
+
+@functools.lru_cache(maxsize=None)
+def _contour(n: int):
+    """Nodes z (N,) and weights c (N,), read-only, with
+    (1/2 pi i) int e^z F(z) dz ~ sum_j c_j F(z_j) for the degree-n
+    resolvent strings F(z) = tr(A0 R(z) A1 ... An R(z)), n >= 1.
+
+    The rule is the trapezoid rule in u on the parabola z = mu (1 + iu)^2,
+    u = kh for |k| <= M, so c_k = (h mu / pi)(1 + iu_k) e^{z_k}
+    (Weideman & Trefethen, Math. Comp. 76, 2007).  Since Delta >= 0,
+    |R(z)| = 1 / dist(z, (-inf, 0]), and Hoelder's inequality gives
+    |F(z)| <= S dist(z, (-inf, 0])^{-p}, with p = n + 1 and S the product
+    of the Frobenius norms of the A_k.  For that class the error of the
+    rule is at most S times
+
+        e^{mu (1 - X^2)} (1 + 1/X) / (pi mu^p)          truncation, X = Mh,
+      + sum over y in {c, s} of
+        (mu / pi)(y sqrt(pi / mu) + 1/mu) e^{mu y^2} (mu y^2)^{-p}
+        / (e^{2 pi |1 - y| / h} - 1)                  discretization,
+
+    where the strips of analyticity reach width 1 - c toward the cut and
+    s - 1 away from it (0 < c < 1 < s); c and s are taken at the
+    stationary points mu y^2 -+ (pi / h) y - p = 0 of the exponent.  No
+    term exceeds S / n!, so M is the least count for which some shape
+    h = alpha / M, mu = beta M on the fixed grid brings the bound to
+    UNIT_ROUNDOFF / n!; of those shapes the smallest mu is taken, since
+    rounding adds about UNIT_ROUNDOFF sum_j |c_j F(z_j)|, which grows with
+    e^mu mu^{-p}.  The count depends on n only: 2M + 1 = 39 nodes for
+    n = 1 and 37 for 2 <= n <= DEGREE_CAP.
+    """
+    p = n + 1
+    target = math.log(UNIT_ROUNDOFF / math.factorial(n))
+    beta, alpha = np.meshgrid(_BETA, _ALPHA, indexing="ij")
+    for m in itertools.count(1):
+        h, mu = alpha / m, beta * m
+        q = np.pi / h
+        root = np.sqrt(q * q + 4.0 * mu * p)
+        c = np.clip((root - q) / (2.0 * mu), 1e-3, 1.0 - 1e-3)
+        s = np.maximum((root + q) / (2.0 * mu), 1.0 + 1e-3)
+        bound = np.logaddexp.reduce([
+            mu * (1.0 - alpha ** 2) - p * np.log(mu)
+            + np.log((1.0 + 1.0 / alpha) / np.pi),
+            _log_strip_error(c, mu, h, p), _log_strip_error(s, mu, h, p)])
+        fits = np.flatnonzero(bound <= target)
+        if fits.size:
+            break
+    h, mu = alpha.flat[fits[0]] / m, beta.flat[fits[0]] * m
+    u = h * np.arange(-m, m + 1)
+    z = mu * (1.0 + 1j * u) ** 2
+    weights = (h * mu / np.pi) * (1.0 + 1j * u) * np.exp(z)
+    z.setflags(write=False)
+    weights.setflags(write=False)
+    return z, weights
 
 
 class JLOEvaluator:
@@ -87,19 +168,28 @@ class JLOEvaluator:
 
     def _prepared_terms(self, chain: Chain, heads):
         """Per degree block of a normalized chain, ascending, and per head
-        form in heads (False: a0, True: [D, a0]), yield (form, coeffs, slots,
-        vanish): slots (T, n + 1, d, d) bracketed after the head, and the
-        terms that vanish by parity (no slot mixed, odd count of odd slots)."""
+        form in heads (False: a0, True: [D, a0]), yield (form, coeffs,
+        slots, vanish): vanish marks the terms whose supertrace vanishes by
+        parity (no slot mixed, odd count of odd slots), and slots holds the
+        other terms, (L, n + 1, d, d) in Delta's eigenbasis, bracketed
+        after the head and with the grading folded into the head."""
         if (top := max(chain.blocks, default=0)) > DEGREE_CAP:
             raise DegreeCapError(f"degree {top} exceeds the cap {DEGREE_CAP}")
+        t = self.triple
         ops = self._forms(chain.table)
-        codes = parity_codes(ops, self.triple.space)
+        codes = parity_codes(ops, t.space)
+        _, u = t.delta_eigensystem()
+        g = t.space.gamma_diag[:, None]
+        # graded heads, one row per form in heads, then the brackets
+        eig = u.conj().T @ np.concatenate(
+            [g * ops[np.array(heads, dtype=np.intp)], ops[1:]]) @ u
         for rows, coeffs in chain.blocks.values():
-            for form in heads:
-                half = np.minimum(np.arange(rows.shape[1]), 1) | form
-                c = codes[half, rows]
+            slot = np.minimum(np.arange(rows.shape[1]), 1)
+            for i, form in enumerate(heads):
+                c = codes[slot | form, rows]
                 vanish = (c.max(1) < 2) & (c.sum(1) % 2 == 1)
-                yield form, coeffs, ops[half, rows], vanish
+                where = np.where(slot, len(heads), i)
+                yield form, coeffs, eig[where, rows[~vanish]], vanish
 
     # ---------------------------------------------------------------- exact
     def _first_block_row(self, slots) -> np.ndarray:
@@ -114,15 +204,40 @@ class JLOEvaluator:
         m[k[:-1], :, k[1:]] = slots
         return expm(m.reshape((n + 1) * d, (n + 1) * d))[:d]
 
-    def term_exact(self, ops) -> complex:
-        """Closed-form simplex integral: the head times the last block of
-        the first block row of one block matrix exponential."""
-        t = self.triple
-        n = len(ops) - 1
+    def term_exact(self, slots) -> np.ndarray:
+        """Values of the T terms of a (T, n + 1, d, d) stack in Delta's
+        eigenbasis, head graded, as `_prepared_terms` gives them.
+
+        Degree 0 is sum_i (A0)_ii e^{-w_i}.  Degree n >= 1 is the
+        trapezoid rule of `_contour(n)` for (1/2 pi i) int e^z tr(A0 R(z)
+        A1 ... An R(z)) dz, R(z) = diag(1/(z + w)): every row and every
+        node steps at once, as a (rows, nodes * d, d) stack, with one
+        product per slot and one column scaling by R; the last slot enters
+        through the trace.  A row with a zero slot is exactly 0 and is
+        skipped, and rows go in chunks whose node stack holds at most
+        NODE_STACK_ELEMENTS entries."""
+        w, _ = self.triple.delta_eigensystem()
+        n = slots.shape[1] - 1
         if n == 0:
-            return t.supertrace(ops[0] @ t.heat(1.0))
-        kernel = self._first_block_row(ops[1:])[:, n * t.hilbert_dim:]
-        return t.supertrace(ops[0] @ kernel)
+            return np.einsum("tii,i->t", slots[:, 0], np.exp(-w))
+        z, weights = _contour(n)
+        r = 1.0 / (z[:, None] + w)
+        d = w.size
+        values = np.zeros(len(slots), dtype=np.complex128)
+        live = np.flatnonzero(np.any(slots, axis=(2, 3)).all(1))
+        step = max(1, NODE_STACK_ELEMENTS // (r.size * d))
+        for lo in range(0, live.size, step):
+            rows = live[lo:lo + step]
+            s = slots[rows]
+            cur = s[:, 0, None] * r[:, None, :]
+            for k in range(1, n):
+                cur = (cur.reshape(len(rows), -1, d) @ s[:, k]).reshape(
+                    cur.shape)
+                cur *= r[:, None, :]
+            # tr(X An R) = sum_ab X_ab (An)_ba r_a
+            last = (cur * s[:, n, None].swapaxes(-1, -2)).sum(-1)
+            values[rows] = (last * r).sum(-1) @ weights
+        return values
 
     # ------------------------------------------------------------- pointwise
     def integrand(self, factors, t, first_slot_d: bool = False) -> complex:
@@ -148,15 +263,13 @@ class JLOEvaluator:
 
     # ------------------------------------------------------------------- MC
     def term_mc(self, ops, samples: int, rng):
-        """(estimate, standard error) by sorted-uniform simplex sampling."""
+        """(estimate, standard error) by sorted-uniform simplex sampling, for
+        one term's (n + 1, d, d) stack in Delta's eigenbasis, head graded,
+        as `_prepared_terms` gives it."""
         n = len(ops) - 1
-        # Delta's eigenbasis, with the grading folded into the head
-        w, u = self.triple.delta_eigensystem()
-        uh = u.conj().T
-        g = self.triple.space.gamma_diag
-        mats = [uh @ (g[:, None] * ops[0]) @ u] + [uh @ op @ u for op in ops[1:]]
+        w, _ = self.triple.delta_eigensystem()
         if n == 0:
-            val = complex(np.sum(np.diagonal(mats[0]) * np.exp(-w)))
+            val = complex(np.sum(np.diagonal(ops[0]) * np.exp(-w)))
             return val, 0.0
         d = w.size
         inv_fact = 1.0 / math.factorial(n)
@@ -171,9 +284,9 @@ class JLOEvaluator:
                 [np.zeros((b, 1)), ts, np.ones((b, 1))], axis=1)
             gaps = np.diff(pad, axis=1)
             damp = np.exp(-gaps[:, :, None] * w[None, None, :])
-            cur = mats[0][None, :, :] * damp[:, 0, None, :]
+            cur = ops[0][None, :, :] * damp[:, 0, None, :]
             for k in range(1, n + 1):
-                cur = cur @ mats[k]
+                cur = cur @ ops[k]
                 cur = cur * damp[:, k, None, :]
             vals = np.einsum("bii->b", cur)
             total += complex(vals.sum())
@@ -190,8 +303,8 @@ class JLOEvaluator:
         totals = dict.fromkeys(heads, 0.0 + 0.0j)
         chain = chain.normalized()
         for form, coeffs, slots, vanish in self._prepared_terms(chain, heads):
-            for k in np.flatnonzero(~vanish).tolist():
-                totals[form] += complex(coeffs[k]) * self.term_exact(slots[k])
+            if len(slots):
+                totals[form] += complex(coeffs[~vanish] @ self.term_exact(slots))
         return totals
 
     def cochain(self, chain: Chain, first_slot_d: bool = False) -> complex:
@@ -205,15 +318,16 @@ class JLOEvaluator:
                 samples, numbers.Integral) or samples < 1:
             raise ValueError("samples must be a positive integer")
         chain = chain.normalized()
-        seeds = iter(rng.integers(2 ** 63 - 1, size=max(chain.num_terms, 1)).tolist())
-        total, var = 0.0 + 0.0j, 0.0
+        seeds = rng.integers(2 ** 63 - 1, size=max(chain.num_terms, 1))
+        total, var, at = 0.0 + 0.0j, 0.0, 0
         for _, coeffs, slots, vanish in self._prepared_terms(chain, (first_slot_d,)):
-            for coeff, ops, zero, seed in zip(
-                    coeffs.tolist(), slots, vanish.tolist(), seeds):
-                if not zero:
-                    est, se = self.term_mc(ops, samples, np.random.default_rng(seed))
-                    total += coeff * est
-                    var += (abs(coeff) * se) ** 2
+            live = ~vanish
+            for coeff, ops, seed in zip(coeffs[live].tolist(), slots,
+                                        seeds[at:at + len(live)][live].tolist()):
+                est, se = self.term_mc(ops, samples, np.random.default_rng(seed))
+                total += coeff * est
+                var += (abs(coeff) * se) ** 2
+            at += len(live)
         return total, math.sqrt(var)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jlolab import jlo
 from jlolab.chains import (
     Chain,
     ElementaryChain,
@@ -11,7 +12,9 @@ from jlolab.chains import (
     shuffle_product,
 )
 from jlolab.jlo import (
+    DEGREE_CAP,
     INV_SQRT2,
+    UNIT_ROUNDOFF,
     DegreeCapError,
     JLOEvaluator,
     SimplexOrderError,
@@ -31,6 +34,7 @@ from jlolab.randomgen import (
 from jlolab.spectral import SpectralTripleFD, commutator_d, product_triple
 
 from eigensum_oracle import cochain_eigensum, divided_diff_exp
+from vanloan_oracle import cochain_vanloan, term_vanloan
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -145,6 +149,60 @@ def test_contraction_cochain_vanishes_in_degree_zero():
     t = random_triple(rng, 2, 1)
     a = random_even(rng, t.space)
     assert bch_cochain(t, Chain.elementary(1.0, (a,))) == 0.0
+
+
+def test_contour_matches_block_exponential_oracle():
+    # random, flat (W = 0), paired-spectrum products of identical factors
+    # and wide spectra, one single-term chain per degree through the cap
+    rng = np.random.default_rng(21)
+    t11, t21 = random_triple(rng, 1, 1), random_triple(rng, 2, 1)
+    s21 = GradedSpace(2, 1)
+    flat = SpectralTripleFD(s21, np.zeros((3, 3)), (random_even(rng, s21),))
+    triples = [t21, random_triple(rng, 2, 2), flat, product_triple(t11, t11),
+               product_triple(t21, t21)] + [
+        random_triple(rng, 2, 1, dirac_scale=s) for s in (0.5, 2.0, 6.0)]
+    for t in triples:
+        ev = JLOEvaluator(t)
+        for n in range(DEGREE_CAP + 1):
+            # factors even on the Hilbert space, in the triple's own basis
+            chain = Chain.elementary(complex(*rng.standard_normal(2)), tuple(
+                t.unrepresent(random_even(rng, t.space)) for _ in range(n + 1)))
+            want = {form: cochain_vanloan(t, chain, form)
+                    for form in (False, True)}
+            for form, v in want.items():
+                assert abs(ev.cochain(chain, form) - v) <= 1e-12 * (1 + abs(v))
+            v = want[False] + INV_SQRT2 * want[True]
+            for via_delta in (False, True):
+                got = perturbed_cochain(t, chain, via_delta)
+                assert abs(got - v) <= 1e-12 * (1 + abs(v))
+
+
+def test_node_stack_chunks_give_the_same_rows(monkeypatch):
+    rng = np.random.default_rng(22)
+    t = product_triple(random_triple(rng, 2, 1), random_triple(rng, 1, 1))
+    chain = random_chain(rng, t.space, (4,) * 5).normalized()
+    ev = JLOEvaluator(t)
+    (_, _, slots, _), = ev._prepared_terms(chain, (False,))
+    assert len(slots) == 5
+    whole = ev.term_exact(slots)
+    per_row = len(jlo._contour(4)[0]) * t.hilbert_dim ** 2
+    # one, two and two rows a chunk; a batched product may round apart
+    for budget in (per_row, 2 * per_row, 3 * per_row - 1):
+        monkeypatch.setattr(jlo, "NODE_STACK_ELEMENTS", budget)
+        np.testing.assert_allclose(ev.term_exact(slots), whole, rtol=0,
+                                   atol=64 * UNIT_ROUNDOFF * abs(whole).max())
+
+
+def test_contour_rule_meets_its_bound_on_the_worst_string():
+    # a pole of order n + 1 at -s attains |F| = S dist^{-(n + 1)} at s = 0;
+    # the rule's error is its bound UNIT_ROUNDOFF / n! plus rounding
+    for n in range(1, DEGREE_CAP + 1):
+        z, c = jlo._contour(n)
+        for s in (0.0, 0.5, 4.0, 40.0):
+            terms = c / (z + s) ** (n + 1)
+            err = abs(terms.sum() - math.exp(-s) / math.factorial(n))
+            assert err <= UNIT_ROUNDOFF * (
+                1 / math.factorial(n) + 4 * np.abs(terms).sum())
 
 
 def test_integrand_at_simplex_points():
@@ -312,7 +370,8 @@ def test_shared_factor_objects_match_per_term_copies():
 def _per_entry_cochain(ev, chain, first_slot_d=False):
     """The cochain as the former per-entry loop computed it: each factor
     represented and bracketed alone, classified by parity_of, and each term
-    whose supertrace does not vanish by parity evaluated by term_exact."""
+    whose supertrace does not vanish by parity evaluated by the block
+    exponential oracle."""
     t = ev.triple
     code = {Parity.EVEN: 0, Parity.ODD: 1, Parity.MIXED: 2}
 
@@ -327,7 +386,7 @@ def _per_entry_cochain(ev, chain, first_slot_d=False):
         codes = [code[parity_of(op, t.space)] for op in ops]
         if max(codes) < 2 and sum(codes) % 2 == 1:
             continue
-        total += term.coeff * ev.term_exact(ops)
+        total += term.coeff * term_vanloan(t, ops)
     return total
 
 

@@ -8,7 +8,6 @@ from jlolab.chains import Chain, ElementaryChain
 from jlolab.jlo import (
     DEGREE_CAP,
     PAIRING_TRUNCATION,
-    JLOEvaluator,
     NonConvergentError,
     NonIntegerIndexError,
     index_pairing,
@@ -26,6 +25,8 @@ from jlolab.spectral import (
     validate_idempotent,
 )
 from jlolab.suites import curated_index_pairs, index_product_checks
+
+from vanloan_oracle import slot_operators, term_vanloan
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 E_EVEN = np.diag([1.0, 0.0]).astype(np.complex128)
@@ -54,18 +55,16 @@ def _chern_character(matrix):
 
 def _per_degree_pairing(triple, idem):
     """(value, truncation degree, last term) of the character chain, one
-    term_exact call per degree on its normalized, parity-masked terms,
+    block-exponential oracle call per degree on its normalized terms,
     summed under index_pairing's truncation rule."""
-    ev = JLOEvaluator(ampliate(triple, idem.blocks))
-    terms = {}
+    amp = ampliate(triple, idem.blocks)
     # the character has one term per degree
-    for _, (coeff,), (ops,), (zero,) in ev._prepared_terms(
-            _chern_character(idem.matrix).normalized(), (False,)):
-        terms[len(ops) - 1] = coeff, None if zero else ops
+    terms = {len(term.factors) - 1: term.coeff * term_vanloan(
+        amp, slot_operators(amp, term.factors))
+        for term in _chern_character(idem.matrix).normalized().terms}
     acc = 0.0 + 0.0j
     for n in range(DEGREE_CAP // 2 + 1):
-        coeff, ops = terms.get(2 * n, (0.0, None))
-        term = 0.0 + 0.0j if ops is None else coeff * ev.term_exact(ops)
+        term = terms.get(2 * n, 0.0 + 0.0j)
         acc += term
         if n >= 1 and abs(term) < PAIRING_TRUNCATION * (1.0 + abs(acc)):
             return acc, 2 * n, abs(term)
