@@ -9,14 +9,18 @@ whole factor table as one stack, takes it into Delta's eigenbasis once
 terms with one take; a term whose supertrace vanishes by parity reaches
 no route.
 
-The exact route is the Bromwich integral of the resolvent string: in the
-eigenbasis the degree-n term is Str(A0 (1/2 pi i) int e^z R(z) A1 R(z)
-... An R(z) dz) with R(z) = diag(1/(z + w)), and the trapezoid rule on a
-parabolic contour around (-inf, 0] (Weideman & Trefethen, Math. Comp. 76,
-2007) evaluates it with a node count derived a priori from n (see
-`_contour`).  All live terms of a block and all nodes step at once.
-Monte-Carlo quadrature over sorted uniform times is the independent
-oracle.
+In the eigenbasis every heat factor and every resolvent is diagonal, so
+one string kernel, `JLOEvaluator._strings`, evaluates tr(A0 W0 A1 W1 ...
+An Wn) for a stack of terms at a stack of diagonal weights W, and every
+route is a quadrature over it.  The exact route takes W = R(z) =
+diag(1/(z + w)) at the nodes of the trapezoid rule on a parabolic contour
+around (-inf, 0] (Weideman & Trefethen, Math. Comp. 76, 2007), the
+Bromwich integral Str(A0 (1/2 pi i) int e^z R(z) A1 R(z) ... An R(z) dz),
+with a node count derived a priori from n (see `_contour`).  Monte Carlo
+takes W = e^{-g w} at the gaps g of sorted uniform times; it shares the
+string product with the exact route but not its quadrature, so it checks
+the contour rule independently.  The pointwise integrand is the kernel at
+one point.
 
 The module also carries the contraction variant with [D, a0] in the first
 slot, the perturbed mixed-parity cochain built from it, and the integer
@@ -204,39 +208,52 @@ class JLOEvaluator:
         m[k[:-1], :, k[1:]] = slots
         return expm(m.reshape((n + 1) * d, (n + 1) * d))[:d]
 
+    def _strings(self, slots, weights) -> np.ndarray:
+        """(T, P) values tr(A0 W0 A1 W1 ... An Wn) of the T terms of a
+        (T, n + 1, d, d) slot stack at the P points of a (P, n + 1, d)
+        stack of diagonal weights.
+
+        Every row and every point step at once, as a (rows, P * d, d)
+        stack, with one product per slot and one column scaling by W; the
+        last slot enters through the trace.  Rows go in chunks whose stack
+        holds at most NODE_STACK_ELEMENTS entries."""
+        n, d = slots.shape[1] - 1, slots.shape[-1]
+        if n == 0:
+            return np.einsum("tii,pi->tp", slots[:, 0], weights[:, 0])
+        values = np.empty((len(slots), len(weights)), dtype=np.complex128)
+        step = max(1, NODE_STACK_ELEMENTS // (len(weights) * d * d))
+        for lo in range(0, len(slots), step):
+            s = slots[lo:lo + step]
+            cur = s[:, 0, None] * weights[:, 0, None, :]
+            for k in range(1, n):
+                cur = (cur.reshape(len(s), -1, d) @ s[:, k]).reshape(
+                    cur.shape)
+                cur *= weights[:, k, None, :]
+            # tr(X An Wn) = sum_ab X_ab (An)_ba (Wn)_a
+            last = (cur * s[:, n, None].swapaxes(-1, -2)).sum(-1)
+            values[lo:lo + step] = (last * weights[:, n]).sum(-1)
+        return values
+
     def term_exact(self, slots) -> np.ndarray:
         """Values of the T terms of a (T, n + 1, d, d) stack in Delta's
         eigenbasis, head graded, as `_prepared_terms` gives them.
 
         Degree 0 is sum_i (A0)_ii e^{-w_i}.  Degree n >= 1 is the
         trapezoid rule of `_contour(n)` for (1/2 pi i) int e^z tr(A0 R(z)
-        A1 ... An R(z)) dz, R(z) = diag(1/(z + w)): every row and every
-        node steps at once, as a (rows, nodes * d, d) stack, with one
-        product per slot and one column scaling by R; the last slot enters
-        through the trace.  A row with a zero slot is exactly 0 and is
-        skipped, and rows go in chunks whose node stack holds at most
-        NODE_STACK_ELEMENTS entries."""
+        A1 ... An R(z)) dz, R(z) = diag(1/(z + w)), every node a point of
+        the string kernel.  A row with a zero slot (a flat triple's) is
+        exactly 0 and is skipped; only then are the other rows gathered,
+        so a live block is not copied."""
         w, _ = self.triple.delta_eigensystem()
         n = slots.shape[1] - 1
         if n == 0:
-            return np.einsum("tii,i->t", slots[:, 0], np.exp(-w))
+            return self._strings(slots, np.exp(-w)[None, None])[:, 0]
         z, weights = _contour(n)
-        r = 1.0 / (z[:, None] + w)
-        d = w.size
+        r = (1.0 / (z[:, None] + w))[:, None].repeat(n + 1, 1)
+        live = np.any(slots, axis=(2, 3)).all(1)
         values = np.zeros(len(slots), dtype=np.complex128)
-        live = np.flatnonzero(np.any(slots, axis=(2, 3)).all(1))
-        step = max(1, NODE_STACK_ELEMENTS // (r.size * d))
-        for lo in range(0, live.size, step):
-            rows = live[lo:lo + step]
-            s = slots[rows]
-            cur = s[:, 0, None] * r[:, None, :]
-            for k in range(1, n):
-                cur = (cur.reshape(len(rows), -1, d) @ s[:, k]).reshape(
-                    cur.shape)
-                cur *= r[:, None, :]
-            # tr(X An R) = sum_ab X_ab (An)_ba r_a
-            last = (cur * s[:, n, None].swapaxes(-1, -2)).sum(-1)
-            values[rows] = (last * r).sum(-1) @ weights
+        values[live] = self._strings(
+            slots if live.all() else slots[live], r) @ weights
         return values
 
     # ------------------------------------------------------------- pointwise
@@ -251,51 +268,42 @@ class JLOEvaluator:
             raise DegreeCapError(
                 f"degree {len(factors) - 1} exceeds the cap {DEGREE_CAP}")
         plain, ops = self._forms(factors)
-        if not first_slot_d:
-            ops[0] = plain[0]
         if t.size != len(ops) - 1:
             raise ValueError("simplex dimension must equal the chain degree")
+        head = ops[0] if first_slot_d else plain[0]
+        ops[0] = self.triple.space.gamma_diag[:, None] * head
+        w, u = self.triple.delta_eigensystem()
         gaps = np.diff(np.concatenate([[0.0], t, [1.0]]))
-        cur = ops[0] @ self.triple.heat(gaps[0])
-        for k in range(1, len(ops)):
-            cur = cur @ ops[k] @ self.triple.heat(gaps[k])
-        return self.triple.supertrace(cur)
+        return complex(self._strings((u.conj().T @ ops @ u)[None],
+                                     np.exp(-gaps[None, :, None] * w))[0, 0])
 
     # ------------------------------------------------------------------- MC
     def term_mc(self, ops, samples: int, rng):
         """(estimate, standard error) by sorted-uniform simplex sampling, for
         one term's (n + 1, d, d) stack in Delta's eigenbasis, head graded,
-        as `_prepared_terms` gives it."""
+        as `_prepared_terms` gives it; every sample is a point of the
+        string kernel with weights e^{-g w} at its gaps g."""
         n = len(ops) - 1
         w, _ = self.triple.delta_eigensystem()
         if n == 0:
-            val = complex(np.sum(np.diagonal(ops[0]) * np.exp(-w)))
-            return val, 0.0
-        d = w.size
-        inv_fact = 1.0 / math.factorial(n)
-        chunk = max(16, 1_000_000 // (d * d))
-        total = 0.0 + 0.0j
-        total_sq = 0.0
-        done = 0
-        while done < samples:
-            b = min(chunk, samples - done)
-            ts = sample_simplex_batch(n, rng, b)
-            pad = np.concatenate(
-                [np.zeros((b, 1)), ts, np.ones((b, 1))], axis=1)
-            gaps = np.diff(pad, axis=1)
-            damp = np.exp(-gaps[:, :, None] * w[None, None, :])
-            cur = ops[0][None, :, :] * damp[:, 0, None, :]
-            for k in range(1, n + 1):
-                cur = cur @ ops[k]
-                cur = cur * damp[:, k, None, :]
-            vals = np.einsum("bii->b", cur)
+            value = self._strings(ops[None], np.exp(-w)[None, None])
+            return complex(value[0, 0]), 0.0
+        # a chunk's slot product, (chunk d, d) x (d, d), stays under 2^16 =
+        # NODE_STACK_ELEMENTS complex multiply-adds: OpenBLAS threads larger
+        # ones, which for this shape ran slower (d = 4: 14.4 against 8.1 ms
+        # per 10^4 samples, two cores) and left a helper thread spinning
+        chunk = max(1, (NODE_STACK_ELEMENTS - 1) // w.size ** 3)
+        total, total_sq = 0.0 + 0.0j, 0.0
+        for done in range(0, samples, chunk):
+            ts = sample_simplex_batch(n, rng, min(chunk, samples - done))
+            gaps = np.diff(ts, prepend=0.0, append=1.0)
+            vals = self._strings(ops[None], np.exp(-gaps[:, :, None] * w))[0]
             total += complex(vals.sum())
             total_sq += float(np.sum(np.abs(vals) ** 2))
-            done += b
         mean = total / samples
         var = max(total_sq / samples - abs(mean) ** 2, 0.0)
-        se = inv_fact * math.sqrt(var / samples)
-        return mean * inv_fact, se
+        inv_fact = 1.0 / math.factorial(n)
+        return mean * inv_fact, inv_fact * math.sqrt(var / samples)
 
     # ------------------------------------------------------------ chain API
     def _cochains(self, chain: Chain, heads) -> dict:

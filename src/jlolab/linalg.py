@@ -198,6 +198,8 @@ def matrix_from_json(obj) -> np.ndarray:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     try:
+        if any(isinstance(re, bool) or isinstance(im, bool) for re, im in data):
+            raise ValueError("entries must be numbers, not booleans")
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Seeded random builders for triples, chains, and projections.
+"""Seeded random builders for triples and chains.
 
 All functions take an explicit numpy Generator so suites are reproducible;
 nothing here touches global random state.  Generators of random triples
@@ -17,7 +17,6 @@ from .spectral import SpectralTripleFD
 __all__ = [
     "random_chain",
     "random_even",
-    "random_even_projection",
     "random_odd_hermitian",
     "random_triple",
 ]
@@ -75,25 +74,3 @@ def random_chain(rng, space: GradedSpace, degrees) -> Chain:
         factors = tuple(random_even(rng, space) for _ in range(n + 1))
         out.append(ElementaryChain(coeff, factors))
     return Chain(space.dim, tuple(out))
-
-
-def random_even_projection(rng, space: GradedSpace, rank_even: int,
-                           rank_odd: int = 0) -> np.ndarray:
-    """Random orthogonal projection commuting with the grading.
-
-    Built from QR frames per parity block, so it is Hermitian and
-    idempotent to machine precision.
-    """
-    de, do = space.dim_even, space.dim_odd
-    if rank_even > de or rank_odd > do:
-        raise ValueError("requested rank exceeds a parity block")
-    p = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    if rank_even:
-        q, _ = np.linalg.qr(_cplx(rng, (de, de)))
-        v = q[:, :rank_even]
-        p[:de, :de] = v @ v.conj().T
-    if rank_odd:
-        q, _ = np.linalg.qr(_cplx(rng, (do, do)))
-        v = q[:, :rank_odd]
-        p[de:, de:] = v @ v.conj().T
-    return p

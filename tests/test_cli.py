@@ -233,6 +233,22 @@ def test_index_non_integer_fields_exit_two(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_index_boolean_matrix_entries_exit_two(tmp_path, capsys):
+    tp, ep = _write_pair(tmp_path)
+    triple, idem = (json.loads((tmp_path / name).read_text())
+                    for name in ("t.json", "e.json"))
+    bad = tmp_path / "bad.json"
+    for path, obj, key in ((tp, triple, "dirac"), (ep, idem, "matrix")):
+        data = [list(x) for x in obj[key]["data"]]
+        data[0] = [True, False]
+        bad.write_text(json.dumps(dict(obj, **{key: dict(obj[key], data=data)})))
+        argv = [str(bad), ep] if path == tp else [tp, str(bad)]
+        assert main(["index"] + argv) == 2
+        captured = capsys.readouterr()
+        assert "booleans" in captured.err
+        assert captured.out == ""
+
+
 def test_index_zero_idempotent_is_zero_both_ways(tmp_path, capsys):
     # rank 0: the compression is empty and both sides read +0, as the first
     # factor and as the second

@@ -177,6 +177,19 @@ def test_contour_matches_block_exponential_oracle():
                 assert abs(got - v) <= 1e-12 * (1 + abs(v))
 
 
+def _mc_moments(ev, slots, samples):
+    """Per row: the estimate, its mean square (samples se^2 + |est|^2, the
+    two sums `term_mc` accumulates) and the generator state after it."""
+    runs = []
+    for k, ops in enumerate(slots):
+        gen = np.random.default_rng(k)
+        est, se = ev.term_mc(ops, samples, gen)
+        runs.append(([est, samples * se ** 2 + abs(est) ** 2],
+                     gen.bit_generator.state))
+    moments, states = zip(*runs)
+    return np.array(moments), list(states)
+
+
 def test_node_stack_chunks_give_the_same_rows(monkeypatch):
     rng = np.random.default_rng(22)
     t = product_triple(random_triple(rng, 2, 1), random_triple(rng, 1, 1))
@@ -185,12 +198,32 @@ def test_node_stack_chunks_give_the_same_rows(monkeypatch):
     (_, _, slots, _), = ev._prepared_terms(chain, (False,))
     assert len(slots) == 5
     whole = ev.term_exact(slots)
+    samples = 50
+    moments, states = _mc_moments(ev, slots, samples)
+    scale = abs(moments).max(0)
+    factors, point = chain.terms[0].factors, np.sort(rng.random(4))
+    pointwise = [ev.integrand(factors, point, form) for form in (False, True)]
     per_row = len(jlo._contour(4)[0]) * t.hilbert_dim ** 2
     # one, two and two rows a chunk; a batched product may round apart
     for budget in (per_row, 2 * per_row, 3 * per_row - 1):
         monkeypatch.setattr(jlo, "NODE_STACK_ELEMENTS", budget)
         np.testing.assert_allclose(ev.term_exact(slots), whole, rtol=0,
                                    atol=64 * UNIT_ROUNDOFF * abs(whole).max())
+    # Monte Carlo, whose chunks take (budget - 1) // d^3 samples: one, two
+    # and three uneven (17, 17, 16) chunks, and one sample a chunk when a
+    # budget holds less than one; the draws are the same whatever the chunk
+    # size
+    d3 = t.hilbert_dim ** 3
+    for budget in (samples * d3 + 1, 25 * d3 + 1, 17 * d3 + 1, d3):
+        monkeypatch.setattr(jlo, "NODE_STACK_ELEMENTS", budget)
+        got, got_states = _mc_moments(ev, slots, samples)
+        np.testing.assert_allclose(got / scale, moments / scale, rtol=0,
+                                   atol=64 * UNIT_ROUNDOFF)
+        assert got_states == states
+        np.testing.assert_allclose(
+            [ev.integrand(factors, point, form) for form in (False, True)],
+            pointwise, rtol=0,
+            atol=64 * UNIT_ROUNDOFF * max(map(abs, pointwise)))
 
 
 def test_contour_rule_meets_its_bound_on_the_worst_string():
@@ -277,6 +310,29 @@ def test_monte_carlo_brackets_exact_value():
     est, se = jlo_cochain_mc(t, chain, 40_000, rng)
     assert se > 0
     assert abs(exact - est) < 4 * se
+
+
+def test_monte_carlo_brackets_block_exponential_oracle():
+    # Monte Carlo shares the string kernel with the contour route, so it is
+    # checked against the independent Van Loan oracle: flat (every slot 0),
+    # a paired-spectrum product with a basis map and a wide spectrum, with
+    # factors of mixed parity so that no degree or head form is 0 by parity
+    rng = np.random.default_rng(23)
+    t21 = random_triple(rng, 2, 1)
+    s21 = GradedSpace(2, 1)
+    flat = SpectralTripleFD(s21, np.zeros((3, 3)), (random_even(rng, s21),))
+    for t in (flat, product_triple(t21, t21),
+              random_triple(rng, 2, 1, dirac_scale=6.0)):
+        d = t.hilbert_dim
+        for n in (1, 2, 3):
+            chain = Chain.elementary(complex(*rng.standard_normal(2)), tuple(
+                rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for _ in range(n + 1)))
+            for form in (False, True):
+                want = cochain_vanloan(t, chain, form)
+                est, se = JLOEvaluator(t).cochain_mc(chain, 20_000, rng, form)
+                assert (se > 0) == (t is not flat)
+                assert abs(est - want) <= 4 * se
 
 
 def test_monte_carlo_rejects_bad_sample_counts_at_every_degree():

@@ -14,7 +14,7 @@ from jlolab.jlo import (
     jlo_cochain,
 )
 from jlolab.linalg import GradedSpace, _freeze
-from jlolab.randomgen import random_even_projection, random_triple
+from jlolab.randomgen import random_triple
 from jlolab.spectral import (
     Idempotent,
     SpectralGapWarning,
@@ -26,6 +26,7 @@ from jlolab.spectral import (
 )
 from jlolab.suites import curated_index_pairs, index_product_checks
 
+from random_projection import random_even_projection
 from vanloan_oracle import slot_operators, term_vanloan
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)

@@ -27,6 +27,14 @@ def test_matrix_wire_format_is_json_clean():
     assert np.array_equal(matrix_from_json(wire), m)
 
 
+def test_matrix_json_rejects_boolean_entries():
+    # bool is an int subclass, so complex(True, False) would read as 1 + 0j
+    for data in ([[True, False]], [[1.0, False]], [[True, 0.0]]):
+        with pytest.raises(ValueError, match="booleans"):
+            matrix_from_json({"rows": 1, "cols": 1, "data": data})
+    assert matrix_from_json({"rows": 1, "cols": 1, "data": [[1, 0]]})[0, 0] == 1
+
+
 def test_triple_round_trip_preserves_evaluation():
     rng = np.random.default_rng(0)
     t = random_triple(rng, 2, 1, label="probe")

@@ -14,12 +14,7 @@ from jlolab.linalg import (
     opnorm,
     parity_of,
 )
-from jlolab.randomgen import (
-    random_even,
-    random_even_projection,
-    random_odd_hermitian,
-    random_triple,
-)
+from jlolab.randomgen import random_even, random_odd_hermitian, random_triple
 from jlolab.spectral import (
     IDEMPOTENT_TOL,
     Idempotent,
@@ -38,6 +33,8 @@ from jlolab.spectral import (
     validate_idempotent,
     validate_triple,
 )
+
+from random_projection import random_even_projection
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 

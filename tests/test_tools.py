@@ -1,0 +1,53 @@
+import importlib.util
+import pathlib
+
+import pytest
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_spread_accepts_one_value(bench_pairs):
+    assert bench_pairs.spread([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert bench_pairs.spread([1.0, 2.0, 3.0]) == {
+        "median": 2.0, "q1": 1.5, "q3": 2.5}
+
+
+def test_summary_of_a_single_pair(bench_pairs):
+    def result(wall):
+        return {"failed": 0, "metrics": {"wall_s": {"value": wall}}}
+    runs = [{"side": "parent", "workload": "cochain", "seed": 7,
+             "result": result(2.0)},
+            {"side": "change", "workload": "cochain", "seed": 7,
+             "result": result(1.5)}]
+    wall = bench_pairs.summarize(runs, "cochain")["metrics"]["wall_s"]
+    assert wall["parent"]["median"] == 2.0
+    assert wall["change_better_pairs"] == 1
+    assert wall["relative_median_change"] == -0.25
+
+
+@pytest.mark.parametrize("script, code, stderr", [
+    ("import sys; sys.stderr.write('boom\\n'); sys.exit(3)", 3, "boom\n"),
+    ("print('== cochain'); print('not json')", 0, "")])
+def test_run_without_a_result_line_raises(bench_pairs, tmp_path, script,
+                                          code, stderr):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(script)
+    with pytest.raises(RuntimeError, match=f"exited {code} with no result") \
+            as exc:
+        bench_pairs.run(str(tmp_path), "cochain", 1, 1, 0)
+    assert str(exc.value).endswith(f"stderr ends:\n{stderr}")
+
+
+def test_run_returns_the_last_line(bench_pairs, tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('== cochain'); print('{\"failed\": 0}')")
+    assert bench_pairs.run(str(tmp_path), "cochain", 1, 1, 0) == {"failed": 0}

@@ -56,15 +56,25 @@ def export(rev, dest):
 
 
 def run(root, workload, seed, seconds, trace):
+    """The result of one perfbench run; a RuntimeError naming the exit code
+    and the tail of stderr when its last stdout line is not one."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
         cwd=root, capture_output=True, text=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    try:
+        return json.loads(out.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        raise RuntimeError(
+            f"perfbench {workload} seed {seed} exited {out.returncode} with "
+            f"no result line; stderr ends:\n{out.stderr[-2000:]}") from None
 
 
 def spread(values):
+    """Median and quartiles; a single value is all three."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
