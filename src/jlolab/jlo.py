@@ -24,8 +24,9 @@ one point.
 
 The module also carries the contraction variant with [D, a0] in the first
 slot, the perturbed mixed-parity cochain built from it, and the integer
-index pairing, which still reads every degree of the idempotent's
-character from the first block row of one block matrix exponential.
+index pairing, whose degrees 2, 4, ... are exact-route terms of one slot
+stack (gamma (e - 1/2), [D, e], ..., [D, e]), evaluated until the series
+settles.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+# unused: perfbench's tracer still looks up `jlo.expm` by name at install
 from scipy.linalg import expm
 
 from .chains import Chain, _scalar_entries, br_operation, shuffle_product
 from .linalg import parity_codes
 from .shuffles import sample_simplex_batch
-from .spectral import INDEX_INTEGER_TOL, NonIntegerIndexError, \
-    SpectralTripleFD, commutator_d, product_triple
+from .spectral import NonIntegerIndexError, SpectralTripleFD, \
+    _rounded_index, commutator_d, product_triple
 
 __all__ = [
     "DEGREE_CAP",
@@ -196,18 +198,6 @@ class JLOEvaluator:
                 yield form, coeffs, eig[where, rows[~vanish]], vanish
 
     # ---------------------------------------------------------------- exact
-    def _first_block_row(self, slots) -> np.ndarray:
-        """First block row, (d, (n + 1) d), of the exponential of the block
-        bidiagonal matrix with -Delta on the diagonal and slots[0..n-1]
-        above it.  Block k is the time-ordered simplex integral of
-        e^{-u0 Delta} slots[0] ... slots[k-1] e^{-uk Delta}."""
-        n, d = len(slots), self.triple.hilbert_dim
-        m = np.zeros((n + 1, d, n + 1, d), dtype=np.complex128)
-        k = np.arange(n + 1)
-        m[k, :, k] = -self.triple.delta
-        m[k[:-1], :, k[1:]] = slots
-        return expm(m.reshape((n + 1) * d, (n + 1) * d))[:d]
-
     def _strings(self, slots, weights) -> np.ndarray:
         """(T, P) values tr(A0 W0 A1 W1 ... An Wn) of the T terms of a
         (T, n + 1, d, d) slot stack at the P points of a (P, n + 1, d)
@@ -293,17 +283,22 @@ class JLOEvaluator:
         # ones, which for this shape ran slower (d = 4: 14.4 against 8.1 ms
         # per 10^4 samples, two cores) and left a helper thread spinning
         chunk = max(1, (NODE_STACK_ELEMENTS - 1) // w.size ** 3)
-        total, total_sq = 0.0 + 0.0j, 0.0
+        # the sum and the squared deviation from the mean so far, joined per
+        # chunk by Chan's update: no cancelling E|X|^2 against |EX|^2
+        total, dev_sq = 0.0 + 0.0j, 0.0
         for done in range(0, samples, chunk):
             ts = sample_simplex_batch(n, rng, min(chunk, samples - done))
             gaps = np.diff(ts, prepend=0.0, append=1.0)
             vals = self._strings(ops[None], np.exp(-gaps[:, :, None] * w))[0]
-            total += complex(vals.sum())
-            total_sq += float(np.sum(np.abs(vals) ** 2))
-        mean = total / samples
-        var = max(total_sq / samples - abs(mean) ** 2, 0.0)
+            part, k = complex(vals.sum()), len(vals)
+            dev_sq += float(np.sum(np.abs(vals - part / k) ** 2))
+            if done:
+                dev_sq += (abs(part / k - total / done) ** 2
+                           * done * k / (done + k))
+            total += part
         inv_fact = 1.0 / math.factorial(n)
-        return mean * inv_fact, inv_fact * math.sqrt(var / samples)
+        return (total / samples * inv_fact,
+                inv_fact * math.sqrt(dev_sq) / samples)
 
     # ------------------------------------------------------------ chain API
     def _cochains(self, chain: Chain, heads) -> dict:
@@ -402,38 +397,41 @@ def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:
     spectral.validate_idempotent.
 
     The character is (e) plus (-1)^n (2n)!/n! (e - 1/2, e, ..., e) in
-    degree 2n; its slots are all [D, e], so one first block row holds every
-    degree's kernel, and a scalar e (dropped from slots by normalization)
-    pairs to zero.  Degrees are summed until a term falls below the
-    truncation threshold relative to the sum, which must then sit within
-    INDEX_INTEGER_TOL of an integer.
+    degree 2n, whose slots after the head are all [D, e]; a scalar e
+    (dropped from slots by normalization) pairs to zero.  Degrees are
+    evaluated and summed until a term falls below the truncation threshold
+    relative to the sum, which must then sit within INDEX_INTEGER_TOL of an
+    integer.
     """
-    d = amp.hilbert_dim
-    terms = [amp.supertrace(e @ amp.heat(1.0))]
-    if _scalar_entries(e[None])[0]:
-        terms.append(0.0 + 0.0j)
-    else:
-        row = JLOEvaluator(amp)._first_block_row(
-            [amp.dirac @ e - e @ amp.dirac] * DEGREE_CAP)
-        head = e - 0.5 * np.eye(d)
-        terms += [(-1) ** n * math.factorial(2 * n) / math.factorial(n)
-                  * amp.supertrace(head @ row[:, 2 * n * d:(2 * n + 1) * d])
-                  for n in range(1, DEGREE_CAP // 2 + 1)]
     acc = 0.0 + 0.0j
-    for n, term in enumerate(terms):
+    for n, term in enumerate(_pairing_terms(amp, e)):
         acc += term
         if n >= 1 and abs(term) < PAIRING_TRUNCATION * (1.0 + abs(acc)):
             break
     else:
         raise NonConvergentError(
             f"pairing terms still at {abs(term):.3g} at degree {2 * n}")
-    r = round(acc.real)
-    if abs(acc - r) > INDEX_INTEGER_TOL:
-        raise NonIntegerIndexError(
-            f"pairing value {acc:.6g} is not within {INDEX_INTEGER_TOL} "
-            "of an integer")
     return PairingReport(value=acc, truncation_degree=2 * n,
-                         last_term_magnitude=abs(term), integer=int(r))
+                         last_term_magnitude=abs(term),
+                         integer=_rounded_index(acc, "pairing value"))
+
+
+def _pairing_terms(amp: SpectralTripleFD, e):
+    """Pairing terms in degrees 0, 2, ..., DEGREE_CAP, one at a time:
+    Str(e e^{-Delta}), then `term_exact` on the first 2n + 1 slots of one
+    eigenbasis stack (gamma (e - 1/2), [D, e], ..., [D, e])."""
+    yield amp.supertrace(e @ amp.heat(1.0))
+    if _scalar_entries(e[None])[0]:
+        yield 0.0 + 0.0j
+        return
+    d, (_, u) = amp.hilbert_dim, amp.delta_eigensystem()
+    stack = np.empty((1, DEGREE_CAP + 1, d, d), dtype=np.complex128)
+    stack[0, 0], stack[0, 1:] = u.conj().T @ np.stack(
+        [amp.space.gamma_diag[:, None] * (e - 0.5 * np.eye(d)),
+         amp.dirac @ e - e @ amp.dirac]) @ u
+    for n in range(1, DEGREE_CAP // 2 + 1):
+        yield ((-1) ** n * math.factorial(2 * n) / math.factorial(n)
+               * JLOEvaluator(amp).term_exact(stack[:, :2 * n + 1])[0])
 
 
 def verify_theorem_ainf(triples, chains, part: int) -> dict:

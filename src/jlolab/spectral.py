@@ -274,20 +274,21 @@ def kernel_projection(h) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def _rounded_index(s: complex) -> int:
-    """The integer a kernel supertrace s stands for; NonIntegerIndexError
-    unless s sits within INDEX_INTEGER_TOL of it."""
+def _rounded_index(s: complex, quantity: str) -> int:
+    """The integer s stands for; NonIntegerIndexError, naming the quantity
+    s is, unless s sits within INDEX_INTEGER_TOL of it."""
     r = round(s.real)
     if abs(s - r) > INDEX_INTEGER_TOL:
         raise NonIntegerIndexError(
-            f"kernel supertrace {s:.6g} is not within {INDEX_INTEGER_TOL} "
+            f"{quantity} {s:.6g} is not within {INDEX_INTEGER_TOL} "
             "of an integer")
     return int(r)
 
 
 def mckean_singer_index(triple: SpectralTripleFD) -> int:
     """Supertrace of the kernel projection of the Dirac operator."""
-    return _rounded_index(triple.supertrace(kernel_projection(triple.dirac)))
+    return _rounded_index(triple.supertrace(kernel_projection(triple.dirac)),
+                          "kernel supertrace")
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,7 @@ def index_of_pair(amp: SpectralTripleFD, basis) -> int:
     orthonormal basis of the range, and it is 0 when e has rank 0."""
     k = kernel_projection(basis.conj().T @ amp.dirac @ basis)
     grading = basis.conj().T @ (amp.space.gamma_diag[:, None] * basis)
-    return _rounded_index(np.trace(grading @ k))
+    return _rounded_index(np.trace(grading @ k), "kernel supertrace")
 
 
 def triple_to_json(triple: SpectralTripleFD) -> dict:

@@ -31,6 +31,7 @@ from jlolab.randomgen import (
     random_odd_hermitian,
     random_triple,
 )
+from jlolab.shuffles import sample_simplex_batch
 from jlolab.spectral import SpectralTripleFD, commutator_d, product_triple
 
 from eigensum_oracle import cochain_eigensum, divided_diff_exp
@@ -178,8 +179,8 @@ def test_contour_matches_block_exponential_oracle():
 
 
 def _mc_moments(ev, slots, samples):
-    """Per row: the estimate, its mean square (samples se^2 + |est|^2, the
-    two sums `term_mc` accumulates) and the generator state after it."""
+    """Per row: the estimate, its mean square (samples se^2 + |est|^2) and
+    the generator state after it."""
     runs = []
     for k, ops in enumerate(slots):
         gen = np.random.default_rng(k)
@@ -333,6 +334,39 @@ def test_monte_carlo_brackets_block_exponential_oracle():
                 est, se = JLOEvaluator(t).cochain_mc(chain, 20_000, rng, form)
                 assert (se > 0) == (t is not flat)
                 assert abs(est - want) <= 4 * se
+
+
+def test_monte_carlo_error_is_the_spread_of_its_draws(monkeypatch):
+    # se is the population standard deviation of the draws over
+    # sqrt(samples), whatever the chunks: on a varying integrand the
+    # two-pass np.std of the same points, and on a constant one (Delta =
+    # 2 |b|^2 I on the square of a 1|1 triple) only rounding, exactly 0 for
+    # a single sample
+    rng = np.random.default_rng(40)
+    t11 = random_triple(rng, 1, 1)
+    for t, constant in ((product_triple(t11, t11), True),
+                        (random_triple(rng, 2, 1), False)):
+        d = t.hilbert_dim
+        factors = tuple(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)) for _ in range(3))
+        ev = JLOEvaluator(t)
+        (_, _, slots, _), = ev._prepared_terms(
+            Chain.elementary(1.0, factors).normalized(), (False,))
+        samples = 50
+        points = sample_simplex_batch(2, np.random.default_rng(5), samples)
+        values = [ev.integrand(factors, p) for p in points]
+        want = np.std(values) / math.sqrt(samples) / 2
+        # one chunk, three uneven (17, 17, 16) and one sample a chunk
+        for budget in (jlo.NODE_STACK_ELEMENTS, 17 * d ** 3 + 1, d ** 3):
+            monkeypatch.setattr(jlo, "NODE_STACK_ELEMENTS", budget)
+            est, se = ev.term_mc(slots[0], samples, np.random.default_rng(5))
+            assert abs(est) > 1e-3
+            if constant:
+                assert se <= 64 * UNIT_ROUNDOFF * abs(est)
+            else:
+                assert se == pytest.approx(want, rel=1e-12, abs=0)
+            _, se = ev.term_mc(slots[0], 1, np.random.default_rng(5))
+            assert se == 0.0
 
 
 def test_monte_carlo_rejects_bad_sample_counts_at_every_degree():

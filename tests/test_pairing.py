@@ -1,9 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from jlolab import cli, jlo
 from jlolab.chains import Chain, ElementaryChain
 from jlolab.jlo import (
     DEGREE_CAP,
@@ -20,8 +22,10 @@ from jlolab.spectral import (
     SpectralGapWarning,
     SpectralTripleFD,
     ampliate,
+    idempotent_to_json,
     index_of_pair,
     product_triple,
+    triple_to_json,
     validate_idempotent,
 )
 from jlolab.suites import curated_index_pairs, index_product_checks
@@ -93,6 +97,12 @@ def _oracle_cases():
             t = random_triple(rng, de, do, dirac_scale=s)
             e = random_even_projection(rng, t.space, 1, do - 1)
             cases.append((f"random {de}|{do} at {s}", t, Idempotent(e)))
+    # half-rank even projections on larger triples
+    for half in (12, 20):
+        for s in (0.05, 0.15):
+            t = random_triple(rng, half, half, dirac_scale=s)
+            e = random_even_projection(rng, t.space, half // 2, half // 2)
+            cases.append((f"random {half}|{half} at {s}", t, Idempotent(e)))
     return cases
 
 
@@ -146,6 +156,23 @@ def test_kick_family_pairs_to_plus_one():
         assert rep.value.imag == pytest.approx(0.0, abs=1e-12)
 
 
+def test_kick_family_terms_match_their_closed_form():
+    # Delta = s^2 I, so the degree-2n term is exp(-s^2) s^(2n) / n!; the
+    # truncation rule read on those terms gives the degree (12 at s = 0.15)
+    for s in (0.05, 0.10, 0.15):
+        rep = _pairing(_kick(s), Idempotent(E_EVEN))
+        acc = 0.0
+        for n in range(DEGREE_CAP // 2 + 1):
+            term = math.exp(-s * s) * s ** (2 * n) / math.factorial(n)
+            acc += term
+            if n >= 1 and term < PAIRING_TRUNCATION * (1.0 + acc):
+                break
+        assert rep.truncation_degree == 2 * n, s
+        assert rep.last_term_magnitude == pytest.approx(
+            term, rel=1e-9, abs=0), s
+    assert rep.truncation_degree == 12
+
+
 def test_kick_family_partial_sums_match_exponential_series():
     # degree-2n component contributes exp(-s^2) (s^2)^n / n!
     s = 0.12
@@ -177,7 +204,8 @@ def test_parity_mixed_projection_is_caught_as_non_integer():
                       dtype=np.complex128)
     # validate_idempotent rejects it as not even; unchecked, the pairing
     # still refuses the non-integer value
-    with pytest.raises(NonIntegerIndexError):
+    with pytest.raises(NonIntegerIndexError, match=r"^pairing value 0\.53649"
+                       r"[-+]\S*j is not within 0\.01 of an integer$"):
         index_pairing(_kick(0.1), tilted)
 
 
@@ -234,3 +262,30 @@ def test_product_of_kicks_pairs_to_one():
     c0 = Chain.elementary(1.0, (e.matrix,))
     assert jlo_cochain(t, c0).real == pytest.approx(
         t.supertrace(t.represent(e.matrix) @ t.heat(1.0)).real)
+
+
+def test_no_index_route_calls_a_matrix_exponential(tmp_path, monkeypatch,
+                                                   capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix exponential was called")
+
+    monkeypatch.setattr(jlo, "expm", refuse)
+    monkeypatch.setattr("scipy.linalg.expm", refuse)
+    pairs = curated_index_pairs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralGapWarning)
+        for name, t, e, expected in pairs:
+            assert _pairing(t, e).integer == expected, name
+    # kick 0.10 times the odd projection at kick 0.12: the second factor and
+    # the product reach degree 12
+    paths = []
+    for k in (5, 7):
+        _, t, e, _ = pairs[k]
+        for tag, obj in (("t", triple_to_json(t)), ("e", idempotent_to_json(e))):
+            paths.append(tmp_path / f"{tag}{k}.json")
+            paths[-1].write_text(json.dumps(obj))
+    argv = ["index", *map(str, paths[:2]), "--times", *map(str, paths[2:])]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("truncated at degree 12") == 2
+    assert "product law       : -1 vs +1 * -1 = -1" in out

@@ -290,7 +290,8 @@ def test_defects_inside_tolerance_can_add_up_to_a_rejection():
 def test_index_of_pair_refuses_an_ungraded_basis():
     # tr(B^* gamma B) = cos(1) for this unchecked basis of a flat triple
     basis = np.array([[np.cos(0.5)], [np.sin(0.5)]], dtype=complex)
-    with pytest.raises(NonIntegerIndexError):
+    with pytest.raises(NonIntegerIndexError, match=r"^kernel supertrace "
+                       r"0\.540302\+0j is not within 0\.01 of an integer$"):
         index_of_pair(_flat(1, 1), basis)
 
 
