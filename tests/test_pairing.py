@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jlolab import cli, jlo
+from jlolab import cli
 from jlolab.chains import Chain, ElementaryChain
 from jlolab.jlo import (
     DEGREE_CAP,
@@ -269,7 +269,6 @@ def test_no_index_route_calls_a_matrix_exponential(tmp_path, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix exponential was called")
 
-    monkeypatch.setattr(jlo, "expm", refuse)
     monkeypatch.setattr("scipy.linalg.expm", refuse)
     pairs = curated_index_pairs()
     with warnings.catch_warnings():

@@ -72,6 +72,32 @@ def test_diagnose_flags_even_dirac():
     assert diag.dirac_hermiticity == pytest.approx(0.0)
 
 
+def test_diagnose_equals_opnorm_of_each_residual():
+    # every axiom fails, by residuals of very different size, on a 3|2
+    # space with four generators; the largest generator residual is the
+    # third
+    rng = np.random.default_rng(16)
+    s = GradedSpace(3, 2)
+    g = s.gamma_diag
+
+    def noise(size):
+        return size * (rng.standard_normal((5, 5))
+                       + 1j * rng.standard_normal((5, 5)))
+
+    dirac = random_odd_hermitian(rng, s) + noise(1e-9)
+    gens = [random_even(rng, s) + noise(size)
+            for size in (1e-12, 1e-3, 0.5, 1e-7)]
+    diag = diagnose(SpectralTripleFD(s, dirac, gens))
+    assert diag.dirac_hermiticity == opnorm(dirac - dirac.conj().T)
+    assert diag.dirac_oddness == opnorm(g[:, None] * dirac * g[None, :]
+                                        + dirac)
+    assert diag.generator_evenness == max(
+        opnorm(g[:, None] * a * g[None, :] - a) for a in gens)
+    assert diag.generator_evenness == opnorm(
+        g[:, None] * gens[2] * g[None, :] - gens[2])
+    assert diagnose(SpectralTripleFD(s, dirac, ())).generator_evenness == 0.0
+
+
 def test_validate_triple_raises_on_bad_inputs():
     s = GradedSpace(1, 1)
     good = SpectralTripleFD(s, 0.3 * X, (np.diag([1.0, 2.0]),))

@@ -1,0 +1,50 @@
+"""perfbench's tracer still finds every name it pins in the package, and
+its uninstall restores every binding it changed."""
+
+import importlib
+import pathlib
+import sys
+
+import pytest
+
+import jlolab.cli  # noqa: F401  (the tracer rebinds names in every module)
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture()
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("tracer")
+    sys.modules.pop("tracer", None)
+
+
+def _bindings(tracer):
+    """Every module-level binding in jlolab, and every traced method."""
+    out = {}
+    for modname, mod in list(sys.modules.items()):
+        if mod is not None and (modname == "jlolab"
+                                or modname.startswith("jlolab.")):
+            for attr, value in vars(mod).items():
+                out[modname, attr] = value
+    for _layer, modname, clsname, attr in tracer.METHODS:
+        cls = getattr(sys.modules[modname], clsname)
+        out[modname, clsname, attr] = cls.__dict__[attr]
+    return out
+
+
+def test_install_finds_every_pin_and_uninstall_restores_it(tracer):
+    before = _bindings(tracer)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        during = _bindings(tracer)
+    finally:
+        t.uninstall()
+    changed = {key for key in before if during[key] is not before[key]}
+    assert {("jlolab.jlo", "index_pairing"), ("jlolab.cli", "main"),
+            ("jlolab.jlo", "JLOEvaluator", "term_exact"),
+            ("jlolab.suites", "IDENTITIES")} <= changed
+    after = _bindings(tracer)
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
