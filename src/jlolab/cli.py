@@ -2,7 +2,9 @@
 
 Each subcommand takes only the flags it reads: `verify` the RunConfig flags
 (--seed, --tolerance, --mc-samples, --report, --config), `index` its two
-files and --times, `decompose` its mode, --samples and --seed.  Exit codes
+files and --times, `decompose` its mode, --samples and --seed.  `verify`
+runs `suites.run_suite` on the RunConfig it builds, so its report rows are
+exactly what the library call returns for that config.  Exit codes
 across all subcommands: 0 success, 1 a numerical check failed or stdout
 was closed early (quietly), 2 usage or input-parsing failure.  Reports are
 deterministic for a fixed configuration and seed up to the timestamp field.
@@ -13,17 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .jlo import NonConvergentError, NonIntegerIndexError, index_pairing
-from .linalg import _integer
 from .shuffles import (
     cyclic_shuffle_peak_rows,
     enumerate_cyclic_shuffles,
@@ -41,88 +41,34 @@ from .spectral import (
     triple_from_json,
     validate_idempotent,
 )
-from .suites import format_report_rows, run_suite
+from .suites import RunConfig, format_report_rows, run_suite
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
-MAX_DEGREE_LIMIT = 4
-MAX_SPACE_DIM = 16
 DECOMPOSE_DEGREE_LIMIT = 6
 DECOMPOSE_ROW_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings of `verify`; `decompose` reads only the seed.
-
-    Integer fields, dims entries included, reject bools and non-integral
-    values; numpy integers are stored as int.
-    """
-
-    seed: int = 42
-    dims: tuple = ((1, 1), (2, 1))
-    max_degree: int = 3
-    trials: int = 3
-    tolerance: float = None
-    mc_samples: int = 20_000
-    report_path: str = ""
-
-    def __post_init__(self):
-        for name in ("seed", "max_degree", "trials", "mc_samples"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        dims = tuple(tuple(_integer(x, "dims entries") for x in pair)
-                     for pair in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("dims must list at least one (even, odd) pair")
-        for pair in dims:
-            if len(pair) != 2 or min(pair) < 0 or sum(pair) < 1:
-                raise ValueError(f"bad dimension pair {pair}")
-            if sum(pair) > MAX_SPACE_DIM:
-                raise ValueError(
-                    f"dimension pair {pair} exceeds total dimension "
-                    f"{MAX_SPACE_DIM}")
-        if not 0 <= self.max_degree <= MAX_DEGREE_LIMIT:
-            raise ValueError(
-                f"max_degree must lie in 0..{MAX_DEGREE_LIMIT}")
-        if self.trials < 0:
-            raise ValueError("trials must be non-negative")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be positive")
-        tol = self.tolerance
-        if tol is not None and (isinstance(tol, bool) or not isinstance(
-                tol, numbers.Real) or not tol > 0):
-            raise ValueError("tolerance must be a positive number when given")
-
-
-CONFIG_KEYS = ("seed", "dims", "max_degree", "trials", "tolerance",
-               "mc_samples", "report_path")
-
-
 def load_config(args) -> RunConfig:
-    """Merge defaults, an optional JSON config file, and command flags.
-
-    A flag the subcommand does not take leaves its field at the default.
-    """
+    """Merge RunConfig's defaults, an optional JSON config file, and the
+    flags of `verify`."""
     data = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - set(CONFIG_KEYS))
+        unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         data.update(raw)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         data["seed"] = args.seed
-    if getattr(args, "tolerance", None) is not None:
+    if args.tolerance is not None:
         data["tolerance"] = args.tolerance
-    if getattr(args, "mc_samples", None) is not None:
+    if args.mc_samples is not None:
         data["mc_samples"] = args.mc_samples
-    if getattr(args, "report", None) is not None:
+    if args.report is not None:
         data["report_path"] = args.report
     return RunConfig(**data)
 
@@ -130,10 +76,7 @@ def load_config(args) -> RunConfig:
 # -------------------------------------------------------------------- verify
 
 def cmd_verify(config: RunConfig) -> int:
-    rows = run_suite(config.seed, dims=config.dims, trials=config.trials,
-                     max_degree=config.max_degree,
-                     mc_samples=config.mc_samples,
-                     tolerance=config.tolerance)
+    rows = run_suite(config)
     print(format_report_rows(rows), end="")
     passed = sum(1 for r in rows if r["pass"])
     ok = passed == len(rows)
@@ -343,8 +286,12 @@ def decompose_cyclic(degrees, samples: int, rng) -> int:
     return _sample_regions(perms, np.hstack(cols))
 
 
-def cmd_decompose(args, seed: int) -> int:
+def cmd_decompose(args) -> int:
     degrees = args.shuffle if args.shuffle is not None else args.cyclic
+    if args.seed < 0:
+        print("error: invalid configuration: seed must be non-negative",
+              file=sys.stderr)
+        return 2
     if args.samples < 0:
         print("error: --samples must be non-negative", file=sys.stderr)
         return 2
@@ -355,7 +302,7 @@ def cmd_decompose(args, seed: int) -> int:
         print(f"error: degrees above {DECOMPOSE_DEGREE_LIMIT} are not "
               f"supported", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     if args.shuffle is not None:
         return decompose_shuffle(degrees[0], degrees[1], args.samples, rng)
     return decompose_cyclic(degrees, args.samples, rng)
@@ -400,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--cyclic", nargs="+", type=int, metavar="P")
     dc.add_argument("--samples", type=int, default=100_000,
                     help="Monte Carlo sample count (default 100000)")
-    dc.add_argument("--seed", type=int, default=None,
+    dc.add_argument("--seed", type=int, default=42,
                     help="seed for the samples (default 42)")
     return parser
 
@@ -412,14 +359,14 @@ _PARSER = _build_parser()
 def _dispatch(args) -> int:
     if args.command == "index":
         return cmd_index(args.triple, args.idempotent, args.times)
+    if args.command == "decompose":
+        return cmd_decompose(args)
     try:
         config = load_config(args)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        return cmd_verify(config)
-    return cmd_decompose(args, config.seed)
+    return cmd_verify(config)
 
 
 def main(argv=None) -> int:

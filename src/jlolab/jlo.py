@@ -397,7 +397,7 @@ class PairingReport:
     value: complex
     truncation_degree: int
     last_term_magnitude: float
-    integer: int = None
+    integer: int
 
 
 def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:

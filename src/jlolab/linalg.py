@@ -109,32 +109,22 @@ class GradedSpace:
         g.setflags(write=False)
         return g
 
-    def supertrace(self, x) -> complex:
-        return supertrace(x, self.gamma_diag)
 
-
-def _gamma_diag_of(space_or_gamma) -> np.ndarray:
-    if isinstance(space_or_gamma, GradedSpace):
-        return space_or_gamma.gamma_diag
-    return np.real(np.asarray(space_or_gamma))
-
-
-def supertrace(x, gamma) -> complex:
-    """trace(gamma @ x) for a grading given as a GradedSpace or its
-    diagonal."""
+def supertrace(x, space: GradedSpace) -> complex:
+    """trace(gamma @ x) for the grading gamma of space."""
     a = as_matrix(x)
-    g = _gamma_diag_of(gamma)
+    g = space.gamma_diag
     if g.size != a.shape[0]:
         raise ValueError("grading and matrix dimensions disagree")
     return complex(np.sum(g * np.diagonal(a)))
 
 
-def parity_codes(stack, space_or_gamma) -> np.ndarray:
-    """Parity codes of a (..., d, d) stack for a grading g (a GradedSpace or its
-    diagonal): 0 even, 1 odd, 2 mixed.  a is even when |g a g - a|, twice its
-    odd blocks' norm, is <= PARITY_TOL max(1, |a|); odd likewise for g a g + a."""
+def parity_codes(stack, space: GradedSpace) -> np.ndarray:
+    """Parity codes of a (..., d, d) stack for the grading g of space: 0
+    even, 1 odd, 2 mixed.  a is even when |g a g - a|, twice its odd
+    blocks' norm, is <= PARITY_TOL max(1, |a|); odd likewise for g a g + a."""
     a = np.asarray(stack, dtype=np.complex128)
-    g = _gamma_diag_of(space_or_gamma)
+    g = space.gamma_diag
     if a.shape[-2:] != (g.size, g.size):
         raise ValueError("grading and matrix dimensions disagree")
     split = np.not_equal.outer(g, g).ravel()
@@ -144,9 +134,9 @@ def parity_codes(stack, space_or_gamma) -> np.ndarray:
     return (odd > tol) * (1 + (even > tol))
 
 
-def parity_of(m, space_or_gamma) -> Parity:
+def parity_of(m, space: GradedSpace) -> Parity:
     """Classify one matrix as even, odd, or mixed (see parity_codes)."""
-    return tuple(Parity)[parity_codes(as_matrix(m), space_or_gamma)]
+    return tuple(Parity)[parity_codes(as_matrix(m), space)]
 
 
 def check_hermitian(m) -> np.ndarray:

@@ -110,18 +110,11 @@ class SpectralTripleFD:
             bm = bm.copy()
             bm.setflags(write=False)
             self.basis_map = bm
-        self._delta = None
         self._delta_eig = None
 
     @property
     def hilbert_dim(self) -> int:
         return self.space.dim
-
-    @property
-    def delta(self) -> np.ndarray:
-        if self._delta is None:
-            self._delta = self.dirac @ self.dirac
-        return self._delta
 
     def delta_eigensystem(self):
         """Eigensystem of the Hermitian part of Delta = D^2.  The
@@ -129,7 +122,7 @@ class SpectralTripleFD:
         of D^2 can be up to 2 ||D|| times that of D."""
         if self._delta_eig is None:
             check_hermitian(self.dirac)
-            d = self.delta
+            d = self.dirac @ self.dirac
             self._delta_eig = tuple(np.linalg.eigh((d + d.conj().T) / 2.0))
         return self._delta_eig
 
@@ -142,7 +135,7 @@ class SpectralTripleFD:
         return (v * np.exp(-t * w)) @ v.conj().T
 
     def supertrace(self, x) -> complex:
-        return supertrace(x, self.space.gamma_diag)
+        return supertrace(x, self.space)
 
     def _bm(self) -> np.ndarray:
         if self.basis_map is None:
@@ -312,10 +305,6 @@ class Idempotent:
         if m.shape[0] % self.blocks != 0:
             raise ValueError("matrix size is not divisible by blocks")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def base_dim(self) -> int:
-        return self.matrix.shape[0] // self.blocks
 
 
 def ampliate(triple: SpectralTripleFD, k: int) -> SpectralTripleFD:

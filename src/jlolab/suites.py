@@ -2,14 +2,19 @@
 
 Each trial function draws fresh data from an explicit Generator and returns
 a normalized residual; `run_suite` wraps them into report rows with
-per-identity tolerances.  Identities run one after another in IDENTITIES
-order, each on its own seed stream spawned from the master seed, so
-reports are reproducible for a fixed master seed.
+per-identity tolerances.  A suite run is one `RunConfig`, the same object
+`jlolab verify` builds from its flags and config file, so the library and
+the command run the same suite.  Identities run one after another in
+IDENTITIES order, each on its own seed stream spawned from the master
+seed, so reports are reproducible for a fixed master seed.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .jlo import (
     perturbed_cochain,
     verify_theorem_ainf,
 )
-from .linalg import GradedSpace, opnorm
+from .linalg import GradedSpace, _integer, opnorm
 from .randomgen import random_chain, random_even, random_triple
 from .spectral import (
     INDEX_INTEGER_TOL,
@@ -45,13 +50,15 @@ from .spectral import (
 
 __all__ = [
     "IDENTITIES",
+    "RunConfig",
     "curated_index_pairs",
     "format_report_rows",
     "run_suite",
 ]
 
-DEFAULT_DIMS = ((1, 1), (2, 1))
 HEAT_TIMES = (0.1, 1.0, 3.0)
+MAX_DEGREE_LIMIT = 4
+MAX_SPACE_DIM = 16
 
 
 def _pick_dims(rng, dim_pairs, k):
@@ -354,9 +361,9 @@ def trial_index_product(rng=None, dim_pairs=None, max_degree=None,
 IDENTITIES = (
     ("shuffle_multiplicativity", 1e-8, trial_shuffle_multiplicativity),
     ("cyclic_shuffle_pair", 1e-8,
-     lambda rng, dims, **kw: trial_cyclic_shuffle(rng, dims, r=2, **kw)),
+     functools.partial(trial_cyclic_shuffle, r=2)),
     ("cyclic_shuffle_triple", 1e-8,
-     lambda rng, dims, **kw: trial_cyclic_shuffle(rng, dims, r=3, **kw)),
+     functools.partial(trial_cyclic_shuffle, r=3)),
     ("contraction_is_boundary", 1e-9, trial_contraction_boundary),
     ("perturbed_cocycle", 1e-9, trial_perturbed_cocycle),
     ("perturbed_forms_agree", 1e-10, trial_perturbed_forms),
@@ -376,36 +383,80 @@ IDENTITIES = (
 )
 
 
-def run_suite(seed: int, dims=DEFAULT_DIMS, trials: int = 3,
-              max_degree: int = 2, mc_samples: int = 20_000,
-              tolerance: float = None):
-    """Run every identity `trials` times; returns one report row each.
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated settings of one suite run, the run `jlolab verify` makes.
 
-    A row's residual is the worst over its trials.  `tolerance` overrides
-    every per-identity default when given.
+    Integer fields, dims entries included, reject bools and non-integral
+    values; numpy integers are stored as int.
     """
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    if trials == 0:
+
+    seed: int = 42
+    dims: tuple = ((1, 1), (2, 1))
+    max_degree: int = 3
+    trials: int = 3
+    tolerance: float = None
+    mc_samples: int = 20_000
+    report_path: str = ""
+
+    def __post_init__(self):
+        for name in ("seed", "max_degree", "trials", "mc_samples"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        dims = tuple(tuple(_integer(x, "dims entries") for x in pair)
+                     for pair in self.dims)
+        object.__setattr__(self, "dims", dims)
+        if not dims:
+            raise ValueError("dims must list at least one (even, odd) pair")
+        for pair in dims:
+            if len(pair) != 2 or min(pair) < 0 or sum(pair) < 1:
+                raise ValueError(f"bad dimension pair {pair}")
+            if sum(pair) > MAX_SPACE_DIM:
+                raise ValueError(
+                    f"dimension pair {pair} exceeds total dimension "
+                    f"{MAX_SPACE_DIM}")
+        if not 0 <= self.max_degree <= MAX_DEGREE_LIMIT:
+            raise ValueError(
+                f"max_degree must lie in 0..{MAX_DEGREE_LIMIT}")
+        if self.trials < 0:
+            raise ValueError("trials must be non-negative")
+        if self.mc_samples < 1:
+            raise ValueError("mc_samples must be positive")
+        tol = self.tolerance
+        if tol is not None and (isinstance(tol, bool) or not isinstance(
+                tol, numbers.Real) or not tol > 0):
+            raise ValueError("tolerance must be a positive number when given")
+
+
+def run_suite(config: RunConfig):
+    """Run every identity config.trials times; returns one report row each.
+
+    A row's residual is the worst over its trials.  config.tolerance
+    overrides every per-identity default when given.
+    """
+    if config.trials == 0:
         return []
-    dims = tuple(tuple(d) for d in dims)
-    streams = np.random.SeedSequence(seed).spawn(len(IDENTITIES))
+    streams = np.random.SeedSequence(config.seed).spawn(len(IDENTITIES))
     rows = []
     for (name, default_tol, fn), stream in zip(IDENTITIES, streams):
-        tol = default_tol if tolerance is None else tolerance
+        tol = default_tol if config.tolerance is None else config.tolerance
         rng = np.random.default_rng(stream)
         worst = 0.0
-        for _ in range(trials):
-            worst = max(worst, float(fn(rng, dims, max_degree=max_degree,
-                                        mc_samples=mc_samples)))
+        for _ in range(config.trials):
+            worst = max(worst, float(fn(rng, config.dims,
+                                        max_degree=config.max_degree,
+                                        mc_samples=config.mc_samples)))
         rows.append({
             "identity": name,
             "residual": worst,
             "tolerance": tol,
             "pass": bool(worst <= tol),
-            "seed": int(seed),
-            "params": {"trials": trials, "dims": [list(d) for d in dims],
-                       "max_degree": max_degree, "mc_samples": mc_samples},
+            "seed": config.seed,
+            "params": {"trials": config.trials,
+                       "dims": [list(d) for d in config.dims],
+                       "max_degree": config.max_degree,
+                       "mc_samples": config.mc_samples},
         })
     return rows
 

@@ -2,7 +2,7 @@
 
 In Delta's eigenbasis the degree-n term is a sum over index strings of
 matrix-element products weighted by divided differences of exp at the
-eigenvalue strings.  It shares no code with the block-exponential route of
+eigenvalue strings.  It shares no code with the resolvent-contour route of
 `JLOEvaluator`: each term is read from `Chain.terms` and its slots are
 represented and bracketed here.
 """

@@ -312,7 +312,7 @@ def test_criterion_8_exact_versus_monte_carlo():
         slack = 4.0 * se + 1e-12 * (1.0 + abs(exact))
         worst_ratio = max(worst_ratio, gap / slack)
     ok = worst_ratio <= 1.0
-    _verdict(8, "block-exponential and sampled quadrature agree", ok,
+    _verdict(8, "contour and sampled quadrature agree", ok,
              f"worst gap at {worst_ratio:.2f} of the 4-sigma allowance")
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import jlolab
 from jlolab import cli
-from jlolab.cli import RunConfig, _sample_regions, main
+from jlolab.cli import _sample_regions, main
 from jlolab.linalg import GradedSpace
 from jlolab.spectral import (
     Idempotent,
@@ -17,6 +17,7 @@ from jlolab.spectral import (
     idempotent_to_json,
     triple_to_json,
 )
+from jlolab.suites import RunConfig, run_suite
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -81,6 +82,18 @@ def test_verify_passes_and_writes_versioned_report(tmp_path, fast_cfg, capsys):
     assert data["summary"]["all_pass"] is True
     assert data["config"]["seed"] == 7
     assert data["config"]["mc_samples"] == 2000
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_run_suite_returns_the_rows_verify_reports(tmp_path, seed):
+    small = {"trials": 1, "dims": [[1, 1]], "max_degree": 1,
+             "mc_samples": 500}
+    cfg, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(small))
+    assert main(["verify", "--seed", str(seed), "--config", str(cfg),
+                 "--report", str(report)]) == 0
+    rows = json.loads(report.read_text())["identities"]
+    assert run_suite(RunConfig(seed=seed, **small)) == rows
 
 
 def test_verify_reports_are_deterministic_modulo_timestamp(tmp_path, fast_cfg):
@@ -338,7 +351,7 @@ def test_main_calls_in_one_process_share_no_state(tmp_path, monkeypatch,
     assert vars(plain) == {"command": "index", "triple": tp,
                            "idempotent": ep, "times": None}
     assert vars(decompose) == {"command": "decompose", "shuffle": None,
-                               "cyclic": [1, 1], "samples": 10, "seed": None}
+                               "cyclic": [1, 1], "samples": 10, "seed": 42}
     assert built == []
 
 

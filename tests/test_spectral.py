@@ -115,7 +115,8 @@ def test_heat_matches_matrix_exponential():
     rng = np.random.default_rng(1)
     t = random_triple(rng, 2, 2)
     for time in (0.0, 0.5, 2.0):
-        assert np.allclose(t.heat(time), expm(-time * t.delta), atol=1e-12)
+        assert np.allclose(t.heat(time), expm(-time * (t.dirac @ t.dirac)),
+                           atol=1e-12)
     with pytest.raises(ValueError):
         t.heat(-0.1)
 
@@ -218,9 +219,9 @@ def test_product_triple_associativity_of_heat():
 
 def test_idempotent_validation_and_blocks():
     e = Idempotent(np.diag([1.0, 0.0]))
-    assert e.blocks == 1 and e.base_dim == 2
+    assert e.blocks == 1 and e.matrix.shape[0] // e.blocks == 2
     e2 = Idempotent(np.eye(4), blocks=2)
-    assert e2.base_dim == 2
+    assert e2.matrix.shape[0] // e2.blocks == 2
     with pytest.raises(ValueError):
         Idempotent(np.eye(4), blocks=3)
     with pytest.raises(ValueError):
@@ -352,7 +353,7 @@ def test_heat_checks_the_dirac_operator_not_its_square():
                          (np.eye(2),))
     validate_triple(t)
     with pytest.raises(NonHermitianError):
-        hermitian_eigen(t.delta)
+        hermitian_eigen(t.dirac @ t.dirac)
     assert abs(t.heat(1.0)[0, 0] - np.exp(-1.0)) < 1e-12
     assert mckean_singer_index(t) == 0
 

@@ -1,9 +1,11 @@
 import importlib.util
+import json
 import pathlib
 
 import pytest
 
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,32 @@ def test_summary_of_a_single_pair(bench_pairs):
     assert wall["parent"]["median"] == 2.0
     assert wall["change_better_pairs"] == 1
     assert wall["relative_median_change"] == -0.25
+
+
+def _pair(parent, change):
+    """One parent/change pair of runs whose metrics read the given values."""
+    return [{"side": side, "workload": "cochain", "seed": 7,
+             "result": {"failed": 0, "metrics": {
+                 name: {"value": value} for name, value in values.items()}}}
+            for side, values in (("parent", parent), ("change", change))]
+
+
+def test_summary_counts_a_rise_by_the_metric_direction(bench_pairs):
+    runs = _pair({"ops_per_s": 10.0, "wall_s": 1.0},
+                 {"ops_per_s": 12.0, "wall_s": 1.2})
+    metrics = bench_pairs.summarize(runs, "cochain")["metrics"]
+    assert metrics["ops_per_s"]["change_better_pairs"] == 1
+    assert metrics["wall_s"]["change_better_pairs"] == 0
+
+
+def test_summary_directions_and_run_length_are_the_benchmarks(bench_pairs):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    runs = _pair(dict.fromkeys(names, 1.0), dict.fromkeys(names, 2.0))
+    metrics = bench_pairs.summarize(runs, "cochain")["metrics"]
+    assert {name: m["change_better_pairs"] for name, m in metrics.items()} \
+        == {m["name"]: int(m["better"] == "higher") for m in spec["end_to_end"]}
+    assert bench_pairs.PAIR_SECONDS == spec["run_seconds"]
 
 
 @pytest.mark.parametrize("script, code, stderr", [

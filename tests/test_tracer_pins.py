@@ -1,5 +1,6 @@
 """perfbench's tracer still finds every name it pins in the package, and
-its uninstall restores every binding it changed."""
+its uninstall restores every binding it changed; perfbench's workloads
+still run on the package's calling conventions."""
 
 import importlib
 import pathlib
@@ -17,6 +18,14 @@ def tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     yield importlib.import_module("tracer")
     sys.modules.pop("tracer", None)
+
+
+@pytest.fixture()
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("workloads")
+    for name in ("workloads", "tracer"):
+        sys.modules.pop(name, None)
 
 
 def _bindings(tracer):
@@ -48,3 +57,22 @@ def test_install_finds_every_pin_and_uninstall_restores_it(tracer):
     after = _bindings(tracer)
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+@pytest.mark.parametrize("name", ["algebra", "cochain", "index", "verify"])
+def test_one_small_unit_of_each_workload_runs_clean(workloads, tmp_path,
+                                                    name):
+    # the unedited perfbench relies on 3-tuple IDENTITIES rows, trial(prng,
+    # dims), ElementaryChain and Chain(dim, terms), and basis_map /
+    # represent / unrepresent; a unit that runs clean uses all of them
+    rec = workloads.Recorder()
+    undo = workloads.install_trial_timer(rec) if name == "verify" else None
+    try:
+        workload = workloads.WORKLOADS[name](0, str(tmp_path), small=True)
+        workload.warm_up()
+        workload.unit(0, rec)
+    finally:
+        if undo is not None:
+            undo()
+    assert rec.latencies
+    assert rec.failures == []

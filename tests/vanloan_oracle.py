@@ -18,9 +18,10 @@ def term_vanloan(triple, ops) -> complex:
     n, d = len(ops) - 1, triple.hilbert_dim
     if n == 0:
         return triple.supertrace(ops[0] @ triple.heat(1.0))
+    delta = triple.dirac @ triple.dirac
     m = np.zeros(((n + 1) * d, (n + 1) * d), dtype=np.complex128)
     for k in range(n + 1):
-        m[k * d:(k + 1) * d, k * d:(k + 1) * d] = -triple.delta
+        m[k * d:(k + 1) * d, k * d:(k + 1) * d] = -delta
     for k in range(1, n + 1):
         m[(k - 1) * d:k * d, k * d:(k + 1) * d] = ops[k]
     return triple.supertrace(ops[0] @ expm(m)[:d, n * d:])

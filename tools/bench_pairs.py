@@ -23,6 +23,7 @@ import argparse
 import io
 import json
 import os
+import pathlib
 import platform
 import shutil
 import statistics
@@ -31,9 +32,13 @@ import sys
 import tarfile
 import tempfile
 
-LOWER_IS_BETTER = {"setup_s", "wall_s", "op_p50_ms", "op_p90_ms",
-                   "peak_rss_mb"}
-PAIR_SECONDS = 30
+# run length and metric directions are the benchmark's own, read from the
+# BENCHMARK.json of the checkout that holds this tool
+_SPEC = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                    / "BENCHMARK.json").read_text())
+LOWER_IS_BETTER = {m["name"] for m in _SPEC["end_to_end"]
+                   if m["better"] == "lower"}
+PAIR_SECONDS = _SPEC["run_seconds"]
 TRACE_SECONDS = 10
 
 
