@@ -3,162 +3,27 @@
 Builds heat-kernel cochains of triples, the boundary and shuffle operations
 on entire cyclic chains, and idempotent index pairings, then verifies the
 multiplicativity identities tying them together to floating-point accuracy.
+
+Each module's `__all__` declares its public names; the package re-exports
+them all.
 """
 
-from .chains import (
-    Chain,
-    ElementaryChain,
-    TermBudgetError,
-    br_operation,
-    connes_B,
-    cyclic_shuffle_product,
-    hochschild_b,
-    probe_distance,
-    shuffle_product,
-)
-from .jlo import (
-    DegreeCapError,
-    JLOEvaluator,
-    NonConvergentError,
-    NonIntegerIndexError,
-    PairingReport,
-    SimplexOrderError,
-    bch_cochain,
-    delta_perturbation,
-    index_pairing,
-    jlo_cochain,
-    jlo_cochain_mc,
-    jlo_integrand,
-    perturbed_cochain,
-    verify_theorem_ainf,
-)
-from .linalg import (
-    GradedSpace,
-    NonHermitianError,
-    Parity,
-    ParityError,
-    frob,
-    hermitian_eigen,
-    matrix_from_json,
-    matrix_to_json,
-    opnorm,
-    parity_of,
-    supertrace,
-)
-from .randomgen import (
-    random_chain,
-    random_even,
-    random_odd_hermitian,
-    random_triple,
-)
-from .shuffles import (
-    cyclic_region_locate,
-    cyclic_shuffle_peak_rows,
-    enumerate_cyclic_shuffles,
-    enumerate_shuffles,
-    is_cyclic_shuffle,
-    permutation_signs,
-    sample_simplex_batch,
-    sorting_images,
-)
-from .spectral import (
-    Idempotent,
-    NotIdempotentError,
-    NotSelfAdjointError,
-    SpectralGapWarning,
-    SpectralTripleFD,
-    TripleDiagnostics,
-    ampliate,
-    commutator_d,
-    diagnose,
-    idempotent_from_json,
-    idempotent_to_json,
-    index_of_pair,
-    kernel_projection,
-    mckean_singer_index,
-    product_triple,
-    triple_from_json,
-    triple_to_json,
-    validate_idempotent,
-    validate_triple,
-)
-from .suites import (
-    IDENTITIES,
-    curated_index_pairs,
-    format_report_rows,
-    run_suite,
-)
+from . import chains, jlo, linalg, randomgen, shuffles, spectral, suites
+from .chains import *
+from .jlo import *
+from .linalg import *
+from .randomgen import *
+from .shuffles import *
+from .spectral import *
+from .suites import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Chain",
-    "DegreeCapError",
-    "ElementaryChain",
-    "GradedSpace",
-    "IDENTITIES",
-    "Idempotent",
-    "JLOEvaluator",
-    "NonConvergentError",
-    "NonHermitianError",
-    "NonIntegerIndexError",
-    "NotIdempotentError",
-    "NotSelfAdjointError",
-    "PairingReport",
-    "Parity",
-    "ParityError",
-    "SimplexOrderError",
-    "SpectralGapWarning",
-    "SpectralTripleFD",
-    "TermBudgetError",
-    "TripleDiagnostics",
-    "ampliate",
-    "bch_cochain",
-    "br_operation",
-    "commutator_d",
-    "connes_B",
-    "curated_index_pairs",
-    "cyclic_region_locate",
-    "cyclic_shuffle_peak_rows",
-    "cyclic_shuffle_product",
-    "delta_perturbation",
-    "diagnose",
-    "enumerate_cyclic_shuffles",
-    "enumerate_shuffles",
-    "format_report_rows",
-    "frob",
-    "hermitian_eigen",
-    "hochschild_b",
-    "idempotent_from_json",
-    "idempotent_to_json",
-    "index_of_pair",
-    "index_pairing",
-    "is_cyclic_shuffle",
-    "jlo_cochain",
-    "jlo_cochain_mc",
-    "jlo_integrand",
-    "kernel_projection",
-    "matrix_from_json",
-    "matrix_to_json",
-    "mckean_singer_index",
-    "opnorm",
-    "parity_of",
-    "permutation_signs",
-    "perturbed_cochain",
-    "probe_distance",
-    "product_triple",
-    "random_chain",
-    "random_even",
-    "random_odd_hermitian",
-    "random_triple",
-    "run_suite",
-    "sample_simplex_batch",
-    "shuffle_product",
-    "sorting_images",
-    "supertrace",
-    "triple_from_json",
-    "triple_to_json",
-    "validate_idempotent",
-    "validate_triple",
-    "verify_theorem_ainf",
-]
+__all__ = []
+__all__ += chains.__all__
+__all__ += jlo.__all__
+__all__ += linalg.__all__
+__all__ += randomgen.__all__
+__all__ += shuffles.__all__
+__all__ += spectral.__all__
+__all__ += suites.__all__

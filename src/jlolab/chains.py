@@ -176,16 +176,23 @@ class Chain:
         """Drop vanishing terms and terms with a scalar matrix in a slot >= 1.
 
         One batched test marks the scalar table entries, then one mask per
-        degree drops the rows; the table is kept as it is.
+        degree drops the rows.  The table keeps only the entries the kept
+        rows use, in order; when they use every entry it is kept as it is.
         """
         d = self.algebra_dim
         scalar = _scalar_entries(self.table)
         kept = {}
+        used = np.zeros(len(self.table), dtype=bool)
         for n, (rows, coeffs) in self.blocks.items():
             keep = (coeffs != 0) & ~scalar[rows[:, 1:]].any(axis=1)
             if keep.any():
                 kept[n] = (rows[keep], coeffs[keep])
-        return Chain.from_table(d, self.table, kept)
+                used[kept[n][0]] = True
+        if used.all():
+            return Chain.from_table(d, self.table, kept)
+        remap = np.cumsum(used) - 1
+        return Chain.from_table(d, self.table[used], {
+            n: (remap[rows], coeffs) for n, (rows, coeffs) in kept.items()})
 
 
 def hochschild_b(chain: Chain) -> Chain:

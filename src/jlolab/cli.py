@@ -52,24 +52,19 @@ DECOMPOSE_ROW_BUDGET = 2_000_000
 def load_config(args) -> RunConfig:
     """Merge RunConfig's defaults, an optional JSON config file, and the
     flags of `verify`."""
-    data = {}
+    data, names = {}, {f.name for f in fields(RunConfig)}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
+        unknown = sorted(set(raw) - names)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         data.update(raw)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.tolerance is not None:
-        data["tolerance"] = args.tolerance
-    if args.mc_samples is not None:
-        data["mc_samples"] = args.mc_samples
-    if args.report is not None:
-        data["report_path"] = args.report
+    # each verify flag's dest is the RunConfig field it sets
+    data.update((k, v) for k, v in vars(args).items()
+                if k in names and v is not None)
     return RunConfig(**data)
 
 
@@ -326,8 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="override every per-identity tolerance")
     vf.add_argument("--mc-samples", type=int, default=None, dest="mc_samples",
                     help="Monte Carlo sample count per estimate")
-    vf.add_argument("--report", default=None, metavar="PATH",
-                    help="write a JSON report to PATH")
+    vf.add_argument("--report", default=None, dest="report_path",
+                    metavar="PATH", help="write a JSON report to PATH")
     vf.add_argument("--config", default=None, metavar="PATH",
                     help="JSON file with RunConfig fields")
 

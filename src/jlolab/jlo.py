@@ -46,7 +46,6 @@ from .spectral import NonIntegerIndexError, SpectralTripleFD, \
     _rounded_index, commutator_d, product_triple
 
 __all__ = [
-    "DEGREE_CAP",
     "DegreeCapError",
     "JLOEvaluator",
     "NonConvergentError",

@@ -15,19 +15,15 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
     "GradedSpace",
     "NonHermitianError",
     "Parity",
     "ParityError",
-    "as_matrix",
-    "check_hermitian",
     "frob",
     "hermitian_eigen",
     "matrix_from_json",
     "matrix_to_json",
     "opnorm",
-    "parity_codes",
     "parity_of",
     "supertrace",
 ]

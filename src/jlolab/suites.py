@@ -427,6 +427,8 @@ class RunConfig:
         if tol is not None and (isinstance(tol, bool) or not isinstance(
                 tol, numbers.Real) or not tol > 0):
             raise ValueError("tolerance must be a positive number when given")
+        if not isinstance(self.report_path, str):
+            raise ValueError("report_path must be a string")
 
 
 def run_suite(config: RunConfig):

@@ -327,13 +327,15 @@ def _kron_br_operation(chains):
     return Chain(total, tuple(terms)).normalized()
 
 
-def _assert_rebuilt(out, ref, table_size):
+def _assert_rebuilt(out, ref, most):
     assert out.num_terms == ref.num_terms > 0
     for t, r in zip(out.terms, ref.terms):
         assert t.coeff == r.coeff
         for f, g in zip(t.factors, r.factors, strict=True):
             assert np.array_equal(f, g)
-    assert len(out.table) == table_size
+    # the table holds each entry the rows use once, and no other
+    assert len(out.table) == _distinct(f for t in out.terms for f in t.factors)
+    assert len(out.table) <= most
 
 
 def _distinct(arrays) -> int:
@@ -351,16 +353,28 @@ def test_products_embed_each_factor_once():
     for x in (a, b, c):
         assert len(x.table) == _distinct(f for t in x.terms for f in t.factors)
     for left, right in ((a, b), (b, a), (shuffle_product(a, c), b)):
-        # each input table entry embedded once, plus one entry per head pair
+        # each input table entry embedded at most once, plus at most one
+        # entry per head pair
         heads = _distinct(np.kron(ta.factors[0], tb.factors[0])
                           for ta in left.terms for tb in right.terms)
         _assert_rebuilt(shuffle_product(left, right),
                         _kron_shuffle_product(left, right),
                         len(left.table) + len(right.table) + heads)
     for args in ((a, b), (a, b, c)):
-        # each input table entry embedded once, plus the unit
+        # each input table entry embedded at most once, plus the unit
         _assert_rebuilt(br_operation(list(args)), _kron_br_operation(list(args)),
                         1 + sum(len(x.table) for x in args))
+
+
+def test_normalized_keeps_only_the_entries_its_rows_use():
+    rng = np.random.default_rng(23)
+    a = random_chain(rng, GradedSpace(2, 1), (1, 2, 3, 4))
+    assert a.normalized().table is a.table
+    assert len(connes_B(connes_B(a)).table) == 0
+    bb = hochschild_b(hochschild_b(a))
+    used = np.concatenate([rows.ravel() for rows, _ in bb.blocks.values()])
+    assert bb.num_terms > 0
+    assert np.array_equal(np.unique(used), np.arange(len(bb.table)))
 
 
 def test_shuffle_product_budget_trips_before_any_work(monkeypatch):

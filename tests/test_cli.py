@@ -149,6 +149,22 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["decompose", "--cyclic", "1", "--seed", "-3"]) == 2
 
 
+def test_report_path_must_be_a_string(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in (2, True, None, []):
+        cfg.write_text(json.dumps({"trials": 0, "report_path": bad}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert "schema" not in out + err
+        assert err == ("error: invalid configuration: "
+                       "report_path must be a string\n")
+    report = tmp_path / "report.json"
+    for path in ("", str(report)):
+        cfg.write_text(json.dumps({"trials": 0, "report_path": path}))
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert report.exists() == bool(path)
+
+
 def test_index_agreement_exits_zero(tmp_path, capsys):
     tp, ep = _write_pair(tmp_path)
     code = main(["index", tp, ep])

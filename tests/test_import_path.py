@@ -1,5 +1,7 @@
-"""scipy stays off the package's import path and every CLI command's."""
+"""The package's import path: each public name is declared once, in its
+module's `__all__`, and scipy stays off it and every CLI command's."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +14,43 @@ import jlolab
 from jlolab import jlo
 from jlolab.spectral import idempotent_to_json, triple_to_json
 from jlolab.suites import curated_index_pairs
+
+MODULES = ("chains", "jlo", "linalg", "randomgen", "shuffles", "spectral",
+           "suites")
+
+# the package's public names
+SURFACE = set("""
+    Chain DegreeCapError ElementaryChain GradedSpace IDENTITIES
+    Idempotent JLOEvaluator NonConvergentError NonHermitianError
+    NonIntegerIndexError NotIdempotentError NotSelfAdjointError
+    PairingReport Parity ParityError RunConfig SimplexOrderError
+    SpectralGapWarning SpectralTripleFD TermBudgetError
+    TripleDiagnostics ampliate bch_cochain br_operation commutator_d
+    connes_B curated_index_pairs cyclic_region_locate
+    cyclic_shuffle_peak_rows cyclic_shuffle_product delta_perturbation
+    diagnose enumerate_cyclic_shuffles enumerate_shuffles
+    format_report_rows frob hermitian_eigen hochschild_b
+    idempotent_from_json idempotent_to_json index_of_pair index_pairing
+    is_cyclic_shuffle jlo_cochain jlo_cochain_mc jlo_integrand
+    kernel_projection matrix_from_json matrix_to_json
+    mckean_singer_index opnorm parity_of permutation_signs
+    perturbed_cochain probe_distance product_triple random_chain
+    random_even random_odd_hermitian random_triple run_suite
+    sample_simplex_batch shuffle_product sorting_images supertrace
+    triple_from_json triple_to_json validate_idempotent validate_triple
+    verify_theorem_ainf
+""".split())
+
+
+def test_package_reexports_each_module_list_once():
+    modules = [importlib.import_module(f"jlolab.{m}") for m in MODULES]
+    assert jlolab.__all__ == [n for m in modules for n in m.__all__]
+    assert len(set(jlolab.__all__)) == len(jlolab.__all__)
+    assert set(jlolab.__all__) == SURFACE
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(jlolab, name) is getattr(m, name)
+
 
 # runs in a fresh interpreter; prints, after each step, whether scipy
 # has been imported

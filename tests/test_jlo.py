@@ -498,8 +498,6 @@ def test_stacked_preparation_matches_per_entry_loop():
     pairs = shuffle_product(random_chain(rng, t21.space, (0, 1, 2)),
                             random_chain(rng, t11.space, (0, 1)))
     boundary = hochschild_b(random_chain(rng, t21.space, (1, 2, 3, 4)))
-    used = np.unique(np.concatenate([r.ravel() for r, _ in boundary.blocks.values()]))
-    assert len(used) < len(boundary.table)
     vanishing = _mixed_chain(rng, t21.space, (0, 1, 2, 3))
     odd_head = Chain.elementary(1.5, (random_odd_hermitian(rng, t21.space),))
     cases = [(product, pairs), (flat, random_chain(rng, flat.space, (0, 1, 2, 3))),
@@ -517,3 +515,14 @@ def test_stacked_preparation_matches_per_entry_loop():
         assert perturbed_cochain(t, chain) == \
             ev.cochain(chain) + INV_SQRT2 * ev.cochain(chain, True)
     assert skipped > 0
+    # the boundary's terms over a table that holds three entries no row uses
+    unused = np.stack([random_even(rng, t21.space) for _ in range(3)])
+    padded = Chain.from_table(3, np.concatenate([unused, boundary.table]), {
+        n: (rows + 3, coeffs) for n, (rows, coeffs) in boundary.blocks.items()})
+    ev = JLOEvaluator(t21)
+    for first_slot_d in (False, True):
+        want = _per_entry_cochain(ev, boundary, first_slot_d)
+        got = sum(complex(coeffs[~vanish] @ ev.term_exact(slots))
+                  for _, coeffs, slots, vanish in ev._prepared_terms(
+                      padded, (first_slot_d,)) if len(slots))
+        assert abs(got - want) <= 1e-13 * (1 + abs(want))

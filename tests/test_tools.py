@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import pathlib
 
@@ -79,3 +80,39 @@ def test_run_returns_the_last_line(bench_pairs, tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text(
         "print('== cochain'); print('{\"failed\": 0}')")
     assert bench_pairs.run(str(tmp_path), "cochain", 1, 1, 0) == {"failed": 0}
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", ROOT / "tools" / "same_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+INDEX_STDOUT = """pair:
+  character pairing : +1.000000000  (truncated at degree 4, last term 1.2e-13)
+  fredholm index    : +1
+  difference        : 4.441e-16
+"""
+
+
+def test_same_outputs_reads_identical_outputs_as_identical(same_outputs):
+    outputs = {"index 0: stdout": INDEX_STDOUT, "index 0: exit": "0\n"}
+    stream = io.StringIO()
+    assert same_outputs.report(outputs, dict(outputs), stream) == 0
+    assert stream.getvalue() == "identical\n"
+
+
+def test_same_outputs_names_a_changed_difference_line(same_outputs):
+    parent = {"index 0: stdout": INDEX_STDOUT, "index 0: exit": "0\n"}
+    change = dict(parent, **{"index 0: stdout": INDEX_STDOUT.replace(
+        "4.441e-16", "6.661e-16")})
+    stream = io.StringIO()
+    assert same_outputs.report(parent, change, stream) == 1
+    diff = stream.getvalue()
+    assert "--- parent/index 0: stdout\n+++ change/index 0: stdout\n" in diff
+    assert "-  difference        : 4.441e-16\n" in diff
+    assert "+  difference        : 6.661e-16\n" in diff
+    assert "exit" not in diff

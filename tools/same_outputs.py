@@ -1,0 +1,174 @@
+"""Check that a change leaves jlolab's outputs byte-identical to a parent's.
+
+    python3 tools/same_outputs.py --parent REV
+
+Run from the root of a git checkout.  The parent revision and the working
+tree are exported as `tools/bench_pairs.py` exports them, and each side
+runs every command below in one interpreter of its own, on its own `src/`,
+through `jlolab.cli.main`:
+
+- `verify --seed 42` and `--seed 7`, with their JSON reports, which are
+  compared without their `timestamp` line, and `verify --help`;
+- `index` over every input of perfbench's `Index` workload at seed 531;
+- `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`;
+- `verify` and `decompose` on bad `--config` files and bad flags.
+
+The input files are written once, by the parent's perfbench, and both
+sides read the same ones.  Stdout, stderr and the exit code of every
+command are compared.  Prints `identical`, or one unified diff per output
+that differs and exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+INDEX_SEED = 531
+
+# builds perfbench's Index inputs in a directory and prints each call's argv
+WRITE_INDEX_INPUTS = """
+import json, sys
+from workloads import Index
+calls = Index(int(sys.argv[1]), sys.argv[2]).calls
+print(json.dumps([argv for _, argv, _ in calls]))
+"""
+
+# runs the jobs of a JSON file through cli.main; writes {output: text}
+RUN_JOBS = """
+import contextlib, io, json, os, sys
+from jlolab import cli
+jobs_path, out_path = sys.argv[1:]
+with open(jobs_path) as fh:
+    jobs = json.load(fh)
+outputs = {}
+for name, argv in jobs:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    outputs[f"{name}: stdout"] = out.getvalue()
+    outputs[f"{name}: stderr"] = err.getvalue()
+    outputs[f"{name}: exit"] = f"{code}\\n"
+    if "--report" in argv and os.path.exists("report.json"):
+        with open("report.json") as fh:
+            outputs[f"{name}: report"] = "".join(
+                line for line in fh if '"timestamp"' not in line)
+        os.remove("report.json")
+with open(out_path, "w") as fh:
+    json.dump(outputs, fh)
+"""
+
+BAD_CONFIGS = [
+    {"max_degree": 9}, {"dims": [[12, 9]]}, {"no_such_key": 1},
+    {"seed": 1.5}, {"trials": "1"}, {"max_degree": 1.5}, {"mc_samples": 2.5},
+    {"seed": -3}, {"tolerance": "1e-3"}, {"dims": [[1.5, 1]]}, [1, 2],
+]
+
+
+def jobs(inputs, index_calls):
+    """(name, argv) of every command both sides run; config files are
+    written to inputs."""
+    out = [(f"verify --seed {seed}",
+            ["verify", "--seed", str(seed), "--report", "report.json"])
+           for seed in (42, 7)]
+    out.append(("verify --help", ["verify", "--help"]))
+    small = os.path.join(inputs, "small.json")
+    with open(small, "w") as fh:
+        json.dump({"trials": 1, "dims": [[1, 1]], "max_degree": 1}, fh)
+    out.append(("verify, flags over a config", [
+        "verify", "--config", small, "--seed", "3", "--tolerance", "1e-30",
+        "--mc-samples", "500", "--report", "report.json"]))
+    out += [(f"index {k}", ["index", *argv])
+            for k, argv in enumerate(index_calls)]
+    out += [(f"decompose {' '.join(args)}", ["decompose", *args])
+            for args in (["--shuffle", "3", "2"], ["--cyclic", "1", "2", "1"],
+                         ["--cyclic", "2", "1"])]
+    for k, raw in enumerate(BAD_CONFIGS):
+        path = os.path.join(inputs, f"bad{k}.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out.append((f"verify, bad config {json.dumps(raw)}",
+                    ["verify", "--config", path]))
+    not_json = os.path.join(inputs, "not-json.json")
+    with open(not_json, "w") as fh:
+        fh.write("{not json")
+    out += [("verify, config not JSON", ["verify", "--config", not_json]),
+            ("verify, missing config",
+             ["verify", "--config", os.path.join(inputs, "missing.json")]),
+            ("verify --seed -3", ["verify", "--seed", "-3"]),
+            ("decompose --seed -3",
+             ["decompose", "--cyclic", "1", "--seed", "-3"]),
+            ("decompose --config",
+             ["decompose", "--shuffle", "1", "1", "--config", small])]
+    return out
+
+
+def run_side(root, jobs_path, workdir):
+    """{output: text} of one side, its commands run in one interpreter."""
+    os.makedirs(workdir)
+    out_path = os.path.join(workdir, "outputs.json")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run([sys.executable, "-c", RUN_JOBS, jobs_path, out_path],
+                   cwd=workdir, env=env, check=True)
+    with open(out_path) as fh:
+        return json.load(fh)
+
+
+def differences(parent, change):
+    """One unified diff per output whose text differs between the sides."""
+    out = []
+    for name in sorted(parent.keys() | change.keys()):
+        old, new = parent.get(name, ""), change.get(name, "")
+        if old != new:
+            out.append("".join(difflib.unified_diff(
+                old.splitlines(keepends=True), new.splitlines(keepends=True),
+                f"parent/{name}", f"change/{name}")))
+    return out
+
+
+def report(parent, change, stream=None) -> int:
+    """Print `identical` and return 0, or print the diffs and return 1."""
+    diffs = differences(parent, change)
+    print("\n".join(diffs) if diffs else "identical", file=stream)
+    return 1 if diffs else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True)
+    args = parser.parse_args()
+    # found next to this file when it runs as a script
+    from bench_pairs import export
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        roots = {"parent": tmp / "parent", "change": tmp / "change"}
+        export(args.parent, roots["parent"])
+        export(None, roots["change"])
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        perfbench = roots["parent"] / "perfbench"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(roots["parent"] / "src"), str(perfbench)]))
+        index_calls = json.loads(subprocess.run(
+            [sys.executable, "-c", WRITE_INDEX_INPUTS, str(INDEX_SEED),
+             str(inputs)], env=env, capture_output=True, text=True,
+            check=True).stdout)
+        jobs_path = tmp / "jobs.json"
+        jobs_path.write_text(json.dumps(jobs(str(inputs), index_calls)))
+        outputs = {side: run_side(str(root), str(jobs_path),
+                                  tmp / f"{side}-run")
+                   for side, root in roots.items()}
+    return report(outputs["parent"], outputs["change"])
+
+
+if __name__ == "__main__":
+    sys.exit(main())
