@@ -13,6 +13,7 @@ deterministic for a fixed configuration and seed up to the timestamp field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -71,28 +72,35 @@ def load_config(args) -> RunConfig:
 # -------------------------------------------------------------------- verify
 
 def cmd_verify(config: RunConfig) -> int:
-    rows = run_suite(config)
-    print(format_report_rows(rows), end="")
-    passed = sum(1 for r in rows if r["pass"])
-    ok = passed == len(rows)
-    if config.trials == 0:
-        print("warning: trials = 0, no identity checks were run",
-              file=sys.stderr)
-    else:
-        print(f"{passed}/{len(rows)} identities passed")
-    if config.report_path:
-        report = {
-            "schema": 1,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            # report_path is left out so that reports written to different
-            # destinations stay byte-comparable
-            "config": {k: v for k, v in asdict(config).items()
-                       if k != "report_path"},
-            "identities": rows,
-            "summary": {"checks": len(rows), "passed": passed,
-                        "failed": len(rows) - passed, "all_pass": ok},
-        }
-        with open(config.report_path, "w") as fh:
+    # the report file opens before any identity runs, so a path that cannot
+    # be written is bad input, not a failed check after the whole suite
+    try:
+        fh = open(config.report_path, "w") if config.report_path else None
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    with fh or contextlib.nullcontext():
+        rows = run_suite(config)
+        print(format_report_rows(rows), end="")
+        passed = sum(1 for r in rows if r["pass"])
+        ok = passed == len(rows)
+        if config.trials == 0:
+            print("warning: trials = 0, no identity checks were run",
+                  file=sys.stderr)
+        else:
+            print(f"{passed}/{len(rows)} identities passed")
+        if fh is not None:
+            report = {
+                "schema": 1,
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                # report_path is left out so that reports written to different
+                # destinations stay byte-comparable
+                "config": {k: v for k, v in asdict(config).items()
+                           if k != "report_path"},
+                "identities": rows,
+                "summary": {"checks": len(rows), "passed": passed,
+                            "failed": len(rows) - passed, "all_pass": ok},
+            }
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if ok else 1
@@ -289,6 +297,11 @@ def cmd_decompose(args) -> int:
         return 2
     if args.samples < 0:
         print("error: --samples must be non-negative", file=sys.stderr)
+        return 2
+    # samples are rows as wide as the enumeration's, under the same budget
+    if args.samples > DECOMPOSE_ROW_BUDGET:
+        print(f"error: --samples {args.samples} is over the budget of "
+              f"{DECOMPOSE_ROW_BUDGET}", file=sys.stderr)
         return 2
     if any(p < 0 for p in degrees):
         print("error: degrees must be non-negative", file=sys.stderr)

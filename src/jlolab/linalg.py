@@ -20,7 +20,6 @@ __all__ = [
     "Parity",
     "ParityError",
     "frob",
-    "hermitian_eigen",
     "matrix_from_json",
     "matrix_to_json",
     "opnorm",
@@ -152,17 +151,6 @@ def check_hermitian(m) -> np.ndarray:
             opnorm(k) > DEFAULT_TOL * max(1.0, opnorm(a)):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     return a
-
-
-def hermitian_eigen(m):
-    """Eigendecomposition of the Hermitian part of a matrix that passes
-    check_hermitian, eigenvalues ascending.
-
-    Returns (w, u) with (m + m^*)/2 reconstructed by u @ diag(w) @ u^*.
-    """
-    a = check_hermitian(m)
-    w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return w, u
 
 
 def matrix_to_json(m) -> dict:

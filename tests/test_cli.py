@@ -125,6 +125,25 @@ def test_verify_unattainable_tolerance_fails(fast_cfg):
                  "--tolerance", "1e-30"]) == 1
 
 
+@pytest.mark.parametrize("where, error", [
+    ("a directory", IsADirectoryError),
+    ("a missing directory", FileNotFoundError)])
+def test_verify_refuses_an_unwritable_report_before_any_identity(
+        tmp_path, monkeypatch, capsys, where, error):
+    def refuse(config):
+        raise AssertionError("ran the suite")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    path = tmp_path if where == "a directory" else tmp_path / "no" / "r.json"
+    with pytest.raises(error) as exc:
+        open(path, "w")
+    assert main(["verify", "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write the report: {exc.value}\n"
+    assert not (tmp_path / "no").exists()
+
+
 def test_config_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"max_degree": 9}))
@@ -516,6 +535,33 @@ def test_decompose_budget_counts_rows_before_enumerating(monkeypatch, capsys):
     assert out == ""
     assert err == ("error: 665280 regions take 14968800 rows to enumerate, "
                    f"over the budget of {cli.DECOMPOSE_ROW_BUDGET}\n")
+
+
+def test_decompose_refuses_samples_over_the_row_budget(monkeypatch, capsys):
+    # 10^12 samples would be 10^12 rows; nothing is drawn or enumerated
+    def refuse(*args):
+        raise AssertionError("drew or enumerated past the budget")
+
+    for name in ("sample_simplex_batch", "enumerate_shuffles",
+                 "enumerate_cyclic_shuffles"):
+        monkeypatch.setattr(cli, name, refuse)
+    for mode in (["--shuffle", "2", "2"], ["--cyclic", "1", "1"]):
+        assert main(["decompose", *mode,
+                     "--samples", "1000000000000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --samples 1000000000000 is over the budget "
+                       f"of {cli.DECOMPOSE_ROW_BUDGET}\n")
+
+
+def test_decompose_samples_budget_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "DECOMPOSE_ROW_BUDGET", 50)
+    for mode in (["--shuffle", "2", "2"], ["--cyclic", "1", "1"]):
+        assert main(["decompose", *mode, "--samples", "50"]) == 0
+        assert "samples: 50 located" in capsys.readouterr().out
+        assert main(["decompose", *mode, "--samples", "51"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --samples 51 is over the budget of 50\n")
 
 
 def test_decompose_requires_exactly_one_mode():

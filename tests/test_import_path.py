@@ -24,12 +24,12 @@ SURFACE = set("""
     Idempotent JLOEvaluator NonConvergentError NonHermitianError
     NonIntegerIndexError NotIdempotentError NotSelfAdjointError
     PairingReport Parity ParityError RunConfig SimplexOrderError
-    SpectralGapWarning SpectralTripleFD TermBudgetError
-    TripleDiagnostics ampliate bch_cochain br_operation commutator_d
+    SpectralGapWarning SpectralTripleFD TermBudgetError ampliate
+    bch_cochain br_operation commutator_d
     connes_B curated_index_pairs cyclic_region_locate
     cyclic_shuffle_peak_rows cyclic_shuffle_product delta_perturbation
-    diagnose enumerate_cyclic_shuffles enumerate_shuffles
-    format_report_rows frob hermitian_eigen hochschild_b
+    enumerate_cyclic_shuffles enumerate_shuffles format_report_rows
+    frob hochschild_b
     idempotent_from_json idempotent_to_json index_of_pair index_pairing
     is_cyclic_shuffle jlo_cochain jlo_cochain_mc jlo_integrand
     kernel_projection matrix_from_json matrix_to_json

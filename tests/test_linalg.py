@@ -10,7 +10,6 @@ from jlolab.linalg import (
     Parity,
     check_hermitian,
     frob,
-    hermitian_eigen,
     matrix_from_json,
     matrix_to_json,
     opnorm,
@@ -18,6 +17,7 @@ from jlolab.linalg import (
     parity_of,
     supertrace,
 )
+from jlolab.spectral import kernel_projection
 
 
 def _rand(rng, n, m=None):
@@ -91,33 +91,35 @@ def test_parity_codes_match_parity_of_entry_for_entry():
     assert parity_codes(np.array(mats), s).tolist() == want
 
 
-def test_hermitian_eigen_reconstructs_and_sorts():
+def test_check_hermitian_returns_a_hermitian_matrix_as_is():
     rng = np.random.default_rng(2)
     x = _rand(rng, 6)
     h = x + x.conj().T
-    w, u = hermitian_eigen(h)
-    assert np.all(np.diff(w) >= 0)
-    assert np.allclose(u @ np.diag(w) @ u.conj().T, h, atol=1e-12)
+    a = check_hermitian(h)
+    assert a.dtype == np.complex128
+    assert np.array_equal(a, h)
 
 
-def test_hermitian_eigen_rejects_non_hermitian():
+def test_check_hermitian_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_hermiticity_rule_is_absolute_below_norm_one_relative_above():
     # opnorm(m - m^*) <= DEFAULT_TOL * max(1, opnorm(m)); frob(m - m^*) is
-    # 1.8e-10 for the accepted small matrix, only its opnorm counts
+    # 1.8e-10 for the accepted small matrix, only its opnorm counts; the
+    # kernel projection reads the same rule, and the Hermitian part of m
     for scale, defect, ok in [(1e-3, 0.45e-10, True), (1e-3, 1.5e-10, False),
                               (1e3, 0.45e-7, True), (1e3, 1.5e-7, False)]:
-        m = scale * np.eye(4) + 1j * defect * np.eye(4)
+        m = scale * np.diag([1.0, 1.0, 0.0, 0.0]) + 1j * defect * np.eye(4)
         if ok:
-            assert check_hermitian(m) is not None
-            w, _ = hermitian_eigen(m)
-            assert np.allclose(w, scale)
+            assert np.array_equal(check_hermitian(m), m)
+            assert np.allclose(kernel_projection(m),
+                               np.diag([0.0, 0.0, 1.0, 1.0]))
         else:
-            with pytest.raises(NonHermitianError):
-                hermitian_eigen(m)
+            for check in (check_hermitian, kernel_projection):
+                with pytest.raises(NonHermitianError):
+                    check(m)
     with pytest.raises(ValueError):
         check_hermitian(np.zeros((1, 2)))
 

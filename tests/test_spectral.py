@@ -6,11 +6,12 @@ from scipy.linalg import expm
 
 from jlolab.jlo import index_pairing
 from jlolab.linalg import (
+    DEFAULT_TOL,
     GradedSpace,
     NonHermitianError,
     Parity,
     ParityError,
-    hermitian_eigen,
+    check_hermitian,
     opnorm,
     parity_of,
 )
@@ -25,7 +26,6 @@ from jlolab.spectral import (
     SpectralTripleFD,
     ampliate,
     commutator_d,
-    diagnose,
     index_of_pair,
     kernel_projection,
     mckean_singer_index,
@@ -65,37 +65,98 @@ def test_represent_round_trip_with_basis_map():
     assert np.array_equal(t.unrepresent(t.represent(a)), a)
 
 
-def test_diagnose_flags_even_dirac():
-    s = GradedSpace(1, 1)
-    diag = diagnose(SpectralTripleFD(s, np.eye(2), (np.eye(2),)))
-    assert diag.dirac_oddness == pytest.approx(2.0)
-    assert diag.dirac_hermiticity == pytest.approx(0.0)
+def _residuals(s, dirac, gens):
+    """opnorm of each axiom's residual: Dirac hermiticity, Dirac oddness,
+    the largest generator evenness."""
+    g = s.gamma_diag
+    return (opnorm(dirac - dirac.conj().T),
+            opnorm(g[:, None] * dirac * g[None, :] + dirac),
+            max((opnorm(g[:, None] * a * g[None, :] - a) for a in gens),
+                default=0.0))
 
 
-def test_diagnose_equals_opnorm_of_each_residual():
-    # every axiom fails, by residuals of very different size, on a 3|2
-    # space with four generators; the largest generator residual is the
-    # third
+def _rejects(s, dirac, gens, error, axiom, residual):
+    message = f"{axiom} residual {residual:.3g} > 1e-10"
+    with pytest.raises(error) as exc:
+        validate_triple(SpectralTripleFD(s, dirac, gens))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_validate_triple_checks_each_axiom_alone():
+    # each triple fails one axiom by 1e-6 and passes the other two
+    rng = np.random.default_rng(16)
+    s = GradedSpace(3, 2)
+    dirac = random_odd_hermitian(rng, s)
+    gens = [random_even(rng, s) for _ in range(2)]
+    validate_triple(SpectralTripleFD(s, dirac, gens))
+    odd_skew = dirac + 1e-6j * random_odd_hermitian(rng, s)
+    even_part = dirac + 1e-6 * random_even(rng, s, hermitian=True)
+    mixed_gen = gens[1] + 1e-6 * random_odd_hermitian(rng, s)
+    for bad, error, axiom, k in (
+            ((odd_skew, gens), NotSelfAdjointError, "Dirac hermiticity", 0),
+            ((even_part, gens), ParityError, "Dirac oddness", 1),
+            ((dirac, [gens[0], mixed_gen]), ParityError,
+             "generator evenness", 2)):
+        residuals = _residuals(s, *bad)
+        assert [r > DEFAULT_TOL for r in residuals] == [
+            i == k for i in range(3)]
+        _rejects(s, *bad, error, axiom, residuals[k])
+
+
+def test_validate_triple_reads_the_largest_generator_residual():
+    # four generators fail evenness by residuals of very different size;
+    # the largest is the third
     rng = np.random.default_rng(16)
     s = GradedSpace(3, 2)
     g = s.gamma_diag
-
-    def noise(size):
-        return size * (rng.standard_normal((5, 5))
-                       + 1j * rng.standard_normal((5, 5)))
-
-    dirac = random_odd_hermitian(rng, s) + noise(1e-9)
-    gens = [random_even(rng, s) + noise(size)
+    dirac = random_odd_hermitian(rng, s)
+    gens = [random_even(rng, s) + size * random_odd_hermitian(rng, s)
             for size in (1e-12, 1e-3, 0.5, 1e-7)]
-    diag = diagnose(SpectralTripleFD(s, dirac, gens))
-    assert diag.dirac_hermiticity == opnorm(dirac - dirac.conj().T)
-    assert diag.dirac_oddness == opnorm(g[:, None] * dirac * g[None, :]
-                                        + dirac)
-    assert diag.generator_evenness == max(
-        opnorm(g[:, None] * a * g[None, :] - a) for a in gens)
-    assert diag.generator_evenness == opnorm(
-        g[:, None] * gens[2] * g[None, :] - gens[2])
-    assert diagnose(SpectralTripleFD(s, dirac, ())).generator_evenness == 0.0
+    largest = opnorm(g[:, None] * gens[2] * g[None, :] - gens[2])
+    assert _residuals(s, dirac, gens)[2] == largest
+    _rejects(s, dirac, gens, ParityError, "generator evenness", largest)
+
+
+def test_validate_triple_checks_hermiticity_first():
+    # every axiom fails, the Dirac operator by a generic 1e-9 defect
+    rng = np.random.default_rng(16)
+    s = GradedSpace(3, 2)
+    noise = 1e-9 * (rng.standard_normal((5, 5))
+                    + 1j * rng.standard_normal((5, 5)))
+    dirac = random_odd_hermitian(rng, s) + noise
+    gens = [random_odd_hermitian(rng, s)]
+    residuals = _residuals(s, dirac, gens)
+    assert min(residuals) > DEFAULT_TOL
+    _rejects(s, dirac, gens, NotSelfAdjointError, "Dirac hermiticity",
+             residuals[0])
+
+
+def test_validate_triple_passes_a_triple_without_generators():
+    rng = np.random.default_rng(16)
+    s = GradedSpace(3, 2)
+    assert validate_triple(
+        SpectralTripleFD(s, random_odd_hermitian(rng, s), ())) is None
+
+
+def test_validate_triple_switches_at_the_tolerance():
+    # on 1|1 each defect below has residual exactly `size` in operator norm
+    s = GradedSpace(1, 1)
+    skew = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    for size in (0.99 * DEFAULT_TOL, 1.01 * DEFAULT_TOL):
+        for (dirac, gen), error, axiom, k in (
+                ((X + size * skew, np.eye(2)), NotSelfAdjointError,
+                 "Dirac hermiticity", 0),
+                ((X + size / 2 * np.eye(2), np.eye(2)), ParityError,
+                 "Dirac oddness", 1),
+                ((X, np.eye(2) + size / 2 * X), ParityError,
+                 "generator evenness", 2)):
+            residual = _residuals(s, dirac, [gen])[k]
+            assert residual == pytest.approx(size, rel=1e-12)
+            if size < DEFAULT_TOL:
+                validate_triple(SpectralTripleFD(s, dirac, (gen,)))
+            else:
+                _rejects(s, dirac, (gen,), error, axiom, residual)
 
 
 def test_validate_triple_raises_on_bad_inputs():
@@ -353,7 +414,7 @@ def test_heat_checks_the_dirac_operator_not_its_square():
                          (np.eye(2),))
     validate_triple(t)
     with pytest.raises(NonHermitianError):
-        hermitian_eigen(t.dirac @ t.dirac)
+        check_hermitian(t.dirac @ t.dirac)
     assert abs(t.heat(1.0)[0, 0] - np.exp(-1.0)) < 1e-12
     assert mckean_singer_index(t) == 0
 

@@ -116,3 +116,24 @@ def test_same_outputs_names_a_changed_difference_line(same_outputs):
     assert "-  difference        : 4.441e-16\n" in diff
     assert "+  difference        : 6.661e-16\n" in diff
     assert "exit" not in diff
+
+
+def test_same_outputs_rejected_pairs_each_fail_their_own_check(
+        same_outputs, tmp_path, capsys):
+    # every rejected `index` input exits 2 on the axiom it is named after,
+    # not on a malformed file
+    from jlolab import cli
+    messages = {"non-Hermitian Dirac": "Dirac hermiticity residual 1.37e-10",
+                "even Dirac": "Dirac oddness residual 0.0434",
+                "odd generator": "generator evenness residual 0.0622",
+                "every triple axiom": "Dirac hermiticity residual 0.0123",
+                "non-idempotent": "matrix is not idempotent",
+                "non-self-adjoint idempotent": "idempotent is not self-adjoint",
+                "odd idempotent": "idempotent must be even"}
+    jobs = dict(same_outputs.jobs(str(tmp_path), []))
+    for what, message in messages.items():
+        assert cli.main(jobs[f"index, {what}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert len(same_outputs.BAD_PAIRS) == len(messages)

@@ -9,7 +9,8 @@ through `jlolab.cli.main`:
 
 - `verify --seed 42` and `--seed 7`, with their JSON reports, which are
   compared without their `timestamp` line, and `verify --help`;
-- `index` over every input of perfbench's `Index` workload at seed 531;
+- `index` over every input of perfbench's `Index` workload at seed 531,
+  and over triples and idempotents that break each axiom `index` checks;
 - `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`;
 - `verify` and `decompose` on bad `--config` files and bad flags.
 
@@ -73,6 +74,32 @@ BAD_CONFIGS = [
     {"seed": -3}, {"tolerance": "1e-3"}, {"dims": [[1.5, 1]]}, [1, 2],
 ]
 
+# 2 x 2 matrices on C^{1|1}, as rows of complex entries
+GOOD_DIRAC = [[0, 0.3], [0.3, 0]]
+GOOD_IDEMPOTENT = [[1, 0], [0, 0]]
+# (what is broken, Dirac, generators, idempotent) of each rejected pair;
+# the residuals in the messages are 1.37e-10, 0.0434, 0.0622 and 0.0123
+BAD_PAIRS = [
+    ("non-Hermitian Dirac", [[0, 0.3], [0.3 + 1.37e-10j, 0]],
+     [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT),
+    ("even Dirac", [[0.0217, 0.3], [0.3, 0.0217]], [[[1, 0], [0, 1]]],
+     GOOD_IDEMPOTENT),
+    ("odd generator", GOOD_DIRAC, [[[1, 0.0311], [0.0311, 1]]],
+     GOOD_IDEMPOTENT),
+    ("every triple axiom", [[0.05, 0.3], [0.3 + 0.0123j, 0]],
+     [[[0, 1], [1, 0]]], GOOD_IDEMPOTENT),
+    ("non-idempotent", GOOD_DIRAC, [], [[0.5, 0], [0, 0]]),
+    ("non-self-adjoint idempotent", GOOD_DIRAC, [], [[1, 1], [0, 0]]),
+    ("odd idempotent", GOOD_DIRAC, [], [[0.5, 0.5], [0.5, 0.5]]),
+]
+
+
+def _matrix(rows):
+    """The JSON wire form of a matrix given as rows of complex entries."""
+    return {"rows": len(rows), "cols": len(rows[0]),
+            "data": [[complex(z).real, complex(z).imag]
+                     for row in rows for z in row]}
+
 
 def jobs(inputs, index_calls):
     """(name, argv) of every command both sides run; config files are
@@ -89,6 +116,16 @@ def jobs(inputs, index_calls):
         "--mc-samples", "500", "--report", "report.json"]))
     out += [(f"index {k}", ["index", *argv])
             for k, argv in enumerate(index_calls)]
+    for k, (what, dirac, gens, idem) in enumerate(BAD_PAIRS):
+        paths = [os.path.join(inputs, f"bad-{part}{k}.json")
+                 for part in ("triple", "idempotent")]
+        for path, obj in zip(paths, (
+                {"dim_even": 1, "dim_odd": 1, "dirac": _matrix(dirac),
+                 "generators": [_matrix(g) for g in gens]},
+                {"matrix": _matrix(idem)})):
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+        out.append((f"index, {what}", ["index", *paths]))
     out += [(f"decompose {' '.join(args)}", ["decompose", *args])
             for args in (["--shuffle", "3", "2"], ["--cyclic", "1", "2", "1"],
                          ["--cyclic", "2", "1"])]
