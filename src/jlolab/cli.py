@@ -4,9 +4,9 @@ Each subcommand takes only the flags it reads: `verify` the RunConfig flags
 (--seed, --tolerance, --mc-samples, --report, --config), `index` its two
 files and --times, `decompose` its mode, --samples and --seed.  `verify`
 runs `suites.run_suite` on the RunConfig it builds, so its report rows are
-exactly what the library call returns for that config.  Exit codes
-across all subcommands: 0 success, 1 a numerical check failed or stdout
-was closed early (quietly), 2 usage or input-parsing failure.  Reports are
+exactly what the library call returns for that config.  Exit codes: 0
+success, 1 a failed check or write (one `error:` line; none when stdout
+was closed early), 2 usage or input-parsing failure.  Reports are
 deterministic for a fixed configuration and seed up to the timestamp field.
 """
 
@@ -383,10 +383,16 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except KeyboardInterrupt:
         return 1
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull so that the flush
-        # at interpreter exit raises no second error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # input errors return 2 inside each command, so a write to stdout
+        # or the report failed; a reader that closed stdout ends it quietly
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout to devnull: the flush at exit raises no second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain, _scalar_entries, br_operation, shuffle_product
-from .linalg import parity_codes
+from .linalg import parity_codes, supertrace
 from .shuffles import sample_simplex_batch
 from .spectral import NonIntegerIndexError, SpectralTripleFD, \
     _rounded_index, commutator_d, product_triple
@@ -180,6 +180,12 @@ class JLOEvaluator:
         ops[1] -= ops[0] @ t.dirac
         return ops
 
+    def _eigenbasis(self, heads, slots):
+        """The graded heads, then the slots, in Delta's eigenbasis."""
+        _, u = self.triple.delta_eigensystem()
+        g = self.triple.space.gamma_diag[:, None]
+        return u.conj().T @ np.concatenate([g * heads, slots]) @ u
+
     def _prepared_terms(self, chain: Chain, heads):
         """Per degree block of a normalized chain, ascending, and per head
         form in heads (False: a0, True: [D, a0]), yield (form, coeffs,
@@ -189,14 +195,10 @@ class JLOEvaluator:
         after the head and with the grading folded into the head."""
         if (top := max(chain.blocks, default=0)) > DEGREE_CAP:
             raise DegreeCapError(f"degree {top} exceeds the cap {DEGREE_CAP}")
-        t = self.triple
         ops = self._forms(chain.table)
-        codes = parity_codes(ops, t.space)
-        _, u = t.delta_eigensystem()
-        g = t.space.gamma_diag[:, None]
+        codes = parity_codes(ops, self.triple.space)
         # graded heads, one row per form in heads, then the brackets
-        eig = u.conj().T @ np.concatenate(
-            [g * ops[np.array(heads, dtype=np.intp)], ops[1:]]) @ u
+        eig = self._eigenbasis(ops[np.array(heads, dtype=np.intp)], ops[1:])
         for rows, coeffs in chain.blocks.values():
             slot = np.minimum(np.arange(rows.shape[1]), 1)
             for i, form in enumerate(heads):
@@ -255,8 +257,8 @@ class JLOEvaluator:
         return values
 
     # ------------------------------------------------------------- pointwise
-    def integrand(self, factors, t, first_slot_d: bool = False) -> complex:
-        """Supertraced heat string at one fixed simplex point."""
+    def integrand(self, factors, t) -> complex:
+        """Supertraced heat string at one fixed simplex point, head a0."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails both
             raise SimplexOrderError("coordinates must be finite, in [0, 1]")
@@ -265,15 +267,14 @@ class JLOEvaluator:
         if len(factors) - 1 > DEGREE_CAP:
             raise DegreeCapError(
                 f"degree {len(factors) - 1} exceeds the cap {DEGREE_CAP}")
-        plain, ops = self._forms(factors)
-        if t.size != len(ops) - 1:
+        plain, brackets = self._forms(factors)
+        if t.size != len(plain) - 1:
             raise ValueError("simplex dimension must equal the chain degree")
-        head = ops[0] if first_slot_d else plain[0]
-        ops[0] = self.triple.space.gamma_diag[:, None] * head
-        w, u = self.triple.delta_eigensystem()
+        w, _ = self.triple.delta_eigensystem()
         gaps = np.diff(np.concatenate([[0.0], t, [1.0]]))
-        return complex(self._strings((u.conj().T @ ops @ u)[None],
-                                     np.exp(-gaps[None, :, None] * w))[0, 0])
+        return complex(self._strings(
+            self._eigenbasis(plain[:1], brackets[1:])[None],
+            np.exp(-gaps[None, :, None] * w))[0, 0])
 
     # ------------------------------------------------------------------- MC
     def term_mc(self, ops, samples: int, rng):
@@ -282,10 +283,9 @@ class JLOEvaluator:
         as `_prepared_terms` gives it; every sample is a point of the
         string kernel with weights e^{-g w} at its gaps g."""
         n = len(ops) - 1
-        w, _ = self.triple.delta_eigensystem()
         if n == 0:
-            value = self._strings(ops[None], np.exp(-w)[None, None])
-            return complex(value[0, 0]), 0.0
+            return complex(self.term_exact(ops[None])[0]), 0.0
+        w, _ = self.triple.delta_eigensystem()
         # a chunk's slot product, (chunk d, d) x (d, d), stays under 2^16 =
         # NODE_STACK_ELEMENTS complex multiply-adds: OpenBLAS threads larger
         # ones, which for this shape ran slower (d = 4: 14.4 against 8.1 ms
@@ -321,8 +321,7 @@ class JLOEvaluator:
     def cochain(self, chain: Chain, first_slot_d: bool = False) -> complex:
         return self._cochains(chain, (first_slot_d,))[first_slot_d]
 
-    def cochain_mc(self, chain: Chain, samples: int, rng,
-                   first_slot_d: bool = False):
+    def cochain_mc(self, chain: Chain, samples: int, rng):
         """(estimate, standard error); independent sample streams per term,
         one seed per normalized term, errors combined in quadrature."""
         if isinstance(samples, bool) or not isinstance(
@@ -331,7 +330,7 @@ class JLOEvaluator:
         chain = chain.normalized()
         seeds = rng.integers(2 ** 63 - 1, size=max(chain.num_terms, 1))
         total, var, at = 0.0 + 0.0j, 0.0, 0
-        for _, coeffs, slots, vanish in self._prepared_terms(chain, (first_slot_d,)):
+        for _, coeffs, slots, vanish in self._prepared_terms(chain, (False,)):
             live = ~vanish
             for coeff, ops, seed in zip(coeffs[live].tolist(), slots,
                                         seeds[at:at + len(live)][live].tolist()):
@@ -377,17 +376,10 @@ def delta_perturbation(triple: SpectralTripleFD, chain: Chain) -> Chain:
                             np.concatenate([chain.table, brackets]), blocks)
 
 
-def perturbed_cochain(triple: SpectralTripleFD, chain: Chain,
-                      via_delta: bool = False) -> complex:
-    """Mixed-parity cochain: plain value plus the contraction over sqrt(2).
-
-    With via_delta the same number is computed by evaluating the plain
-    cochain on the delta-perturbed chain; the two routes must agree.
-    """
-    ev = JLOEvaluator(triple)
-    if via_delta:
-        return ev.cochain(chain) + ev.cochain(delta_perturbation(triple, chain))
-    value = ev._cochains(chain, (False, True))
+def perturbed_cochain(triple: SpectralTripleFD, chain: Chain) -> complex:
+    """Mixed-parity cochain: plain value plus the contraction over sqrt(2),
+    as is the plain cochain of the chain plus its `delta_perturbation`'s."""
+    value = JLOEvaluator(triple)._cochains(chain, (False, True))
     return value[False] + INV_SQRT2 * value[True]
 
 
@@ -428,18 +420,17 @@ def _pairing_terms(amp: SpectralTripleFD, e):
     """Pairing terms in degrees 0, 2, ..., DEGREE_CAP, one at a time:
     Str(e e^{-Delta}), then `term_exact` on the first 2n + 1 slots of one
     eigenbasis stack (gamma (e - 1/2), [D, e], ..., [D, e])."""
-    yield amp.supertrace(e @ amp.heat(1.0))
+    yield supertrace(e @ amp.heat(1.0), amp.space)
     if _scalar_entries(e[None])[0]:
         yield 0.0 + 0.0j
         return
-    d, (_, u) = amp.hilbert_dim, amp.delta_eigensystem()
+    d, ev = amp.hilbert_dim, JLOEvaluator(amp)
     stack = np.empty((1, DEGREE_CAP + 1, d, d), dtype=np.complex128)
-    stack[0, 0], stack[0, 1:] = u.conj().T @ np.stack(
-        [amp.space.gamma_diag[:, None] * (e - 0.5 * np.eye(d)),
-         amp.dirac @ e - e @ amp.dirac]) @ u
+    stack[0, 0], stack[0, 1:] = ev._eigenbasis(
+        (e - 0.5 * np.eye(d))[None], (amp.dirac @ e - e @ amp.dirac)[None])
     for n in range(1, DEGREE_CAP // 2 + 1):
         yield ((-1) ** n * math.factorial(2 * n) / math.factorial(n)
-               * JLOEvaluator(amp).term_exact(stack[:, :2 * n + 1])[0])
+               * ev.term_exact(stack[:, :2 * n + 1])[0])
 
 
 def verify_theorem_ainf(triples, chains, part: int) -> dict:

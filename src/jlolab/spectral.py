@@ -131,9 +131,6 @@ class SpectralTripleFD:
         w, v = self.delta_eigensystem()
         return (v * np.exp(-t * w)) @ v.conj().T
 
-    def supertrace(self, x) -> complex:
-        return supertrace(x, self.space)
-
     def _bm(self) -> np.ndarray:
         if self.basis_map is None:
             return np.arange(self.hilbert_dim)
@@ -254,8 +251,8 @@ def _rounded_index(s: complex, quantity: str) -> int:
 
 def mckean_singer_index(triple: SpectralTripleFD) -> int:
     """Supertrace of the kernel projection of the Dirac operator."""
-    return _rounded_index(triple.supertrace(kernel_projection(triple.dirac)),
-                          "kernel supertrace")
+    k = kernel_projection(triple.dirac)
+    return _rounded_index(supertrace(k, triple.space), "kernel supertrace")
 
 
 @dataclass(frozen=True)

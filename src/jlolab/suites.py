@@ -28,6 +28,7 @@ from .chains import (
 )
 from .jlo import (
     bch_cochain,
+    delta_perturbation,
     index_pairing,
     jlo_cochain,
     jlo_cochain_mc,
@@ -58,7 +59,9 @@ __all__ = [
 
 HEAT_TIMES = (0.1, 1.0, 3.0)
 MAX_DEGREE_LIMIT = 4
-MAX_SPACE_DIM = 16
+# cyclic_shuffle_triple's degree-6 block on three spaces of total s holds
+# 120 rows x 7 slots x s^6 complex entries: 0.63 GB at 6, 225 GB at 16
+MAX_SPACE_DIM = 6
 
 
 def _pick_dims(rng, dim_pairs, k):
@@ -121,7 +124,8 @@ def trial_perturbed_forms(rng, dim_pairs, max_degree=3,
     d = _pick_dims(rng, dim_pairs, 1)[0]
     t = random_triple(rng, *d)
     a = random_chain(rng, t.space, range(0, max_degree + 1))
-    return abs(perturbed_cochain(t, a) - perturbed_cochain(t, a, via_delta=True))
+    via_delta = jlo_cochain(t, a) + jlo_cochain(t, delta_perturbation(t, a))
+    return abs(perturbed_cochain(t, a) - via_delta)
 
 
 def trial_perturbed_multiplicativity(rng, dim_pairs, max_degree=2,

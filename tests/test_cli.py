@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import jlolab
-from jlolab import cli
+from jlolab import cli, suites
 from jlolab.cli import _sample_regions, main
 from jlolab.linalg import GradedSpace
 from jlolab.spectral import (
@@ -142,6 +142,28 @@ def test_verify_refuses_an_unwritable_report_before_any_identity(
     assert out == ""
     assert err == f"error: cannot write the report: {exc.value}\n"
     assert not (tmp_path / "no").exists()
+
+
+def test_space_over_the_memory_bound_exits_two_before_any_identity(
+        tmp_path, monkeypatch, capsys):
+    # cyclic_shuffle_triple's degree-6 block, 120 rows x 7 slots x s^6
+    # complex entries on three spaces of total s, stays under 1 GB
+    assert 120 * 7 * suites.MAX_SPACE_DIM ** 6 * 16 < 1e9
+    assert RunConfig(dims=((3, 3), (6, 0))).dims == ((3, 3), (6, 0))
+
+    def refuse(config):
+        raise AssertionError("ran the suite")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    path = tmp_path / "big.json"
+    for pair in ([16, 0], [4, 3], [0, 7]):
+        path.write_text(json.dumps(
+            {"dims": [pair], "trials": 1, "max_degree": 1}))
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: invalid configuration: dimension pair "
+                       f"{tuple(pair)} exceeds total dimension 6\n")
 
 
 def test_config_errors_exit_two(tmp_path):
@@ -360,7 +382,7 @@ def test_main_calls_in_one_process_share_no_state(tmp_path, monkeypatch,
                                                    capsys):
     import argparse
 
-    from jlolab import cli
+    from jlolab import cli, suites
 
     tp, ep = _write_pair(tmp_path)
     seen = []
@@ -608,3 +630,30 @@ def test_closed_stdout_exits_one_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a full device")
+@pytest.mark.parametrize("args, to_full", [
+    (["verify", "--config", "SMALL", "--report", "/dev/full"], False),
+    (["decompose", "--shuffle", "2", "2", "--samples", "100"], True)])
+def test_write_to_a_full_device_exits_one_with_one_error_line(
+        tmp_path, args, to_full):
+    # the report, or stdout itself, is a device that refuses every write;
+    # a subprocess, so that the flush at interpreter exit counts as well
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"trials": 1, "dims": [[1, 1]],
+                                 "max_degree": 1, "mc_samples": 500}))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(jlolab.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jlolab",
+             *[str(small) if a == "SMALL" else a for a in args]],
+            stdout=full if to_full else subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == (b"error: cannot write the output: "
+                           b"[Errno 28] No space left on device\n")
+    if not to_full:
+        assert proc.stdout.endswith(b"identities passed\n")

@@ -19,12 +19,13 @@ from jlolab.jlo import (
     JLOEvaluator,
     SimplexOrderError,
     bch_cochain,
+    delta_perturbation,
     jlo_cochain,
     jlo_cochain_mc,
     jlo_integrand,
     perturbed_cochain,
 )
-from jlolab.linalg import GradedSpace, Parity, _freeze, parity_of
+from jlolab.linalg import GradedSpace, Parity, _freeze, parity_of, supertrace
 from jlolab.randomgen import (
     random_chain,
     random_even,
@@ -90,7 +91,7 @@ def test_degree_zero_cochain_is_heat_supertrace():
     t = random_triple(rng, 2, 1)
     a = random_even(rng, t.space)
     got = jlo_cochain(t, Chain.elementary(1.0, (a,)))
-    want = t.supertrace(t.represent(a) @ t.heat(1.0))
+    want = supertrace(t.represent(a) @ t.heat(1.0), t.space)
     assert got == pytest.approx(want, abs=1e-13)
 
 
@@ -106,7 +107,7 @@ def test_unit_laplacian_reduces_to_volume_weights():
         prod = t.represent(mats[0])
         for a in mats[1:]:
             prod = prod @ commutator_d(t, a)
-        want = math.exp(-1.0) / math.factorial(n) * t.supertrace(prod)
+        want = math.exp(-1.0) / math.factorial(n) * supertrace(prod, t.space)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -173,9 +174,14 @@ def test_contour_matches_block_exponential_oracle():
             for form, v in want.items():
                 assert abs(ev.cochain(chain, form) - v) <= 1e-12 * (1 + abs(v))
             v = want[False] + INV_SQRT2 * want[True]
-            for via_delta in (False, True):
-                got = perturbed_cochain(t, chain, via_delta)
+            for got in (perturbed_cochain(t, chain), _via_delta(t, chain)):
                 assert abs(got - v) <= 1e-12 * (1 + abs(v))
+
+
+def _via_delta(t, chain):
+    """The perturbed cochain's second route: the plain cochain of the
+    chain plus that of its delta perturbation."""
+    return jlo_cochain(t, chain) + jlo_cochain(t, delta_perturbation(t, chain))
 
 
 def _mc_moments(ev, slots, samples):
@@ -203,7 +209,7 @@ def test_node_stack_chunks_give_the_same_rows(monkeypatch):
     moments, states = _mc_moments(ev, slots, samples)
     scale = abs(moments).max(0)
     factors, point = chain.terms[0].factors, np.sort(rng.random(4))
-    pointwise = [ev.integrand(factors, point, form) for form in (False, True)]
+    pointwise = ev.integrand(factors, point)
     per_row = len(jlo._contour(4)[0]) * t.hilbert_dim ** 2
     # one, two and two rows a chunk; a batched product may round apart
     for budget in (per_row, 2 * per_row, 3 * per_row - 1):
@@ -222,9 +228,8 @@ def test_node_stack_chunks_give_the_same_rows(monkeypatch):
                                    atol=64 * UNIT_ROUNDOFF)
         assert got_states == states
         np.testing.assert_allclose(
-            [ev.integrand(factors, point, form) for form in (False, True)],
-            pointwise, rtol=0,
-            atol=64 * UNIT_ROUNDOFF * max(map(abs, pointwise)))
+            ev.integrand(factors, point), pointwise, rtol=0,
+            atol=64 * UNIT_ROUNDOFF * abs(pointwise))
 
 
 def test_contour_rule_meets_its_bound_on_the_worst_string():
@@ -246,7 +251,7 @@ def test_integrand_at_simplex_points():
     v = jlo_integrand(t, (a0, a1), (0.25,))
     r0 = t.represent(a0)
     width = commutator_d(t, a1)
-    want = t.supertrace(r0 @ t.heat(0.25) @ width @ t.heat(0.75))
+    want = supertrace(r0 @ t.heat(0.25) @ width @ t.heat(0.75), t.space)
     assert v == pytest.approx(want, abs=1e-13)
     for bad in [(0.9, 0.2), (-0.1,), (1.1,)]:
         with pytest.raises(SimplexOrderError):
@@ -254,9 +259,9 @@ def test_integrand_at_simplex_points():
 
 
 def test_integrand_head_forms_match_heat_strings():
-    # the head is a0 or [D, a0] and every later slot [D, a_k], on a plain
-    # triple and on a product with a basis map; a degree of even total
-    # parity, so no value is zero by parity
+    # the head is a0 and every later slot [D, a_k], on a plain triple and
+    # on a product with a basis map, inside the simplex and on a face; a
+    # degree of even total parity, so no value is zero by parity
     rng = np.random.default_rng(19)
     t1, t2 = random_triple(rng, 2, 1), random_triple(rng, 1, 1)
     evens = [np.kron(random_even(rng, t1.space), random_even(rng, t2.space))
@@ -265,14 +270,13 @@ def test_integrand_head_forms_match_heat_strings():
                     (product_triple(t1, t2), evens)):
         r = [t.represent(a) for a in mats]
         br = [t.dirac @ x - x @ t.dirac for x in r]
-        for first_slot_d, ops, pts in ((False, [r[0], br[1], br[2]], (0.2, 0.7)),
-                                       (True, [br[0], br[1]], (0.4,))):
+        for pts in ((0.2, 0.7), (0.4, 0.4)):
             gaps = np.diff([0.0, *pts, 1.0])
-            want = ops[0] @ t.heat(gaps[0])
-            for op, u in zip(ops[1:], gaps[1:]):
+            want = r[0] @ t.heat(gaps[0])
+            for op, u in zip(br[1:], gaps[1:]):
                 want = want @ op @ t.heat(u)
-            want = t.supertrace(want)
-            got = JLOEvaluator(t).integrand(mats[:len(ops)], pts, first_slot_d)
+            want = supertrace(want, t.space)
+            got = JLOEvaluator(t).integrand(mats, pts)
             assert abs(want) > 1e-3
             assert got == pytest.approx(want, abs=1e-13)
 
@@ -317,7 +321,8 @@ def test_monte_carlo_brackets_block_exponential_oracle():
     # Monte Carlo shares the string kernel with the contour route, so it is
     # checked against the independent Van Loan oracle: flat (every slot 0),
     # a paired-spectrum product with a basis map and a wide spectrum, with
-    # factors of mixed parity so that no degree or head form is 0 by parity
+    # factors of mixed parity so that no degree or head form is 0 by parity;
+    # the contraction form is the plain one with the head bracketed first
     rng = np.random.default_rng(23)
     t21 = random_triple(rng, 2, 1)
     s21 = GradedSpace(2, 1)
@@ -326,12 +331,15 @@ def test_monte_carlo_brackets_block_exponential_oracle():
               random_triple(rng, 2, 1, dirac_scale=6.0)):
         d = t.hilbert_dim
         for n in (1, 2, 3):
-            chain = Chain.elementary(complex(*rng.standard_normal(2)), tuple(
+            coeff = complex(*rng.standard_normal(2))
+            factors = tuple(
                 rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                for _ in range(n + 1)))
-            for form in (False, True):
-                want = cochain_vanloan(t, chain, form)
-                est, se = JLOEvaluator(t).cochain_mc(chain, 20_000, rng, form)
+                for _ in range(n + 1))
+            r = t.represent(factors[0])
+            for head in (factors[0], t.unrepresent(t.dirac @ r - r @ t.dirac)):
+                chain = Chain.elementary(coeff, (head,) + factors[1:])
+                want = cochain_vanloan(t, chain)
+                est, se = JLOEvaluator(t).cochain_mc(chain, 20_000, rng)
                 assert (se > 0) == (t is not flat)
                 assert abs(est - want) <= 4 * se
 
@@ -418,7 +426,7 @@ def test_perturbed_cochain_two_routes():
     t = random_triple(rng, 2, 2)
     chain = random_chain(rng, t.space, (0, 1, 2))
     assert perturbed_cochain(t, chain) == pytest.approx(
-        perturbed_cochain(t, chain, via_delta=True), abs=1e-12)
+        _via_delta(t, chain), abs=1e-12)
 
 
 def test_shared_factor_objects_match_per_term_copies():

@@ -15,7 +15,7 @@ from jlolab.jlo import (
     index_pairing,
     jlo_cochain,
 )
-from jlolab.linalg import GradedSpace, _freeze
+from jlolab.linalg import GradedSpace, _freeze, supertrace
 from jlolab.randomgen import random_triple
 from jlolab.spectral import (
     Idempotent,
@@ -261,7 +261,7 @@ def test_product_of_kicks_pairs_to_one():
     # pairs to the heat supertrace
     c0 = Chain.elementary(1.0, (e.matrix,))
     assert jlo_cochain(t, c0).real == pytest.approx(
-        t.supertrace(t.represent(e.matrix) @ t.heat(1.0)).real)
+        supertrace(t.represent(e.matrix) @ t.heat(1.0), t.space).real)
 
 
 def test_no_index_route_calls_a_matrix_exponential(tmp_path, monkeypatch,

@@ -137,3 +137,29 @@ def test_same_outputs_rejected_pairs_each_fail_their_own_check(
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert len(same_outputs.BAD_PAIRS) == len(messages)
+
+
+LIBRARY_STDOUT = """\
+jlo_cochain flat 2|1 degrees (2,) jlo_cochain (-0.43+0.25j)
+jlo_cochain flat 2|1 degrees (2,) perturbed_cochain (-0.43+0.25j)
+generic 2|1 jlo_integrand [0.25, 0.5] (-0.0024-0.0741j)
+"""
+
+
+def test_same_outputs_names_a_changed_library_call(same_outputs):
+    parent = {"library calls: stdout": LIBRARY_STDOUT,
+              "library calls: stderr": "", "library calls: exit": "0\n"}
+    stream = io.StringIO()
+    assert same_outputs.report(parent, dict(parent), stream) == 0
+    change = dict(parent, **{"library calls: stdout": LIBRARY_STDOUT.replace(
+        "(-0.0024-0.0741j)", "(-0.0024000000000000002-0.0741j)")})
+    stream = io.StringIO()
+    assert same_outputs.report(parent, change, stream) == 1
+    diff = stream.getvalue()
+    assert ("--- parent/library calls: stdout\n"
+            "+++ change/library calls: stdout\n") in diff
+    assert "-generic 2|1 jlo_integrand [0.25, 0.5] (-0.0024-0.0741j)\n" in diff
+    assert "+generic 2|1 jlo_integrand [0.25, 0.5] " \
+        "(-0.0024000000000000002-0.0741j)\n" in diff
+    # the unchanged calls show only as context
+    assert "-jlo_cochain" not in diff and "+jlo_cochain" not in diff

@@ -12,19 +12,21 @@ represented and bracketed here, so nothing is shared with `JLOEvaluator`.
 import numpy as np
 from scipy.linalg import expm
 
+from jlolab.linalg import supertrace
+
 
 def term_vanloan(triple, ops) -> complex:
     """One term from its canonical-basis slot operators."""
     n, d = len(ops) - 1, triple.hilbert_dim
     if n == 0:
-        return triple.supertrace(ops[0] @ triple.heat(1.0))
+        return supertrace(ops[0] @ triple.heat(1.0), triple.space)
     delta = triple.dirac @ triple.dirac
     m = np.zeros(((n + 1) * d, (n + 1) * d), dtype=np.complex128)
     for k in range(n + 1):
         m[k * d:(k + 1) * d, k * d:(k + 1) * d] = -delta
     for k in range(1, n + 1):
         m[(k - 1) * d:k * d, k * d:(k + 1) * d] = ops[k]
-    return triple.supertrace(ops[0] @ expm(m)[:d, n * d:])
+    return supertrace(ops[0] @ expm(m)[:d, n * d:], triple.space)
 
 
 def slot_operators(triple, factors, first_slot_d: bool = False):

@@ -15,9 +15,16 @@ through `jlolab.cli.main`:
 - `verify` and `decompose` on bad `--config` files and bad flags.
 
 The input files are written once, by the parent's perfbench, and both
-sides read the same ones.  Stdout, stderr and the exit code of every
-command are compared.  Prints `identical`, or one unified diff per output
-that differs and exits 1.
+sides read the same ones.  One more job per side calls the library
+directly, on the inputs of perfbench's `Cochain` workload at seed 743,
+built by the parent's perfbench on that side's `src/`.  It prints the
+`repr` of `jlo_cochain`, `bch_cochain`, `perturbed_cochain` and
+`jlo_cochain(t, delta_perturbation(t, c))` on every chain; of
+`jlo_cochain_mc` at a fixed generator, on the workload's Monte Carlo
+chains and on their degree-0 heads; and of `jlo_integrand` at one fixed
+point of every term the workload evaluates.  Stdout, stderr and the exit
+code of every command and of that job are compared.  Prints `identical`,
+or one unified diff per output that differs and exits 1.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import sys
 import tempfile
 
 INDEX_SEED = 531
+LIBRARY_SEED = 743
 
 # builds perfbench's Index inputs in a directory and prints each call's argv
 WRITE_INDEX_INPUTS = """
@@ -66,6 +74,32 @@ for name, argv in jobs:
         os.remove("report.json")
 with open(out_path, "w") as fh:
     json.dump(outputs, fh)
+"""
+
+# prints every direct library call on perfbench's Cochain inputs, one line
+# each; only names and signatures that perfbench pins
+LIBRARY_CALLS = """
+import sys
+import numpy as np
+import jlolab
+from workloads import MC_SAMPLES, Cochain
+w = Cochain(int(sys.argv[1]), sys.argv[2])
+for label, _, t, c, _ in w.values:
+    print(label, "jlo_cochain", repr(jlolab.jlo_cochain(t, c)))
+    print(label, "bch_cochain", repr(jlolab.bch_cochain(t, c)))
+    print(label, "perturbed_cochain", repr(jlolab.perturbed_cochain(t, c)))
+    print(label, "via delta_perturbation", repr(jlolab.jlo_cochain(
+        t, jlolab.delta_perturbation(t, c))))
+for k, (t, c, _) in enumerate(w.mc):
+    head = jlolab.Chain.elementary(1.0, c.terms[0].factors[:1])
+    for chain in (c, head):
+        print(t.label, "jlo_cochain_mc", repr(jlolab.jlo_cochain_mc(
+            t, chain, MC_SAMPLES, np.random.default_rng(k))))
+for k, (t, factors) in enumerate(w.integrand + [
+        (t, c.terms[0].factors) for _, _, t, c, _ in w.values]):
+    point = np.sort(np.random.default_rng(k).random(len(factors) - 1))
+    print(t.label, "jlo_integrand", point.tolist(),
+          repr(jlolab.jlo_integrand(t, factors, point)))
 """
 
 BAD_CONFIGS = [
@@ -160,6 +194,18 @@ def run_side(root, jobs_path, workdir):
         return json.load(fh)
 
 
+def run_library(root, perfbench, workdir):
+    """{output: text} of one side's direct library calls."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), perfbench]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LIBRARY_CALLS, str(LIBRARY_SEED), workdir],
+        cwd=workdir, env=env, capture_output=True, text=True)
+    return {"library calls: stdout": proc.stdout,
+            "library calls: stderr": proc.stderr,
+            "library calls: exit": f"{proc.returncode}\n"}
+
+
 def differences(parent, change):
     """One unified diff per output whose text differs between the sides."""
     out = []
@@ -204,6 +250,12 @@ def main() -> int:
         outputs = {side: run_side(str(root), str(jobs_path),
                                   tmp / f"{side}-run")
                    for side, root in roots.items()}
+        for side, root in roots.items():
+            outputs[side].update(run_library(
+                str(root), str(perfbench), str(tmp / f"{side}-run")))
+        if outputs["parent"]["library calls: exit"] != "0\n":
+            raise RuntimeError("the parent's library calls failed:\n"
+                               + outputs["parent"]["library calls: stderr"])
     return report(outputs["parent"], outputs["change"])
 
 
