@@ -1,12 +1,12 @@
 """Batch front end: verification suites, index runs, simplex decompositions.
 
 Each subcommand takes only the flags it reads: `verify` the RunConfig flags
-(--seed, --tolerance, --mc-samples, --report, --config), `index` its two
-files and --times, `decompose` its mode, --samples and --seed.  `verify`
-runs `suites.run_suite` on the RunConfig it builds, so its report rows are
-exactly what the library call returns for that config.  Exit codes: 0
-success, 1 a failed check or write (one `error:` line; none when stdout
-was closed early), 2 usage or input-parsing failure.  Reports are
+(--seed, --mc-samples, --config) and --report, the report's path, `index`
+its two files and --times, `decompose` its mode, --samples and --seed.
+`verify` runs `suites.run_suite` on the RunConfig it builds, so its report
+rows are exactly what the library call returns for that config.  Exit
+codes: 0 success, 1 a failed check or write (one `error:` line; none when
+stdout was closed early), 2 usage or input-parsing failure.  Reports are
 deterministic for a fixed configuration and seed up to the timestamp field.
 """
 
@@ -63,7 +63,7 @@ def load_config(args) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         data.update(raw)
-    # each verify flag's dest is the RunConfig field it sets
+    # each RunConfig flag's dest is the field it sets; --report's is no field
     data.update((k, v) for k, v in vars(args).items()
                 if k in names and v is not None)
     return RunConfig(**data)
@@ -71,11 +71,11 @@ def load_config(args) -> RunConfig:
 
 # -------------------------------------------------------------------- verify
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: RunConfig, report_path) -> int:
     # the report file opens before any identity runs, so a path that cannot
     # be written is bad input, not a failed check after the whole suite
     try:
-        fh = open(config.report_path, "w") if config.report_path else None
+        fh = open(report_path, "w") if report_path else None
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
@@ -93,10 +93,7 @@ def cmd_verify(config: RunConfig) -> int:
             report = {
                 "schema": 1,
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                # report_path is left out so that reports written to different
-                # destinations stay byte-comparable
-                "config": {k: v for k, v in asdict(config).items()
-                           if k != "report_path"},
+                "config": asdict(config),
                 "identities": rows,
                 "summary": {"checks": len(rows), "passed": passed,
                             "failed": len(rows) - passed, "all_pass": ok},
@@ -330,8 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run every identity suite and report residuals")
     vf.add_argument("--seed", type=int, default=None,
                     help="master seed for all randomness")
-    vf.add_argument("--tolerance", type=float, default=None,
-                    help="override every per-identity tolerance")
     vf.add_argument("--mc-samples", type=int, default=None, dest="mc_samples",
                     help="Monte Carlo sample count per estimate")
     vf.add_argument("--report", default=None, dest="report_path",
@@ -374,7 +369,7 @@ def _dispatch(args) -> int:
     except (OSError, ValueError, TypeError, KeyError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    return cmd_verify(config)
+    return cmd_verify(config, args.report_path)
 
 
 def main(argv=None) -> int:

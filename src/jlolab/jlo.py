@@ -42,8 +42,8 @@ import numpy as np
 from .chains import Chain, _scalar_entries, br_operation, shuffle_product
 from .linalg import parity_codes, supertrace
 from .shuffles import sample_simplex_batch
-from .spectral import NonIntegerIndexError, SpectralTripleFD, \
-    _rounded_index, commutator_d, product_triple
+from .spectral import INDEX_INTEGER_TOL, NonIntegerIndexError, \
+    SpectralTripleFD, _rounded_index, commutator_d, product_triple
 
 __all__ = [
     "DegreeCapError",
@@ -401,25 +401,38 @@ def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:
     (dropped from slots by normalization) pairs to zero.  Degrees are
     evaluated and summed until a term falls below the truncation threshold
     relative to the sum, which must then sit within INDEX_INTEGER_TOL of an
-    integer.
+    integer.  NonConvergentError is raised when the terms do not settle by
+    DEGREE_CAP, or settle on terms that come before their peak.
     """
+    de = amp.dirac @ e - e @ amp.dirac
     acc = 0.0 + 0.0j
-    for n, term in enumerate(_pairing_terms(amp, e)):
+    for n, term in enumerate(_pairing_terms(amp, e, de)):
         acc += term
         if n >= 1 and abs(term) < PAIRING_TRUNCATION * (1.0 + abs(acc)):
             break
     else:
         raise NonConvergentError(
             f"pairing terms still at {abs(term):.3g} at degree {2 * n}")
+    # the degree-2m term is at most (d/2) c^m / m! for c >= ||[D, e]||^2,
+    # and ||[D, e]|| <= ||D|| for a projection; the bound's tail past the
+    # stop grows with c and is far over the threshold at c = 700, where
+    # e^c is still finite
+    c = min(amp.delta_eigensystem()[0][-1], np.vdot(de, de).real, 700.0)
+    tail = 0.5 * amp.hilbert_dim * (math.exp(c) - sum(
+        c ** m / math.factorial(m) for m in range(n + 1)))
+    if tail > INDEX_INTEGER_TOL:
+        raise NonConvergentError(
+            f"pairing terms stopped at degree {2 * n}, but their bound's "
+            f"tail past it is {tail:.3g}")
     return PairingReport(value=acc, truncation_degree=2 * n,
                          last_term_magnitude=abs(term),
                          integer=_rounded_index(acc, "pairing value"))
 
 
-def _pairing_terms(amp: SpectralTripleFD, e):
+def _pairing_terms(amp: SpectralTripleFD, e, de):
     """Pairing terms in degrees 0, 2, ..., DEGREE_CAP, one at a time:
     Str(e e^{-Delta}), then `term_exact` on the first 2n + 1 slots of one
-    eigenbasis stack (gamma (e - 1/2), [D, e], ..., [D, e])."""
+    eigenbasis stack (gamma (e - 1/2), de = [D, e], ..., [D, e])."""
     yield supertrace(e @ amp.heat(1.0), amp.space)
     if _scalar_entries(e[None])[0]:
         yield 0.0 + 0.0j
@@ -427,7 +440,7 @@ def _pairing_terms(amp: SpectralTripleFD, e):
     d, ev = amp.hilbert_dim, JLOEvaluator(amp)
     stack = np.empty((1, DEGREE_CAP + 1, d, d), dtype=np.complex128)
     stack[0, 0], stack[0, 1:] = ev._eigenbasis(
-        (e - 0.5 * np.eye(d))[None], (amp.dirac @ e - e @ amp.dirac)[None])
+        (e - 0.5 * np.eye(d))[None], de[None])
     for n in range(1, DEGREE_CAP // 2 + 1):
         yield ((-1) ** n * math.factorial(2 * n) / math.factorial(n)
                * ev.term_exact(stack[:, :2 * n + 1])[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import runpy
@@ -51,14 +52,18 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(trials=-1)
     with pytest.raises(ValueError):
-        RunConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
         RunConfig(seed=-3)
+    # one sample's standard error is 0, which exact_vs_mc divides by
+    with pytest.raises(ValueError, match="mc_samples must be at least 2"):
+        RunConfig(mc_samples=1)
+    assert RunConfig(mc_samples=2).mc_samples == 2
     for field, bad in [("seed", 1.5), ("trials", "1"), ("max_degree", 1.5),
-                       ("mc_samples", 2.5), ("trials", True),
-                       ("tolerance", "1e-3"), ("tolerance", True)]:
+                       ("mc_samples", 2.5), ("trials", True)]:
         with pytest.raises(ValueError):
             RunConfig(**{field: bad})
+    # exactly the settings run_suite reads
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "seed", "dims", "max_degree", "trials", "mc_samples"]
     for bad in ((1.5, 1), ("2", 1), (True, 1)):
         with pytest.raises(ValueError):
             RunConfig(dims=(bad,))
@@ -120,9 +125,20 @@ def test_verify_zero_trials_warns_and_passes(tmp_path, capsys):
     assert data["summary"]["checks"] == 0
 
 
-def test_verify_unattainable_tolerance_fails(fast_cfg):
+def test_verify_a_row_over_its_tolerance_fails(tmp_path, fast_cfg,
+                                               monkeypatch, capsys):
+    name, tol, _ = suites.IDENTITIES[0]
+    monkeypatch.setattr(suites, "IDENTITIES", (
+        (name, tol, lambda rng, dims, **kw: 10 * tol),
+        *suites.IDENTITIES[1:]))
+    report = tmp_path / "report.json"
     assert main(["verify", "--config", fast_cfg,
-                 "--tolerance", "1e-30"]) == 1
+                 "--report", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()
+            if line.endswith("FAIL")] == [name]
+    summary = json.loads(report.read_text())["summary"]
+    assert summary["failed"] == 1 and summary["all_pass"] is False
 
 
 @pytest.mark.parametrize("where, error", [
@@ -178,8 +194,8 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["verify", "--config", str(bad)]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     for raw in ({"seed": 1.5}, {"trials": "1"}, {"max_degree": 1.5},
-                {"mc_samples": 2.5}, {"seed": -3}, {"tolerance": "1e-3"},
-                {"dims": [[1.5, 1]]}):
+                {"mc_samples": 2.5}, {"mc_samples": 1}, {"seed": -3},
+                {"tolerance": "1e-3"}, {"dims": [[1.5, 1]]}):
         bad.write_text(json.dumps(raw))
         assert main(["verify", "--config", str(bad)]) == 2
         # decompose takes no --config: argparse rejects the flag itself
@@ -190,20 +206,28 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["decompose", "--cyclic", "1", "--seed", "-3"]) == 2
 
 
-def test_report_path_must_be_a_string(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    for bad in (2, True, None, []):
-        cfg.write_text(json.dumps({"trials": 0, "report_path": bad}))
+def test_config_file_cannot_name_a_report(tmp_path, capsys):
+    cfg, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    for path in (str(report), "", 2):
+        cfg.write_text(json.dumps({"trials": 0, "report_path": path}))
         assert main(["verify", "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
-        assert "schema" not in out + err
-        assert err == ("error: invalid configuration: "
-                       "report_path must be a string\n")
-    report = tmp_path / "report.json"
-    for path in ("", str(report)):
-        cfg.write_text(json.dumps({"trials": 0, "report_path": path}))
-        assert main(["verify", "--config", str(cfg)]) == 0
-        assert report.exists() == bool(path)
+        assert out == ""
+        assert err == ("error: invalid configuration: unknown config keys: "
+                       "['report_path']\n")
+        assert not report.exists()
+
+
+def test_report_flag_writes_the_report(tmp_path, capsys):
+    cfg, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({"trials": 0}))
+    assert main(["verify", "--config", str(cfg),
+                 "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["config"] == {"seed": 42, "dims": [[1, 1], [2, 1]],
+                              "max_degree": 3, "trials": 0,
+                              "mc_samples": 20_000}
+    assert data["summary"]["checks"] == 0
 
 
 def test_index_agreement_exits_zero(tmp_path, capsys):
@@ -376,6 +400,12 @@ def test_index_kick_beyond_degree_cap_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "check failed: pairing terms still at" in err
+    # at 6 the terms stop at degree 2 on values near e^{-36}, before the peak
+    tp, ep = _write_pair(tmp_path, scale=6.0)
+    assert main(["index", tp, ep]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("check failed: pairing terms stopped at degree 2")
 
 
 def test_main_calls_in_one_process_share_no_state(tmp_path, monkeypatch,

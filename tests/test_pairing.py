@@ -193,8 +193,11 @@ def test_odd_projection_pairs_to_minus_one():
 
 
 def test_large_dirac_fails_to_converge_within_degree_cap():
-    with pytest.raises(NonConvergentError):
-        _pairing(_kick(1.0), Idempotent(E_EVEN))
+    # at 1 the terms never settle; from 6 on they stop at degree 2 on terms
+    # near e^{-s^2}, long before they would peak near degree 2 s^2
+    for s in (1.0, 6.0, 8.0, 50.0):
+        with pytest.raises(NonConvergentError):
+            _pairing(_kick(s), Idempotent(E_EVEN))
 
 
 def test_parity_mixed_projection_is_caught_as_non_integer():

@@ -10,7 +10,8 @@ through `jlolab.cli.main`:
 - `verify --seed 42` and `--seed 7`, with their JSON reports, which are
   compared without their `timestamp` line, and `verify --help`;
 - `index` over every input of perfbench's `Index` workload at seed 531,
-  and over triples and idempotents that break each axiom `index` checks;
+  over triples and idempotents that break each axiom `index` checks, and
+  over a kick too strong for the pairing series;
 - `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`;
 - `verify` and `decompose` on bad `--config` files and bad flags.
 
@@ -105,7 +106,8 @@ for k, (t, factors) in enumerate(w.integrand + [
 BAD_CONFIGS = [
     {"max_degree": 9}, {"dims": [[12, 9]]}, {"no_such_key": 1},
     {"seed": 1.5}, {"trials": "1"}, {"max_degree": 1.5}, {"mc_samples": 2.5},
-    {"seed": -3}, {"tolerance": "1e-3"}, {"dims": [[1.5, 1]]}, [1, 2],
+    {"mc_samples": 1}, {"seed": -3}, {"tolerance": "1e-3"},
+    {"dims": [[1.5, 1]]}, [1, 2],
 ]
 
 # 2 x 2 matrices on C^{1|1}, as rows of complex entries
@@ -126,6 +128,9 @@ BAD_PAIRS = [
     ("non-self-adjoint idempotent", GOOD_DIRAC, [], [[1, 1], [0, 0]]),
     ("odd idempotent", GOOD_DIRAC, [], [[0.5, 0.5], [0.5, 0.5]]),
 ]
+# a valid pair whose pairing terms stop at degree 2, before they peak
+STRONG_KICK = ("kick 6", [[0, 6], [6, 0]], [[[1, 0], [0, 1]]],
+               GOOD_IDEMPOTENT)
 
 
 def _matrix(rows):
@@ -146,11 +151,11 @@ def jobs(inputs, index_calls):
     with open(small, "w") as fh:
         json.dump({"trials": 1, "dims": [[1, 1]], "max_degree": 1}, fh)
     out.append(("verify, flags over a config", [
-        "verify", "--config", small, "--seed", "3", "--tolerance", "1e-30",
-        "--mc-samples", "500", "--report", "report.json"]))
+        "verify", "--config", small, "--seed", "3", "--mc-samples", "500",
+        "--report", "report.json"]))
     out += [(f"index {k}", ["index", *argv])
             for k, argv in enumerate(index_calls)]
-    for k, (what, dirac, gens, idem) in enumerate(BAD_PAIRS):
+    for k, (what, dirac, gens, idem) in enumerate(BAD_PAIRS + [STRONG_KICK]):
         paths = [os.path.join(inputs, f"bad-{part}{k}.json")
                  for part in ("triple", "idempotent")]
         for path, obj in zip(paths, (
