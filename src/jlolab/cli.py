@@ -4,7 +4,8 @@ Each subcommand takes only the flags it reads: `verify` the RunConfig flags
 (--seed, --mc-samples, --config) and --report, the report's path, `index`
 its two files and --times, `decompose` its mode, --samples and --seed.
 `verify` runs `suites.run_suite` on the RunConfig it builds, so its report
-rows are exactly what the library call returns for that config.  Exit
+rows are exactly what the library call returns for that config; `decompose`
+runs one count-then-sample sequence for its shuffle and cyclic modes.  Exit
 codes: 0 success, 1 a failed check or write (one `error:` line; none when
 stdout was closed early), 2 usage or input-parsing failure.  Reports are
 deterministic for a fixed configuration and seed up to the timestamp field.
@@ -26,6 +27,7 @@ import numpy as np
 
 from .jlo import NonConvergentError, NonIntegerIndexError, index_pairing
 from .shuffles import (
+    _cyclic_coordinates,
     cyclic_shuffle_peak_rows,
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
@@ -239,55 +241,8 @@ def _sample_regions(perms, values) -> int:
     return 0
 
 
-def decompose_shuffle(p: int, q: int, samples: int, rng) -> int:
-    perms = enumerate_shuffles(p, q)
-    closed = math.comb(p + q, p)
-    print(f"shuffle decomposition, degrees ({p}, {q})")
-    print(f"  enumerated regions: {len(perms)}")
-    print(f"  closed form binomial({p + q}, {p}): {closed}")
-    if len(perms) != closed:
-        print("  COUNT MISMATCH", file=sys.stderr)
-        return 1
-    if p + q == 0 or samples == 0:
-        return 0
-    values = np.hstack([sample_simplex_batch(p, rng, samples),
-                        sample_simplex_batch(q, rng, samples)])
-    return _sample_regions(perms, values)
-
-
-def decompose_cyclic(degrees, samples: int, rng) -> int:
-    degrees = tuple(int(p) for p in degrees)
-    r = len(degrees)
-    n = r + sum(degrees)
-    closed = math.factorial(n) // (
-        math.factorial(r) * math.prod(math.factorial(p) for p in degrees))
-    rows = cyclic_shuffle_peak_rows(degrees)
-    if rows > DECOMPOSE_ROW_BUDGET:
-        print(f"error: {closed} regions take {rows} rows to enumerate, over "
-              f"the budget of {DECOMPOSE_ROW_BUDGET}", file=sys.stderr)
-        return 2
-    perms = enumerate_cyclic_shuffles(degrees)
-    print(f"cyclic-shuffle decomposition, {r} blocks of degrees {degrees}")
-    print(f"  enumerated regions: {len(perms)}")
-    print(f"  closed form {n}!/({r}!*{'*'.join(f'{p}!' for p in degrees)}):"
-          f" {closed}")
-    if len(perms) != closed:
-        print("  COUNT MISMATCH", file=sys.stderr)
-        return 1
-    if samples == 0:
-        return 0
-    s = sample_simplex_batch(r, rng, samples)
-    cols = []
-    for i, p in enumerate(degrees):
-        cols.append(s[:, i:i + 1])
-        if p:
-            t = sample_simplex_batch(p, rng, samples)
-            cols.append((s[:, i:i + 1] + t) % 1.0)
-    return _sample_regions(perms, np.hstack(cols))
-
-
 def cmd_decompose(args) -> int:
-    degrees = args.shuffle if args.shuffle is not None else args.cyclic
+    degrees = tuple(args.shuffle if args.shuffle is not None else args.cyclic)
     if args.seed < 0:
         print("error: invalid configuration: seed must be non-negative",
               file=sys.stderr)
@@ -307,10 +262,42 @@ def cmd_decompose(args) -> int:
         print(f"error: degrees above {DECOMPOSE_DEGREE_LIMIT} are not "
               f"supported", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed)
+    # each mode gives its regions, their closed-form count and the widths of
+    # the simplex samples that make one point: (p, q), or (r, p_1, ..., p_r)
     if args.shuffle is not None:
-        return decompose_shuffle(degrees[0], degrees[1], args.samples, rng)
-    return decompose_cyclic(degrees, args.samples, rng)
+        p, q = degrees
+        widths = degrees
+        closed = math.comb(p + q, p)
+        perms = enumerate_shuffles(p, q)
+        title = "shuffle decomposition, degrees"
+        formula = f"binomial({p + q}, {p})"
+    else:
+        widths = (len(degrees), *degrees)
+        n = sum(widths)
+        closed = math.factorial(n) // math.prod(map(math.factorial, widths))
+        rows = cyclic_shuffle_peak_rows(degrees)
+        if rows > DECOMPOSE_ROW_BUDGET:
+            print(f"error: {closed} regions take {rows} rows to enumerate, "
+                  f"over the budget of {DECOMPOSE_ROW_BUDGET}",
+                  file=sys.stderr)
+            return 2
+        perms = enumerate_cyclic_shuffles(degrees)
+        title = f"cyclic-shuffle decomposition, {widths[0]} blocks of degrees"
+        formula = f"{n}!/({'*'.join(f'{k}!' for k in widths)})"
+    print(f"{title} {degrees}")
+    print(f"  enumerated regions: {len(perms)}")
+    print(f"  closed form {formula}: {closed}")
+    if len(perms) != closed:
+        print("  COUNT MISMATCH", file=sys.stderr)
+        return 1
+    if perms.shape[1] == 0 or args.samples == 0:  # no point, or none asked
+        return 0
+    # a degree-0 block's zero-width draw takes nothing from the generator
+    rng = np.random.default_rng(args.seed)
+    blocks = [sample_simplex_batch(k, rng, args.samples) for k in widths]
+    if args.shuffle is not None:
+        return _sample_regions(perms, np.hstack(blocks))
+    return _sample_regions(perms, _cyclic_coordinates(blocks[0], blocks[1:]))
 
 
 # ---------------------------------------------------------------- entrypoint

@@ -20,7 +20,8 @@ Geometrically, the product of ordered simplices splits, up to measure zero,
 into one region per shuffle; the cyclic variant does the same for products
 with mod-1 offsets.  Points are plain float arrays: sample_simplex_batch
 draws a batch of sorted uniforms, and sorting_images locates a batch of
-points in these regions.
+points in these regions.  _cyclic_coordinates is the one map from cyclic
+offsets s_i and block coordinates t_i to s_i, then (s_i + t_i) mod 1.
 """
 
 from __future__ import annotations
@@ -194,27 +195,32 @@ def sorting_images(values):
     return images, tied
 
 
+def _cyclic_coordinates(s, ts) -> np.ndarray:
+    """(N, r + sum p_i) coordinates of N cyclic points, from s (N, r) and
+    ts[i] (N, p_i): per block i, s_i then (s_i + t_i) mod 1."""
+    cols = []
+    for i, t in enumerate(ts):
+        lead = s[:, i:i + 1]
+        cols += [lead, (lead + t) % 1.0]
+    return np.concatenate(cols, axis=1)
+
+
 def cyclic_region_locate(block_degrees, s, ts):
     """Locate the cyclic-shuffle region of offset coordinates, or None on ties.
 
     The entry for row l of block i is s_i + t_i[l] reduced mod 1 (row 0 is
-    s_i itself).  Returns the image tuple of the unique permutation sorting
-    the resulting tuple ascending; for almost every input it is a cyclic
-    shuffle.
+    s_i itself); ts holds one coordinate sequence per block.  Returns the
+    image tuple of the unique permutation sorting the resulting tuple
+    ascending; for almost every input it is a cyclic shuffle.
     """
-    ps = tuple(int(p) for p in block_degrees)
-    r = len(ps)
-    sv = np.atleast_1d(np.asarray(s, dtype=float))
+    r = len(block_degrees)
+    sv = np.asarray(s, dtype=float).reshape(1, -1)
     if sv.size != r:
         raise ValueError("need one offset per block")
-    vals = []
-    for i in range(r):
-        tv = np.atleast_1d(np.asarray(ts[i] if ps[i] else (), dtype=float))
-        if tv.size != ps[i]:
-            raise ValueError("block coordinate count disagrees with its degree")
-        vals.append(sv[i])
-        vals.extend((sv[i] + tv) % 1.0)
-    images, tied = sorting_images([vals])
+    tv = [np.asarray(t, dtype=float).reshape(1, -1) for t in ts]
+    if len(tv) != r or any(t.size != p for t, p in zip(tv, block_degrees)):
+        raise ValueError("block coordinate count disagrees with its degree")
+    images, tied = sorting_images(_cyclic_coordinates(sv, tv))
     if tied[0]:
         return None
     return tuple(images[0].tolist())

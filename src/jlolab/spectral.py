@@ -116,11 +116,16 @@ class SpectralTripleFD:
     def delta_eigensystem(self):
         """Eigensystem of the Hermitian part of Delta = D^2.  The
         Hermiticity rule is checked on D itself: the anti-Hermitian part
-        of D^2 can be up to 2 ||D|| times that of D."""
+        of D^2 can be up to 2 ||D|| times that of D.  Raises ValueError
+        when Delta overflows, so that no evaluation runs on its NaNs."""
         if self._delta_eig is None:
             check_hermitian(self.dirac)
-            d = self.dirac @ self.dirac
-            self._delta_eig = tuple(np.linalg.eigh((d + d.conj().T) / 2.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = self.dirac @ self.dirac
+                h = (d + d.conj().T) / 2.0
+            if not np.isfinite(h).all():
+                raise ValueError("Delta = D^2 overflows the float range")
+            self._delta_eig = tuple(np.linalg.eigh(h))
         return self._delta_eig
 
     def heat(self, t: float) -> np.ndarray:

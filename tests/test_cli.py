@@ -408,6 +408,18 @@ def test_index_kick_beyond_degree_cap_exits_one(tmp_path, capsys):
     assert err.startswith("check failed: pairing terms stopped at degree 2")
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200])
+def test_index_dirac_whose_square_overflows_exits_two(tmp_path, capsys,
+                                                     scale):
+    # D^2 + (D^2)^* overflows at 1e154, D^2 itself at 1e200: refused
+    # before any pairing degree runs, with no numpy warning
+    tp, ep = _write_pair(tmp_path, scale=scale)
+    assert main(["index", tp, ep]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Delta = D^2 overflows the float range\n"
+
+
 def test_main_calls_in_one_process_share_no_state(tmp_path, monkeypatch,
                                                    capsys):
     import argparse
@@ -469,7 +481,9 @@ def test_decompose_degree_overflow_exits_two(capsys):
 
 # stdout of the decompose calls perfbench's `algebra` workload makes, plus
 # a cyclic table and a sparse cyclic run, at --seed 7; frozen from the
-# dict-based region lookup that the byte-key search replaced
+# dict-based region lookup that the byte-key search replaced.  The two runs
+# with a degree-0 block were frozen from the separate shuffle and cyclic
+# routines that cmd_decompose replaced.
 DECOMPOSE_STDOUT = {
     "--shuffle 3 2 --samples 4000": """\
 shuffle decomposition, degrees (3, 2)
@@ -534,6 +548,24 @@ cyclic-shuffle decomposition, 2 blocks of degrees (1, 1)
         10       309    0.07725   -1.39
         11       360    0.09000    1.53
   max |z| over 12 populated regions: 2.25
+""",
+    "--cyclic 2 0 1 --samples 4000": """\
+cyclic-shuffle decomposition, 3 blocks of degrees (2, 0, 1)
+  enumerated regions: 60
+  closed form 6!/(3!*2!*0!*1!): 60
+  samples: 4000 located, 4000 used, 0 tied/skipped
+  expected volume fraction per region: 0.016667
+  max |z| over 60 populated regions: 2.39
+""",
+    "--shuffle 0 3 --samples 4000": """\
+shuffle decomposition, degrees (0, 3)
+  enumerated regions: 1
+  closed form binomial(3, 0): 1
+  samples: 4000 located, 4000 used, 0 tied/skipped
+  expected volume fraction per region: 1.000000
+    region      hits   fraction       z
+         0      4000    1.00000    0.00
+  max |z| over 1 populated regions: 0.00
 """,
     "--cyclic 2 1 1 --samples 300": """\
 cyclic-shuffle decomposition, 3 blocks of degrees (2, 1, 1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jlolab import shuffles
 from jlolab.shuffles import (
+    _cyclic_coordinates,
     _ordered_partitions,
     cyclic_region_locate,
     enumerate_cyclic_shuffles,
@@ -230,27 +231,47 @@ def test_shuffle_region_volumes_uniform():
         assert abs(c - expect) <= 4 * sigma
 
 
-def test_cyclic_region_locate_lands_in_enumerated_set():
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 0, 1)], ids=str)
+def test_cyclic_region_locate_lands_in_enumerated_set(degrees):
     rng = np.random.default_rng(12)
-    degrees = (1, 1)
+    r = len(degrees)
     members = {tuple(row) for row in enumerate_cyclic_shuffles(degrees).tolist()}
-    # per point: two sorted offsets, then one coordinate per block
-    u = rng.random((300, 4))
-    s, t = np.sort(u[:, :2], axis=1), u[:, 2:]
+    # per point: r sorted offsets, then each block's sorted coordinates
+    u = rng.random((300, r + sum(degrees)))
+    s = np.sort(u[:, :r], axis=1)
+    ts = [np.sort(t, axis=1) for t in
+          np.split(u[:, r:], np.cumsum(degrees)[:-1], axis=1)]
     located, rows = [], []
     for k in range(300):
-        row = cyclic_region_locate(degrees, s[k], [t[k, :1], t[k, 1:]])
+        row = cyclic_region_locate(degrees, s[k], [t[k] for t in ts])
         assert row is not None
         assert row in members
         assert is_cyclic_shuffle(row, degrees)
         located.append(row)
-        rows.append([s[k, 0], (s[k, 0] + t[k, 0]) % 1.0,
-                     s[k, 1], (s[k, 1] + t[k, 1]) % 1.0])
+        hand = []
+        for i, t in enumerate(ts):
+            hand.append(float(s[k, i]))
+            hand.extend((float(s[k, i]) + x) % 1.0 for x in t[k].tolist())
+        rows.append(hand)
+    # the builder's coordinates are the hand-built rows, bit for bit
+    assert _cyclic_coordinates(s, ts).tobytes() == np.array(rows).tobytes()
     # the batched locator agrees row by row and flags an exact tie
-    rows.append([0.25, 0.5, 0.25, 0.75])
+    rows.append([rows[0][0]] + rows[0][:-1])
     images, tied = sorting_images(np.array(rows))
     assert [tuple(row) for row in images[:-1].tolist()] == located
     assert tied.tolist() == [False] * len(located) + [True]
+
+
+def test_cyclic_region_locate_checks_every_block_alike():
+    # a degree-0 block takes no coordinates, as a degree-1 block takes one
+    for degrees, ts in [((0, 1), [[0.3, 0.9, 0.4], [0.2]]),
+                        ((1, 1), [[0.3, 0.9], [0.2]])]:
+        with pytest.raises(ValueError, match="disagrees with its degree"):
+            cyclic_region_locate(degrees, (0.1, 0.5), ts)
+        # a missing block has no coordinates either
+        with pytest.raises(ValueError, match="disagrees with its degree"):
+            cyclic_region_locate(degrees, (0.1, 0.5), ts[1:])
+    assert cyclic_region_locate((0, 1), (0.1, 0.5), [[], [0.2]]) == (1, 2, 3)
 
 
 def test_cyclic_region_locate_reports_ties_as_none():

@@ -421,6 +421,24 @@ def test_heat_checks_the_dirac_operator_not_its_square():
     assert mckean_singer_index(t) == 0
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200])
+def test_delta_eigensystem_refuses_an_overflowing_square(scale):
+    # D^2 + (D^2)^* overflows at 1e154, D^2 itself at 1e200
+    t = SpectralTripleFD(GradedSpace(1, 1), scale * X, (np.eye(2),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Delta = D\\^2 overflows"):
+            t.delta_eigensystem()
+        with pytest.raises(ValueError, match="overflows"):
+            t.heat(1.0)
+    # a finite square keeps the eigensystem of its Hermitian part, bit for bit
+    t = SpectralTripleFD(GradedSpace(1, 1), 1e-200 * X, (np.eye(2),))
+    d = t.dirac @ t.dirac
+    for got, want in zip(t.delta_eigensystem(),
+                         np.linalg.eigh((d + d.conj().T) / 2.0)):
+        assert np.array_equal(got, want)
+
+
 def test_heat_refuses_an_anti_hermitian_dirac():
     # D = iX squares to the Hermitian -1, but D itself is far from Hermitian
     t = SpectralTripleFD(GradedSpace(1, 1), 1j * X, (np.eye(2),))

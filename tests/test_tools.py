@@ -129,7 +129,8 @@ def test_same_outputs_rejected_pairs_each_fail_their_own_check(
                 "every triple axiom": "Dirac hermiticity residual 0.0123",
                 "non-idempotent": "matrix is not idempotent",
                 "non-self-adjoint idempotent": "idempotent is not self-adjoint",
-                "odd idempotent": "idempotent must be even"}
+                "odd idempotent": "idempotent must be even",
+                "Dirac whose square overflows": "Delta = D^2 overflows"}
     jobs = dict(same_outputs.jobs(str(tmp_path), []))
     for what, message in messages.items():
         assert cli.main(jobs[f"index, {what}"]) == 2

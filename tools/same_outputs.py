@@ -10,9 +10,13 @@ through `jlolab.cli.main`:
 - `verify --seed 42` and `--seed 7`, with their JSON reports, which are
   compared without their `timestamp` line, and `verify --help`;
 - `index` over every input of perfbench's `Index` workload at seed 531,
-  over triples and idempotents that break each axiom `index` checks, and
-  over a kick too strong for the pairing series;
-- `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`;
+  over triples and idempotents that break each axiom `index` checks or
+  whose Dirac operator squares past the float range, and over a kick too
+  strong for the pairing series;
+- `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`, and the
+  runs with no point to sample (`--shuffle 0 0`), with degree-0 blocks
+  (`--shuffle 0 3`, `--cyclic 0`, `--cyclic 2 0 1`) and over the row
+  budget (`--cyclic 1 1 1 1 1 1`);
 - `verify` and `decompose` on bad `--config` files and bad flags.
 
 The input files are written once, by the parent's perfbench, and both
@@ -114,7 +118,8 @@ BAD_CONFIGS = [
 GOOD_DIRAC = [[0, 0.3], [0.3, 0]]
 GOOD_IDEMPOTENT = [[1, 0], [0, 0]]
 # (what is broken, Dirac, generators, idempotent) of each rejected pair;
-# the residuals in the messages are 1.37e-10, 0.0434, 0.0622 and 0.0123
+# the residuals in the messages are 1.37e-10, 0.0434, 0.0622 and 0.0123,
+# and D^2 + (D^2)^* overflows at 1e154
 BAD_PAIRS = [
     ("non-Hermitian Dirac", [[0, 0.3], [0.3 + 1.37e-10j, 0]],
      [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT),
@@ -127,6 +132,8 @@ BAD_PAIRS = [
     ("non-idempotent", GOOD_DIRAC, [], [[0.5, 0], [0, 0]]),
     ("non-self-adjoint idempotent", GOOD_DIRAC, [], [[1, 1], [0, 0]]),
     ("odd idempotent", GOOD_DIRAC, [], [[0.5, 0.5], [0.5, 0.5]]),
+    ("Dirac whose square overflows", [[0, 1e154], [1e154, 0]],
+     [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT),
 ]
 # a valid pair whose pairing terms stop at degree 2, before they peak
 STRONG_KICK = ("kick 6", [[0, 6], [6, 0]], [[[1, 0], [0, 1]]],
@@ -167,7 +174,12 @@ def jobs(inputs, index_calls):
         out.append((f"index, {what}", ["index", *paths]))
     out += [(f"decompose {' '.join(args)}", ["decompose", *args])
             for args in (["--shuffle", "3", "2"], ["--cyclic", "1", "2", "1"],
-                         ["--cyclic", "2", "1"])]
+                         ["--cyclic", "2", "1"],
+                         ["--shuffle", "0", "0", "--samples", "10"],
+                         ["--shuffle", "0", "3", "--samples", "50"],
+                         ["--cyclic", "0", "--samples", "100"],
+                         ["--cyclic", "2", "0", "1"],
+                         ["--cyclic", "1", "1", "1", "1", "1", "1"])]
     for k, raw in enumerate(BAD_CONFIGS):
         path = os.path.join(inputs, f"bad{k}.json")
         with open(path, "w") as fh:
