@@ -4,11 +4,13 @@ Each subcommand takes only the flags it reads: `verify` the RunConfig flags
 (--seed, --mc-samples, --config) and --report, the report's path, `index`
 its two files and --times, `decompose` its mode, --samples and --seed.
 `verify` runs `suites.run_suite` on the RunConfig it builds, so its report
-rows are exactly what the library call returns for that config; `decompose`
+rows are exactly what the library call returns for that config; `index`
+refuses a pair over INDEX_DIM_LIMIT before it builds any; `decompose`
 runs one count-then-sample sequence for its shuffle and cyclic modes.  Exit
 codes: 0 success, 1 a failed check or write (one `error:` line; none when
-stdout was closed early), 2 usage or input-parsing failure.  Reports are
-deterministic for a fixed configuration and seed up to the timestamp field.
+stdout was closed early), 2 usage, input-parsing or size-bound failure.
+Reports are deterministic for a fixed configuration and seed up to the
+timestamp field.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ __all__ = ["main"]
 
 DECOMPOSE_DEGREE_LIMIT = 6
 DECOMPOSE_ROW_BUDGET = 2_000_000
+# the largest Hilbert dimension of a pair `index` checks, ampliation and
+# product included: a 256-dimensional pair, as one factor or as a 16 x 16
+# product, took 3.1-4.5 s and peaked at 138-151 MB on one BLAS thread of a
+# 2-core Xeon; time grows as d^3
+INDEX_DIM_LIMIT = 256
 
 
 def load_config(args) -> RunConfig:
@@ -136,18 +143,27 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
     try:
         t1 = triple_from_json(_load_json(triple_path))
         e1 = idempotent_from_json(_load_json(idem_path))
-        pairs = [validate_idempotent(t1, e1)]
+        factors = [(t1, e1)]
         if times_paths:
             t2 = triple_from_json(_load_json(times_paths[0]))
             if len(times_paths) == 2:
                 e2 = idempotent_from_json(_load_json(times_paths[1]))
             else:
                 e2 = Idempotent(np.eye(t2.hilbert_dim))
-            pairs.append(validate_idempotent(t2, e2))
-            if e1.blocks == 1 and e2.blocks == 1:
-                pairs.append(validate_idempotent(
-                    product_triple(t1, t2),
-                    Idempotent(np.kron(e1.matrix, e2.matrix))))
+            factors.append((t2, e2))
+        # every pair's size is known before any pair is built
+        dims = [t.hilbert_dim * e.blocks for t, e in factors]
+        product = len(factors) == 2 and e1.blocks == e2.blocks == 1
+        if product:
+            dims.append(dims[0] * dims[1])
+        if max(dims) > INDEX_DIM_LIMIT:
+            raise ValueError(f"Hilbert dimension {max(dims)} is over the "
+                             f"bound of {INDEX_DIM_LIMIT}")
+        pairs = [validate_idempotent(t, e) for t, e in factors]
+        if product:
+            pairs.append(validate_idempotent(
+                product_triple(t1, t2),
+                Idempotent(np.kron(e1.matrix, e2.matrix))))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

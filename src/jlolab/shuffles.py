@@ -14,7 +14,9 @@ blocks, which grow one block at a time: every row at once is extended by
 every subset of its remaining entries through one gather, with no Python
 loop over rows.  A cyclic family then keeps, block by block, the
 rotations whose leads increase; cyclic_shuffle_peak_rows counts the most
-rows it holds on the way, which can exceed the family's own size.
+rows it holds on the way, which can exceed the family's own size.  Every
+cyclic-shuffle function takes r >= 1 non-negative block degrees, checked
+by one rule.
 
 Geometrically, the product of ordered simplices splits, up to measure zero,
 into one region per shuffle; the cyclic variant does the same for products
@@ -86,6 +88,15 @@ def permutation_signs(images) -> np.ndarray:
     return 1 - 2 * (inv & 1)
 
 
+def _block_degrees(block_degrees) -> tuple:
+    """block_degrees as a tuple of ints: the one rule every cyclic-shuffle
+    function checks, r >= 1 blocks of non-negative degree."""
+    ps = tuple(int(p) for p in block_degrees)
+    if not ps or min(ps) < 0:
+        raise ValueError("need r >= 1 non-negative block degrees")
+    return ps
+
+
 def enumerate_shuffles(p: int, q: int) -> np.ndarray:
     """All (p, q)-shuffles of {1, ..., p+q} as a (binomial(p+q, p), p+q)
     image array.
@@ -107,10 +118,7 @@ def enumerate_cyclic_shuffles(block_degrees: tuple) -> np.ndarray:
     positions across blocks.  Rows are ordered by partition, then by
     (j_1, ..., j_r).  The count is (r + sum p_i)! / (r! * prod p_i!).
     """
-    ps = tuple(int(p) for p in block_degrees)
-    if len(ps) < 1 or any(p < 0 for p in ps):
-        raise ValueError("need r >= 1 non-negative block degrees")
-    sizes = [p + 1 for p in ps]
+    sizes = [p + 1 for p in _block_degrees(block_degrees)]
     parts = _ordered_partitions(sum(sizes), sizes)
     images = np.zeros((len(parts), 0), dtype=np.int64)
     source = np.arange(len(parts))
@@ -138,7 +146,7 @@ def cyclic_shuffle_peak_rows(block_degrees) -> int:
     block multiplies the row count by (p_i + 1)/i, ending at the region
     count n!/(r! prod p_i!).
     """
-    ps = tuple(int(p) for p in block_degrees)
+    ps = _block_degrees(block_degrees)
     rows = math.factorial(len(ps) + sum(ps)) // math.prod(
         math.factorial(p + 1) for p in ps)
     peak = rows
@@ -151,9 +159,8 @@ def cyclic_shuffle_peak_rows(block_degrees) -> int:
 def is_cyclic_shuffle(images, block_degrees) -> bool:
     """Check that an image row is a permutation meeting the defining block
     conditions."""
+    sizes = [p + 1 for p in _block_degrees(block_degrees)]
     images = tuple(int(i) for i in images)
-    ps = tuple(int(p) for p in block_degrees)
-    sizes = [p + 1 for p in ps]
     n = sum(sizes)
     if len(images) != n or sorted(images) != list(range(1, n + 1)):
         return False
@@ -187,8 +194,7 @@ def sorting_images(values):
     """
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, axis=1, kind="stable")
-    ranked = np.take_along_axis(values, order, axis=1)
-    tied = np.any(np.diff(ranked, axis=1) == 0.0, axis=1)
+    tied = np.any(np.diff(np.sort(values, axis=1), axis=1) == 0.0, axis=1)
     images = np.empty_like(order)
     images[np.arange(values.shape[0])[:, None], order] = \
         np.arange(1, values.shape[1] + 1)
@@ -213,12 +219,12 @@ def cyclic_region_locate(block_degrees, s, ts):
     image tuple of the unique permutation sorting the resulting tuple
     ascending; for almost every input it is a cyclic shuffle.
     """
-    r = len(block_degrees)
+    ps = _block_degrees(block_degrees)
     sv = np.asarray(s, dtype=float).reshape(1, -1)
-    if sv.size != r:
+    if sv.size != len(ps):
         raise ValueError("need one offset per block")
     tv = [np.asarray(t, dtype=float).reshape(1, -1) for t in ts]
-    if len(tv) != r or any(t.size != p for t, p in zip(tv, block_degrees)):
+    if len(tv) != len(ps) or any(t.size != p for t, p in zip(tv, ps)):
         raise ValueError("block coordinate count disagrees with its degree")
     images, tied = sorting_images(_cyclic_coordinates(sv, tv))
     if tied[0]:

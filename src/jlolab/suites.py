@@ -2,7 +2,11 @@
 
 Each trial function draws fresh data from an explicit Generator and returns
 a normalized residual; `run_suite` wraps them into report rows with
-per-identity tolerances.  A suite run is one `RunConfig`, the same object
+per-identity tolerances.  Each draw recipe is written once: `_one_triple`
+draws a triple on one dims pair and a chain over it, `_triples` draws
+several triples, and the three vanishing chain laws share one trial,
+`_vanishing_law`, whose rows carry the law, its lowest degree and its
+`max_degree` default.  A suite run is one `RunConfig`, the same object
 `jlolab verify` builds from its flags and config file, so the library and
 the command run the same suite.  Identities run one after another in
 IDENTITIES order, each on its own seed stream spawned from the master
@@ -72,13 +76,25 @@ def _norm_res(lhs, rhs) -> float:
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
+def _one_triple(rng, dim_pairs, degrees):
+    """A triple on one drawn dims pair, then a chain of the given degrees
+    over it."""
+    t = random_triple(rng, *_pick_dims(rng, dim_pairs, 1)[0])
+    return t, random_chain(rng, t.space, degrees)
+
+
+def _triples(rng, dims, scale=None):
+    """One triple per dims pair, each Dirac norm drawn from U(*scale) just
+    before its triple when scale is given, else 1."""
+    return [random_triple(rng, *d, dirac_scale=(
+        float(rng.uniform(*scale)) if scale else 1.0)) for d in dims]
+
+
 # --------------------------------------------------------------- cochain laws
 
 def trial_shuffle_multiplicativity(rng, dim_pairs, max_degree=2,
                                    mc_samples=None) -> float:
-    (d1, d2) = _pick_dims(rng, dim_pairs, 2)
-    t1 = random_triple(rng, *d1, dirac_scale=float(rng.uniform(0.4, 1.2)))
-    t2 = random_triple(rng, *d2, dirac_scale=float(rng.uniform(0.4, 1.2)))
+    t1, t2 = _triples(rng, _pick_dims(rng, dim_pairs, 2), (0.4, 1.2))
     degs = range(0, min(2, max_degree) + 1)
     a = random_chain(rng, t1.space, degs)
     b = random_chain(rng, t2.space, degs)
@@ -92,8 +108,7 @@ def trial_cyclic_shuffle(rng, dim_pairs, r=2, max_degree=2,
     # commutative (total dimension 2), so use the largest listed space to
     # keep the right-hand side nonvacuous
     dims = [tuple(max(dim_pairs, key=sum))] * r
-    triples = [random_triple(rng, *d, dirac_scale=float(rng.uniform(0.4, 1.0)))
-               for d in dims]
+    triples = _triples(rng, dims, (0.4, 1.0))
     chains = [random_chain(rng, t.space, [1]) for t in triples]
     rep = verify_theorem_ainf(triples, chains, part=2)
     return rep["normalized_residual"]
@@ -101,9 +116,7 @@ def trial_cyclic_shuffle(rng, dim_pairs, r=2, max_degree=2,
 
 def trial_contraction_boundary(rng, dim_pairs, max_degree=3,
                                mc_samples=None) -> float:
-    d = _pick_dims(rng, dim_pairs, 1)[0]
-    t = random_triple(rng, *d)
-    a = random_chain(rng, t.space, range(0, max_degree + 1))
+    t, a = _one_triple(rng, dim_pairs, range(0, max_degree + 1))
     lhs = bch_cochain(t, a)
     rhs = jlo_cochain(t, connes_B(a))
     return _norm_res(lhs, rhs)
@@ -111,27 +124,21 @@ def trial_contraction_boundary(rng, dim_pairs, max_degree=3,
 
 def trial_perturbed_cocycle(rng, dim_pairs, max_degree=3,
                             mc_samples=None) -> float:
-    d = _pick_dims(rng, dim_pairs, 1)[0]
-    t = random_triple(rng, *d)
-    a = random_chain(rng, t.space, range(0, max_degree + 1))
+    t, a = _one_triple(rng, dim_pairs, range(0, max_degree + 1))
     boundary = hochschild_b(a) + connes_B(a)
     return abs(perturbed_cochain(t, boundary))
 
 
 def trial_perturbed_forms(rng, dim_pairs, max_degree=3,
                           mc_samples=None) -> float:
-    d = _pick_dims(rng, dim_pairs, 1)[0]
-    t = random_triple(rng, *d)
-    a = random_chain(rng, t.space, range(0, max_degree + 1))
+    t, a = _one_triple(rng, dim_pairs, range(0, max_degree + 1))
     via_delta = jlo_cochain(t, a) + jlo_cochain(t, delta_perturbation(t, a))
     return abs(perturbed_cochain(t, a) - via_delta)
 
 
 def trial_perturbed_multiplicativity(rng, dim_pairs, max_degree=2,
                                      mc_samples=None) -> float:
-    (d1, d2) = _pick_dims(rng, dim_pairs, 2)
-    t1 = random_triple(rng, *d1, dirac_scale=float(rng.uniform(0.4, 1.0)))
-    t2 = random_triple(rng, *d2, dirac_scale=float(rng.uniform(0.4, 1.0)))
+    t1, t2 = _triples(rng, _pick_dims(rng, dim_pairs, 2), (0.4, 1.0))
     a = random_chain(rng, t1.space, range(0, min(2, max_degree) + 1))
     b = random_chain(rng, t2.space, range(0, min(1, max_degree) + 1))
     prod = product_triple(t1, t2)
@@ -145,9 +152,7 @@ def trial_perturbed_multiplicativity(rng, dim_pairs, max_degree=2,
 
 def trial_heat_factorization(rng, dim_pairs, max_degree=None,
                              mc_samples=None) -> float:
-    (d1, d2) = _pick_dims(rng, dim_pairs, 2)
-    t1 = random_triple(rng, *d1)
-    t2 = random_triple(rng, *d2)
+    t1, t2 = _triples(rng, _pick_dims(rng, dim_pairs, 2))
     prod = product_triple(t1, t2)
     worst = 0.0
     for t in HEAT_TIMES:
@@ -158,9 +163,7 @@ def trial_heat_factorization(rng, dim_pairs, max_degree=None,
 
 def trial_derivation_product(rng, dim_pairs, max_degree=None,
                              mc_samples=None) -> float:
-    (d1, d2) = _pick_dims(rng, dim_pairs, 2)
-    t1 = random_triple(rng, *d1)
-    t2 = random_triple(rng, *d2)
+    t1, t2 = _triples(rng, _pick_dims(rng, dim_pairs, 2))
     prod = product_triple(t1, t2)
     a = random_even(rng, t1.space)
     c = random_even(rng, t2.space)
@@ -173,9 +176,7 @@ def trial_derivation_product(rng, dim_pairs, max_degree=None,
 
 def trial_kernel_projection_product(rng, dim_pairs, max_degree=None,
                                     mc_samples=None) -> float:
-    (d1, d2) = _pick_dims(rng, dim_pairs, 2)
-    t1 = random_triple(rng, *d1)
-    t2 = random_triple(rng, *d2)
+    t1, t2 = _triples(rng, _pick_dims(rng, dim_pairs, 2))
     prod = product_triple(t1, t2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
@@ -187,29 +188,13 @@ def trial_kernel_projection_product(rng, dim_pairs, max_degree=None,
 
 # ----------------------------------------------------------------- chain laws
 
-def trial_hochschild_square(rng, dim_pairs, max_degree=4,
-                            mc_samples=None) -> float:
+def _vanishing_law(law, lowest, rng, dim_pairs, max_degree,
+                   mc_samples=None) -> float:
+    """Probe distance from zero of law(a), for a chain a of degrees lowest
+    to max_degree on a space of one drawn total dimension, split evenly."""
     d = sum(_pick_dims(rng, dim_pairs, 1)[0])
     space = GradedSpace(d - d // 2, d // 2)
-    a = random_chain(rng, space, range(1, max_degree + 1))
-    c = hochschild_b(hochschild_b(a))
-    return probe_distance(c, Chain.zero(space.dim), rng)
-
-
-def trial_connes_square(rng, dim_pairs, max_degree=4, mc_samples=None) -> float:
-    d = sum(_pick_dims(rng, dim_pairs, 1)[0])
-    space = GradedSpace(d - d // 2, d // 2)
-    a = random_chain(rng, space, range(0, max_degree + 1))
-    c = connes_B(connes_B(a))
-    return probe_distance(c, Chain.zero(space.dim), rng)
-
-
-def trial_boundaries_anticommute(rng, dim_pairs, max_degree=3,
-                                 mc_samples=None) -> float:
-    d = sum(_pick_dims(rng, dim_pairs, 1)[0])
-    space = GradedSpace(d - d // 2, d // 2)
-    a = random_chain(rng, space, range(0, max_degree + 1))
-    c = hochschild_b(connes_B(a)) + connes_B(hochschild_b(a))
+    c = law(random_chain(rng, space, range(lowest, max_degree + 1)))
     return probe_distance(c, Chain.zero(space.dim), rng)
 
 
@@ -238,9 +223,7 @@ def trial_hochschild_derivation(rng, dim_pairs, max_degree=2,
 
 def trial_scalar_slot_invariance(rng, dim_pairs, max_degree=2,
                                  mc_samples=None) -> float:
-    d = _pick_dims(rng, dim_pairs, 1)[0]
-    t = random_triple(rng, *d)
-    a = random_chain(rng, t.space, (1, 2))
+    t, a = _one_triple(rng, dim_pairs, (1, 2))
     lam = complex(*rng.standard_normal(2))
     eye = np.eye(t.hilbert_dim, dtype=np.complex128)
     shifted = []
@@ -258,9 +241,7 @@ def trial_scalar_slot_invariance(rng, dim_pairs, max_degree=2,
 def trial_exact_vs_mc(rng, dim_pairs, max_degree=2,
                       mc_samples=20_000) -> float:
     """Exact-versus-sampled ratio in units of four standard errors."""
-    d = _pick_dims(rng, dim_pairs, 1)[0]
-    t = random_triple(rng, *d)
-    a = random_chain(rng, t.space, (1, 2))
+    t, a = _one_triple(rng, dim_pairs, (1, 2))
     exact = jlo_cochain(t, a)
     est, se = jlo_cochain_mc(t, a, mc_samples, rng)
     return abs(exact - est) / (4.0 * se + 1e-12 * (1.0 + abs(exact)))
@@ -374,9 +355,15 @@ IDENTITIES = (
     ("heat_factorization", 1e-10, trial_heat_factorization),
     ("derivation_on_products", 1e-10, trial_derivation_product),
     ("kernel_projection_product", 1e-10, trial_kernel_projection_product),
-    ("hochschild_square_zero", 1e-10, trial_hochschild_square),
-    ("connes_square_zero", 1e-10, trial_connes_square),
-    ("boundaries_anticommute", 1e-10, trial_boundaries_anticommute),
+    ("hochschild_square_zero", 1e-10, functools.partial(
+        _vanishing_law, lambda a: hochschild_b(hochschild_b(a)), 1,
+        max_degree=4)),
+    ("connes_square_zero", 1e-10, functools.partial(
+        _vanishing_law, lambda a: connes_B(connes_B(a)), 0, max_degree=4)),
+    ("boundaries_anticommute", 1e-10, functools.partial(
+        _vanishing_law,
+        lambda a: hochschild_b(connes_B(a)) + connes_B(hochschild_b(a)), 0,
+        max_degree=3)),
     ("shuffle_associativity", 1e-10, trial_shuffle_associativity),
     ("hochschild_derivation_shuffle", 1e-10, trial_hochschild_derivation),
     ("scalar_slot_invariance", 1e-10, trial_scalar_slot_invariance),

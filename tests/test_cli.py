@@ -394,6 +394,33 @@ def test_index_validates_each_pair_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 3
 
 
+def test_index_refuses_a_pair_over_the_dimension_bound(tmp_path, monkeypatch,
+                                                      capsys):
+    # every pair counts, ampliation and product included, and the bound is
+    # checked before any pair is validated or any product built
+    def refuse(*args):
+        raise AssertionError("built a pair past the bound")
+
+    tp, ep = _write_pair(tmp_path)
+    amplified = tmp_path / "amplified.json"
+    amplified.write_text(json.dumps(idempotent_to_json(Idempotent(
+        np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), blocks=2))))
+    monkeypatch.setattr(cli, "INDEX_DIM_LIMIT", 3)
+    monkeypatch.setattr(cli, "validate_idempotent", refuse)
+    monkeypatch.setattr(cli, "product_triple", refuse)
+    for argv in ([tp, ep, "--times", tp], [tp, str(amplified)],
+                 [tp, ep, "--times", tp, str(amplified)]):
+        assert main(["index", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: Hilbert dimension 4 is over the bound of 3\n"
+    monkeypatch.undo()
+    # the bound is inclusive
+    monkeypatch.setattr(cli, "INDEX_DIM_LIMIT", 4)
+    assert main(["index", tp, ep, "--times", tp]) == 0
+    assert "product law" in capsys.readouterr().out
+
+
 def test_index_kick_beyond_degree_cap_exits_one(tmp_path, capsys):
     tp, ep = _write_pair(tmp_path, scale=1.0)
     code = main(["index", tp, ep])

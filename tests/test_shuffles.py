@@ -11,6 +11,7 @@ from jlolab.shuffles import (
     _cyclic_coordinates,
     _ordered_partitions,
     cyclic_region_locate,
+    cyclic_shuffle_peak_rows,
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
     is_cyclic_shuffle,
@@ -272,6 +273,22 @@ def test_cyclic_region_locate_checks_every_block_alike():
         with pytest.raises(ValueError, match="disagrees with its degree"):
             cyclic_region_locate(degrees, (0.1, 0.5), ts[1:])
     assert cyclic_region_locate((0, 1), (0.1, 0.5), [[], [0.2]]) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("degrees", [(), (-1, 1)], ids=str)
+def test_cyclic_shuffle_functions_share_one_degree_rule(degrees):
+    # each function refuses the degrees the enumeration refuses, with its
+    # message, where it used to raise IndexError, return True or fail
+    # inside numpy
+    r = len(degrees)
+    calls = [lambda: enumerate_cyclic_shuffles(degrees),
+             lambda: cyclic_shuffle_peak_rows(degrees),
+             lambda: is_cyclic_shuffle(tuple(range(1, r + 1)), degrees),
+             lambda: cyclic_region_locate(degrees, [0.5] * r, [[]] * r)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="need r >= 1 non-negative block degrees"):
+            call()
 
 
 def test_cyclic_region_locate_reports_ties_as_none():

@@ -9,6 +9,9 @@ through `jlolab.cli.main`:
 
 - `verify --seed 42` and `--seed 7`, with their JSON reports, which are
   compared without their `timestamp` line, and `verify --help`;
+- `verify --seed 3` with reports on the `EDGE_CONFIGS`, the edges of the
+  trials' degree draws: `max_degree` 0 and 4, three dims pairs, and a
+  small `mc_samples`;
 - `index` over every input of perfbench's `Index` workload at seed 531,
   over triples and idempotents that break each axiom `index` checks or
   whose Dirac operator squares past the float range, and over a kick too
@@ -107,6 +110,13 @@ for k, (t, factors) in enumerate(w.integrand + [
           repr(jlolab.jlo_integrand(t, factors, point)))
 """
 
+# min(2, max_degree) and range(lowest, max_degree + 1) at their ends
+EDGE_CONFIGS = [
+    {"max_degree": 0, "trials": 2},
+    {"max_degree": 4, "dims": [[1, 1], [2, 1], [3, 1]]},
+    {"max_degree": 1, "dims": [[2, 2]], "mc_samples": 500},
+]
+
 BAD_CONFIGS = [
     {"max_degree": 9}, {"dims": [[12, 9]]}, {"no_such_key": 1},
     {"seed": 1.5}, {"trials": "1"}, {"max_degree": 1.5}, {"mc_samples": 2.5},
@@ -160,6 +170,13 @@ def jobs(inputs, index_calls):
     out.append(("verify, flags over a config", [
         "verify", "--config", small, "--seed", "3", "--mc-samples", "500",
         "--report", "report.json"]))
+    for k, raw in enumerate(EDGE_CONFIGS):
+        path = os.path.join(inputs, f"edge{k}.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out.append((f"verify --seed 3, config {json.dumps(raw)}", [
+            "verify", "--config", path, "--seed", "3",
+            "--report", "report.json"]))
     out += [(f"index {k}", ["index", *argv])
             for k, argv in enumerate(index_calls)]
     for k, (what, dirac, gens, idem) in enumerate(BAD_PAIRS + [STRONG_KICK]):
