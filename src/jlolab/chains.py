@@ -30,7 +30,6 @@ __all__ = [
     "TermBudgetError",
     "br_operation",
     "connes_B",
-    "cyclic_shuffle_product",
     "hochschild_b",
     "probe_distance",
     "shuffle_product",
@@ -361,11 +360,6 @@ def br_operation(chains) -> Chain:
                          lambda rows: np.full(len(rows[0]), unit),
                          enumerate_cyclic_shuffles)
     return Chain.from_table(d, table, blocks).normalized()
-
-
-def cyclic_shuffle_product(left: Chain, right: Chain) -> Chain:
-    """Two-argument cyclic-shuffle product, degree p + q + 2."""
-    return br_operation([left, right])
 
 
 def _random_probes(d: int, degrees, rng) -> dict:

@@ -27,7 +27,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .jlo import NonConvergentError, NonIntegerIndexError, index_pairing
+from .jlo import NonConvergentError, index_pairing
 from .shuffles import (
     _cyclic_coordinates,
     cyclic_shuffle_peak_rows,
@@ -39,6 +39,7 @@ from .shuffles import (
 from .spectral import (
     INDEX_INTEGER_TOL,
     Idempotent,
+    NonIntegerIndexError,
     SpectralGapWarning,
     idempotent_from_json,
     index_of_pair,

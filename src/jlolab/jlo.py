@@ -39,11 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, _scalar_entries, br_operation, shuffle_product
+from .chains import Chain, _scalar_entries
 from .linalg import parity_codes, supertrace
 from .shuffles import sample_simplex_batch
-from .spectral import INDEX_INTEGER_TOL, NonIntegerIndexError, \
-    SpectralTripleFD, _rounded_index, commutator_d, product_triple
+from .spectral import INDEX_INTEGER_TOL, SpectralTripleFD, _rounded_index, \
+    commutator_d
 
 __all__ = [
     "DegreeCapError",
@@ -58,7 +58,6 @@ __all__ = [
     "jlo_cochain_mc",
     "jlo_integrand",
     "perturbed_cochain",
-    "verify_theorem_ainf",
 ]
 
 DEGREE_CAP = 12
@@ -401,18 +400,17 @@ def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:
     (dropped from slots by normalization) pairs to zero.  Degrees are
     evaluated and summed until a term falls below the truncation threshold
     relative to the sum, which must then sit within INDEX_INTEGER_TOL of an
-    integer.  NonConvergentError is raised when the terms do not settle by
-    DEGREE_CAP, or settle on terms that come before their peak.
+    integer; at DEGREE_CAP the sum is also accepted when the terms' bound
+    past it is under that threshold.  NonConvergentError is raised when
+    neither holds by DEGREE_CAP, or the terms settle before their peak.
     """
     de = amp.dirac @ e - e @ amp.dirac
     acc = 0.0 + 0.0j
     for n, term in enumerate(_pairing_terms(amp, e, de)):
         acc += term
-        if n >= 1 and abs(term) < PAIRING_TRUNCATION * (1.0 + abs(acc)):
+        threshold = PAIRING_TRUNCATION * (1.0 + abs(acc))
+        if n >= 1 and abs(term) < threshold:
             break
-    else:
-        raise NonConvergentError(
-            f"pairing terms still at {abs(term):.3g} at degree {2 * n}")
     # the degree-2m term is at most (d/2) c^m / m! for c >= ||[D, e]||^2,
     # and ||[D, e]|| <= ||D|| for a projection; the bound's tail past the
     # stop grows with c and is far over the threshold at c = 700, where
@@ -420,6 +418,10 @@ def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:
     c = min(amp.delta_eigensystem()[0][-1], np.vdot(de, de).real, 700.0)
     tail = 0.5 * amp.hilbert_dim * (math.exp(c) - sum(
         c ** m / math.factorial(m) for m in range(n + 1)))
+    # at DEGREE_CAP without the term stop, the tail must meet its threshold
+    if not (abs(term) < threshold or tail < threshold):
+        raise NonConvergentError(
+            f"pairing terms still at {abs(term):.3g} at degree {2 * n}")
     if tail > INDEX_INTEGER_TOL:
         raise NonConvergentError(
             f"pairing terms stopped at degree {2 * n}, but their bound's "
@@ -444,42 +446,3 @@ def _pairing_terms(amp: SpectralTripleFD, e, de):
     for n in range(1, DEGREE_CAP // 2 + 1):
         yield ((-1) ** n * math.factorial(2 * n) / math.factorial(n)
                * ev.term_exact(stack[:, :2 * n + 1])[0])
-
-
-def verify_theorem_ainf(triples, chains, part: int) -> dict:
-    """Residual report for the two product identities.
-
-    Part 1: the cochain of a shuffle product against the product triple
-    versus the product of the factor cochains.  Part 2: the cochain of the
-    degree-raising cyclic-shuffle operation versus the product of the
-    contraction cochains over r factorial.
-    """
-    triples = list(triples)
-    chains = list(chains)
-    if len(triples) != len(chains):
-        raise ValueError("need one chain per triple")
-    if part == 1:
-        if len(triples) != 2:
-            raise ValueError("part 1 takes exactly two factors")
-        prod = product_triple(triples[0], triples[1])
-        lhs = jlo_cochain(prod, shuffle_product(chains[0], chains[1]))
-        rhs = jlo_cochain(triples[0], chains[0]) \
-            * jlo_cochain(triples[1], chains[1])
-    elif part == 2:
-        prod = triples[0]
-        for t in triples[1:]:
-            prod = product_triple(prod, t)
-        lhs = jlo_cochain(prod, br_operation(chains))
-        rhs = 1.0 / math.factorial(len(triples))
-        for t, c in zip(triples, chains):
-            rhs *= bch_cochain(t, c)
-    else:
-        raise ValueError("part must be 1 or 2")
-    residual = abs(lhs - rhs)
-    return {
-        "part": part,
-        "lhs": lhs,
-        "rhs": rhs,
-        "residual": residual,
-        "normalized_residual": residual / (1.0 + abs(rhs)),
-    }

@@ -15,7 +15,6 @@ from jlolab.chains import (
     _random_probes,
     br_operation,
     connes_B,
-    cyclic_shuffle_product,
     hochschild_b,
     probe_distance,
     shuffle_product,
@@ -217,19 +216,11 @@ def test_br_pair_degree_one_term_count():
     rng = np.random.default_rng(13)
     a = Chain.elementary(1.0, tuple(_mats(rng, 2, 2)))
     b = Chain.elementary(1.0, tuple(_mats(rng, 2, 2)))
-    out = cyclic_shuffle_product(a, b)
+    out = br_operation([a, b])
     assert out.num_terms == 12
     assert out.degrees() == (4,)
     for t in out.terms:
         assert np.allclose(t.factors[0], np.eye(4))
-
-
-def test_cyclic_product_matches_br_pair():
-    rng = np.random.default_rng(14)
-    s1, s2 = GradedSpace(1, 1), GradedSpace(1, 1)
-    a = random_chain(rng, s1, (0, 1))
-    b = random_chain(rng, s2, (1, 2))
-    assert _close(cyclic_shuffle_product(a, b), br_operation([a, b]))
 
 
 def test_term_budget_guards_big_enumerations():

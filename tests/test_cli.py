@@ -421,6 +421,17 @@ def test_index_refuses_a_pair_over_the_dimension_bound(tmp_path, monkeypatch,
     assert "product law" in capsys.readouterr().out
 
 
+def test_index_kick_whose_tail_is_under_the_threshold_exits_zero(tmp_path,
+                                                                capsys):
+    # the pairing terms at kick 0.2 reach degree 12 over the truncation
+    # threshold, but the bound's tail past it is under it
+    tp, ep = _write_pair(tmp_path, scale=0.2)
+    assert main(["index", tp, ep]) == 0
+    out = capsys.readouterr().out
+    assert "character pairing : +1.000000000  (truncated at degree 12," in out
+    assert "fredholm index    : +1" in out
+
+
 def test_index_kick_beyond_degree_cap_exits_one(tmp_path, capsys):
     tp, ep = _write_pair(tmp_path, scale=1.0)
     code = main(["index", tp, ep])

@@ -27,7 +27,7 @@ SURFACE = set("""
     SpectralGapWarning SpectralTripleFD TermBudgetError ampliate
     bch_cochain br_operation commutator_d
     connes_B curated_index_pairs cyclic_region_locate
-    cyclic_shuffle_peak_rows cyclic_shuffle_product delta_perturbation
+    cyclic_shuffle_peak_rows delta_perturbation
     enumerate_cyclic_shuffles enumerate_shuffles format_report_rows
     frob hochschild_b
     idempotent_from_json idempotent_to_json index_of_pair index_pairing
@@ -38,7 +38,6 @@ SURFACE = set("""
     random_even random_odd_hermitian random_triple run_suite
     sample_simplex_batch shuffle_product sorting_images supertrace
     triple_from_json triple_to_json validate_idempotent validate_triple
-    verify_theorem_ainf
 """.split())
 
 

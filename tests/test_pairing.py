@@ -11,7 +11,6 @@ from jlolab.jlo import (
     DEGREE_CAP,
     PAIRING_TRUNCATION,
     NonConvergentError,
-    NonIntegerIndexError,
     index_pairing,
     jlo_cochain,
 )
@@ -19,6 +18,7 @@ from jlolab.linalg import GradedSpace, _freeze, supertrace
 from jlolab.randomgen import random_triple
 from jlolab.spectral import (
     Idempotent,
+    NonIntegerIndexError,
     SpectralGapWarning,
     SpectralTripleFD,
     ampliate,
@@ -198,6 +198,25 @@ def test_large_dirac_fails_to_converge_within_degree_cap():
     for s in (1.0, 6.0, 8.0, 50.0):
         with pytest.raises(NonConvergentError):
             _pairing(_kick(s), Idempotent(E_EVEN))
+
+
+def test_kick_whose_tail_is_under_the_threshold_pairs_at_the_cap():
+    # the terms at 0.2 and 0.25 are still over the truncation threshold at
+    # degree 12, but the bound's tail past it, (e^c - sum_{m<=6} c^m/m!)
+    # at c = s^2, is 3.3e-14 and 7.4e-13, under 1e-12 (1 + |sum|)
+    for s in (0.2, 0.25):
+        rep = _pairing(_kick(s), Idempotent(E_EVEN))
+        assert rep.integer == 1 and rep.truncation_degree == 12, s
+        want = math.exp(-s * s) * sum(
+            s ** (2 * n) / math.factorial(n) for n in range(7))
+        assert abs(rep.value - want) <= 1e-12, s
+
+
+def test_kick_whose_tail_is_over_the_threshold_fails_at_the_cap():
+    # at 0.3 the tail past degree 12 is 9.6e-12
+    with pytest.raises(NonConvergentError,
+                       match=r"^pairing terms still at \S+ at degree 12$"):
+        _pairing(_kick(0.3), Idempotent(E_EVEN))
 
 
 def test_parity_mixed_projection_is_caught_as_non_integer():

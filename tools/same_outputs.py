@@ -14,8 +14,8 @@ through `jlolab.cli.main`:
   small `mc_samples`;
 - `index` over every input of perfbench's `Index` workload at seed 531,
   over triples and idempotents that break each axiom `index` checks or
-  whose Dirac operator squares past the float range, and over a kick too
-  strong for the pairing series;
+  whose Dirac operator squares past the float range, and over kicks on
+  each side of the pairing series' stop rules (6, 0.2 and 0.3);
 - `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`, and the
   runs with no point to sample (`--shuffle 0 0`), with degree-0 blocks
   (`--shuffle 0 3`, `--cyclic 0`, `--cyclic 2 0 1`) and over the row
@@ -145,9 +145,12 @@ BAD_PAIRS = [
     ("Dirac whose square overflows", [[0, 1e154], [1e154, 0]],
      [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT),
 ]
-# a valid pair whose pairing terms stop at degree 2, before they peak
-STRONG_KICK = ("kick 6", [[0, 6], [6, 0]], [[[1, 0], [0, 1]]],
-               GOOD_IDEMPOTENT)
+# valid pairs on each side of the pairing's stop rules: at kick 6 the
+# terms stop at degree 2, before they peak; at 0.2 and 0.3 they reach
+# degree 12 over the truncation threshold, and their bound's tail past it
+# is under the threshold at 0.2 and over it at 0.3
+KICKS = [(f"kick {s}", [[0, s], [s, 0]], [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT)
+         for s in (6, 0.2, 0.3)]
 
 
 def _matrix(rows):
@@ -179,7 +182,7 @@ def jobs(inputs, index_calls):
             "--report", "report.json"]))
     out += [(f"index {k}", ["index", *argv])
             for k, argv in enumerate(index_calls)]
-    for k, (what, dirac, gens, idem) in enumerate(BAD_PAIRS + [STRONG_KICK]):
+    for k, (what, dirac, gens, idem) in enumerate(BAD_PAIRS + KICKS):
         paths = [os.path.join(inputs, f"bad-{part}{k}.json")
                  for part in ("triple", "idempotent")]
         for path, obj in zip(paths, (
