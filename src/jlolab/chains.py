@@ -282,6 +282,11 @@ def _interleave(chains, offsets, first, head, family) -> dict:
     is the terms' product times the row's sign.  Within a degree, terms
     follow the chains' term order, then the family.
     """
+    # a term's key is its position in each chain's term order, combined
+    # with the last chain fastest: (degree, index) chain by chain
+    starts = [dict(zip(c.blocks, itertools.accumulate(
+        (len(k) for _, k in c.blocks.values()), initial=0))) for c in chains]
+    sizes = [c.num_terms for c in chains]
     grouped = {}
     for combo in itertools.product(*(c.blocks.items() for c in chains)):
         # one combination per tuple of term indices, the last chain fastest
@@ -289,26 +294,24 @@ def _interleave(chains, offsets, first, head, family) -> dict:
         rows = [r[p] for (_, (r, _)), p in zip(combo, pick)]
         slots = np.hstack([off + r[:, first:] for off, r in zip(offsets, rows)])
         images = family(tuple(n for n, _ in combo))
+        terms = np.empty((len(slots), len(images), slots.shape[1] + 1), np.intp)
+        terms[:, :, 0] = head(rows)[:, None]
         # column j of the inverse permutation names the item in slot j + 1
-        placed = slots[:, np.argsort(images, axis=1)]
-        lead = np.broadcast_to(head(rows)[:, None, None], placed.shape[:2] + (1,))
+        terms[:, :, 1:] = slots[:, np.argsort(images, axis=1)]
         # scalar complex products: numpy's vectorised multiply may fuse
         # operations and round them differently
         coeff = np.array([math.prod(cs) for cs in zip(
             *(k[p].tolist() for (_, (_, k)), p in zip(combo, pick)))])
-        # term order is (degree, index within the degree) chain by chain
-        order = np.hstack([np.stack([np.full_like(p, n), p], axis=1)
-                           for (n, _), p in zip(combo, pick)])
-        degree = placed.shape[2]
-        grouped.setdefault(degree, []).append((
-            np.repeat(order, len(images), axis=0),
-            np.concatenate([lead, placed], axis=2).reshape(-1, degree + 1),
+        key = np.ravel_multi_index(
+            [s[n] + p for s, (n, _), p in zip(starts, combo, pick)], sizes)
+        grouped.setdefault(slots.shape[1], []).append((
+            np.repeat(key, len(images)), terms.reshape(-1, terms.shape[2]),
             (coeff[:, None] * permutation_signs(images)).ravel()))
     out = {}
     for n, parts in grouped.items():
-        order, rows, coeffs = (np.concatenate(x) for x in zip(*parts))
+        key, rows, coeffs = (np.concatenate(x) for x in zip(*parts))
         # a stable sort: the rows of one combination keep the family order
-        by_term = np.lexsort(order.T[::-1])
+        by_term = np.argsort(key, kind="stable")
         out[n] = (rows[by_term], coeffs[by_term])
     return out
 
@@ -362,16 +365,6 @@ def br_operation(chains) -> Chain:
     return Chain.from_table(d, table, blocks).normalized()
 
 
-def _random_probes(d: int, degrees, rng) -> dict:
-    out = {}
-    for n in degrees:
-        out[n] = tuple(
-            (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d
-            for _ in range(n + 1)
-        )
-    return out
-
-
 def probe_distance(c1: Chain, c2: Chain, rng) -> float:
     """Max over four random probe families of the normalized pairing
     difference.
@@ -387,12 +380,23 @@ def probe_distance(c1: Chain, c2: Chain, rng) -> float:
         raise ValueError("chains live over different algebra dimensions")
     d = c1.algebra_dim
     degs = sorted(set(c1.degrees()) | set(c2.degrees()))
-    families = [_random_probes(d, degs, rng) for _ in range(4)]
     # probe columns run degree by degree, then family by family, then slot
     start = dict(zip(degs, itertools.accumulate(
         (4 * (n + 1) for n in degs), initial=0)))
-    probes_t = np.array([p.T for n in degs for fam in families for p in fam[n]],
+    probes_t = np.empty((4 * sum(n + 1 for n in degs), d, d),
                         dtype=np.complex128)
+    for family in range(4):
+        cols = np.concatenate([np.zeros(0, np.intp)] + [
+            start[n] + family * (n + 1) + np.arange(n + 1) for n in degs])
+        # a family draws degree by degree, then slot, then the real and
+        # imaginary parts of each probe matrix
+        z = rng.standard_normal((len(cols), 2, d, d))
+        # (re + 1j * im) / d with one complex temporary, which keeps the
+        # peak resident size at that of a per-matrix draw
+        p = 1j * z[:, 1]
+        p += z[:, 0]
+        p /= d
+        probes_t[cols] = p.transpose(0, 2, 1)
     # tr(f P) = sum_ij f_ij (P^T)_ij
     traces = np.concatenate([c1.table, c2.table]).reshape(-1, d * d) \
         @ probes_t.reshape(-1, d * d).T

@@ -83,8 +83,9 @@ def _ordered_partitions(n: int, sizes) -> np.ndarray:
 def permutation_signs(images) -> np.ndarray:
     """Signatures (+1 or -1) of the rows of an (N, n) image array."""
     images = np.asarray(images)
-    i, j = np.triu_indices(images.shape[1], k=1)
-    inv = (images[:, i] > images[:, j]).sum(axis=1)
+    # an inversion is a pair of columns i < j with images i above j
+    inv = ((images[:, :, None] > images[:, None, :])
+           & np.tri(images.shape[1], k=-1, dtype=bool).T).sum(axis=(1, 2))
     return 1 - 2 * (inv & 1)
 
 

@@ -12,7 +12,6 @@ from jlolab.chains import (
     MAX_OUTPUT_TERMS,
     TermBudgetError,
     _interleave,
-    _random_probes,
     br_operation,
     connes_B,
     hochschild_b,
@@ -25,7 +24,7 @@ from jlolab.shuffles import (
     enumerate_shuffles,
     permutation_signs,
 )
-from jlolab.randomgen import random_chain
+from jlolab.randomgen import random_chain, random_even
 
 
 def _mats(rng, d, k):
@@ -239,6 +238,17 @@ def test_probe_distance_separates_unequal_chains():
     assert probe_distance(a, a, rng) == 0.0
 
 
+def _random_probes(d: int, degrees, rng) -> dict:
+    """One probe family, drawn one matrix at a time."""
+    out = {}
+    for n in degrees:
+        out[n] = tuple(
+            (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d
+            for _ in range(n + 1)
+        )
+    return out
+
+
 def _reference_distance(c1, c2, rng):
     """probe_distance with one np.trace(f @ p) per factor and slot."""
     degs = sorted(set(c1.degrees()) | set(c2.degrees()))
@@ -279,6 +289,39 @@ def test_probe_distance_matches_plain_traces():
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     for c in (a, shared, prod, zero):
         assert probe_distance(c, c, rng) == 0.0
+
+
+def test_random_chain_matches_a_draw_per_factor():
+    for space in (GradedSpace(0, 2), GradedSpace(2, 0), GradedSpace(2, 1)):
+        for degrees in ((2, 0, 2), (3, 1, 1, 0), (0,), ()):
+            got_rng = np.random.default_rng([26, space.dim, len(degrees)])
+            ref_rng = np.random.default_rng([26, space.dim, len(degrees)])
+            got = random_chain(got_rng, space, degrees)
+            terms = []
+            for n in degrees:
+                coeff = complex(*ref_rng.standard_normal(2))
+                terms.append(ElementaryChain(coeff, tuple(
+                    random_even(ref_rng, space) for _ in range(n + 1))))
+            ref = Chain(space.dim, terms)
+            assert got.table.shape == ref.table.shape
+            assert np.array_equal(got.table, ref.table)
+            assert list(got.blocks) == list(ref.blocks)
+            for (rows, coeffs), (ref_rows, ref_coeffs) in zip(
+                    got.blocks.values(), ref.blocks.values()):
+                assert np.array_equal(rows, ref_rows)
+                assert np.array_equal(coeffs, ref_coeffs)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_random_chain_refuses_a_bad_degree_before_drawing():
+    space = GradedSpace(1, 1)
+    for degrees, named in (((1, -1), "degree -1"), ((0, 2.5), "degree 2.5"),
+                           ((2.0,), "degree 2.0")):
+        rng = np.random.default_rng(27)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=named):
+            random_chain(rng, space, degrees)
+        assert rng.bit_generator.state == state
 
 
 def _kron_shuffle_product(left, right):
@@ -353,6 +396,24 @@ def test_products_embed_each_factor_once():
                         len(left.table) + len(right.table) + heads)
     for args in ((a, b), (a, b, c)):
         # each input table entry embedded at most once, plus the unit
+        _assert_rebuilt(br_operation(list(args)), _kron_br_operation(list(args)),
+                        1 + sum(len(x.table) for x in args))
+
+
+def test_products_order_several_terms_per_degree():
+    rng = np.random.default_rng(28)
+    s1, s2 = GradedSpace(1, 1), GradedSpace(2, 1)
+    a = random_chain(rng, s1, (1, 1, 2)) + random_chain(rng, s1, (0, 2))
+    b = random_chain(rng, s2, (0, 1)) + random_chain(rng, s2, (1, 0, 1))
+    c = random_chain(rng, s1, (1, 0)) + random_chain(rng, s1, (1,))
+    assert [len(k) for _, k in a.blocks.values()] == [1, 2, 2]
+    for left, right in ((a, b), (b, a), (c, c)):
+        heads = _distinct(np.kron(ta.factors[0], tb.factors[0])
+                          for ta in left.terms for tb in right.terms)
+        _assert_rebuilt(shuffle_product(left, right),
+                        _kron_shuffle_product(left, right),
+                        len(left.table) + len(right.table) + heads)
+    for args in ((a,), (b,), (a, b), (b, c), (c, a, c)):
         _assert_rebuilt(br_operation(list(args)), _kron_br_operation(list(args)),
                         1 + sum(len(x.table) for x in args))
 

@@ -111,6 +111,15 @@ def test_shuffle_enumerations_match_recursive_construction(monkeypatch):
 def test_signature_matches_inversion_parity():
     assert permutation_signs([(1, 2, 3), (2, 1, 3), (3, 1, 2)]).tolist() == \
         [1, -1, 1]
+    families = [enumerate_shuffles(p, q) for p in range(5) for q in range(5)]
+    families += [enumerate_cyclic_shuffles(ps) for ps in _size_tuples(3, 6)]
+    for images in families:
+        assert permutation_signs(images).tolist() == \
+            [_inversion_sign(row) for row in images.tolist()]
+    empty = permutation_signs(np.zeros((0, 4), dtype=np.int64))
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    assert permutation_signs(np.zeros((3, 0), dtype=np.int64)).tolist() == \
+        [1, 1, 1]
 
 
 def test_shuffle_enumeration_small_cases():
