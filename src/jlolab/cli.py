@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -40,7 +39,6 @@ from .spectral import (
     INDEX_INTEGER_TOL,
     Idempotent,
     NonIntegerIndexError,
-    SpectralGapWarning,
     idempotent_from_json,
     index_of_pair,
     product_triple,
@@ -171,19 +169,17 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
 
     ok = True
     freds = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpectralGapWarning)
-        try:
-            for label, pair in zip(("factor 1", "factor 2", "product"), pairs):
-                fred, diff = _index_lines(label, *pair)
-                freds.append(fred)
-                ok = ok and diff <= INDEX_INTEGER_TOL
-        except (NonConvergentError, NonIntegerIndexError) as exc:
-            print(f"check failed: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, ArithmeticError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        for label, pair in zip(("factor 1", "factor 2", "product"), pairs):
+            fred, diff = _index_lines(label, *pair)
+            freds.append(fred)
+            ok = ok and diff <= INDEX_INTEGER_TOL
+    except (NonConvergentError, NonIntegerIndexError) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if len(freds) == 3:
         expected = freds[0] * freds[1]
         print(f"  product law       : {freds[2]:+d} vs "

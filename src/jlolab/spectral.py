@@ -3,8 +3,8 @@
 A triple bundles a graded Hilbert space, an odd Hermitian Dirac operator,
 and a list of even generators for the acting algebra.  The module builds
 graded tensor products and ampliations, checks idempotents against a
-triple, and computes the supersymmetric index and the Fredholm index of
-e D e on range(e) through the kernel projection.
+triple, and computes the Fredholm index of e D e on range(e), which in
+finite dimensions is the supertrace of e.
 
 Operators live in two bases.  The canonical basis lists even vectors
 before odd ones, so the grading is diag(+1, ..., -1, ...).  The algebra
@@ -34,7 +34,6 @@ from .linalg import (
     matrix_to_json,
     parity_codes,
     parity_of,
-    supertrace,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "idempotent_to_json",
     "index_of_pair",
     "kernel_projection",
-    "mckean_singer_index",
     "product_triple",
     "triple_from_json",
     "triple_to_json",
@@ -254,12 +252,6 @@ def _rounded_index(s: complex, quantity: str) -> int:
     return int(r)
 
 
-def mckean_singer_index(triple: SpectralTripleFD) -> int:
-    """Supertrace of the kernel projection of the Dirac operator."""
-    k = kernel_projection(triple.dirac)
-    return _rounded_index(supertrace(k, triple.space), "kernel supertrace")
-
-
 @dataclass(frozen=True)
 class Idempotent:
     """Idempotent over the algebra, possibly with matrix coefficients.
@@ -327,13 +319,13 @@ def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
 
 
 def index_of_pair(amp: SpectralTripleFD, basis) -> int:
-    """Fredholm index of e D e on range(e), for a pair checked by
-    validate_idempotent: the rounded tr(B^* gamma B K) with B = basis and K
-    the kernel projection of B^* D B.  The trace is the same for every
+    """Fredholm index of e D e from eH+ to eH-, for a pair checked by
+    validate_idempotent: the rounded tr(B^* gamma B) = tr(gamma e) with
+    B = basis.  In finite dimensions rank-nullity makes that index
+    dim eH+ - dim eH- for every odd D.  The trace is the same for every
     orthonormal basis of the range, and it is 0 when e has rank 0."""
-    k = kernel_projection(basis.conj().T @ amp.dirac @ basis)
-    grading = basis.conj().T @ (amp.space.gamma_diag[:, None] * basis)
-    return _rounded_index(np.trace(grading @ k), "kernel supertrace")
+    weights = (basis.real ** 2 + basis.imag ** 2).sum(axis=1)
+    return _rounded_index(amp.space.gamma_diag @ weights, "supertrace of e")
 
 
 def triple_to_json(triple: SpectralTripleFD) -> dict:

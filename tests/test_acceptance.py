@@ -172,23 +172,23 @@ def test_criterion_5_index_pairing_and_multiplicativity():
     pairs = curated_index_pairs()
     worst_gap = 0.0
     ok = len(pairs) >= 10
+    for _name, t, e, expected in pairs:
+        amp, op, basis = validate_idempotent(t, e)
+        rep = index_pairing(amp, op)
+        fred = index_of_pair(amp, basis)
+        worst_gap = max(worst_gap, abs(rep.value - rep.integer))
+        ok = ok and rep.integer == expected == fred
+
+    rows = index_product_checks()
+    ok = ok and len(rows) >= 3
+    ok = ok and all(r["index_of_product"] == r["index_product"]
+                    for r in rows)
+
+    # kernel projection of the product as a matrix identity
+    worst_kernel = 0.0
+    base = curated_index_pairs()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)
-        for _name, t, e, expected in pairs:
-            amp, op, basis = validate_idempotent(t, e)
-            rep = index_pairing(amp, op)
-            fred = index_of_pair(amp, basis)
-            worst_gap = max(worst_gap, abs(rep.value - rep.integer))
-            ok = ok and rep.integer == expected == fred
-
-        rows = index_product_checks()
-        ok = ok and len(rows) >= 3
-        ok = ok and all(r["index_of_product"] == r["index_product"]
-                        for r in rows)
-
-        # kernel projection of the product as a matrix identity
-        worst_kernel = 0.0
-        base = curated_index_pairs()
         for i, j in [(0, 4), (2, 0), (5, 7), (3, 1)]:
             t1, t2 = base[i][1], base[j][1]
             prod = product_triple(t1, t2)

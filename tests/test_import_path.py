@@ -33,7 +33,7 @@ SURFACE = set("""
     idempotent_from_json idempotent_to_json index_of_pair index_pairing
     is_cyclic_shuffle jlo_cochain jlo_cochain_mc jlo_integrand
     kernel_projection matrix_from_json matrix_to_json
-    mckean_singer_index opnorm parity_of permutation_signs
+    opnorm parity_of permutation_signs
     perturbed_cochain probe_distance product_triple random_chain
     random_even random_odd_hermitian random_triple run_suite
     sample_simplex_batch shuffle_product sorting_images supertrace

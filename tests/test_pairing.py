@@ -19,7 +19,6 @@ from jlolab.randomgen import random_triple
 from jlolab.spectral import (
     Idempotent,
     NonIntegerIndexError,
-    SpectralGapWarning,
     SpectralTripleFD,
     ampliate,
     idempotent_to_json,
@@ -28,7 +27,11 @@ from jlolab.spectral import (
     triple_to_json,
     validate_idempotent,
 )
-from jlolab.suites import curated_index_pairs, index_product_checks
+from jlolab.suites import (
+    curated_index_pairs,
+    index_product_checks,
+    trial_index_pairing,
+)
 
 from random_projection import random_even_projection
 from vanloan_oracle import slot_operators, term_vanloan
@@ -186,10 +189,8 @@ def test_kick_family_partial_sums_match_exponential_series():
 def test_odd_projection_pairs_to_minus_one():
     rep = _pairing(_kick(0.12), Idempotent(E_ODD))
     assert rep.integer == -1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpectralGapWarning)
-        amp, _, basis = validate_idempotent(_kick(0.12), Idempotent(E_ODD))
-        assert index_of_pair(amp, basis) == -1
+    amp, _, basis = validate_idempotent(_kick(0.12), Idempotent(E_ODD))
+    assert index_of_pair(amp, basis) == -1
 
 
 def test_large_dirac_fails_to_converge_within_degree_cap():
@@ -255,15 +256,13 @@ def test_amplified_idempotent_keeps_the_index():
 def test_curated_catalog_is_large_and_consistent():
     pairs = curated_index_pairs()
     assert len(pairs) >= 10
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpectralGapWarning)
-        for name, t, e, expected in pairs:
-            amp, op, basis = validate_idempotent(t, e)
-            rep = index_pairing(amp, op)
-            fred = index_of_pair(amp, basis)
-            assert rep.integer == expected, name
-            assert fred == expected, name
-            assert abs(rep.value - expected) <= 0.01, name
+    for name, t, e, expected in pairs:
+        amp, op, basis = validate_idempotent(t, e)
+        rep = index_pairing(amp, op)
+        fred = index_of_pair(amp, basis)
+        assert rep.integer == expected, name
+        assert fred == expected, name
+        assert abs(rep.value - expected) <= 0.01, name
 
 
 def test_index_product_checks_multiply_exactly():
@@ -293,10 +292,8 @@ def test_no_index_route_calls_a_matrix_exponential(tmp_path, monkeypatch,
 
     monkeypatch.setattr("scipy.linalg.expm", refuse)
     pairs = curated_index_pairs()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpectralGapWarning)
-        for name, t, e, expected in pairs:
-            assert _pairing(t, e).integer == expected, name
+    for name, t, e, expected in pairs:
+        assert _pairing(t, e).integer == expected, name
     # kick 0.10 times the odd projection at kick 0.12: the second factor and
     # the product reach degree 12
     paths = []
@@ -310,3 +307,29 @@ def test_no_index_route_calls_a_matrix_exponential(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     assert out.count("truncated at degree 12") == 2
     assert "product law       : -1 vs +1 * -1 = -1" in out
+
+
+def test_index_paths_raise_no_warning(tmp_path, capsys):
+    # the index is tr(gamma e), with no eigenvalue cutoff to warn about, so
+    # no warning filter is needed on any index path, nor can one hide a
+    # kernel route there; the unit at kick 5e-12 has eigenvalues within a
+    # decade of kernel_projection's cutoff, where that route warns
+    cases = [(t, e) for _, t, e, _ in curated_index_pairs()]
+    cases.append((_kick(5e-12), Idempotent(np.eye(2))))
+    paths = []
+    for k, (t, e) in enumerate(cases):
+        paths.append((tmp_path / f"t{k}.json", tmp_path / f"e{k}.json"))
+        paths[-1][0].write_text(json.dumps(triple_to_json(t)))
+        paths[-1][1].write_text(json.dumps(idempotent_to_json(e)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in paths:
+            assert cli.main(["index", *map(str, pair)]) == 0
+        for i, j in [(5, 7), (2, 0)]:
+            assert cli.main(["index", *map(str, paths[i]), "--times",
+                             *map(str, paths[j])]) == 0
+        assert cli.main(["index", *map(str, paths[4]), "--times",
+                         str(paths[6][0])]) == 0
+        assert trial_index_pairing() <= 0.01
+        assert all(row["residual"] == 0.0 for row in index_product_checks())
+    assert capsys.readouterr().out.count("product law       :") == 3

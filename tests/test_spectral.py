@@ -29,12 +29,13 @@ from jlolab.spectral import (
     commutator_d,
     index_of_pair,
     kernel_projection,
-    mckean_singer_index,
     product_triple,
     validate_idempotent,
     validate_triple,
 )
+from jlolab.suites import curated_index_pairs
 
+from kernel_index_oracle import kernel_index_of_pair
 from random_projection import random_even_projection
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -185,19 +186,13 @@ def test_heat_matches_matrix_exponential():
 
 def test_heat_supertrace_equals_kernel_index():
     # supersymmetric cancellation: nonzero modes pair off, so the heat
-    # supertrace is time-independent and integer
+    # supertrace is the kernel's, dim_even - dim_odd, at every time
     rng = np.random.default_rng(2)
     for de, do in [(1, 1), (2, 1), (3, 2)]:
         t = random_triple(rng, de, do)
-        idx = mckean_singer_index(t)
         for time in (0.3, 1.0, 4.0):
             assert supertrace(t.heat(time), t.space) == pytest.approx(
-                idx, abs=1e-10)
-
-
-def test_mckean_singer_flat_counts_dimensions():
-    assert mckean_singer_index(_flat(2, 1)) == 1
-    assert mckean_singer_index(_flat(1, 4)) == -3
+                de - do, abs=1e-10)
 
 
 def test_kernel_projection_cases():
@@ -297,7 +292,9 @@ def test_ampliate_scales_everything_but_index():
     assert ampliate(t, 1) is t
     t2 = ampliate(t, 2)
     assert t2.hilbert_dim == 6
-    assert mckean_singer_index(t2) == 2 * mckean_singer_index(t)
+    # the unit's index doubles with the space: dim_even - dim_odd = 1 -> 2
+    unit = _index(t, Idempotent(np.eye(3)))
+    assert _index(t2, Idempotent(np.eye(6))) == 2 * unit == 2
 
 
 def test_identity_basis_spans_the_space_and_keeps_the_index():
@@ -305,7 +302,7 @@ def test_identity_basis_spans_the_space_and_keeps_the_index():
     t = random_triple(rng, 2, 2)
     amp, _, basis = validate_idempotent(t, Idempotent(np.eye(4)))
     assert basis.shape == (4, 4)
-    assert index_of_pair(amp, basis) == mckean_singer_index(t)
+    assert index_of_pair(amp, basis) == t.space.dim_even - t.space.dim_odd
 
 
 def test_projection_basis_counts_ranks():
@@ -380,29 +377,31 @@ def test_defects_inside_tolerance_can_add_up_to_a_rejection():
 def test_index_of_pair_refuses_an_ungraded_basis():
     # tr(B^* gamma B) = cos(1) for this unchecked basis of a flat triple
     basis = np.array([[np.cos(0.5)], [np.sin(0.5)]], dtype=complex)
-    with pytest.raises(NonIntegerIndexError, match=r"^kernel supertrace "
-                       r"0\.540302\+0j is not within 0\.01 of an integer$"):
+    with pytest.raises(NonIntegerIndexError, match=r"^supertrace of e "
+                       r"0\.540302 is not within 0\.01 of an integer$"):
         index_of_pair(_flat(1, 1), basis)
 
 
-def test_index_of_pair_takes_the_hermitian_part_of_the_compression():
+def test_kernel_index_reference_takes_the_hermitian_part_of_the_compression():
     # D is Hermitian within validate_triple's absolute tolerance but not
-    # relative to its own small norm
+    # relative to its own small norm; the reference's eigendecomposition
+    # reads the compression's Hermitian part
     t = SpectralTripleFD(GradedSpace(1, 1),
                          1e-3 * X + np.array([[0, 1e-11], [0, 0]]),
                          (np.eye(2),))
     validate_triple(t)
-    assert _index(t, Idempotent(np.eye(2))) == 0
+    amp, _, basis = validate_idempotent(t, Idempotent(np.eye(2)))
+    assert kernel_index_of_pair(amp, basis) == index_of_pair(amp, basis) == 0
 
 
 def test_every_index_route_reads_a_small_dirac_that_validation_accepts():
     # |D - D^*| = 1e-11 passes validate_triple; so must the kernel
-    # projection, the compression to the range of e and the heat kernel
+    # projection, the index and the heat kernel
     t = SpectralTripleFD(GradedSpace(1, 1),
                          np.array([[0, 1e-3 + 1e-11j], [1e-3, 0]]),
                          (np.eye(2),))
     validate_triple(t)
-    assert mckean_singer_index(t) == 0
+    assert not kernel_projection(t.dirac).any()
     assert _index(t, Idempotent(np.eye(2))) == 0
     amp, e, _ = validate_idempotent(t, Idempotent(np.eye(2)))
     assert index_pairing(amp, e).integer == 0
@@ -418,7 +417,7 @@ def test_heat_checks_the_dirac_operator_not_its_square():
     with pytest.raises(NonHermitianError):
         check_hermitian(t.dirac @ t.dirac)
     assert abs(t.heat(1.0)[0, 0] - np.exp(-1.0)) < 1e-12
-    assert mckean_singer_index(t) == 0
+    assert not kernel_projection(t.dirac).any()
 
 
 @pytest.mark.parametrize("scale", [1e154, 1e200])
@@ -445,7 +444,7 @@ def test_heat_refuses_an_anti_hermitian_dirac():
     with pytest.raises(NonHermitianError):
         t.heat(1.0)
     with pytest.raises(NonHermitianError):
-        mckean_singer_index(t)
+        kernel_projection(t.dirac)
 
 
 def test_near_zero_imaginary_block_keeps_its_index():
@@ -456,7 +455,8 @@ def test_near_zero_imaginary_block_keeps_its_index():
 
 def _old_rule_index(t, idem):
     """The operator-norm rule one eigendecomposition replaced: three norms
-    and parity_of, then an eigenbasis per parity block; None on rejection."""
+    and parity_of, then an eigenbasis per parity block and the kernel
+    route's index on it; None on rejection."""
     amp = ampliate(t, idem.blocks)
     e = amp.represent(idem.matrix)
     scale = max(1.0, opnorm(e))
@@ -471,13 +471,7 @@ def _old_rule_index(t, idem):
         frame = np.zeros((amp.hilbert_dim, int(np.sum(w > 0.5))), complex)
         frame[block] = v[:, w > 0.5]
         cols.append(frame)
-    if sum(c.shape[1] for c in cols) == 0:
-        return 0
-    v = np.hstack(cols)
-    d = v.conj().T @ amp.dirac @ v
-    comp = SpectralTripleFD(GradedSpace(*(c.shape[1] for c in cols)),
-                            0.5 * (d + d.conj().T), ())
-    return mckean_singer_index(comp)
+    return kernel_index_of_pair(amp, np.hstack(cols))
 
 
 def _rule_sweep():
@@ -508,9 +502,7 @@ def _rule_sweep():
 
 
 def test_eigendecomposition_rule_is_no_looser_than_operator_norms():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpectralGapWarning)
-        sweep = _rule_sweep()
+    sweep = _rule_sweep()
     assert len(sweep) == 336
     for old, new in sweep:
         if new is not None:
@@ -518,6 +510,60 @@ def test_eigendecomposition_rule_is_no_looser_than_operator_norms():
     # the sweep reaches both sides of both rules
     assert {old is None for old, _ in sweep} == {True, False}
     assert {new is None for _, new in sweep} == {True, False}
+
+
+def _conjugated(rng, t, e):
+    """(t, e) conjugated by a seeded unitary that commutes with the grading,
+    a QR frame per parity block; the index does not change."""
+    u = np.zeros((t.hilbert_dim, t.hilbert_dim), dtype=np.complex128)
+    de = t.space.dim_even
+    for block in (slice(0, de), slice(de, None)):
+        n = len(u[block])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        u[block, block] = q
+    d = u @ t.dirac @ u.conj().T
+    conj = SpectralTripleFD(t.space, 0.5 * (d + d.conj().T),
+                            [u @ g @ u.conj().T for g in t.generators],
+                            basis_map=t.basis_map)
+    ua = np.kron(t.unrepresent(u), np.eye(e.blocks))
+    return conj, Idempotent(ua @ e.matrix @ ua.conj().T, blocks=e.blocks)
+
+
+def _both_routes(t, e):
+    amp, _, basis = validate_idempotent(t, e)
+    return index_of_pair(amp, basis), kernel_index_of_pair(amp, basis)
+
+
+def test_supertrace_of_e_is_the_kernel_routes_index():
+    # the index is dim eH+ - dim eH- = tr(gamma e) by rank-nullity; the
+    # kernel of the compressed Dirac operator gives the same integer on the
+    # catalogue, on each pair conjugated by an even unitary (with and
+    # without a random projection in M_2 or M_3 tensored on) and on random
+    # even projections of every rank pair at Dirac norms 1e-6 to 10
+    rng = np.random.default_rng(2026)
+    for i, (_, t, e, expected) in enumerate(curated_index_pairs()):
+        conj, ce = _conjugated(rng, t, e)
+        assert _both_routes(t, e) == _both_routes(conj, ce) \
+            == (expected, expected)
+        if e.blocks == 1:
+            k, rank = 2 + i % 2, 1 + i % 2
+            p = random_even_projection(rng, GradedSpace(k, 0), rank)
+            amped = Idempotent(np.kron(ce.matrix, p), blocks=k)
+            assert _both_routes(conj, amped) == (rank * expected,) * 2
+    pairs = 0
+    for de in (1, 2, 3):
+        for do in (1, 2, 3):
+            for re in range(de + 1):
+                for ro in range(do + 1):
+                    for _ in range(5):
+                        t = random_triple(rng, de, do, dirac_scale=10 **
+                                          rng.uniform(-6, 1))
+                        e = random_even_projection(rng, t.space, re, ro)
+                        assert _both_routes(t, Idempotent(e)) \
+                            == (re - ro, re - ro), (de, do, re, ro)
+                        pairs += 1
+    assert pairs == 405
 
 
 def test_index_multiplicative_on_product():
@@ -528,11 +574,9 @@ def test_index_multiplicative_on_product():
     e2 = Idempotent(np.eye(3))
     prod = product_triple(t1, t2)
     e12 = Idempotent(np.kron(e1.matrix, e2.matrix))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpectralGapWarning)
-        i1 = _index(t1, e1)
-        i2 = _index(t2, e2)
-        i12 = _index(prod, e12)
+    i1 = _index(t1, e1)
+    i2 = _index(t2, e2)
+    i12 = _index(prod, e12)
     assert i12 == i1 * i2 == 1
 
 

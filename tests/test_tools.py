@@ -82,6 +82,16 @@ def test_run_returns_the_last_line(bench_pairs, tmp_path):
     assert bench_pairs.run(str(tmp_path), "cochain", 1, 1, 0) == {"failed": 0}
 
 
+def test_src_lines_counts_the_python_files_under_src(bench_pairs, tmp_path):
+    files = {"src/pkg/__init__.py": "", "src/pkg/a.py": "x = 1\ny = 2\n",
+             "src/pkg/sub/b.py": "z = 3\n\n\n", "src/pkg/notes.txt": "a\nb\n",
+             "tests/test_a.py": "assert 1\n", "setup.py": "pass\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert bench_pairs.src_lines(tmp_path) == 5
+
+
 @pytest.fixture(scope="module")
 def same_outputs():
     spec = importlib.util.spec_from_file_location(

@@ -13,8 +13,9 @@ the parent first, odd pairs the change first.  A `--trace W=S` run is one
 10-second `--trace 1` run per side.  The output holds every run's
 result (the last stdout line of perfbench) and, per workload and metric,
 each side's median and quartiles, the number of pairs the change won, and
-the relative change of the medians.  Nothing else runs meanwhile, and the
-BLAS thread count is whatever the environment gives.
+the relative change of the medians, and the line count of each side's
+`src/**/*.py`.  Nothing else runs meanwhile, and the BLAS thread count is
+whatever the environment gives.
 """
 
 from __future__ import annotations
@@ -58,6 +59,12 @@ def export(rev, dest):
                          check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
         fh.extractall(dest, filter="data")
+
+
+def src_lines(root):
+    """Lines in the Python files under root/src, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in pathlib.Path(root, "src").rglob("*.py"))
 
 
 def run(root, workload, seed, seconds, trace):
@@ -134,6 +141,7 @@ def main():
         for side, rev in revs.items():
             roots[side] = os.path.join(tmp, side)
             export(rev, roots[side])
+        lines = {side: src_lines(root) for side, root in roots.items()}
         runs = []
         for workload, seeds in args.pairs:
             for seed in seeds:
@@ -157,6 +165,7 @@ def main():
                              *sys.argv[1:]]),
         "revisions": {"parent": args.parent, "change": "working tree"},
         "machine": machine(),
+        "src_lines": lines,
         "summary": {w: summarize(runs, w) for w, _ in args.pairs},
         "runs": runs,
         "trace_runs": traces,
