@@ -118,12 +118,12 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _index_lines(label, amp, e, basis):
+def _index_lines(label, amp, e):
     """Print the character pairing and the Fredholm index of one pair
-    (amp, e, basis) checked by validate_idempotent; return the index and
-    the gap between the two."""
+    (amp, e) checked by validate_idempotent; return the index and the gap
+    between the two."""
     rep = index_pairing(amp, e)
-    fred = index_of_pair(amp, basis)
+    fred = index_of_pair(amp, e)
     diff = abs(rep.value - fred)
     print(f"{label}:")
     print(f"  character pairing : {rep.value.real:+.9f}"

@@ -22,10 +22,6 @@ __all__ = [
 ]
 
 
-def _cplx(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _even_draws(rng, space: GradedSpace, count: int) -> np.ndarray:
     """(count, d, d) unscaled block-diagonal draws: each draws the real,
     then the imaginary part of its even block, then of its odd block."""
@@ -54,7 +50,8 @@ def random_odd_hermitian(rng, space: GradedSpace,
     de, do = space.dim_even, space.dim_odd
     d = np.zeros((space.dim, space.dim), dtype=np.complex128)
     if de and do:
-        b = _cplx(rng, (de, do))
+        b = (rng.standard_normal((de, do))
+             + 1j * rng.standard_normal((de, do)))
         d[:de, de:] = b
         d[de:, :de] = b.conj().T
         nrm = opnorm(d)

@@ -34,6 +34,7 @@ from .linalg import (
     matrix_to_json,
     parity_codes,
     parity_of,
+    supertrace,
 )
 
 __all__ = [
@@ -290,22 +291,22 @@ def ampliate(triple: SpectralTripleFD, k: int) -> SpectralTripleFD:
 
 
 def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
-    """The checked pair every index route takes, as (amp, e, basis): the
-    triple ampliated by idem.blocks, idem as its operator e, and orthonormal
-    columns spanning range(e).  A ValueError unless e fits amp and is
-    self-adjoint, idempotent (to IDEMPOTENT_TOL) and even.
+    """The checked pair every index route takes, as (amp, e): the triple
+    ampliated by idem.blocks and idem as its operator e.  A ValueError
+    unless e fits amp and is self-adjoint, idempotent (to IDEMPOTENT_TOL)
+    and even.
 
-    One eigendecomposition h = v diag(w) v^* of the Hermitian part of e
-    gives all of it.  With k = e - h, sigma = |k|_F and nu = max |w|,
-    |e - e^*| <= 2 sigma and |e^2 - e| <= max |w^2 - w| + (2 nu + 1) sigma
-    + sigma^2 in operator norm, and nu <= |e|; so each check below is at
-    least as strict as the operator-norm check it bounds.
+    The eigenvalues w of the Hermitian part h of e give all of it.  With
+    k = e - h, sigma = |k|_F and nu = max |w|, |e - e^*| <= 2 sigma and
+    |e^2 - e| <= max |w^2 - w| + (2 nu + 1) sigma + sigma^2 in operator
+    norm, and nu <= |e|; so each check below is at least as strict as the
+    operator-norm check it bounds.
     """
     amp = ampliate(triple, idem.blocks)
     if idem.matrix.shape[0] != amp.hilbert_dim:
         raise ValueError("idempotent size disagrees with the ampliated triple")
     e = amp.represent(idem.matrix)
-    w, v = np.linalg.eigh(0.5 * (e + e.conj().T))
+    w = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
     sigma = 0.5 * frob(e - e.conj().T)
     nu = float(np.max(np.abs(w)))
     tol = IDEMPOTENT_TOL * max(1.0, nu)
@@ -315,17 +316,16 @@ def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
         raise NotIdempotentError("matrix is not idempotent within tolerance")
     if parity_codes(e, amp.space) != 0:
         raise ParityError("idempotent must be even with respect to the grading")
-    return amp, e, v[:, w > 0.5]
+    return amp, e
 
 
-def index_of_pair(amp: SpectralTripleFD, basis) -> int:
+def index_of_pair(amp: SpectralTripleFD, e) -> int:
     """Fredholm index of e D e from eH+ to eH-, for a pair checked by
-    validate_idempotent: the rounded tr(B^* gamma B) = tr(gamma e) with
-    B = basis.  In finite dimensions rank-nullity makes that index
-    dim eH+ - dim eH- for every odd D.  The trace is the same for every
-    orthonormal basis of the range, and it is 0 when e has rank 0."""
-    weights = (basis.real ** 2 + basis.imag ** 2).sum(axis=1)
-    return _rounded_index(amp.space.gamma_diag @ weights, "supertrace of e")
+    validate_idempotent: the rounded supertrace tr(gamma e).  In finite
+    dimensions rank-nullity makes that index dim eH+ - dim eH- for every
+    odd D.  Its real part is read: for a checked e the imaginary part is
+    at most sqrt(d) |e - e^*|_F / 2, far under INDEX_INTEGER_TOL."""
+    return _rounded_index(supertrace(e, amp.space).real, "supertrace of e")
 
 
 def triple_to_json(triple: SpectralTripleFD) -> dict:

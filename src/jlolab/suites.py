@@ -305,34 +305,15 @@ def curated_index_pairs():
     ]
 
 
-def index_product_checks():
-    """Integer multiplicativity of the index over curated factor pairs."""
-    base = curated_index_pairs()
-    rows = []
-    for i, j in [(0, 4), (2, 0), (5, 7), (3, 1)]:
-        (name1, t1, e1, _), (name2, t2, e2, _) = base[i], base[j]
-        e12 = Idempotent(np.kron(e1.matrix, e2.matrix))
-        pairs = ((t1, e1), (t2, e2), (product_triple(t1, t2), e12))
-        checked = (validate_idempotent(t, e) for t, e in pairs)
-        i1, i2, i12 = (index_of_pair(amp, basis) for amp, _, basis in checked)
-        rows.append({
-            "factors": (name1, name2),
-            "index_product": i1 * i2,
-            "index_of_product": i12,
-            "residual": float(abs(i12 - i1 * i2)),
-        })
-    return rows
-
-
 def trial_index_pairing(rng=None, dim_pairs=None, max_degree=None,
                         mc_samples=None) -> float:
     """Worst deviation of the pairing from the Fredholm index over the
     curated catalog; deterministic."""
     worst = 0.0
     for _name, t, e, expected in curated_index_pairs():
-        amp, op, basis = validate_idempotent(t, e)
+        amp, op = validate_idempotent(t, e)
         rep = index_pairing(amp, op)
-        fred = index_of_pair(amp, basis)
+        fred = index_of_pair(amp, op)
         worst = max(worst,
                     abs(rep.value - expected),
                     float(abs(fred - expected)),
@@ -342,7 +323,17 @@ def trial_index_pairing(rng=None, dim_pairs=None, max_degree=None,
 
 def trial_index_product(rng=None, dim_pairs=None, max_degree=None,
                         mc_samples=None) -> float:
-    return max((row["residual"] for row in index_product_checks()), default=0.0)
+    """Worst |index(e1 (x) e2) - index(e1) index(e2)| over curated factor
+    pairs; deterministic."""
+    base = curated_index_pairs()
+    worst = 0.0
+    for i, j in [(0, 4), (2, 0), (5, 7), (3, 1)]:
+        (_, t1, e1, _), (_, t2, e2, _) = base[i], base[j]
+        e12 = Idempotent(np.kron(e1.matrix, e2.matrix))
+        i1, i2, i12 = (index_of_pair(*validate_idempotent(t, e)) for t, e in
+                       ((t1, e1), (t2, e2), (product_triple(t1, t2), e12)))
+        worst = max(worst, float(abs(i12 - i1 * i2)))
+    return worst
 
 
 # --------------------------------------------------------------------- runner

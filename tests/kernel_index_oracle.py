@@ -2,8 +2,9 @@
 operator, the reference route for `spectral.index_of_pair` in tests.
 
 `index_of_pair` reads the index as tr(gamma e).  This module reaches it
-the long way: compress D to the range of e through an orthonormal basis B,
-take the projection K onto the near-kernel of the compression with
+the long way: take an orthonormal basis B of the range of e from an
+eigendecomposition of its Hermitian part, compress D to that range, take
+the projection K onto the near-kernel of the compression with
 `kernel_projection` (an eigendecomposition and a cutoff), and round
 tr(B^* gamma B K).  The nonzero eigenvalues of the odd compression come in
 pairs +-sigma whose eigenvectors (x, +-y)/sqrt(2) cancel in that trace,
@@ -21,11 +22,14 @@ from jlolab.spectral import (
 )
 
 
-def kernel_index_of_pair(amp, basis) -> int:
-    """The rounded tr(B^* gamma B K) with B = basis and K the kernel
-    projection of B^* D B; a ValueError unless it lies within
-    INDEX_INTEGER_TOL of an integer.  A SpectralGapWarning is not raised:
-    an eigenvalue near the cutoff moves the trace by 0, as above."""
+def kernel_index_of_pair(amp, e) -> int:
+    """The rounded tr(B^* gamma B K), with B the eigenvectors of the
+    Hermitian part of e whose eigenvalue is over 1/2 (no columns when e is
+    0) and K the kernel projection of B^* D B; a ValueError unless it lies
+    within INDEX_INTEGER_TOL of an integer.  A SpectralGapWarning is not
+    raised: an eigenvalue near the cutoff moves the trace by 0, as above."""
+    w, v = np.linalg.eigh(0.5 * (e + e.conj().T))
+    basis = v[:, w > 0.5]
     grading = basis.conj().T @ (amp.space.gamma_diag[:, None] * basis)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SpectralGapWarning)

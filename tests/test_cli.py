@@ -258,6 +258,24 @@ def test_index_times_accepts_second_idempotent(tmp_path, capsys):
     assert "product law" in out
 
 
+def test_index_times_with_an_amplified_idempotent_skips_the_product(
+        tmp_path, capsys):
+    # both factors are checked and printed; the product pair is not built
+    tp, ep = _write_pair(tmp_path)
+    amplified = tmp_path / "amplified.json"
+    amplified.write_text(json.dumps(idempotent_to_json(Idempotent(
+        np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), blocks=2))))
+    assert main(["index", tp, ep, "--times", tp, str(amplified)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("  ")] == [
+        "factor 1:", "factor 2:",
+        "product law skipped: matrix-amplified idempotents"]
+    assert lines.count("  fredholm index    : +1") == 2
+    assert "product:" not in out
+
+
 def test_index_malformed_file_exits_two(tmp_path, capsys):
     tp, ep = _write_pair(tmp_path)
     broken = tmp_path / "broken.json"

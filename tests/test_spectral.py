@@ -300,18 +300,15 @@ def test_ampliate_scales_everything_but_index():
 def test_identity_basis_spans_the_space_and_keeps_the_index():
     rng = np.random.default_rng(9)
     t = random_triple(rng, 2, 2)
-    amp, _, basis = validate_idempotent(t, Idempotent(np.eye(4)))
-    assert basis.shape == (4, 4)
-    assert index_of_pair(amp, basis) == t.space.dim_even - t.space.dim_odd
+    amp, e = validate_idempotent(t, Idempotent(np.eye(4)))
+    assert index_of_pair(amp, e) == t.space.dim_even - t.space.dim_odd
 
 
 def test_projection_basis_counts_ranks():
     rng = np.random.default_rng(10)
     t = _flat(2, 2)
     e = random_even_projection(rng, t.space, rank_even=1, rank_odd=1)
-    amp, _, basis = validate_idempotent(t, Idempotent(e))
-    assert basis.shape == (4, 2)
-    assert index_of_pair(amp, basis) == 0
+    assert index_of_pair(*validate_idempotent(t, Idempotent(e))) == 0
 
 
 def test_validate_idempotent_rejects_bad_idempotents():
@@ -330,8 +327,7 @@ def test_validate_idempotent_rejects_bad_idempotents():
 
 
 def _index(t, e):
-    amp, _, basis = validate_idempotent(t, e)
-    return index_of_pair(amp, basis)
+    return index_of_pair(*validate_idempotent(t, e))
 
 
 def test_index_of_pair_flat_cases():
@@ -375,11 +371,12 @@ def test_defects_inside_tolerance_can_add_up_to_a_rejection():
 
 
 def test_index_of_pair_refuses_an_ungraded_basis():
-    # tr(B^* gamma B) = cos(1) for this unchecked basis of a flat triple
+    # tr(gamma e) = cos(1) for the unchecked projection e = B B^* onto
+    # this ungraded line of a flat triple
     basis = np.array([[np.cos(0.5)], [np.sin(0.5)]], dtype=complex)
     with pytest.raises(NonIntegerIndexError, match=r"^supertrace of e "
                        r"0\.540302 is not within 0\.01 of an integer$"):
-        index_of_pair(_flat(1, 1), basis)
+        index_of_pair(_flat(1, 1), basis @ basis.conj().T)
 
 
 def test_kernel_index_reference_takes_the_hermitian_part_of_the_compression():
@@ -390,8 +387,8 @@ def test_kernel_index_reference_takes_the_hermitian_part_of_the_compression():
                          1e-3 * X + np.array([[0, 1e-11], [0, 0]]),
                          (np.eye(2),))
     validate_triple(t)
-    amp, _, basis = validate_idempotent(t, Idempotent(np.eye(2)))
-    assert kernel_index_of_pair(amp, basis) == index_of_pair(amp, basis) == 0
+    amp, e = validate_idempotent(t, Idempotent(np.eye(2)))
+    assert kernel_index_of_pair(amp, e) == index_of_pair(amp, e) == 0
 
 
 def test_every_index_route_reads_a_small_dirac_that_validation_accepts():
@@ -403,7 +400,7 @@ def test_every_index_route_reads_a_small_dirac_that_validation_accepts():
     validate_triple(t)
     assert not kernel_projection(t.dirac).any()
     assert _index(t, Idempotent(np.eye(2))) == 0
-    amp, e, _ = validate_idempotent(t, Idempotent(np.eye(2)))
+    amp, e = validate_idempotent(t, Idempotent(np.eye(2)))
     assert index_pairing(amp, e).integer == 0
 
 
@@ -454,9 +451,9 @@ def test_near_zero_imaginary_block_keeps_its_index():
 
 
 def _old_rule_index(t, idem):
-    """The operator-norm rule one eigendecomposition replaced: three norms
+    """The operator-norm rule the eigenvalue checks replaced: three norms
     and parity_of, then an eigenbasis per parity block and the kernel
-    route's index on it; None on rejection."""
+    route's index of the projection onto it; None on rejection."""
     amp = ampliate(t, idem.blocks)
     e = amp.represent(idem.matrix)
     scale = max(1.0, opnorm(e))
@@ -471,7 +468,8 @@ def _old_rule_index(t, idem):
         frame = np.zeros((amp.hilbert_dim, int(np.sum(w > 0.5))), complex)
         frame[block] = v[:, w > 0.5]
         cols.append(frame)
-    return kernel_index_of_pair(amp, np.hstack(cols))
+    frame = np.hstack(cols)
+    return kernel_index_of_pair(amp, frame @ frame.conj().T)
 
 
 def _rule_sweep():
@@ -531,8 +529,8 @@ def _conjugated(rng, t, e):
 
 
 def _both_routes(t, e):
-    amp, _, basis = validate_idempotent(t, e)
-    return index_of_pair(amp, basis), kernel_index_of_pair(amp, basis)
+    amp, op = validate_idempotent(t, e)
+    return index_of_pair(amp, op), kernel_index_of_pair(amp, op)
 
 
 def test_supertrace_of_e_is_the_kernel_routes_index():

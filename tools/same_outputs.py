@@ -14,8 +14,10 @@ through `jlolab.cli.main`:
   small `mc_samples`;
 - `index` over every input of perfbench's `Index` workload at seed 531,
   over triples and idempotents that break each axiom `index` checks or
-  whose Dirac operator squares past the float range, and over kicks on
-  each side of the pairing series' stop rules (6, 0.2 and 0.3);
+  whose Dirac operator squares past the float range, over kicks on
+  each side of the pairing series' stop rules (6, 0.2 and 0.3), and over
+  a kick-0.1 pair whose idempotent is amplified (`blocks` 2), under
+  `--times`, where `index` prints both factors and skips the product law;
 - `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`, and the
   runs with no point to sample (`--shuffle 0 0`), with degree-0 blocks
   (`--shuffle 0 3`, `--cyclic 0`, `--cyclic 2 0 1`) and over the row
@@ -151,6 +153,10 @@ BAD_PAIRS = [
 # is under the threshold at 0.2 and over it at 0.3
 KICKS = [(f"kick {s}", [[0, s], [s, 0]], [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT)
          for s in (6, 0.2, 0.3)]
+# kron(diag(1, 0), diag(1, 0)) over M_2: the rank-1 even projection on
+# the kick-0.1 triple ampliated by 2
+AMPLIFIED_IDEMPOTENT = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                        [0, 0, 0, 0]]
 
 
 def _matrix(rows):
@@ -192,6 +198,18 @@ def jobs(inputs, index_calls):
             with open(path, "w") as fh:
                 json.dump(obj, fh)
         out.append((f"index, {what}", ["index", *paths]))
+    triple, amplified = (os.path.join(inputs, f"amplified-{part}.json")
+                         for part in ("triple", "idempotent"))
+    for path, obj in (
+            (triple, {"dim_even": 1, "dim_odd": 1,
+                      "dirac": _matrix([[0, 0.1], [0.1, 0]]),
+                      "generators": [_matrix([[1, 0], [0, 1]])]}),
+            (amplified, {"matrix": _matrix(AMPLIFIED_IDEMPOTENT),
+                         "blocks": 2})):
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+    out.append(("index --times, amplified idempotent",
+                ["index", triple, amplified, "--times", triple]))
     out += [(f"decompose {' '.join(args)}", ["decompose", *args])
             for args in (["--shuffle", "3", "2"], ["--cyclic", "1", "2", "1"],
                          ["--cyclic", "2", "1"],
