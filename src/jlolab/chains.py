@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _freeze
+from .linalg import _freeze, _kron
 from .shuffles import (
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
@@ -249,13 +249,6 @@ def _budget(chains, extra=()):
             f"operation would produce {count} elementary terms "
             f"(cap {MAX_OUTPUT_TERMS})"
         )
-
-
-def _kron(a, b):
-    """Kronecker products of two stacks of square matrices (one broadcasts)."""
-    m, n = a.shape[1], b.shape[1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
-        -1, m * n, m * n)
 
 
 def _embedded(chains):

@@ -5,7 +5,9 @@ Each subcommand takes only the flags it reads: `verify` the RunConfig flags
 its two files and --times, `decompose` its mode, --samples and --seed.
 `verify` runs `suites.run_suite` on the RunConfig it builds, so its report
 rows are exactly what the library call returns for that config; `index`
-refuses a pair over INDEX_DIM_LIMIT before it builds any; `decompose`
+refuses a pair over INDEX_DIM_LIMIT before it builds any, and with
+--times checks the product law on the product of the two checked
+(ampliated) triples, whatever their blocks; `decompose`
 runs one count-then-sample sequence for its shuffle and cyclic modes.  Exit
 codes: 0 success, 1 a failed check or write (one `error:` line; none when
 stdout was closed early), 2 usage, input-parsing or size-bound failure.
@@ -152,16 +154,16 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
             factors.append((t2, e2))
         # every pair's size is known before any pair is built
         dims = [t.hilbert_dim * e.blocks for t, e in factors]
-        product = len(factors) == 2 and e1.blocks == e2.blocks == 1
-        if product:
+        if times_paths:
             dims.append(dims[0] * dims[1])
         if max(dims) > INDEX_DIM_LIMIT:
             raise ValueError(f"Hilbert dimension {max(dims)} is over the "
                              f"bound of {INDEX_DIM_LIMIT}")
         pairs = [validate_idempotent(t, e) for t, e in factors]
-        if product:
+        if times_paths:
+            # the product of the two checked (ampliated) triples
             pairs.append(validate_idempotent(
-                product_triple(t1, t2),
+                product_triple(pairs[0][0], pairs[1][0]),
                 Idempotent(np.kron(e1.matrix, e2.matrix))))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -180,13 +182,11 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if len(freds) == 3:
+    if times_paths:
         expected = freds[0] * freds[1]
         print(f"  product law       : {freds[2]:+d} vs "
               f"{freds[0]:+d} * {freds[1]:+d} = {expected:+d}")
         ok = ok and freds[2] == expected
-    elif times_paths:
-        print("product law skipped: matrix-amplified idempotents")
     return 0 if ok else 1
 
 

@@ -66,9 +66,19 @@ def _freeze(m) -> np.ndarray:
 
 def _integer(value, what: str) -> int:
     """value as an int; bools and non-integral values are a ValueError."""
+    if type(value) is int:  # skips the numbers.Integral check, about 1 us
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer")
     return int(value)
+
+
+def _kron(a, b):
+    """Kronecker products of two stacks of square matrices (one broadcasts):
+    the entries np.kron computes, without its per-call overhead."""
+    m, n = a.shape[1], b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+        -1, m * n, m * n)
 
 
 def frob(m) -> float:
@@ -82,12 +92,15 @@ def opnorm(m) -> float:
 
 @dataclass(frozen=True)
 class GradedSpace:
-    """Finite-dimensional graded Hilbert space C^{p|q}, even vectors first."""
+    """Finite-dimensional graded Hilbert space C^{p|q}, even vectors first.
+    Each dimension must be an integer (see _integer) and is stored as int."""
 
     dim_even: int
     dim_odd: int
 
     def __post_init__(self):
+        for name in ("dim_even", "dim_odd"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.dim_even < 0 or self.dim_odd < 0:
             raise ValueError("dimensions must be non-negative")
         if self.dim_even + self.dim_odd == 0:

@@ -2,9 +2,10 @@
 
 A triple bundles a graded Hilbert space, an odd Hermitian Dirac operator,
 and a list of even generators for the acting algebra.  The module builds
-graded tensor products and ampliations, checks idempotents against a
-triple, and computes the Fredholm index of e D e on range(e), which in
-finite dimensions is the supertrace of e.
+graded tensor products, ampliation by M_k among them (the product with
+the flat, trivially graded C^{k|0}), checks idempotents against a triple,
+and computes the Fredholm index of e D e on range(e), which in finite
+dimensions is the supertrace of e.
 
 Operators live in two bases.  The canonical basis lists even vectors
 before odd ones, so the grading is diag(+1, ..., -1, ...).  The algebra
@@ -27,6 +28,7 @@ from .linalg import (
     ParityError,
     _freeze,
     _integer,
+    _kron,
     as_matrix,
     check_hermitian,
     frob,
@@ -44,7 +46,6 @@ __all__ = [
     "NotSelfAdjointError",
     "SpectralGapWarning",
     "SpectralTripleFD",
-    "ampliate",
     "commutator_d",
     "idempotent_from_json",
     "idempotent_to_json",
@@ -100,10 +101,10 @@ class SpectralTripleFD:
         if basis_map is None:
             self.basis_map = None
         else:
-            bm = np.asarray(basis_map, dtype=np.intp)
+            bm = np.array([_integer(i, "basis_map entries")
+                           for i in basis_map], dtype=np.intp)
             if bm.shape != (d,) or not np.array_equal(np.sort(bm), np.arange(d)):
                 raise ValueError("basis_map must be a permutation of 0..dim-1")
-            bm = bm.copy()
             bm.setflags(write=False)
             self.basis_map = bm
         self._delta_eig = None
@@ -201,24 +202,24 @@ def product_triple(t1: SpectralTripleFD, t2: SpectralTripleFD) -> SpectralTriple
     """
     d1, d2 = t1.hilbert_dim, t2.hilbert_dim
     g1 = t1.space.gamma_diag
-    g2 = t2.space.gamma_diag
-    gk = np.kron(g1, g2)
+    gk = (g1[:, None] * t2.space.gamma_diag).ravel()
     q = np.argsort(gk < 0, kind="stable")
     ne = int(np.count_nonzero(gk > 0))
     space = GradedSpace(ne, d1 * d2 - ne)
 
-    i1 = np.eye(d1, dtype=np.complex128)
-    i2 = np.eye(d2, dtype=np.complex128)
-    dirac = np.kron(t1.dirac, i2) + np.kron(np.diag(g1).astype(np.complex128),
-                                            t2.dirac)
-    dirac = dirac[np.ix_(q, q)]
-    gens = tuple(np.kron(a, i2)[np.ix_(q, q)] for a in t1.generators)
-    gens += tuple(np.kron(i1, b)[np.ix_(q, q)] for b in t2.generators)
+    # D1 (x) 1, then a (x) 1 and 1 (x) b for the generators, in one stack
+    ops = np.concatenate([
+        _kron(np.stack([t1.dirac, *t1.generators]),
+              np.eye(d2, dtype=np.complex128)[None]),
+        _kron(np.eye(d1, dtype=np.complex128)[None],
+              np.reshape(t2.generators, (-1, d2, d2)))])
+    ops[0] += _kron(np.diag(g1).astype(np.complex128)[None], t2.dirac[None])[0]
+    ops = ops[:, q[:, None], q]
 
     qk = (t1._bm()[:, None] * d2 + t2._bm()[None, :]).ravel()
     bm = qk[q]
     label = f"({t1.label})x({t2.label})" if (t1.label or t2.label) else ""
-    return SpectralTripleFD(space, dirac, gens, basis_map=bm, label=label)
+    return SpectralTripleFD(space, ops[0], ops[1:], basis_map=bm, label=label)
 
 
 def kernel_projection(h) -> np.ndarray:
@@ -259,6 +260,7 @@ class Idempotent:
 
     matrix is (d * blocks) square in the algebra-Kronecker order
     A (x) M_blocks; blocks == 1 means an idempotent in the algebra itself.
+    blocks must be an integer (see linalg._integer) and is stored as int.
     """
 
     matrix: np.ndarray
@@ -268,6 +270,7 @@ class Idempotent:
         m = _freeze(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("idempotent matrix must be square")
+        object.__setattr__(self, "blocks", _integer(self.blocks, "blocks"))
         if self.blocks < 1:
             raise ValueError("blocks must be >= 1")
         if m.shape[0] % self.blocks != 0:
@@ -275,26 +278,12 @@ class Idempotent:
         object.__setattr__(self, "matrix", m)
 
 
-def ampliate(triple: SpectralTripleFD, k: int) -> SpectralTripleFD:
-    """Tensor with the trivially graded C^k: D (x) 1, generators g (x) 1."""
-    if k == 1:
-        return triple
-    if k < 1:
-        raise ValueError("ampliation factor must be >= 1")
-    ik = np.eye(k, dtype=np.complex128)
-    space = GradedSpace(triple.space.dim_even * k, triple.space.dim_odd * k)
-    dirac = np.kron(triple.dirac, ik)
-    gens = tuple(np.kron(g, ik) for g in triple.generators)
-    bm = (triple._bm()[:, None] * k + np.arange(k)[None, :]).ravel()
-    return SpectralTripleFD(space, dirac, gens, basis_map=bm,
-                            label=triple.label and f"{triple.label}(x){k}")
-
-
 def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
     """The checked pair every index route takes, as (amp, e): the triple
-    ampliated by idem.blocks and idem as its operator e.  A ValueError
-    unless e fits amp and is self-adjoint, idempotent (to IDEMPOTENT_TOL)
-    and even.
+    ampliated by k = idem.blocks, the graded tensor product with the flat
+    C^{k|0} (the triple itself at k = 1), and idem as its operator e.  A
+    ValueError unless idem fits amp and e is self-adjoint, idempotent (to
+    IDEMPOTENT_TOL) and even.
 
     The eigenvalues w of the Hermitian part h of e give all of it.  With
     k = e - h, sigma = |k|_F and nu = max |w|, |e - e^*| <= 2 sigma and
@@ -302,9 +291,11 @@ def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
     norm, and nu <= |e|; so each check below is at least as strict as the
     operator-norm check it bounds.
     """
-    amp = ampliate(triple, idem.blocks)
-    if idem.matrix.shape[0] != amp.hilbert_dim:
+    k = idem.blocks
+    if idem.matrix.shape[0] != triple.hilbert_dim * k:
         raise ValueError("idempotent size disagrees with the ampliated triple")
+    amp = triple if k == 1 else product_triple(
+        triple, SpectralTripleFD(GradedSpace(k, 0), np.zeros((k, k)), ()))
     e = amp.represent(idem.matrix)
     w = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
     sigma = 0.5 * frob(e - e.conj().T)
@@ -344,17 +335,13 @@ def triple_from_json(obj) -> SpectralTripleFD:
     """Rebuild a triple from its wire form and check its structure with
     validate_triple; every rejection is a ValueError."""
     try:
-        space = GradedSpace(_integer(obj["dim_even"], "dim_even"),
-                            _integer(obj["dim_odd"], "dim_odd"))
-        dirac = matrix_from_json(obj["dirac"])
-        gens = [matrix_from_json(g) for g in obj["generators"]]
-        bm = obj.get("basis_map")
-        if bm is not None:
-            bm = [_integer(i, "basis_map entries") for i in bm]
-        label = str(obj.get("label", ""))
+        triple = SpectralTripleFD(
+            GradedSpace(obj["dim_even"], obj["dim_odd"]),
+            matrix_from_json(obj["dirac"]),
+            [matrix_from_json(g) for g in obj["generators"]],
+            basis_map=obj.get("basis_map"), label=str(obj.get("label", "")))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed triple object: {exc}") from exc
-    triple = SpectralTripleFD(space, dirac, gens, basis_map=bm, label=label)
     validate_triple(triple)
     return triple
 
@@ -366,6 +353,6 @@ def idempotent_to_json(idem: Idempotent) -> dict:
 def idempotent_from_json(obj) -> Idempotent:
     try:
         return Idempotent(matrix_from_json(obj["matrix"]),
-                          blocks=_integer(obj.get("blocks", 1), "blocks"))
+                          blocks=obj.get("blocks", 1))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed idempotent object: {exc}") from exc

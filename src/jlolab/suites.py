@@ -78,6 +78,12 @@ def _norm_res(lhs, rhs) -> float:
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
+def _worst(values) -> float:
+    """The largest of some nonnegative residuals as a float, NaN when any
+    is NaN (Python's max drops a NaN that does not come first)."""
+    return float(np.max(list(values)))
+
+
 def _one_triple(rng, dim_pairs, degrees):
     """A triple on one drawn dims pair, then a chain of the given degrees
     over it."""
@@ -159,11 +165,8 @@ def trial_heat_factorization(rng, dim_pairs, max_degree=None,
                              mc_samples=None) -> float:
     t1, t2 = _triples(rng, _pick_dims(rng, dim_pairs, 2))
     prod = product_triple(t1, t2)
-    worst = 0.0
-    for t in HEAT_TIMES:
-        expected = prod.represent(np.kron(t1.heat(t), t2.heat(t)))
-        worst = max(worst, opnorm(prod.heat(t) - expected))
-    return worst
+    return _worst(opnorm(prod.heat(t) - prod.represent(
+        np.kron(t1.heat(t), t2.heat(t)))) for t in HEAT_TIMES)
 
 
 def trial_derivation_product(rng, dim_pairs, max_degree=None,
@@ -309,16 +312,14 @@ def trial_index_pairing(rng=None, dim_pairs=None, max_degree=None,
                         mc_samples=None) -> float:
     """Worst deviation of the pairing from the Fredholm index over the
     curated catalog; deterministic."""
-    worst = 0.0
+    devs = []
     for _name, t, e, expected in curated_index_pairs():
         amp, op = validate_idempotent(t, e)
         rep = index_pairing(amp, op)
         fred = index_of_pair(amp, op)
-        worst = max(worst,
-                    abs(rep.value - expected),
-                    float(abs(fred - expected)),
-                    float(abs(rep.integer - fred)))
-    return worst
+        devs += [abs(rep.value - expected), abs(fred - expected),
+                 abs(rep.integer - fred)]
+    return _worst(devs)
 
 
 def trial_index_product(rng=None, dim_pairs=None, max_degree=None,
@@ -326,14 +327,14 @@ def trial_index_product(rng=None, dim_pairs=None, max_degree=None,
     """Worst |index(e1 (x) e2) - index(e1) index(e2)| over curated factor
     pairs; deterministic."""
     base = curated_index_pairs()
-    worst = 0.0
+    devs = []
     for i, j in [(0, 4), (2, 0), (5, 7), (3, 1)]:
         (_, t1, e1, _), (_, t2, e2, _) = base[i], base[j]
         e12 = Idempotent(np.kron(e1.matrix, e2.matrix))
         i1, i2, i12 = (index_of_pair(*validate_idempotent(t, e)) for t, e in
                        ((t1, e1), (t2, e2), (product_triple(t1, t2), e12)))
-        worst = max(worst, float(abs(i12 - i1 * i2)))
-    return worst
+        devs.append(abs(i12 - i1 * i2))
+    return _worst(devs)
 
 
 # --------------------------------------------------------------------- runner
@@ -414,7 +415,8 @@ def run_suite(config: RunConfig):
     """Run every identity config.trials times; returns one report row each.
 
     A row's residual is the worst over its trials, checked against the
-    identity's own tolerance in IDENTITIES.
+    identity's own tolerance in IDENTITIES; a NaN residual is the row's
+    residual and fails it.
     """
     if config.trials == 0:
         return []
@@ -422,11 +424,9 @@ def run_suite(config: RunConfig):
     rows = []
     for (name, tol, fn), stream in zip(IDENTITIES, streams):
         rng = np.random.default_rng(stream)
-        worst = 0.0
-        for _ in range(config.trials):
-            worst = max(worst, float(fn(rng, config.dims,
-                                        max_degree=config.max_degree,
-                                        mc_samples=config.mc_samples)))
+        worst = _worst(fn(rng, config.dims, max_degree=config.max_degree,
+                          mc_samples=config.mc_samples)
+                       for _ in range(config.trials))
         rows.append({
             "identity": name,
             "residual": worst,

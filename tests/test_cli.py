@@ -141,6 +141,28 @@ def test_verify_a_row_over_its_tolerance_fails(tmp_path, fast_cfg,
     assert summary["failed"] == 1 and summary["all_pass"] is False
 
 
+@pytest.mark.parametrize("trials", [
+    (np.nan, np.nan, np.nan), (1e-20, np.nan, 1e-20)])
+def test_verify_a_nan_residual_fails_its_row(tmp_path, monkeypatch, capsys,
+                                             trials):
+    # a NaN in any trial is the row's residual: printed, reported, failed
+    name, tol, _ = suites.IDENTITIES[0]
+    values = iter(trials)
+    monkeypatch.setattr(suites, "IDENTITIES", (
+        (name, tol, lambda rng, dims, **kw: next(values)),))
+    cfg, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({"trials": 3}))
+    assert main(["verify", "--config", str(cfg),
+                 "--report", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[1].split() == [name, "nan", f"{tol:.1e}", "FAIL"]
+    assert '"residual": NaN' in report.read_text()
+    data = json.loads(report.read_text())
+    assert data["identities"][0]["pass"] is False
+    assert data["summary"] == {"checks": 1, "passed": 0, "failed": 1,
+                               "all_pass": False}
+
+
 @pytest.mark.parametrize("where, error", [
     ("a directory", IsADirectoryError),
     ("a missing directory", FileNotFoundError)])
@@ -258,22 +280,40 @@ def test_index_times_accepts_second_idempotent(tmp_path, capsys):
     assert "product law" in out
 
 
-def test_index_times_with_an_amplified_idempotent_skips_the_product(
-        tmp_path, capsys):
-    # both factors are checked and printed; the product pair is not built
+def _write_amplified(tmp_path, k=2):
+    """An idempotent over M_k: the rank-1 even projection (x) diag(1, 0, ...)."""
+    path = tmp_path / f"amplified{k}.json"
+    path.write_text(json.dumps(idempotent_to_json(Idempotent(
+        np.kron(np.diag([1.0, 0.0]), np.diag([1.0] + [0.0] * (k - 1))),
+        blocks=k))))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["plain times amplified",
+                                  "amplified times the unit",
+                                  "amplified times amplified"])
+def test_index_times_with_an_amplified_idempotent_checks_the_product(
+        tmp_path, capsys, case):
+    # the product pair is the product of the two checked (ampliated)
+    # triples, so the product law holds for amplified factors too; the
+    # unit of C^{1|1} has index 0, each rank-1 even projection +1
     tp, ep = _write_pair(tmp_path)
-    amplified = tmp_path / "amplified.json"
-    amplified.write_text(json.dumps(idempotent_to_json(Idempotent(
-        np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), blocks=2))))
-    assert main(["index", tp, ep, "--times", tp, str(amplified)]) == 0
+    a2, a3 = _write_amplified(tmp_path, 2), _write_amplified(tmp_path, 3)
+    argv, (i1, i2) = {
+        "plain times amplified": ([tp, ep, "--times", tp, a2], (1, 1)),
+        "amplified times the unit": ([tp, a2, "--times", tp], (1, 0)),
+        "amplified times amplified": ([tp, a2, "--times", tp, a3], (1, 1)),
+    }[case]
+    assert main(["index", *argv]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     lines = out.splitlines()
     assert [line for line in lines if not line.startswith("  ")] == [
-        "factor 1:", "factor 2:",
-        "product law skipped: matrix-amplified idempotents"]
-    assert lines.count("  fredholm index    : +1") == 2
-    assert "product:" not in out
+        "factor 1:", "factor 2:", "product:"]
+    assert [line for line in lines if line.startswith("  fredholm")] == [
+        f"  fredholm index    : {i:+d}" for i in (i1, i2, i1 * i2)]
+    assert lines[-1] == (f"  product law       : {i1 * i2:+d} vs "
+                         f"{i1:+d} * {i2:+d} = {i1 * i2:+d}")
 
 
 def test_index_malformed_file_exits_two(tmp_path, capsys):
@@ -420,18 +460,17 @@ def test_index_refuses_a_pair_over_the_dimension_bound(tmp_path, monkeypatch,
         raise AssertionError("built a pair past the bound")
 
     tp, ep = _write_pair(tmp_path)
-    amplified = tmp_path / "amplified.json"
-    amplified.write_text(json.dumps(idempotent_to_json(Idempotent(
-        np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), blocks=2))))
+    amplified = _write_amplified(tmp_path)
     monkeypatch.setattr(cli, "INDEX_DIM_LIMIT", 3)
     monkeypatch.setattr(cli, "validate_idempotent", refuse)
     monkeypatch.setattr(cli, "product_triple", refuse)
-    for argv in ([tp, ep, "--times", tp], [tp, str(amplified)],
-                 [tp, ep, "--times", tp, str(amplified)]):
+    # the amplified product is 2 x 4
+    for argv, dim in (([tp, ep, "--times", tp], 4), ([tp, amplified], 4),
+                      ([tp, ep, "--times", tp, amplified], 8)):
         assert main(["index", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: Hilbert dimension 4 is over the bound of 3\n"
+        assert err == f"error: Hilbert dimension {dim} is over the bound of 3\n"
     monkeypatch.undo()
     # the bound is inclusive
     monkeypatch.setattr(cli, "INDEX_DIM_LIMIT", 4)

@@ -24,7 +24,7 @@ SURFACE = set("""
     Idempotent JLOEvaluator NonConvergentError NonHermitianError
     NonIntegerIndexError NotIdempotentError NotSelfAdjointError
     PairingReport Parity ParityError RunConfig SimplexOrderError
-    SpectralGapWarning SpectralTripleFD TermBudgetError ampliate
+    SpectralGapWarning SpectralTripleFD TermBudgetError
     bch_cochain br_operation commutator_d
     connes_B curated_index_pairs cyclic_region_locate
     cyclic_shuffle_peak_rows delta_perturbation

@@ -20,7 +20,6 @@ from jlolab.spectral import (
     Idempotent,
     NonIntegerIndexError,
     SpectralTripleFD,
-    ampliate,
     idempotent_to_json,
     index_of_pair,
     product_triple,
@@ -64,7 +63,7 @@ def _per_degree_pairing(triple, idem):
     """(value, truncation degree, last term) of the character chain, one
     block-exponential oracle call per degree on its normalized terms,
     summed under index_pairing's truncation rule."""
-    amp = ampliate(triple, idem.blocks)
+    amp, _ = validate_idempotent(triple, idem)
     # the character has one term per degree
     terms = {len(term.factors) - 1: term.coeff * term_vanloan(
         amp, slot_operators(amp, term.factors))

@@ -25,7 +25,6 @@ from jlolab.spectral import (
     NotSelfAdjointError,
     SpectralGapWarning,
     SpectralTripleFD,
-    ampliate,
     commutator_d,
     index_of_pair,
     kernel_projection,
@@ -228,6 +227,28 @@ def test_product_triple_grading_and_dims():
     assert np.array_equal(np.sort(gk)[::-1], prod.space.gamma_diag)
 
 
+def test_product_triple_is_np_kron_bit_for_bit():
+    # D1 (x) 1 + gamma1 (x) D2, a (x) 1 and 1 (x) b, gathered even-first,
+    # down to the sign of each zero
+    rng = np.random.default_rng(12)
+    flat = SpectralTripleFD(GradedSpace(2, 0), np.zeros((2, 2)), ())
+    for t1, t2 in [(random_triple(rng, 1, 1), random_triple(rng, 2, 1)),
+                   (random_triple(rng, 2, 2), flat),
+                   (flat, random_triple(rng, 1, 2))]:
+        prod = product_triple(t1, t2)
+        i1, i2 = np.eye(t1.hilbert_dim), np.eye(t2.hilbert_dim)
+        g1 = t1.space.gamma_diag
+        q = np.argsort(np.kron(g1, t2.space.gamma_diag) < 0, kind="stable")
+        ix = np.ix_(q, q)
+        dirac = np.kron(t1.dirac, i2) + np.kron(
+            np.diag(g1).astype(np.complex128), t2.dirac)
+        gens = [np.kron(a, i2) for a in t1.generators] + [
+            np.kron(i1, b) for b in t2.generators]
+        assert prod.dirac.tobytes() == dirac[ix].tobytes()
+        assert [g.tobytes() for g in prod.generators] == [
+            g[ix].tobytes() for g in gens]
+
+
 def test_product_triple_dirac_summands_anticommute():
     # the Koszul sign sits in the gamma1 (x) D2 summand: without it the two
     # summands would commute instead
@@ -286,15 +307,72 @@ def test_idempotent_validation_and_blocks():
         Idempotent(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Idempotent(np.eye(4), blocks=2.0), "blocks must be an integer"),
+    (lambda: Idempotent(np.eye(2), blocks=True), "blocks must be an integer"),
+    (lambda: SpectralTripleFD(GradedSpace(1, 1), X, (np.eye(2),),
+                              basis_map=[1.5, 0.2]),
+     "basis_map entries must be an integer"),
+    (lambda: SpectralTripleFD(GradedSpace(1, 1), X, (np.eye(2),),
+                              basis_map=np.array([1.0, 0.0])),
+     "basis_map entries must be an integer"),
+    (lambda: SpectralTripleFD(GradedSpace(1, 1), X, (np.eye(2),),
+                              basis_map=[1, False]),
+     "basis_map entries must be an integer"),
+    (lambda: GradedSpace(1.5, 1), "dim_even must be an integer"),
+    (lambda: GradedSpace(1, True), "dim_odd must be an integer"),
+], ids=["float blocks", "bool blocks", "float basis_map",
+        "float-array basis_map", "bool basis_map entry", "float dim_even",
+        "bool dim_odd"])
+def test_integer_fields_are_checked_where_they_are_stored(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_integer_fields_store_numpy_integers_as_int():
+    s = GradedSpace(np.int64(1), np.int32(1))
+    assert s == GradedSpace(1, 1)
+    assert type(s.dim_even) is int and type(s.dim_odd) is int
+    assert type(Idempotent(np.eye(4), blocks=np.int64(2)).blocks) is int
+    t = SpectralTripleFD(s, X, (np.eye(2),), basis_map=np.array([1, 0]))
+    assert t.basis_map.tolist() == [1, 0]
+
+
+def _amp(t, k):
+    """The triple validate_idempotent pairs an idempotent of k blocks with,
+    read off the unit of A (x) M_k."""
+    return validate_idempotent(
+        t, Idempotent(np.eye(t.hilbert_dim * k), blocks=k))[0]
+
+
 def test_ampliate_scales_everything_but_index():
     rng = np.random.default_rng(8)
     t = random_triple(rng, 2, 1)
-    assert ampliate(t, 1) is t
-    t2 = ampliate(t, 2)
+    assert _amp(t, 1) is t
+    t2 = _amp(t, 2)
     assert t2.hilbert_dim == 6
     # the unit's index doubles with the space: dim_even - dim_odd = 1 -> 2
     unit = _index(t, Idempotent(np.eye(3)))
     assert _index(t2, Idempotent(np.eye(6))) == 2 * unit == 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_ampliation_is_the_product_with_a_flat_ungraded_triple(k):
+    # the amplified triple is D (x) 1 on C^{kp|kq}, generators g (x) 1, and
+    # the algebra basis of A (x) M_k in Kronecker order
+    ik = np.eye(k)
+    for _, t, _, _ in curated_index_pairs():
+        assert _amp(t, 1) is t
+        amp = _amp(t, k)
+        p, q = t.space.dim_even, t.space.dim_odd
+        assert amp.space == GradedSpace(k * p, k * q)
+        assert np.array_equal(amp.dirac, np.kron(t.dirac, ik))
+        bm = np.arange(t.hilbert_dim) if t.basis_map is None else t.basis_map
+        assert np.array_equal(amp.basis_map,
+                              (bm[:, None] * k + np.arange(k)).ravel())
+        assert len(amp.generators) == len(t.generators)
+        for g_amp, g in zip(amp.generators, t.generators):
+            assert np.array_equal(g_amp, np.kron(g, ik))
 
 
 def test_identity_basis_spans_the_space_and_keeps_the_index():
@@ -454,7 +532,7 @@ def _old_rule_index(t, idem):
     """The operator-norm rule the eigenvalue checks replaced: three norms
     and parity_of, then an eigenbasis per parity block and the kernel
     route's index of the projection onto it; None on rejection."""
-    amp = ampliate(t, idem.blocks)
+    amp = _amp(t, idem.blocks)
     e = amp.represent(idem.matrix)
     scale = max(1.0, opnorm(e))
     if (opnorm(e - e.conj().T) > IDEMPOTENT_TOL * scale
@@ -481,7 +559,7 @@ def _rule_sweep():
     out = []
     for case in range(12):
         t = random_triple(rng, *rng.integers(1, 3, size=2), dirac_scale=0.3)
-        amp = ampliate(t, 1 + case % 3)
+        amp = _amp(t, 1 + case % 3)
         s = amp.space
         base = random_even_projection(rng, s, rng.integers(0, s.dim_even + 1),
                                       rng.integers(0, s.dim_odd + 1))

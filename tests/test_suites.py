@@ -1,4 +1,4 @@
-"""Every suite trial keeps its draws.
+"""Every suite trial keeps its draws, and no trial folds a NaN away.
 
 A trial's residual may move in the last bits with the BLAS build, but the
 generator state after it depends only on what it drew and in which order.
@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from jlolab import suites
 from jlolab.suites import IDENTITIES, RunConfig
 
 # generator state after one trial of each identity, in IDENTITIES order
@@ -75,3 +76,20 @@ def test_chain_laws_default_to_their_own_max_degree(name, top):
         fn(rng, ((2, 1),), **kwargs)
         states.append(rng.bit_generator.state["state"]["state"])
     assert states[0] == states[1] != states[2]
+
+
+@pytest.mark.parametrize("trial, step", [
+    ("trial_heat_factorization", "opnorm"),
+    ("trial_index_pairing", "index_of_pair"),
+    ("trial_index_product", "index_of_pair")])
+def test_a_nan_step_is_the_trials_residual(monkeypatch, trial, step):
+    # the second of the values a trial folds is NaN; the first is finite
+    real, calls = getattr(suites, step), []
+
+    def nan_second(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(suites, step, nan_second)
+    assert math.isnan(getattr(suites, trial)(np.random.default_rng(0),
+                                             ((1, 1),)))

@@ -16,8 +16,11 @@ through `jlolab.cli.main`:
   over triples and idempotents that break each axiom `index` checks or
   whose Dirac operator squares past the float range, over kicks on
   each side of the pairing series' stop rules (6, 0.2 and 0.3), and over
-  a kick-0.1 pair whose idempotent is amplified (`blocks` 2), under
-  `--times`, where `index` prints both factors and skips the product law;
+  a kick-0.1 pair whose idempotent is amplified (`blocks` 2) under
+  `--times`: times the same triple's unit, times itself, where the
+  product law is checked as for any pair, and, amplified to `blocks` 9,
+  times itself, where each factor is within INDEX_DIM_LIMIT but the
+  product is not, so `index` exits 2;
 - `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`, and the
   runs with no point to sample (`--shuffle 0 0`), with degree-0 blocks
   (`--shuffle 0 3`, `--cyclic 0`, `--cyclic 2 0 1`) and over the row
@@ -153,10 +156,12 @@ BAD_PAIRS = [
 # is under the threshold at 0.2 and over it at 0.3
 KICKS = [(f"kick {s}", [[0, s], [s, 0]], [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT)
          for s in (6, 0.2, 0.3)]
-# kron(diag(1, 0), diag(1, 0)) over M_2: the rank-1 even projection on
-# the kick-0.1 triple ampliated by 2
-AMPLIFIED_IDEMPOTENT = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
-                        [0, 0, 0, 0]]
+
+
+def _amplified_idempotent(k):
+    """kron(diag(1, 0), diag(1, 0, ..., 0)) over M_k, as rows: the rank-1
+    even projection on the kick-0.1 triple ampliated by k."""
+    return [[int(i == j == 0) for j in range(2 * k)] for i in range(2 * k)]
 
 
 def _matrix(rows):
@@ -198,18 +203,25 @@ def jobs(inputs, index_calls):
             with open(path, "w") as fh:
                 json.dump(obj, fh)
         out.append((f"index, {what}", ["index", *paths]))
-    triple, amplified = (os.path.join(inputs, f"amplified-{part}.json")
-                         for part in ("triple", "idempotent"))
+    triple, amplified, wide = (
+        os.path.join(inputs, f"amplified-{part}.json")
+        for part in ("triple", "idempotent", "idempotent-9"))
     for path, obj in (
             (triple, {"dim_even": 1, "dim_odd": 1,
                       "dirac": _matrix([[0, 0.1], [0.1, 0]]),
                       "generators": [_matrix([[1, 0], [0, 1]])]}),
-            (amplified, {"matrix": _matrix(AMPLIFIED_IDEMPOTENT),
-                         "blocks": 2})):
+            (amplified, {"matrix": _matrix(_amplified_idempotent(2)),
+                         "blocks": 2}),
+            (wide, {"matrix": _matrix(_amplified_idempotent(9)),
+                    "blocks": 9})):
         with open(path, "w") as fh:
             json.dump(obj, fh)
-    out.append(("index --times, amplified idempotent",
-                ["index", triple, amplified, "--times", triple]))
+    out += [("index --times, amplified idempotent",
+             ["index", triple, amplified, "--times", triple]),
+            ("index --times, amplified times amplified",
+             ["index", triple, amplified, "--times", triple, amplified]),
+            ("index --times, amplified product over the size bound",
+             ["index", triple, wide, "--times", triple, wide])]
     out += [(f"decompose {' '.join(args)}", ["decompose", *args])
             for args in (["--shuffle", "3", "2"], ["--cyclic", "1", "2", "1"],
                          ["--cyclic", "2", "1"],
