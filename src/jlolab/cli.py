@@ -5,14 +5,15 @@ Each subcommand takes only the flags it reads: `verify` the RunConfig flags
 its two files and --times, `decompose` its mode, --samples and --seed.
 `verify` runs `suites.run_suite` on the RunConfig it builds, so its report
 rows are exactly what the library call returns for that config; `index`
-refuses a pair over INDEX_DIM_LIMIT before it builds any, and with
---times checks the product law on the product of the two checked
-(ampliated) triples, whatever their blocks; `decompose`
-runs one count-then-sample sequence for its shuffle and cyclic modes.  Exit
-codes: 0 success, 1 a failed check or write (one `error:` line; none when
-stdout was closed early), 2 usage, input-parsing or size-bound failure.
-Reports are deterministic for a fixed configuration and seed up to the
-timestamp field.
+refuses a pair over INDEX_DIM_LIMIT before it builds any, and with --times
+checks the product law on the product of the two checked (ampliated)
+triples, whatever their blocks; `decompose` runs one count-then-sample
+sequence for its shuffle and cyclic modes.  One reader, `_load_json`,
+reads every JSON file.  Exit codes: 0 success, 1 a failed check or write
+(one `error:` line; none when stdout was closed early), 2 usage, input or
+size-bound failure, which each command raises as `_Refused` and `main`
+alone prints as one `error:` line.  Reports are deterministic for a fixed
+configuration and seed up to the timestamp field.
 """
 
 from __future__ import annotations
@@ -58,6 +59,21 @@ DECOMPOSE_ROW_BUDGET = 2_000_000
 # product, took 3.1-4.5 s and peaked at 138-151 MB on one BLAS thread of a
 # 2-core Xeon; time grows as d^3
 INDEX_DIM_LIMIT = 256
+# what reading and checking an input file or the config may raise
+_BAD_INPUT = (OSError, ValueError, KeyError, TypeError)
+
+
+class _Refused(Exception):
+    """Bad input: `main` prints `error: <message>` and exits 2."""
+
+
+def _load_json(path):
+    """The JSON value in a file; too deep a nesting is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nesting is too deep to decode") from None
 
 
 def load_config(args) -> RunConfig:
@@ -65,8 +81,7 @@ def load_config(args) -> RunConfig:
     flags of `verify`."""
     data, names = {}, {f.name for f in fields(RunConfig)}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        raw = _load_json(args.config)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(raw) - names)
@@ -87,8 +102,7 @@ def cmd_verify(config: RunConfig, report_path) -> int:
     try:
         fh = open(report_path, "w") if report_path else None
     except OSError as exc:
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(f"cannot write the report: {exc}") from exc
     with fh or contextlib.nullcontext():
         rows = run_suite(config)
         print(format_report_rows(rows), end="")
@@ -115,11 +129,6 @@ def cmd_verify(config: RunConfig, report_path) -> int:
 
 # --------------------------------------------------------------------- index
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _index_lines(label, amp, e):
     """Print the character pairing and the Fredholm index of one pair
     (amp, e) checked by validate_idempotent; return the index and the gap
@@ -138,19 +147,16 @@ def _index_lines(label, amp, e):
 
 def cmd_index(triple_path, idem_path, times_paths) -> int:
     if times_paths and len(times_paths) > 2:
-        print("error: --times takes a triple file and at most one "
-              "idempotent file", file=sys.stderr)
-        return 2
+        raise _Refused("--times takes a triple file and at most one "
+                       "idempotent file")
     try:
         t1 = triple_from_json(_load_json(triple_path))
         e1 = idempotent_from_json(_load_json(idem_path))
         factors = [(t1, e1)]
         if times_paths:
             t2 = triple_from_json(_load_json(times_paths[0]))
-            if len(times_paths) == 2:
-                e2 = idempotent_from_json(_load_json(times_paths[1]))
-            else:
-                e2 = Idempotent(np.eye(t2.hilbert_dim))
+            e2 = (idempotent_from_json(_load_json(times_paths[1]))
+                  if times_paths[1:] else Idempotent(np.eye(t2.hilbert_dim)))
             factors.append((t2, e2))
         # every pair's size is known before any pair is built
         dims = [t.hilbert_dim * e.blocks for t, e in factors]
@@ -165,12 +171,10 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
             pairs.append(validate_idempotent(
                 product_triple(pairs[0][0], pairs[1][0]),
                 Idempotent(np.kron(e1.matrix, e2.matrix))))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _BAD_INPUT as exc:
+        raise _Refused(exc) from exc
 
-    ok = True
-    freds = []
+    ok, freds = True, []
     try:
         for label, pair in zip(("factor 1", "factor 2", "product"), pairs):
             fred, diff = _index_lines(label, *pair)
@@ -180,8 +184,7 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(exc) from exc
     if times_paths:
         expected = freds[0] * freds[1]
         print(f"  product law       : {freds[2]:+d} vs "
@@ -257,24 +260,18 @@ def _sample_regions(perms, values) -> int:
 def cmd_decompose(args) -> int:
     degrees = tuple(args.shuffle if args.shuffle is not None else args.cyclic)
     if args.seed < 0:
-        print("error: invalid configuration: seed must be non-negative",
-              file=sys.stderr)
-        return 2
+        raise _Refused("invalid configuration: seed must be non-negative")
     if args.samples < 0:
-        print("error: --samples must be non-negative", file=sys.stderr)
-        return 2
+        raise _Refused("--samples must be non-negative")
     # samples are rows as wide as the enumeration's, under the same budget
     if args.samples > DECOMPOSE_ROW_BUDGET:
-        print(f"error: --samples {args.samples} is over the budget of "
-              f"{DECOMPOSE_ROW_BUDGET}", file=sys.stderr)
-        return 2
+        raise _Refused(f"--samples {args.samples} is over the budget of "
+                       f"{DECOMPOSE_ROW_BUDGET}")
     if any(p < 0 for p in degrees):
-        print("error: degrees must be non-negative", file=sys.stderr)
-        return 2
+        raise _Refused("degrees must be non-negative")
     if max(degrees) > DECOMPOSE_DEGREE_LIMIT:
-        print(f"error: degrees above {DECOMPOSE_DEGREE_LIMIT} are not "
-              f"supported", file=sys.stderr)
-        return 2
+        raise _Refused(f"degrees above {DECOMPOSE_DEGREE_LIMIT} are not "
+                       "supported")
     # each mode gives its regions, their closed-form count and the widths of
     # the simplex samples that make one point: (p, q), or (r, p_1, ..., p_r)
     if args.shuffle is not None:
@@ -290,10 +287,8 @@ def cmd_decompose(args) -> int:
         closed = math.factorial(n) // math.prod(map(math.factorial, widths))
         rows = cyclic_shuffle_peak_rows(degrees)
         if rows > DECOMPOSE_ROW_BUDGET:
-            print(f"error: {closed} regions take {rows} rows to enumerate, "
-                  f"over the budget of {DECOMPOSE_ROW_BUDGET}",
-                  file=sys.stderr)
-            return 2
+            raise _Refused(f"{closed} regions take {rows} rows to enumerate, "
+                           f"over the budget of {DECOMPOSE_ROW_BUDGET}")
         perms = enumerate_cyclic_shuffles(degrees)
         title = f"cyclic-shuffle decomposition, {widths[0]} blocks of degrees"
         formula = f"{n}!/({'*'.join(f'{k}!' for k in widths)})"
@@ -366,21 +361,24 @@ def _dispatch(args) -> int:
         return cmd_decompose(args)
     try:
         config = load_config(args)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 2
+    except _BAD_INPUT as exc:
+        raise _Refused(f"invalid configuration: {exc}") from exc
     return cmd_verify(config, args.report_path)
 
 
 def main(argv=None) -> int:
     try:
-        code = _dispatch(_PARSER.parse_args(argv))
+        try:
+            code = _dispatch(_PARSER.parse_args(argv))
+        except _Refused as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
         sys.stdout.flush()
     except KeyboardInterrupt:
         return 1
     except OSError as exc:
-        # input errors return 2 inside each command, so a write to stdout
-        # or the report failed; a reader that closed stdout ends it quietly
+        # bad input is _Refused above, so a write to stdout or the report
+        # failed; a reader that closed stdout ends it quietly
         if not isinstance(exc, BrokenPipeError):
             print(f"error: cannot write the output: {exc}", file=sys.stderr)
         try:

@@ -240,20 +240,14 @@ class JLOEvaluator:
         Degree 0 is sum_i (A0)_ii e^{-w_i}.  Degree n >= 1 is the
         trapezoid rule of `_contour(n)` for (1/2 pi i) int e^z tr(A0 R(z)
         A1 ... An R(z)) dz, R(z) = diag(1/(z + w)), every node a point of
-        the string kernel.  A row with a zero slot (a flat triple's) is
-        exactly 0 and is skipped; only then are the other rows gathered,
-        so a live block is not copied."""
+        the string kernel."""
         w, _ = self.triple.delta_eigensystem()
         n = slots.shape[1] - 1
         if n == 0:
             return self._strings(slots, np.exp(-w)[None, None])[:, 0]
         z, weights = _contour(n)
         r = (1.0 / (z[:, None] + w))[:, None].repeat(n + 1, 1)
-        live = np.any(slots, axis=(2, 3)).all(1)
-        values = np.zeros(len(slots), dtype=np.complex128)
-        values[live] = self._strings(
-            slots if live.all() else slots[live], r) @ weights
-        return values
+        return self._strings(slots, r) @ weights
 
     # ------------------------------------------------------------- pointwise
     def integrand(self, factors, t) -> complex:

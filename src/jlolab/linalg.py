@@ -130,16 +130,21 @@ def supertrace(x, space: GradedSpace) -> complex:
 def parity_codes(stack, space: GradedSpace) -> np.ndarray:
     """Parity codes of a (..., d, d) stack for the grading g of space: 0
     even, 1 odd, 2 mixed.  a is even when |g a g - a|, twice its odd
-    blocks' norm, is <= PARITY_TOL max(1, |a|); odd likewise for g a g + a."""
+    blocks' norm, is <= PARITY_TOL max(1, |a|) (NaN is not); odd likewise
+    for g a g + a.  Each a and its 1 are scaled by 2^-k, k > 0 the binary
+    exponent of its largest part: exact, and the squares stay finite."""
     a = np.asarray(stack, dtype=np.complex128)
     g = space.gamma_diag
     if a.shape[-2:] != (g.size, g.size):
         raise ValueError("grading and matrix dimensions disagree")
     split = np.not_equal.outer(g, g).ravel()
-    sq = np.abs(a.reshape(*a.shape[:-2], g.size ** 2)) ** 2
+    a = a.reshape(*a.shape[:-2], g.size ** 2)
+    _, k = np.frexp(np.maximum(abs(a.real), abs(a.imag)).max(-1, initial=0))
+    scale = np.ldexp(1.0, -np.maximum(k, 0))[..., None]
+    sq = np.abs(a * scale) ** 2
     odd, even = sq @ split, sq @ ~split
-    tol = (PARITY_TOL / 2) ** 2 * np.maximum(1.0, odd + even)
-    return (odd > tol) * (1 + (even > tol))
+    tol = (PARITY_TOL / 2) ** 2 * np.maximum(scale[..., 0] ** 2, odd + even)
+    return ~(odd <= tol) * (1 + ~(even <= tol))
 
 
 def parity_of(m, space: GradedSpace) -> Parity:
@@ -188,7 +193,7 @@ def matrix_from_json(obj) -> np.ndarray:
         if any(isinstance(re, bool) or isinstance(im, bool) for re, im in data):
             raise ValueError("entries must be numbers, not booleans")
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
     if not np.all(np.isfinite(flat)):
         raise ValueError("matrix entries must be finite")

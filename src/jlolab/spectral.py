@@ -171,8 +171,9 @@ def validate_triple(triple: SpectralTripleFD) -> None:
     g = triple.space.gamma_diag
     d = triple.dirac
     gens = np.asarray(triple.generators).reshape(-1, *d.shape)
-    stack = np.concatenate(([d - d.conj().T, g[:, None] * d * g[None, :] + d],
-                            g[:, None] * gens * g[None, :] - gens))
+    with np.errstate(over="ignore"):  # an overflowed residual's norm is NaN
+        stack = np.concatenate(([d - d.conj().T, g[:, None] * d * g + d],
+                                g[:, None] * gens * g - gens))
     # the largest singular value of each residual, from the LAPACK call
     # `opnorm` makes, so the values match it bit for bit
     norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
@@ -180,7 +181,7 @@ def validate_triple(triple: SpectralTripleFD) -> None:
             (NotSelfAdjointError, "Dirac hermiticity", norms[0]),
             (ParityError, "Dirac oddness", norms[1]),
             (ParityError, "generator evenness", norms[2:].max(initial=0.0))):
-        if residual > DEFAULT_TOL:
+        if not residual <= DEFAULT_TOL:  # NaN is refused
             raise error(f"{axiom} residual {residual:.3g} > {DEFAULT_TOL:g}")
 
 
@@ -297,13 +298,15 @@ def validate_idempotent(triple: SpectralTripleFD, idem: Idempotent):
     amp = triple if k == 1 else product_triple(
         triple, SpectralTripleFD(GradedSpace(k, 0), np.zeros((k, k)), ()))
     e = amp.represent(idem.matrix)
-    w = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
-    sigma = 0.5 * frob(e - e.conj().T)
-    nu = float(np.max(np.abs(w)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN refuse
+        w = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
+        sigma = 0.5 * frob(e - e.conj().T)
+        nu = float(np.max(np.abs(w)))
+        gap = np.max(np.abs(w * w - w)) + (2 * nu + 1) * sigma + sigma * sigma
     tol = IDEMPOTENT_TOL * max(1.0, nu)
-    if 2 * sigma > tol:
+    if not 2 * sigma <= tol:
         raise NotSelfAdjointError("idempotent is not self-adjoint within tolerance")
-    if np.max(np.abs(w * w - w)) + (2 * nu + 1) * sigma + sigma ** 2 > tol:
+    if not gap <= tol:
         raise NotIdempotentError("matrix is not idempotent within tolerance")
     if parity_codes(e, amp.space) != 0:
         raise ParityError("idempotent must be even with respect to the grading")

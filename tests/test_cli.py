@@ -515,6 +515,36 @@ def test_index_dirac_whose_square_overflows_exits_two(tmp_path, capsys,
     assert err == "error: Delta = D^2 overflows the float range\n"
 
 
+def test_index_integer_past_the_float_range_exits_two(tmp_path, capsys):
+    # complex() of a JSON integer with 401 digits raises OverflowError
+    tp, ep = _write_pair(tmp_path)
+    big = tmp_path / "big.json"
+    big.write_text((tmp_path / "t.json").read_text().replace(
+        "[0.1, 0.0]", "[1" + "0" * 400 + ", 0.0]", 1))
+    assert main(["index", str(big), ep]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: malformed matrix entries: int too large to "
+                   "convert to float\n")
+
+
+@pytest.mark.parametrize("command", ["index", "verify"])
+def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys,
+                                                        command):
+    # json.load raises RecursionError on it; the one reader refuses that
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    if command == "index":
+        argv, prefix = ["index", str(deep), _write_pair(tmp_path)[1]], ""
+    else:
+        argv, prefix = (["verify", "--config", str(deep)],
+                        "invalid configuration: ")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {prefix}JSON nesting is too deep to decode\n"
+
+
 def test_main_calls_in_one_process_share_no_state(tmp_path, monkeypatch,
                                                    capsys):
     import argparse

@@ -91,6 +91,27 @@ def test_parity_codes_match_parity_of_entry_for_entry():
     assert parity_codes(np.array(mats), s).tolist() == want
 
 
+def test_parity_codes_are_scale_free_past_the_float_range():
+    # at norm 7 the bound scales with |m|, so scaling a matrix by 2^j keeps
+    # its code on both sides of the threshold, also where |m|^2 overflows
+    rng = np.random.default_rng(3)
+    s = GradedSpace(2, 3)
+    g = s.gamma_diag
+    x = _rand(rng, s.dim)
+    even = (x + g[:, None] * x * g[None, :]) / 2
+    e, o = even * 7 / frob(even), (x - even) * 7 / frob(x - even)
+    mats, want = [e, o, e + o], [0, 1, 2]
+    for part, off, code in ((e, o, 0), (o, e, 1)):
+        for factor, code_at in ((1 - 1e-3, code), (1 + 1e-3, 2)):
+            size = factor * PARITY_TOL * 7 / 2
+            mats.append(part + off * size / frob(off))
+            want.append(code_at)
+    for j in (0, 100, 500, 511, 512, 600, 1000):
+        assert parity_codes(np.array(mats) * 2.0 ** j, s).tolist() == want
+    odd = np.array([[0, 1e155], [1e155, 0]])
+    assert parity_of(odd, GradedSpace(1, 1)) is Parity.ODD
+
+
 def test_check_hermitian_returns_a_hermitian_matrix_as_is():
     rng = np.random.default_rng(2)
     x = _rand(rng, 6)
@@ -146,6 +167,7 @@ def test_matrix_json_round_trip():
     {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]},
     {"rows": 1, "cols": 1, "data": [[0.0, float("inf")]]},
     {"rows": 1, "cols": 1, "data": 5},
+    {"rows": 1, "cols": 1, "data": [[10 ** 400, 0]]},
 ])
 def test_matrix_json_rejects_malformed(bad):
     with pytest.raises(ValueError):

@@ -327,3 +327,23 @@ def test_index_paths_raise_no_warning(tmp_path, capsys):
         assert trial_index_pairing() <= 0.01
         assert trial_index_product() == 0.0
     assert capsys.readouterr().out.count("product law       :") == 3
+
+
+@pytest.mark.parametrize("dirac, idem, message", [
+    (0.1 * X, np.array([[1e308, 1e308], [0, 0]]),
+     "idempotent is not self-adjoint within tolerance"),
+    (np.diag([1e308, 0.0]), E_EVEN, "Dirac oddness residual nan > 1e-10"),
+], ids=["idempotent", "dirac"])
+def test_index_refusal_past_the_float_range_warns_nothing(
+        tmp_path, capsys, dirac, idem, message):
+    # e + e^* and g D g + D overflow; the refusal is the one stderr line
+    tp, ep = tmp_path / "t.json", tmp_path / "e.json"
+    tp.write_text(json.dumps(triple_to_json(
+        SpectralTripleFD(GradedSpace(1, 1), dirac, (np.eye(2),)))))
+    ep.write_text(json.dumps(idempotent_to_json(Idempotent(idem))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["index", str(tp), str(ep)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"

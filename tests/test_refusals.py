@@ -9,7 +9,14 @@ from jlolab.cli import main
 from jlolab.jlo import DegreeCapError, jlo_integrand
 from jlolab.linalg import GradedSpace, ParityError, as_matrix, parity_codes
 from jlolab.shuffles import cyclic_region_locate, enumerate_shuffles
-from jlolab.spectral import Idempotent, SpectralTripleFD, commutator_d
+from jlolab.spectral import (
+    Idempotent,
+    NotIdempotentError,
+    SpectralTripleFD,
+    commutator_d,
+    validate_idempotent,
+    validate_triple,
+)
 from jlolab.suites import RunConfig
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -62,6 +69,16 @@ CASES = {
     "commutator_d of an odd element": (
         lambda _: commutator_d(KICK, X), ParityError,
         "commutator_d expects an even algebra element"),
+    "commutator_d of an odd element whose squares overflow": (
+        lambda _: commutator_d(KICK, 1e155 * X), ParityError,
+        "commutator_d expects an even algebra element"),
+    "validate_triple of a generator whose residual overflows": (
+        lambda _: validate_triple(SpectralTripleFD(
+            GradedSpace(1, 1), np.zeros((2, 2)), (1e308 * X,))),
+        ParityError, "generator evenness residual nan > 1e-10"),
+    "validate_idempotent of a matrix whose eigenvalues overflow": (
+        lambda _: validate_idempotent(KICK, Idempotent(np.full((2, 2), 1e308))),
+        NotIdempotentError, "matrix is not idempotent within tolerance"),
     "Idempotent of no blocks": (
         lambda _: Idempotent(np.eye(2), blocks=0), ValueError,
         "blocks must be >= 1"),

@@ -140,7 +140,15 @@ def test_same_outputs_rejected_pairs_each_fail_their_own_check(
                 "non-idempotent": "matrix is not idempotent",
                 "non-self-adjoint idempotent": "idempotent is not self-adjoint",
                 "odd idempotent": "idempotent must be even",
-                "Dirac whose square overflows": "Delta = D^2 overflows"}
+                "Dirac whose square overflows": "Delta = D^2 overflows",
+                "odd generator past the float range":
+                    "generator evenness residual nan",
+                "Dirac diagonal past the float range":
+                    "Dirac oddness residual nan",
+                "non-self-adjoint idempotent past the float range":
+                    "idempotent is not self-adjoint",
+                "Hermitian idempotent past the float range":
+                    "matrix is not idempotent"}
     jobs = dict(same_outputs.jobs(str(tmp_path), []))
     for what, message in messages.items():
         assert cli.main(jobs[f"index, {what}"]) == 2

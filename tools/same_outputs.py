@@ -13,8 +13,10 @@ through `jlolab.cli.main`:
   trials' degree draws: `max_degree` 0 and 4, three dims pairs, and a
   small `mc_samples`;
 - `index` over every input of perfbench's `Index` workload at seed 531,
-  over triples and idempotents that break each axiom `index` checks or
-  whose Dirac operator squares past the float range, over kicks on
+  over triples and idempotents that break each axiom `index` checks, whose
+  Dirac operator squares past the float range, or whose axiom residuals
+  overflow, over a triple file with an integer past the float range and
+  one nested past the recursion limit, over kicks on
   each side of the pairing series' stop rules (6, 0.2 and 0.3), and over
   a kick-0.1 pair whose idempotent is amplified (`blocks` 2) under
   `--times`: times the same triple's unit, times itself, where the
@@ -25,7 +27,8 @@ through `jlolab.cli.main`:
   runs with no point to sample (`--shuffle 0 0`), with degree-0 blocks
   (`--shuffle 0 3`, `--cyclic 0`, `--cyclic 2 0 1`) and over the row
   budget (`--cyclic 1 1 1 1 1 1`);
-- `verify` and `decompose` on bad `--config` files and bad flags.
+- `verify` and `decompose` on bad `--config` files (one nested past the
+  recursion limit) and bad flags.
 
 The input files are written once, by the parent's perfbench, and both
 sides read the same ones.  One more job per side calls the library
@@ -36,8 +39,11 @@ built by the parent's perfbench on that side's `src/`.  It prints the
 `jlo_cochain_mc` at a fixed generator, on the workload's Monte Carlo
 chains and on their degree-0 heads; and of `jlo_integrand` at one fixed
 point of every term the workload evaluates.  Stdout, stderr and the exit
-code of every command and of that job are compared.  Prints `identical`,
-or one unified diff per output that differs and exits 1.
+code of every command and of that job are compared, and so are those of
+a last job, `parity_of` and `commutator_d` on an odd matrix whose squares
+overflow.  A command that raises is recorded by its exception.
+Prints `identical`, or one unified diff per output that differs and exits
+1.
 """
 
 from __future__ import annotations
@@ -77,6 +83,8 @@ for name, argv in jobs:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
     outputs[f"{name}: stdout"] = out.getvalue()
     outputs[f"{name}: stderr"] = err.getvalue()
     outputs[f"{name}: exit"] = f"{code}\\n"
@@ -115,6 +123,21 @@ for k, (t, factors) in enumerate(w.integrand + [
           repr(jlolab.jlo_integrand(t, factors, point)))
 """
 
+# prints what parity_of and commutator_d return or raise on an odd matrix
+# whose squares overflow
+LIBRARY_REFUSALS = """
+import numpy as np
+import jlolab
+x = np.array([[0, 1e155], [1e155, 0]])
+kick = jlolab.SpectralTripleFD(jlolab.GradedSpace(1, 1), x / 1e156, [])
+for name, call in (("parity_of", lambda: jlolab.parity_of(x, kick.space)),
+                   ("commutator_d", lambda: jlolab.commutator_d(kick, x))):
+    try:
+        print(name, repr(call()))
+    except Exception as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
 # min(2, max_degree) and range(lowest, max_degree + 1) at their ends
 EDGE_CONFIGS = [
     {"max_degree": 0, "trials": 2},
@@ -134,7 +157,8 @@ GOOD_DIRAC = [[0, 0.3], [0.3, 0]]
 GOOD_IDEMPOTENT = [[1, 0], [0, 0]]
 # (what is broken, Dirac, generators, idempotent) of each rejected pair;
 # the residuals in the messages are 1.37e-10, 0.0434, 0.0622 and 0.0123,
-# and D^2 + (D^2)^* overflows at 1e154
+# D^2 + (D^2)^* overflows at 1e154, and at 1e308 g a g -/+ a, e + e^* and
+# e - e^* overflow
 BAD_PAIRS = [
     ("non-Hermitian Dirac", [[0, 0.3], [0.3 + 1.37e-10j, 0]],
      [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT),
@@ -149,6 +173,14 @@ BAD_PAIRS = [
     ("odd idempotent", GOOD_DIRAC, [], [[0.5, 0.5], [0.5, 0.5]]),
     ("Dirac whose square overflows", [[0, 1e154], [1e154, 0]],
      [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT),
+    ("odd generator past the float range", [[0, 0], [0, 0]],
+     [[[0, 1e308], [1e308, 0]]], GOOD_IDEMPOTENT),
+    ("Dirac diagonal past the float range", [[1e308, 0], [0, 0]],
+     [[[1, 0], [0, 1]]], GOOD_IDEMPOTENT),
+    ("non-self-adjoint idempotent past the float range", GOOD_DIRAC, [],
+     [[1e308, 1e308], [0, 0]]),
+    ("Hermitian idempotent past the float range", GOOD_DIRAC, [],
+     [[1e308, 1e308], [1e308, 1e308]]),
 ]
 # valid pairs on each side of the pairing's stop rules: at kick 6 the
 # terms stop at degree 2, before they peak; at 0.2 and 0.3 they reach
@@ -203,6 +235,21 @@ def jobs(inputs, index_calls):
             with open(path, "w") as fh:
                 json.dump(obj, fh)
         out.append((f"index, {what}", ["index", *paths]))
+    big, deep, unit = (os.path.join(inputs, name) for name in (
+        "big-integer.json", "deep.json", "idempotent.json"))
+    with open(big, "w") as fh:
+        json.dump({"dim_even": 1, "dim_odd": 1, "generators": [],
+                   "dirac": {"rows": 2, "cols": 2, "data": [
+                       [0, 0], [10 ** 400, 0], [1, 0], [0, 0]]}}, fh)
+    with open(deep, "w") as fh:
+        fh.write("[" * 200_000)
+    with open(unit, "w") as fh:
+        json.dump({"matrix": _matrix(GOOD_IDEMPOTENT)}, fh)
+    out += [("index, integer past the float range", ["index", big, unit]),
+            ("index, JSON nested past the recursion limit",
+             ["index", deep, unit]),
+            ("verify, config nested past the recursion limit",
+             ["verify", "--config", deep])]
     triple, amplified, wide = (
         os.path.join(inputs, f"amplified-{part}.json")
         for part in ("triple", "idempotent", "idempotent-9"))
@@ -261,16 +308,16 @@ def run_side(root, jobs_path, workdir):
         return json.load(fh)
 
 
-def run_library(root, perfbench, workdir):
+def run_library(root, perfbench, workdir, name="library calls",
+                script=LIBRARY_CALLS):
     """{output: text} of one side's direct library calls."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(root, "src"), perfbench]))
     proc = subprocess.run(
-        [sys.executable, "-c", LIBRARY_CALLS, str(LIBRARY_SEED), workdir],
+        [sys.executable, "-c", script, str(LIBRARY_SEED), workdir],
         cwd=workdir, env=env, capture_output=True, text=True)
-    return {"library calls: stdout": proc.stdout,
-            "library calls: stderr": proc.stderr,
-            "library calls: exit": f"{proc.returncode}\n"}
+    return {f"{name}: stdout": proc.stdout, f"{name}: stderr": proc.stderr,
+            f"{name}: exit": f"{proc.returncode}\n"}
 
 
 def differences(parent, change):
@@ -320,6 +367,9 @@ def main() -> int:
         for side, root in roots.items():
             outputs[side].update(run_library(
                 str(root), str(perfbench), str(tmp / f"{side}-run")))
+            outputs[side].update(run_library(
+                str(root), str(perfbench), str(tmp / f"{side}-run"),
+                "library refusals", LIBRARY_REFUSALS))
         if outputs["parent"]["library calls: exit"] != "0\n":
             raise RuntimeError("the parent's library calls failed:\n"
                                + outputs["parent"]["library calls: stderr"])
