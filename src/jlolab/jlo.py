@@ -169,14 +169,13 @@ class JLOEvaluator:
     # ---------------------------------------------------------------- slots
     def _forms(self, stack):
         """(2, K, d, d): a factor stack in the canonical basis, then its [D, .]."""
-        t = self.triple
-        r = np.asarray(stack, dtype=np.complex128)
-        if r.shape[1:] != (t.hilbert_dim, t.hilbert_dim):
+        r, dirac = self.triple.represent(stack), self.triple.dirac
+        if r.ndim != 3:
             raise ValueError("factor shape disagrees with the Hilbert space")
         ops = np.empty((2, *r.shape), dtype=np.complex128)
-        ops[0] = r if t.basis_map is None else r[:, t.basis_map[:, None], t.basis_map]
-        np.matmul(t.dirac, ops[0], out=ops[1])
-        ops[1] -= ops[0] @ t.dirac
+        ops[0] = r
+        np.matmul(dirac, r, out=ops[1])
+        ops[1] -= r @ dirac
         return ops
 
     def _eigenbasis(self, heads, slots):
@@ -359,8 +358,7 @@ def delta_perturbation(triple: SpectralTripleFD, chain: Chain) -> Chain:
     chain = chain.normalized()
     heads = np.unique(np.concatenate([np.zeros(0, np.intp)] + [
         rows[:, 0] for rows, _ in chain.blocks.values()]))
-    brackets = np.array([commutator_d(triple, chain.table[k]) for k in heads],
-                        dtype=np.complex128).reshape(-1, *chain.table.shape[1:])
+    brackets = commutator_d(triple, chain.table[heads])
     blocks = {}
     for n, (rows, coeffs) in chain.blocks.items():
         head = len(chain.table) + np.searchsorted(heads, rows[:, :1])

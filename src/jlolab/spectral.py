@@ -9,9 +9,10 @@ dimensions is the supertrace of e.
 
 Operators live in two bases.  The canonical basis lists even vectors
 before odd ones, so the grading is diag(+1, ..., -1, ...).  The algebra
-basis is whatever ordering chain factors are written in; for triples
-assembled out of tensor products the two differ by the recorded
-permutation basis_map, and represent / unrepresent convert between them.
+basis is whatever ordering chain factors are written in.  Every triple
+records the permutation basis_map between them (canonical vector i is
+algebra vector basis_map[i]; the identity unless given), and represent /
+unrepresent convert (..., d, d) stacks between the bases by one gather.
 """
 
 from __future__ import annotations
@@ -24,18 +25,15 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     GradedSpace,
-    Parity,
     ParityError,
     _freeze,
     _integer,
     _kron,
-    as_matrix,
     check_hermitian,
     frob,
     matrix_from_json,
     matrix_to_json,
     parity_codes,
-    parity_of,
     supertrace,
 )
 
@@ -98,15 +96,12 @@ class SpectralTripleFD:
         for g in self.generators:
             if g.shape != (d, d):
                 raise ValueError("generator shape disagrees with the graded space")
-        if basis_map is None:
-            self.basis_map = None
-        else:
-            bm = np.array([_integer(i, "basis_map entries")
-                           for i in basis_map], dtype=np.intp)
-            if bm.shape != (d,) or not np.array_equal(np.sort(bm), np.arange(d)):
-                raise ValueError("basis_map must be a permutation of 0..dim-1")
-            bm.setflags(write=False)
-            self.basis_map = bm
+        bm = [_integer(i, "basis_map entries")
+              for i in (range(d) if basis_map is None else basis_map)]
+        if sorted(bm) != list(range(d)):
+            raise ValueError("basis_map must be a permutation of 0..dim-1")
+        self.basis_map = np.array(bm, dtype=np.intp)
+        self.basis_map.setflags(write=False)
         self._delta_eig = None
 
     @property
@@ -136,27 +131,19 @@ class SpectralTripleFD:
         w, v = self.delta_eigensystem()
         return (v * np.exp(-t * w)) @ v.conj().T
 
-    def _bm(self) -> np.ndarray:
-        if self.basis_map is None:
-            return np.arange(self.hilbert_dim)
-        return self.basis_map
+    def _gather(self, a, order) -> np.ndarray:
+        a = np.asarray(a, dtype=np.complex128)
+        if a.shape[-2:] != (self.hilbert_dim,) * 2:
+            raise ValueError("factor shape disagrees with the Hilbert space")
+        return a.take(order, -1).take(order, -2)
 
     def represent(self, a) -> np.ndarray:
-        """Algebra-basis matrix -> canonical-basis operator."""
-        a = as_matrix(a)
-        if self.basis_map is None:
-            return a
-        bm = self.basis_map
-        return a[np.ix_(bm, bm)]
+        """Algebra-basis (..., d, d) stack -> canonical-basis operators."""
+        return self._gather(a, self.basis_map)
 
     def unrepresent(self, x) -> np.ndarray:
-        """Canonical-basis operator -> algebra-basis matrix."""
-        x = as_matrix(x)
-        if self.basis_map is None:
-            return x
-        inv = np.empty_like(self.basis_map)
-        inv[self.basis_map] = np.arange(self.hilbert_dim)
-        return x[np.ix_(inv, inv)]
+        """Canonical-basis (..., d, d) stack -> algebra-basis matrices."""
+        return self._gather(x, np.argsort(self.basis_map))
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -186,12 +173,11 @@ def validate_triple(triple: SpectralTripleFD) -> None:
 
 
 def commutator_d(triple: SpectralTripleFD, a) -> np.ndarray:
-    """[D, a] for an even algebra-basis matrix, returned in the algebra basis."""
+    """[D, a] for a (..., d, d) stack of even algebra-basis matrices."""
     rep = triple.represent(a)
-    if parity_of(rep, triple.space) is not Parity.EVEN:
+    if parity_codes(rep, triple.space).any():
         raise ParityError("commutator_d expects an even algebra element")
-    out = triple.dirac @ rep - rep @ triple.dirac
-    return triple.unrepresent(out)
+    return triple.unrepresent(triple.dirac @ rep - rep @ triple.dirac)
 
 
 def product_triple(t1: SpectralTripleFD, t2: SpectralTripleFD) -> SpectralTripleFD:
@@ -217,7 +203,7 @@ def product_triple(t1: SpectralTripleFD, t2: SpectralTripleFD) -> SpectralTriple
     ops[0] += _kron(np.diag(g1).astype(np.complex128)[None], t2.dirac[None])[0]
     ops = ops[:, q[:, None], q]
 
-    qk = (t1._bm()[:, None] * d2 + t2._bm()[None, :]).ravel()
+    qk = (t1.basis_map[:, None] * d2 + t2.basis_map[None, :]).ravel()
     bm = qk[q]
     label = f"({t1.label})x({t2.label})" if (t1.label or t2.label) else ""
     return SpectralTripleFD(space, ops[0], ops[1:], basis_map=bm, label=label)
@@ -328,8 +314,7 @@ def triple_to_json(triple: SpectralTripleFD) -> dict:
         "dim_odd": triple.space.dim_odd,
         "dirac": matrix_to_json(triple.dirac),
         "generators": [matrix_to_json(g) for g in triple.generators],
-        "basis_map": None if triple.basis_map is None
-                     else [int(i) for i in triple.basis_map],
+        "basis_map": triple.basis_map.tolist(),
         "label": triple.label,
     }
 

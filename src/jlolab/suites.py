@@ -64,6 +64,9 @@ __all__ = [
 
 HEAT_TIMES = (0.1, 1.0, 3.0)
 MAX_DEGREE_LIMIT = 4
+# jlo_cochain_mc, 3|3 triple, degrees (1, 2): 0.80 us per sample on one BLAS
+# thread of a 2-core Xeon, numpy 2.4, so one trial stays near 8 s
+MAX_MC_SAMPLES = 10_000_000
 # cyclic_shuffle_triple's degree-6 block on three spaces of total s holds
 # 120 rows x 7 slots x s^6 complex entries: 0.63 GB at 6, 225 GB at 16
 MAX_SPACE_DIM = 6
@@ -409,6 +412,8 @@ class RunConfig:
         # one sample's standard error is 0, which exact_vs_mc divides by
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be at least 2")
+        if self.mc_samples > MAX_MC_SAMPLES:
+            raise ValueError(f"mc_samples must be at most {MAX_MC_SAMPLES}")
 
 
 def run_suite(config: RunConfig):

@@ -18,7 +18,7 @@ from jlolab.spectral import (
     idempotent_to_json,
     triple_to_json,
 )
-from jlolab.suites import RunConfig, run_suite
+from jlolab.suites import MAX_MC_SAMPLES, RunConfig, run_suite
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -202,6 +202,22 @@ def test_space_over_the_memory_bound_exits_two_before_any_identity(
         assert out == ""
         assert err == (f"error: invalid configuration: dimension pair "
                        f"{tuple(pair)} exceeds total dimension 6\n")
+
+
+def test_mc_samples_over_the_bound_exit_two(tmp_path, capsys):
+    assert RunConfig(mc_samples=MAX_MC_SAMPLES).mc_samples == MAX_MC_SAMPLES
+    message = f"mc_samples must be at most {MAX_MC_SAMPLES}"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(mc_samples=MAX_MC_SAMPLES + 1)
+    # trials 0 keeps short a run that took the count
+    cfg = tmp_path / "cfg.json"
+    for raw, flags in (({"trials": 0}, ["--mc-samples", "100000000000"]),
+                       ({"trials": 0, "mc_samples": 10 ** 400}, [])):
+        cfg.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(cfg), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: invalid configuration: {message}\n"
 
 
 def test_config_errors_exit_two(tmp_path):

@@ -429,6 +429,26 @@ def test_perturbed_cochain_two_routes():
         _via_delta(t, chain), abs=1e-12)
 
 
+def test_delta_perturbation_brackets_each_head_as_commutator_d_does():
+    # the heads go through one stacked commutator_d call; each bracket is
+    # bit for bit the call on its head alone, and the zero chain stays empty
+    rng = np.random.default_rng(31)
+    t = random_triple(rng, 2, 1)
+    chain = random_chain(rng, t.space, (0, 1, 2)).normalized()
+    out = delta_perturbation(t, chain)
+    assert out.blocks.keys() == chain.blocks.keys()
+    for n, (rows, coeffs) in chain.blocks.items():
+        got_rows, got_coeffs = out.blocks[n]
+        assert np.array_equal(got_rows[:, 1:], rows[:, 1:])
+        assert np.array_equal(got_coeffs, coeffs * INV_SQRT2)
+        for head, got in zip(rows[:, 0], got_rows[:, 0]):
+            assert np.array_equal(out.table[got],
+                                  commutator_d(t, chain.table[head]))
+    zero = delta_perturbation(t, Chain.zero(t.hilbert_dim))
+    assert zero.num_terms == 0 and zero.blocks == {}
+    assert zero.table.shape == (0, t.hilbert_dim, t.hilbert_dim)
+
+
 def test_shared_factor_objects_match_per_term_copies():
     # terms that share frozen factor objects, one of them both as a head
     # and as a bracketed slot, evaluate exactly like per-term copies
@@ -500,7 +520,8 @@ def test_stacked_preparation_matches_per_entry_loop():
     rng = np.random.default_rng(18)
     t21, t11 = random_triple(rng, 2, 1), random_triple(rng, 1, 1)
     product = product_triple(t21, t11)
-    assert product.basis_map is not None
+    assert not np.array_equal(product.basis_map,
+                              np.arange(product.hilbert_dim))
     flat = SpectralTripleFD(GradedSpace(2, 1), np.zeros((3, 3)),
                             (random_even(rng, GradedSpace(2, 1)),))
     pairs = shuffle_product(random_chain(rng, t21.space, (0, 1, 2)),

@@ -14,6 +14,7 @@ from jlolab.spectral import (
     NotIdempotentError,
     SpectralTripleFD,
     commutator_d,
+    product_triple,
     validate_idempotent,
     validate_triple,
 )
@@ -21,6 +22,7 @@ from jlolab.suites import RunConfig
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 KICK = SpectralTripleFD(GradedSpace(1, 1), 0.1 * X, (np.eye(2),))
+SWAP = SpectralTripleFD(GradedSpace(1, 1), 0.1 * X, (), basis_map=[1, 0])
 
 
 def _config_list(tmp_path):
@@ -50,6 +52,9 @@ CASES = {
     "jlo_integrand factors of another size": (
         lambda _: jlo_integrand(KICK, [np.eye(3)] * 2, [0.5]), ValueError,
         "factor shape disagrees with the Hilbert space"),
+    "jlo_integrand of one matrix in place of a factor list": (
+        lambda _: jlo_integrand(KICK, np.eye(2), [0.5]), ValueError,
+        "factor shape disagrees with the Hilbert space"),
     "jlo_integrand above the degree cap": (
         lambda _: jlo_integrand(KICK, [np.eye(2)] * 14,
                                 np.linspace(0.0, 1.0, 13)),
@@ -72,6 +77,16 @@ CASES = {
     "commutator_d of an odd element whose squares overflow": (
         lambda _: commutator_d(KICK, 1e155 * X), ParityError,
         "commutator_d expects an even algebra element"),
+    "represent of a 3 x 3 matrix over a 1|1 triple with a basis map": (
+        lambda _: SWAP.represent(np.arange(9.0).reshape(3, 3)), ValueError,
+        "factor shape disagrees with the Hilbert space"),
+    "unrepresent of a 3 x 3 matrix over a 1|1 triple with a basis map": (
+        lambda _: SWAP.unrepresent(np.arange(9.0).reshape(3, 3)), ValueError,
+        "factor shape disagrees with the Hilbert space"),
+    "commutator_d of a 5 x 5 matrix over a product of 1|1 triples": (
+        lambda _: commutator_d(product_triple(KICK, KICK),
+                               np.diag([1.0, 2.0, 3.0, 4.0, 5.0])),
+        ValueError, "factor shape disagrees with the Hilbert space"),
     "validate_triple of a generator whose residual overflows": (
         lambda _: validate_triple(SpectralTripleFD(
             GradedSpace(1, 1), np.zeros((2, 2)), (1e308 * X,))),

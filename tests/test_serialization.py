@@ -56,6 +56,23 @@ def test_triple_round_trip_keeps_basis_map():
     assert np.array_equal(back.represent(a), prod.represent(a))
 
 
+def test_plain_triple_reads_the_same_in_every_wire_form():
+    # the identity list is what triple_to_json writes for a plain triple;
+    # files with the key missing or null, as older writers left them, load
+    # to the same triple
+    t = random_triple(np.random.default_rng(5), 2, 1, label="plain")
+    wire = _through_wire(triple_to_json(t))
+    assert wire["basis_map"] == [0, 1, 2]
+    missing = {k: v for k, v in wire.items() if k != "basis_map"}
+    for obj in (wire, dict(wire, basis_map=None), missing):
+        back = triple_from_json(obj)
+        assert back.basis_map.tolist() == [0, 1, 2]
+        assert back.space == t.space and back.label == t.label
+        assert np.array_equal(back.dirac, t.dirac)
+        assert all(map(np.array_equal, back.generators, t.generators))
+        assert triple_to_json(back) == triple_to_json(t)
+
+
 def test_triple_json_rejects_malformed():
     with pytest.raises(ValueError):
         triple_from_json({"dim_even": 1})

@@ -66,6 +66,31 @@ def test_represent_round_trip_with_basis_map():
     assert np.array_equal(t.unrepresent(t.represent(a)), a)
 
 
+def test_a_plain_triple_records_the_identity_basis_map():
+    t = _flat(2, 1)
+    assert t.basis_map.tolist() == [0, 1, 2]
+    assert not t.basis_map.flags.writeable
+    a = np.arange(9.0).reshape(3, 3)
+    assert np.array_equal(t.represent(a), a)
+    assert np.array_equal(t.unrepresent(a), a)
+
+
+def test_stacked_conversions_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(30)
+    prod = product_triple(random_triple(rng, 2, 1), random_triple(rng, 1, 1))
+    d = prod.hilbert_dim
+    assert not np.array_equal(prod.basis_map, np.arange(d))
+    # algebra-basis matrices that are even once represented, as a (2, 3)
+    # stack, so that every leading axis is walked
+    stack = np.array([prod.unrepresent(random_even(rng, prod.space))
+                      for _ in range(6)]).reshape(2, 3, d, d)
+    for convert in (prod.represent, prod.unrepresent,
+                    lambda a: commutator_d(prod, a)):
+        one_at_a_time = np.array([convert(a) for a in stack.reshape(-1, d, d)])
+        assert np.array_equal(convert(stack),
+                              one_at_a_time.reshape(stack.shape))
+
+
 def _residuals(s, dirac, gens):
     """opnorm of each axiom's residual: Dirac hermiticity, Dirac oddness,
     the largest generator evenness."""
@@ -367,9 +392,8 @@ def test_ampliation_is_the_product_with_a_flat_ungraded_triple(k):
         p, q = t.space.dim_even, t.space.dim_odd
         assert amp.space == GradedSpace(k * p, k * q)
         assert np.array_equal(amp.dirac, np.kron(t.dirac, ik))
-        bm = np.arange(t.hilbert_dim) if t.basis_map is None else t.basis_map
-        assert np.array_equal(amp.basis_map,
-                              (bm[:, None] * k + np.arange(k)).ravel())
+        assert np.array_equal(amp.basis_map, (
+            t.basis_map[:, None] * k + np.arange(k)).ravel())
         assert len(amp.generators) == len(t.generators)
         for g_amp, g in zip(amp.generators, t.generators):
             assert np.array_equal(g_amp, np.kron(g, ik))

@@ -40,8 +40,10 @@ built by the parent's perfbench on that side's `src/`.  It prints the
 chains and on their degree-0 heads; and of `jlo_integrand` at one fixed
 point of every term the workload evaluates.  Stdout, stderr and the exit
 code of every command and of that job are compared, and so are those of
-a last job, `parity_of` and `commutator_d` on an odd matrix whose squares
-overflow.  A command that raises is recorded by its exception.
+two last jobs: `parity_of` and `commutator_d` on an odd matrix whose
+squares overflow, and `represent`, `unrepresent` and `commutator_d` on
+operators of the wrong size for their triple.  A command that raises is
+recorded by its exception.
 Prints `identical`, or one unified diff per output that differs and exits
 1.
 """
@@ -132,6 +134,29 @@ x = np.array([[0, 1e155], [1e155, 0]])
 kick = jlolab.SpectralTripleFD(jlolab.GradedSpace(1, 1), x / 1e156, [])
 for name, call in (("parity_of", lambda: jlolab.parity_of(x, kick.space)),
                    ("commutator_d", lambda: jlolab.commutator_d(kick, x))):
+    try:
+        print(name, repr(call()))
+    except Exception as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
+# prints what represent, unrepresent and commutator_d return or raise on
+# operators of the wrong size: 3 x 3 over a 1|1 triple whose basis_map
+# swaps its vectors, and 5 x 5 over the product of two 1|1 triples
+WRONG_SIZE_REFUSALS = """
+import numpy as np
+import jlolab
+x = np.array([[0, 0.3], [0.3, 0]])
+swap = jlolab.SpectralTripleFD(jlolab.GradedSpace(1, 1), x, [],
+                               basis_map=[1, 0])
+square = jlolab.product_triple(*[jlolab.SpectralTripleFD(
+    jlolab.GradedSpace(1, 1), x, [])] * 2)
+big = np.arange(9.0).reshape(3, 3)
+for name, call in (
+        ("represent", lambda: swap.represent(big)),
+        ("unrepresent", lambda: swap.unrepresent(big)),
+        ("commutator_d", lambda: jlolab.commutator_d(
+            square, np.diag([1, 2, 3, 4, 5.0])))):
     try:
         print(name, repr(call()))
     except Exception as exc:
@@ -308,9 +333,8 @@ def run_side(root, jobs_path, workdir):
         return json.load(fh)
 
 
-def run_library(root, perfbench, workdir, name="library calls",
-                script=LIBRARY_CALLS):
-    """{output: text} of one side's direct library calls."""
+def run_library(root, perfbench, workdir, name, script):
+    """{output: text} of one side's direct library calls in script."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(root, "src"), perfbench]))
     proc = subprocess.run(
@@ -365,11 +389,13 @@ def main() -> int:
                                   tmp / f"{side}-run")
                    for side, root in roots.items()}
         for side, root in roots.items():
-            outputs[side].update(run_library(
-                str(root), str(perfbench), str(tmp / f"{side}-run")))
-            outputs[side].update(run_library(
-                str(root), str(perfbench), str(tmp / f"{side}-run"),
-                "library refusals", LIBRARY_REFUSALS))
+            for name, script in (
+                    ("library calls", LIBRARY_CALLS),
+                    ("library refusals", LIBRARY_REFUSALS),
+                    ("wrong-size refusals", WRONG_SIZE_REFUSALS)):
+                outputs[side].update(run_library(
+                    str(root), str(perfbench), str(tmp / f"{side}-run"),
+                    name, script))
         if outputs["parent"]["library calls: exit"] != "0\n":
             raise RuntimeError("the parent's library calls failed:\n"
                                + outputs["parent"]["library calls: stderr"])
