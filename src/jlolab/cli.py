@@ -5,7 +5,8 @@ Each subcommand takes only the flags it reads: `verify` the RunConfig flags
 its two files and --times, `decompose` its mode, --samples and --seed.
 `verify` runs `suites.run_suite` on the RunConfig it builds, so its report
 rows are exactly what the library call returns for that config; `index`
-refuses a pair over INDEX_DIM_LIMIT before it builds any, and with --times
+refuses a pair over INDEX_DIM_LIMIT from the sizes its files declare,
+before it decodes any matrix, and with --times
 checks the product law on the product of the two checked (ampliated)
 triples, whatever their blocks; `decompose` runs one count-then-sample
 sequence for its shuffle and cyclic modes.  One reader, `_load_json`,
@@ -145,26 +146,46 @@ def _index_lines(label, amp, e):
     return fred, diff
 
 
+def _declared_dims(objs):
+    """The Hilbert dimension of each pair, and of their product when there
+    are two, as the loaded files (triple, idempotent, triple, idempotent)
+    declare them, before any matrix is decoded; None when a size field is
+    missing or not a plain integer in range, so decoding refuses that file
+    with its own message."""
+    def size(obj, key, least, default=None):
+        value = obj.get(key, default) if isinstance(obj, dict) else None
+        return value if type(value) is int and value >= least else None
+
+    dims = []
+    # a --times triple without an idempotent file pairs with {}: blocks 1
+    for triple, idem in zip(objs[0::2], objs[1::2] + [{}]):
+        sizes = (size(triple, "dim_even", 0), size(triple, "dim_odd", 0),
+                 size(idem, "blocks", 1, default=1))
+        if None in sizes:
+            return None
+        dims.append((sizes[0] + sizes[1]) * sizes[2])
+    return dims + [math.prod(dims)] if len(dims) == 2 else dims
+
+
 def cmd_index(triple_path, idem_path, times_paths) -> int:
     if times_paths and len(times_paths) > 2:
         raise _Refused("--times takes a triple file and at most one "
                        "idempotent file")
     try:
-        t1 = triple_from_json(_load_json(triple_path))
-        e1 = idempotent_from_json(_load_json(idem_path))
-        factors = [(t1, e1)]
-        if times_paths:
-            t2 = triple_from_json(_load_json(times_paths[0]))
-            e2 = (idempotent_from_json(_load_json(times_paths[1]))
-                  if times_paths[1:] else Idempotent(np.eye(t2.hilbert_dim)))
-            factors.append((t2, e2))
-        # every pair's size is known before any pair is built
-        dims = [t.hilbert_dim * e.blocks for t, e in factors]
-        if times_paths:
-            dims.append(dims[0] * dims[1])
-        if max(dims) > INDEX_DIM_LIMIT:
+        objs = [_load_json(p)
+                for p in (triple_path, idem_path, *(times_paths or ()))]
+        # every pair's size is known before any matrix is decoded
+        dims = _declared_dims(objs)
+        if dims and max(dims) > INDEX_DIM_LIMIT:
             raise ValueError(f"Hilbert dimension {max(dims)} is over the "
                              f"bound of {INDEX_DIM_LIMIT}")
+        t1, e1 = triple_from_json(objs[0]), idempotent_from_json(objs[1])
+        factors = [(t1, e1)]
+        if times_paths:
+            t2 = triple_from_json(objs[2])
+            e2 = (idempotent_from_json(objs[3]) if objs[3:]
+                  else Idempotent(np.eye(t2.hilbert_dim)))
+            factors.append((t2, e2))
         pairs = [validate_idempotent(t, e) for t, e in factors]
         if times_paths:
             # the product of the two checked (ampliated) triples

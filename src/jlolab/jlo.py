@@ -12,7 +12,11 @@ no route.
 In the eigenbasis every heat factor and every resolvent is diagonal, so
 one string kernel, `JLOEvaluator._strings`, evaluates tr(A0 W0 A1 W1 ...
 An Wn) for a stack of terms at a stack of diagonal weights W, and every
-route is a quadrature over it.  The exact route takes W = R(z) =
+route is a quadrature over it.  The weights come points last, (n + 1, d,
+P), and each term carries its partial product transposed as one (d, d P)
+matrix, so each slot is one product Ak^T X^T per term and one scaling
+along the points, and one contraction over the flattened d^2 pair with
+the last slot closes every string.  The exact route takes W = R(z) =
 diag(1/(z + w)) at the nodes of the trapezoid rule on a parabolic contour
 around (-inf, 0] (Weideman & Trefethen, Math. Comp. 76, 2007), the
 Bromwich integral Str(A0 (1/2 pi i) int e^z R(z) A1 R(z) ... An R(z) dz),
@@ -208,28 +212,33 @@ class JLOEvaluator:
     # ---------------------------------------------------------------- exact
     def _strings(self, slots, weights) -> np.ndarray:
         """(T, P) values tr(A0 W0 A1 W1 ... An Wn) of the T terms of a
-        (T, n + 1, d, d) slot stack at the P points of a (P, n + 1, d)
-        stack of diagonal weights.
+        (T, n + 1, d, d) slot stack at the P points of an (n + 1, d, P)
+        stack of diagonal weights, points last.
 
-        Every row and every point step at once, as a (rows, P * d, d)
-        stack, with one product per slot and one column scaling by W; the
-        last slot enters through the trace.  Rows go in chunks whose stack
-        holds at most NODE_STACK_ELEMENTS entries."""
-        n, d = slots.shape[1] - 1, slots.shape[-1]
+        By cyclicity the string is tr(X An), X = Wn A0 W0 A1 W1 ... A(n-1)
+        W(n-1).  Each row carries X transposed as one (d, d P) matrix,
+        X^T[a, (b, p)] = X_p[b, a]: it starts from (Wn A0 W0)^T, each slot
+        is one product X^T <- Ak^T X^T and a scaling of its rows by Wk along
+        the points, and sum_ab X^T[a, b] (An)_ab closes every string in one
+        contraction over the flattened d^2 pair, an einsum that makes no
+        BLAS call.  Rows go in chunks whose stack holds at most
+        NODE_STACK_ELEMENTS entries."""
+        n, d, p = slots.shape[1] - 1, slots.shape[-1], weights.shape[-1]
         if n == 0:
-            return np.einsum("tii,pi->tp", slots[:, 0], weights[:, 0])
-        values = np.empty((len(slots), len(weights)), dtype=np.complex128)
-        step = max(1, NODE_STACK_ELEMENTS // (len(weights) * d * d))
+            return np.einsum("tii,ip->tp", slots[:, 0], weights[0])
+        values = np.empty((len(slots), p), dtype=np.complex128)
+        step = max(1, NODE_STACK_ELEMENTS // (p * d * d))
+        transposed = slots.swapaxes(-1, -2)
+        ends = weights[0][:, None] * weights[n]
         for lo in range(0, len(slots), step):
-            s = slots[lo:lo + step]
-            cur = s[:, 0, None] * weights[:, 0, None, :]
+            s = transposed[lo:lo + step]
+            x = s[:, 0, ..., None] * ends
             for k in range(1, n):
-                cur = (cur.reshape(len(s), -1, d) @ s[:, k]).reshape(
-                    cur.shape)
-                cur *= weights[:, k, None, :]
-            # tr(X An Wn) = sum_ab X_ab (An)_ba (Wn)_a
-            last = (cur * s[:, n, None].swapaxes(-1, -2)).sum(-1)
-            values[lo:lo + step] = (last * weights[:, n]).sum(-1)
+                x = (s[:, k] @ x.reshape(len(s), d, d * p)).reshape(x.shape)
+                x *= weights[k][:, None]
+            values[lo:lo + step] = np.einsum(
+                "tk,tkp->tp", slots[lo:lo + step, n].reshape(len(s), d * d),
+                x.reshape(len(s), d * d, p))
         return values
 
     def term_exact(self, slots) -> np.ndarray:
@@ -243,10 +252,11 @@ class JLOEvaluator:
         w, _ = self.triple.delta_eigensystem()
         n = slots.shape[1] - 1
         if n == 0:
-            return self._strings(slots, np.exp(-w)[None, None])[:, 0]
+            return self._strings(slots, np.exp(-w)[None, :, None])[:, 0]
         z, weights = _contour(n)
-        r = (1.0 / (z[:, None] + w))[:, None].repeat(n + 1, 1)
-        return self._strings(slots, r) @ weights
+        r = 1.0 / (z + w[:, None])
+        return self._strings(slots, np.broadcast_to(r, (n + 1, *r.shape))) \
+            @ weights
 
     # ------------------------------------------------------------- pointwise
     def integrand(self, factors, t) -> complex:
@@ -266,7 +276,7 @@ class JLOEvaluator:
         gaps = np.diff(np.concatenate([[0.0], t, [1.0]]))
         return complex(self._strings(
             self._eigenbasis(plain[:1], brackets[1:])[None],
-            np.exp(-gaps[None, :, None] * w))[0, 0])
+            np.exp(-gaps[:, None, None] * w[:, None]))[0, 0])
 
     # ------------------------------------------------------------------- MC
     def term_mc(self, ops, samples: int, rng):
@@ -278,10 +288,11 @@ class JLOEvaluator:
         if n == 0:
             return complex(self.term_exact(ops[None])[0]), 0.0
         w, _ = self.triple.delta_eigensystem()
-        # a chunk's slot product, (chunk d, d) x (d, d), stays under 2^16 =
+        # a chunk's slot product, (d, d) x (d, chunk d), stays under 2^16 =
         # NODE_STACK_ELEMENTS complex multiply-adds: OpenBLAS threads larger
-        # ones, which for this shape ran slower (d = 4: 14.4 against 8.1 ms
-        # per 10^4 samples, two cores) and left a helper thread spinning
+        # ones, which ran slower (d = 4: 14.4 against 8.1 ms per 10^4
+        # samples, two cores, measured on the (chunk d, d) x (d, d) form)
+        # and left a helper thread spinning
         chunk = max(1, (NODE_STACK_ELEMENTS - 1) // w.size ** 3)
         # the sum and the squared deviation from the mean so far, joined per
         # chunk by Chan's update: no cancelling E|X|^2 against |EX|^2
@@ -289,7 +300,8 @@ class JLOEvaluator:
         for done in range(0, samples, chunk):
             ts = sample_simplex_batch(n, rng, min(chunk, samples - done))
             gaps = np.diff(ts, prepend=0.0, append=1.0)
-            vals = self._strings(ops[None], np.exp(-gaps[:, :, None] * w))[0]
+            weights = np.exp(-gaps.T[:, None] * w[:, None])
+            vals = self._strings(ops[None], weights)[0]
             part, k = complex(vals.sum()), len(vals)
             dev_sq += float(np.sum(np.abs(vals - part / k) ** 2))
             if done:

@@ -117,6 +117,16 @@ class GradedSpace:
         g.setflags(write=False)
         return g
 
+    @cached_property
+    def _parity_weights(self) -> np.ndarray:
+        """(d^2, 2) read-only: the 0/1 masks of the odd-block and the
+        even-block entries of a flattened d x d matrix, as columns."""
+        g = self.gamma_diag
+        split = np.not_equal.outer(g, g).ravel()
+        w = np.stack([split, ~split], axis=1).astype(float)
+        w.setflags(write=False)
+        return w
+
 
 def supertrace(x, space: GradedSpace) -> complex:
     """trace(gamma @ x) for the grading gamma of space."""
@@ -137,12 +147,12 @@ def parity_codes(stack, space: GradedSpace) -> np.ndarray:
     g = space.gamma_diag
     if a.shape[-2:] != (g.size, g.size):
         raise ValueError("grading and matrix dimensions disagree")
-    split = np.not_equal.outer(g, g).ravel()
     a = a.reshape(*a.shape[:-2], g.size ** 2)
     _, k = np.frexp(np.maximum(abs(a.real), abs(a.imag)).max(-1, initial=0))
     scale = np.ldexp(1.0, -np.maximum(k, 0))[..., None]
     sq = np.abs(a * scale) ** 2
-    odd, even = sq @ split, sq @ ~split
+    parts = sq @ space._parity_weights
+    odd, even = parts[..., 0], parts[..., 1]
     tol = (PARITY_TOL / 2) ** 2 * np.maximum(scale[..., 0] ** 2, odd + even)
     return ~(odd <= tol) * (1 + ~(even <= tol))
 

@@ -494,6 +494,43 @@ def test_index_refuses_a_pair_over_the_dimension_bound(tmp_path, monkeypatch,
     assert "product law" in capsys.readouterr().out
 
 
+def test_index_refuses_an_oversize_file_before_decoding_it(tmp_path,
+                                                          monkeypatch, capsys):
+    # the declared sizes are checked as soon as the files are loaded: no
+    # triple is decoded and validated past the bound
+    from jlolab import spectral
+
+    def refuse(*args):
+        raise AssertionError("validated a triple past the bound")
+
+    tp, ep = _write_pair(tmp_path)
+    amplified = _write_amplified(tmp_path)
+    wide = tmp_path / "wide.json"
+    d = cli.INDEX_DIM_LIMIT + 1
+    wide.write_text(json.dumps(triple_to_json(SpectralTripleFD(
+        GradedSpace(d // 2 + 1, d // 2), np.zeros((d, d)), ()))))
+    monkeypatch.setattr(spectral, "validate_triple", refuse)
+    assert main(["index", str(wide), ep]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: Hilbert dimension {d} is over the bound of {d - 1}\n")
+    monkeypatch.setattr(cli, "INDEX_DIM_LIMIT", 3)
+    for argv, dim in (([tp, ep, "--times", tp], 4), ([tp, amplified], 4),
+                      ([tp, ep, "--times", tp, amplified], 8)):
+        assert main(["index", *argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: Hilbert dimension {dim} is over the bound of 3\n")
+    # a size field that is not a plain integer in range is decoding's to
+    # refuse, with its own message
+    obj = json.loads(wide.read_text())
+    for key, value, message in (("dim_even", str(d), "dim_even must be an "
+                                 "integer"),
+                                ("dim_odd", -1, "dimensions must be "
+                                 "non-negative")):
+        wide.write_text(json.dumps(dict(obj, **{key: value})))
+        assert main(["index", str(wide), ep]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_index_kick_whose_tail_is_under_the_threshold_exits_zero(tmp_path,
                                                                 capsys):
     # the pairing terms at kick 0.2 reach degree 12 over the truncation

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -230,6 +231,43 @@ def test_node_stack_chunks_give_the_same_rows(monkeypatch):
         np.testing.assert_allclose(
             ev.integrand(factors, point), pointwise, rtol=0,
             atol=64 * UNIT_ROUNDOFF * abs(pointwise))
+
+
+def _explicit_strings(slots, weights):
+    """tr(A0 W0 A1 W1 ... An Wn) of each row of slots at each point p of
+    (n + 1, d, P) weights, as the trace of the explicit matrix product."""
+    return np.array([[np.trace(functools.reduce(np.matmul, [
+        a @ np.diag(w[:, p]) for a, w in zip(row, weights)]))
+        for p in range(weights.shape[-1])] for row in slots])
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_strings_match_the_explicit_product_at_each_point(monkeypatch, n):
+    # at one point (the integrand), at the 37 contour nodes and at one full
+    # Monte Carlo chunk; on a generic, a flat (D = 0) and a repeated-
+    # eigenvalue triple (the product of two identical factors); with every
+    # row in one chunk and with one row a chunk
+    rng = np.random.default_rng(31)
+    t21 = random_triple(rng, 2, 1)
+    flat = SpectralTripleFD(GradedSpace(2, 1), np.zeros((3, 3)), (np.eye(3),))
+    z, _ = jlo._contour(6)
+    for t in (t21, flat, product_triple(t21, t21)):
+        ev, d = JLOEvaluator(t), t.hilbert_dim
+        w = t.delta_eigensystem()[0][:, None]
+        slots = (rng.standard_normal((2, n + 1, d, d))
+                 + 1j * rng.standard_normal((2, n + 1, d, d)))
+        chunk = (jlo.NODE_STACK_ELEMENTS - 1) // d ** 3
+        gaps = np.diff(sample_simplex_batch(n, rng, chunk),
+                       prepend=0.0, append=1.0).T[:, None]
+        for weights in (np.exp(-gaps[..., :1] * w),
+                        np.broadcast_to(1.0 / (z + w), (n + 1, d, z.size)),
+                        np.exp(-gaps * w)):
+            want = _explicit_strings(slots, weights)
+            for budget in (jlo.NODE_STACK_ELEMENTS, weights[0].size * d):
+                monkeypatch.setattr(jlo, "NODE_STACK_ELEMENTS", budget)
+                np.testing.assert_allclose(
+                    ev._strings(slots, weights), want, rtol=0,
+                    atol=64 * UNIT_ROUNDOFF * abs(want).max())
 
 
 def test_contour_rule_meets_its_bound_on_the_worst_string():

@@ -182,3 +182,27 @@ def test_same_outputs_names_a_changed_library_call(same_outputs):
         "(-0.0024000000000000002-0.0741j)\n" in diff
     # the unchanged calls show only as context
     assert "-jlo_cochain" not in diff and "+jlo_cochain" not in diff
+
+
+def test_same_outputs_says_how_far_each_diff_moved(same_outputs):
+    parent = {"index 0: stdout": INDEX_STDOUT, "index 0: exit": "0\n"}
+    moved = INDEX_STDOUT.replace("4.441e-16", "6.661e-16")
+    renamed = INDEX_STDOUT.replace("fredholm index", "fredholm value")
+    added = INDEX_STDOUT + "  product law       : +1\n"
+    for text, line in (
+            (moved, "moved 1 line(s); largest relative change between "
+                    "paired numbers 0.33; other tokens unchanged"),
+            (renamed, "moved 1 line(s); largest relative change between "
+                      "paired numbers 0; other tokens changed"),
+            (added, "moved 1 line(s); largest relative change between "
+                    "paired numbers 0; other tokens changed")):
+        stream = io.StringIO()
+        change = dict(parent, **{"index 0: stdout": text})
+        assert same_outputs.report(parent, change, stream) == 1
+        assert stream.getvalue().endswith(f"\n{line}\n\n")
+    # two numbers on one line, the largest change of the pair counts
+    old = ["generic 2|1 jlo_integrand (-0.0024-0.0741j)\n"]
+    new = ["generic 2|1 jlo_integrand (-0.0024000000000000002-0.0742j)\n"]
+    assert same_outputs.movement(old, new).startswith(
+        "moved 1 line(s); largest relative change between paired numbers "
+        "0.0013;")

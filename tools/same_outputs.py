@@ -45,7 +45,12 @@ squares overflow, and `represent`, `unrepresent` and `commutator_d` on
 operators of the wrong size for their triple.  A command that raises is
 recorded by its exception.
 Prints `identical`, or one unified diff per output that differs and exits
-1.
+1.  Each diff is followed by one line that says how far it moved: the
+number of lines it changed, the largest relative change between the
+numbers of paired lines, and whether any other token changed.  Changed
+lines pair up in order within each block of the diff; a block that removes
+as many lines as it adds pairs each line with its counterpart, and any
+other block counts as a changed token.
 """
 
 from __future__ import annotations
@@ -55,12 +60,15 @@ import difflib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
 
 INDEX_SEED = 531
 LIBRARY_SEED = 743
+# a decimal number, with its sign, fraction and exponent
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 # builds perfbench's Index inputs in a directory and prints each call's argv
 WRITE_INDEX_INPUTS = """
@@ -344,15 +352,41 @@ def run_library(root, perfbench, workdir, name, script):
             f"{name}: exit": f"{proc.returncode}\n"}
 
 
+def movement(old, new):
+    """One line on how far the lines of new moved from those of old."""
+    moved, largest, other = 0, 0.0, False
+    matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        moved += max(i2 - i1, j2 - j1)
+        if i2 - i1 != j2 - j1:
+            other = True
+            continue
+        for a, b in zip(old[i1:i2], new[j1:j2]):
+            # the text around the numbers, which also counts them
+            other = other or NUMBER.sub("#", a) != NUMBER.sub("#", b)
+            for x, y in zip(map(float, NUMBER.findall(a)),
+                            map(float, NUMBER.findall(b))):
+                if x != y:
+                    largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+    return (f"moved {moved} line(s); largest relative change between "
+            f"paired numbers {largest:.2g}; other tokens "
+            f"{'changed' if other else 'unchanged'}\n")
+
+
 def differences(parent, change):
-    """One unified diff per output whose text differs between the sides."""
+    """One unified diff per output whose text differs between the sides,
+    each followed by its `movement` line."""
     out = []
     for name in sorted(parent.keys() | change.keys()):
         old, new = parent.get(name, ""), change.get(name, "")
         if old != new:
-            out.append("".join(difflib.unified_diff(
-                old.splitlines(keepends=True), new.splitlines(keepends=True),
-                f"parent/{name}", f"change/{name}")))
+            old, new = (old.splitlines(keepends=True),
+                        new.splitlines(keepends=True))
+            diff = "".join(difflib.unified_diff(
+                old, new, f"parent/{name}", f"change/{name}"))
+            out.append(diff.rstrip("\n") + "\n" + movement(old, new))
     return out
 
 
