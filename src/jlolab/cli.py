@@ -56,9 +56,10 @@ __all__ = ["main"]
 DECOMPOSE_DEGREE_LIMIT = 6
 DECOMPOSE_ROW_BUDGET = 2_000_000
 # the largest Hilbert dimension of a pair `index` checks, ampliation and
-# product included: a 256-dimensional pair, as one factor or as a 16 x 16
-# product, took 3.1-4.5 s and peaked at 138-151 MB on one BLAS thread of a
-# 2-core Xeon; time grows as d^3
+# product included: a 256-dimensional pair at dirac_scale 0.05 took
+# 1.8-2.7 s and peaked at 138 MB as a 16 x 16 product, and 2.1-2.9 s and
+# 181 MB as one factor read from 7.7 MB of JSON, on one BLAS thread of a
+# shared 2-core Xeon; time grows as d^3
 INDEX_DIM_LIMIT = 256
 # what reading and checking an input file or the config may raise
 _BAD_INPUT = (OSError, ValueError, KeyError, TypeError)

@@ -10,13 +10,16 @@ terms with one take; a term whose supertrace vanishes by parity reaches
 no route.
 
 In the eigenbasis every heat factor and every resolvent is diagonal, so
-one string kernel, `JLOEvaluator._strings`, evaluates tr(A0 W0 A1 W1 ...
-An Wn) for a stack of terms at a stack of diagonal weights W, and every
-route is a quadrature over it.  The weights come points last, (n + 1, d,
-P), and each term carries its partial product transposed as one (d, d P)
-matrix, so each slot is one product Ak^T X^T per term and one scaling
-along the points, and one contraction over the flattened d^2 pair with
-the last slot closes every string.  The exact route takes W = R(z) =
+one string kernel, `JLOEvaluator._string_run` (by chunks of rows,
+`_strings`), evaluates tr(A0 W0 A1 W1 ... An Wn) for a stack of terms at
+a stack of diagonal weights W, and every route is a quadrature over it.
+The weights come points last, (n + 1, d, P), and each term carries its
+partial product transposed as one (d, d P) matrix, so each slot is one
+product Ak^T X^T per term and one scaling along the points, and one
+contraction over the flattened d^2 pair with the last slot closes every
+string; a run may close the points of a lower degree n at its slot n,
+with the last slot's weights after An (the pairing's weights are the
+same at every slot).  The exact route takes W = R(z) =
 diag(1/(z + w)) at the nodes of the trapezoid rule on a parabolic contour
 around (-inf, 0] (Weideman & Trefethen, Math. Comp. 76, 2007), the
 Bromwich integral Str(A0 (1/2 pi i) int e^z R(z) A1 R(z) ... An R(z) dz),
@@ -30,7 +33,9 @@ The module also carries the contraction variant with [D, a0] in the first
 slot, the perturbed mixed-parity cochain built from it, and the integer
 index pairing, whose degrees 2, 4, ... are exact-route terms of one slot
 stack (gamma (e - 1/2), [D, e], ..., [D, e]), evaluated until the series
-settles.
+settles.  The degrees below the one where the terms' a-priori bound
+stops the series share string runs, each degree at its own contour nodes
+and closing at its own slot, as many as one slot product's budget holds.
 """
 
 from __future__ import annotations
@@ -110,6 +115,8 @@ def _log_strip_error(y, mu, h, p):
             - q - np.log(-np.expm1(-q)))
 
 
+# bounded: every route refuses a degree over DEGREE_CAP before it reads
+# a rule
 @functools.lru_cache(maxsize=None)
 def _contour(n: int):
     """Nodes z (N,) and weights c (N,), read-only, with
@@ -137,10 +144,19 @@ def _contour(n: int):
     UNIT_ROUNDOFF / n!; of those shapes the smallest mu is taken, since
     rounding adds about UNIT_ROUNDOFF sum_j |c_j F(z_j)|, which grows with
     e^mu mu^{-p}.  The count depends on n only: 2M + 1 = 39 nodes for
-    n = 1 and 37 for 2 <= n <= DEGREE_CAP.
+    n = 1 and 37 for 2 <= n <= DEGREE_CAP.  The target is taken in logs,
+    log UNIT_ROUNDOFF - log n!, so no factorial overflows at n >= 171.
     """
-    p = n + 1
-    target = math.log(UNIT_ROUNDOFF / math.factorial(n))
+    z, weights = _trapezoid_rule(
+        n + 1, math.log(UNIT_ROUNDOFF) - math.lgamma(n + 1))
+    z.setflags(write=False)
+    weights.setflags(write=False)
+    return z, weights
+
+
+def _trapezoid_rule(p: int, target: float):
+    """Nodes and weights of `_contour`'s rule for exponent p, at the least
+    count whose error bound over S is at most e^target."""
     beta, alpha = np.meshgrid(_BETA, _ALPHA, indexing="ij")
     for m in itertools.count(1):
         h, mu = alpha / m, beta * m
@@ -158,10 +174,27 @@ def _contour(n: int):
     h, mu = alpha.flat[fits[0]] / m, beta.flat[fits[0]] * m
     u = h * np.arange(-m, m + 1)
     z = mu * (1.0 + 1j * u) ** 2
-    weights = (h * mu / np.pi) * (1.0 + 1j * u) * np.exp(z)
+    return z, (h * mu / np.pi) * (1.0 + 1j * u) * np.exp(z)
+
+
+def _product_points(d: int) -> int:
+    """Points P whose slot product, (d, d) x (d, P d), stays under 2^16 =
+    NODE_STACK_ELEMENTS complex multiply-adds: OpenBLAS threads larger
+    ones, which ran slower (d = 4: 14.4 against 8.1 ms per 10^4 Monte Carlo
+    samples, two cores, measured on the (P d, d) x (d, d) form) and left a
+    helper thread spinning."""
+    return (NODE_STACK_ELEMENTS - 1) // d ** 3
+
+
+@functools.cache
+def _pairing_contour():
+    """The nodes of `_contour(2m)`, m = 1, ..., DEGREE_CAP // 2, side by
+    side, and the offsets at[m - 1]:at[m] of each degree's nodes.  The
+    cache holds one entry: the pairing's degrees are fixed by DEGREE_CAP."""
+    rules = [_contour(2 * m)[0] for m in range(1, DEGREE_CAP // 2 + 1)]
+    z = np.concatenate(rules)
     z.setflags(write=False)
-    weights.setflags(write=False)
-    return z, weights
+    return z, tuple(itertools.accumulate(map(len, rules), initial=0))
 
 
 class JLOEvaluator:
@@ -213,33 +246,45 @@ class JLOEvaluator:
     def _strings(self, slots, weights) -> np.ndarray:
         """(T, P) values tr(A0 W0 A1 W1 ... An Wn) of the T terms of a
         (T, n + 1, d, d) slot stack at the P points of an (n + 1, d, P)
-        stack of diagonal weights, points last.
-
-        By cyclicity the string is tr(X An), X = Wn A0 W0 A1 W1 ... A(n-1)
-        W(n-1).  Each row carries X transposed as one (d, d P) matrix,
-        X^T[a, (b, p)] = X_p[b, a]: it starts from (Wn A0 W0)^T, each slot
-        is one product X^T <- Ak^T X^T and a scaling of its rows by Wk along
-        the points, and sum_ab X^T[a, b] (An)_ab closes every string in one
-        contraction over the flattened d^2 pair, an einsum that makes no
-        BLAS call.  Rows go in chunks whose stack holds at most
-        NODE_STACK_ELEMENTS entries."""
+        stack of diagonal weights, points last: one `_string_run` per chunk
+        of rows whose stack holds at most NODE_STACK_ELEMENTS entries."""
         n, d, p = slots.shape[1] - 1, slots.shape[-1], weights.shape[-1]
         if n == 0:
             return np.einsum("tii,ip->tp", slots[:, 0], weights[0])
         values = np.empty((len(slots), p), dtype=np.complex128)
         step = max(1, NODE_STACK_ELEMENTS // (p * d * d))
-        transposed = slots.swapaxes(-1, -2)
-        ends = weights[0][:, None] * weights[n]
         for lo in range(0, len(slots), step):
-            s = transposed[lo:lo + step]
-            x = s[:, 0, ..., None] * ends
-            for k in range(1, n):
-                x = (s[:, k] @ x.reshape(len(s), d, d * p)).reshape(x.shape)
-                x *= weights[k][:, None]
-            values[lo:lo + step] = np.einsum(
-                "tk,tkp->tp", slots[lo:lo + step, n].reshape(len(s), d * d),
-                x.reshape(len(s), d * d, p))
+            values[lo:lo + step] = next(self._string_run(
+                slots[lo:lo + step], weights, [(n, p)]))
         return values
+
+    @staticmethod
+    def _string_run(slots, weights, spans):
+        """Per span (n, count) of spans, ascending in n >= 1 and in points,
+        yield the (T, count) values tr(A0 W0 A1 W1 ... A(n-1) W(n-1) An WN)
+        of the T terms of a (T, N + 1, d, d) slot stack at the span's points
+        of an (N + 1, d, P) stack of diagonal weights W, points last.
+        Each is the string tr(A0 W0 ... An Wn) where Wn = WN: at n = N,
+        and at every n when one W serves every slot.
+
+        By cyclicity the string is tr(X An), X = WN A0 W0 A1 W1 ... A(n-1)
+        W(n-1).  Each row carries X transposed over the live points as one
+        (d, d P) matrix, X^T[a, (b, p)] = X_p[b, a]: it starts from
+        (WN A0 W0)^T, and each slot k is one product X^T <- Ak^T X^T and a
+        scaling of its rows by Wk along the points.  On reaching slot n,
+        sum_ab X^T[a, b] (An)_ab closes the span's strings in one
+        contraction over the flattened d^2 pair, an einsum that makes no
+        BLAS call, and their points leave the stack."""
+        t, d = len(slots), slots.shape[-1]
+        transposed, live = slots.swapaxes(-1, -2), weights[:, :, None]
+        x, k = transposed[:, 0, ..., None] * (live[0] * weights[-1]), 1
+        for n, count in spans:
+            for k in range(k, n):
+                x = (transposed[:, k] @ x.reshape(t, d, -1)).reshape(x.shape)
+                x *= live[k]
+            yield np.einsum("tk,tkp->tp", slots[:, n].reshape(t, d * d),
+                            x[..., :count].reshape(t, d * d, count))
+            x, live, k = x[..., count:], live[..., count:], n
 
     def term_exact(self, slots) -> np.ndarray:
         """Values of the T terms of a (T, n + 1, d, d) stack in Delta's
@@ -288,12 +333,7 @@ class JLOEvaluator:
         if n == 0:
             return complex(self.term_exact(ops[None])[0]), 0.0
         w, _ = self.triple.delta_eigensystem()
-        # a chunk's slot product, (d, d) x (d, chunk d), stays under 2^16 =
-        # NODE_STACK_ELEMENTS complex multiply-adds: OpenBLAS threads larger
-        # ones, which ran slower (d = 4: 14.4 against 8.1 ms per 10^4
-        # samples, two cores, measured on the (chunk d, d) x (d, d) form)
-        # and left a helper thread spinning
-        chunk = max(1, (NODE_STACK_ELEMENTS - 1) // w.size ** 3)
+        chunk = max(1, _product_points(w.size))
         # the sum and the squared deviation from the mean so far, joined per
         # chunk by Chan's update: no cancelling E|X|^2 against |EX|^2
         total, dev_sq = 0.0 + 0.0j, 0.0
@@ -407,21 +447,26 @@ def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:
     integer; at DEGREE_CAP the sum is also accepted when the terms' bound
     past it is under that threshold.  NonConvergentError is raised when
     neither holds by DEGREE_CAP, or the terms settle before their peak.
+    One bound on the terms serves the stop rule and the evaluation: the
+    degrees below the one where it falls under every threshold share
+    string runs (see `_pairing_terms`), so a run that the term stop ends
+    early has carried its later degrees part way, up to the stop's slot.
     """
     de = amp.dirac @ e - e @ amp.dirac
-    acc = 0.0 + 0.0j
-    for n, term in enumerate(_pairing_terms(amp, e, de)):
-        acc += term
-        threshold = PAIRING_TRUNCATION * (1.0 + abs(acc))
-        if n >= 1 and abs(term) < threshold:
-            break
     # the degree-2m term is at most (d/2) c^m / m! for c >= ||[D, e]||^2,
     # and ||[D, e]|| <= ||D|| for a projection; the bound's tail past the
     # stop grows with c and is far over the threshold at c = 700, where
     # e^c is still finite
     c = min(amp.delta_eigensystem()[0][-1], np.vdot(de, de).real, 700.0)
-    tail = 0.5 * amp.hilbert_dim * (math.exp(c) - sum(
-        c ** m / math.factorial(m) for m in range(n + 1)))
+    series = [c ** m / math.factorial(m)
+              for m in range(DEGREE_CAP // 2 + 1)]
+    acc = 0.0 + 0.0j
+    for n, term in enumerate(_pairing_terms(amp, e, de, series)):
+        acc += term
+        threshold = PAIRING_TRUNCATION * (1.0 + abs(acc))
+        if n >= 1 and abs(term) < threshold:
+            break
+    tail = 0.5 * amp.hilbert_dim * (math.exp(c) - sum(series[:n + 1]))
     # at DEGREE_CAP without the term stop, the tail must meet its threshold
     if not (abs(term) < threshold or tail < threshold):
         raise NonConvergentError(
@@ -435,10 +480,20 @@ def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:
                          integer=_rounded_index(acc, "pairing value"))
 
 
-def _pairing_terms(amp: SpectralTripleFD, e, de):
+def _pairing_terms(amp: SpectralTripleFD, e, de, series):
     """Pairing terms in degrees 0, 2, ..., DEGREE_CAP, one at a time:
-    Str(e e^{-Delta}), then `term_exact` on the first 2n + 1 slots of one
-    eigenbasis stack (gamma (e - 1/2), de = [D, e], ..., [D, e])."""
+    Str(e e^{-Delta}), then degree 2m's strings of one eigenbasis stack
+    (gamma (e - 1/2), de = [D, e], ..., [D, e]) at the nodes of
+    `_contour(2m)`, summed with its weights, where series[m] = c^m / m!.
+
+    Below the least m whose bound (d/2) series[m] is under
+    PAIRING_TRUNCATION, where the term stop must fire, consecutive degrees
+    share one `_string_run` over their nodes side by side while those fit
+    one slot product's budget (`_product_points`).  Each degree closes at
+    its own slot and is yielded there, so a run whose reader stops early
+    has carried its later degrees only up to that slot.  From that m on,
+    and where one degree's nodes overrun the budget, each degree runs
+    alone, as its own `term_exact` call would."""
     yield supertrace(e @ amp.heat(1.0), amp.space)
     if _scalar_entries(e[None])[0]:
         yield 0.0 + 0.0j
@@ -447,6 +502,24 @@ def _pairing_terms(amp: SpectralTripleFD, e, de):
     stack = np.empty((1, DEGREE_CAP + 1, d, d), dtype=np.complex128)
     stack[0, 0], stack[0, 1:] = ev._eigenbasis(
         (e - 0.5 * np.eye(d))[None], de[None])
-    for n in range(1, DEGREE_CAP // 2 + 1):
-        yield ((-1) ** n * math.factorial(2 * n) / math.factorial(n)
-               * ev.term_exact(stack[:, :2 * n + 1])[0])
+    w, _ = amp.delta_eigensystem()
+    z, at = _pairing_contour()
+    top, points = len(series) - 1, _product_points(d)
+    # the term stop fires at the least m whose bound is under every
+    # threshold, or before it
+    stop = next((m for m in range(1, top + 1)
+                 if 0.5 * d * series[m] < PAIRING_TRUNCATION), top + 1)
+    first = 1
+    while first <= top:
+        last = first
+        while last + 1 < stop and at[last + 1] - at[first - 1] <= points:
+            last += 1
+        r = 1.0 / (z[at[first - 1]:at[last]] + w[:, None])
+        degrees = range(first, last + 1)
+        for m, values in zip(degrees, ev._string_run(
+                stack[:, :2 * last + 1],
+                np.broadcast_to(r, (2 * last + 1, *r.shape)),
+                [(2 * m, at[m] - at[m - 1]) for m in degrees])):
+            yield ((-1) ** m * math.factorial(2 * m) / math.factorial(m)
+                   * (values @ _contour(2 * m)[1])[0])
+        first = last + 1

@@ -282,6 +282,43 @@ def test_contour_rule_meets_its_bound_on_the_worst_string():
                 1 / math.factorial(n) + 4 * np.abs(terms).sum())
 
 
+def test_contour_log_target_keeps_the_factorial_shapes():
+    # log UNIT_ROUNDOFF - lgamma(n + 1) and log(UNIT_ROUNDOFF / n!) differ
+    # in the last bits (7.1e-15 at n = 4); no shape may move with them
+    for n in range(1, DEGREE_CAP + 1):
+        want = jlo._trapezoid_rule(
+            n + 1, math.log(UNIT_ROUNDOFF / math.factorial(n)))
+        for got, old in zip(jlo._contour(n), want):
+            assert got.tobytes() == old.tobytes()
+
+
+def test_contour_past_the_factorial_range_is_finite():
+    # 171! overflows a float, its logarithm does not
+    z, c = jlo._contour.__wrapped__(171)
+    assert len(z) == len(c) and len(z) % 2 == 1
+    assert np.isfinite(z).all() and np.isfinite(c).all()
+
+
+def test_string_run_closes_each_span_at_its_own_slot():
+    # degrees 1, 2 and 4 over 3, 5 and 2 points of one generic weight stack,
+    # each string closed by the last slot's weights
+    rng = np.random.default_rng(32)
+    d, spans = 3, [(1, 3), (2, 5), (4, 2)]
+    slots = (rng.standard_normal((2, 5, d, d))
+             + 1j * rng.standard_normal((2, 5, d, d)))
+    weights = (rng.standard_normal((5, d, 10))
+               + 1j * rng.standard_normal((5, d, 10)))
+    runs = list(JLOEvaluator._string_run(slots, weights, spans))
+    assert len(runs) == len(spans)
+    lo = 0
+    for (n, count), got in zip(spans, runs):
+        want = _explicit_strings(slots[:, :n + 1], np.concatenate(
+            [weights[:n], weights[4:]])[..., lo:lo + count])
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=64 * UNIT_ROUNDOFF * abs(want).max())
+        lo += count
+
+
 def test_integrand_at_simplex_points():
     rng = np.random.default_rng(6)
     t = random_triple(rng, 1, 1)

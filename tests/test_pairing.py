@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from jlolab import cli
+from jlolab import cli, jlo
 from jlolab.chains import Chain, ElementaryChain
 from jlolab.jlo import (
     DEGREE_CAP,
     PAIRING_TRUNCATION,
+    JLOEvaluator,
     NonConvergentError,
     index_pairing,
     jlo_cochain,
@@ -113,6 +114,64 @@ def test_pairing_matches_per_degree_route():
         rep = _pairing(t, e)
         assert abs(rep.value - value) <= 1e-12 * (1.0 + abs(value)), label
         assert rep.truncation_degree == degree, label
+
+
+def _run_cases():
+    """(label, triple, idempotent, the degrees of each string run that
+    index_pairing starts) on each side of the slot product's budget."""
+    rng = np.random.default_rng(3_201)
+    t = random_triple(rng, 2, 1, dirac_scale=0.1)
+    e = random_even_projection(rng, t.space, 1)
+    big = random_triple(rng, 8, 8, dirac_scale=0.05)
+    half = random_even_projection(rng, big.space, 4, 4)
+    flat = SpectralTripleFD(GradedSpace(1, 1), np.zeros((2, 2)),
+                            (np.eye(2),))
+    return [
+        # the bound stops the terms by degree 10; every degree below it
+        # shares one run
+        ("kick 0.1", _kick(0.1), Idempotent(E_EVEN), [(2, 4, 6, 8), (10,)]),
+        # D = 0: the bound stops the terms at degree 2, which runs alone
+        ("flat", flat, Idempotent(E_EVEN), [(2,)]),
+        # d = 9, with repeated eigenvalues of D^2: two degrees' nodes fit
+        # one slot product
+        ("2|1 squared", product_triple(t, t), Idempotent(np.kron(e, e)),
+         [(2, 4), (6, 8), (10,)]),
+        # d = 16: one degree's nodes overrun it
+        ("random 8|8 at 0.05", big, Idempotent(half),
+         [(2,), (4,), (6,), (8,)]),
+    ]
+
+
+@pytest.mark.parametrize("case", _run_cases(), ids=lambda case: case[0])
+def test_pairing_degrees_share_runs_below_the_bound_stop(monkeypatch, case):
+    _, triple, idem, runs = case
+    started, calls = [], []
+    run, terms = JLOEvaluator._string_run, jlo._pairing_terms
+
+    def spy_run(slots, weights, spans):
+        started.append(tuple(n for n, _ in spans))
+        return run(slots, weights, spans)
+
+    def spy_terms(*args):
+        calls.append(args)
+        return terms(*args)
+
+    monkeypatch.setattr(JLOEvaluator, "_string_run", staticmethod(spy_run))
+    monkeypatch.setattr(jlo, "_pairing_terms", spy_terms)
+    _pairing(triple, idem)
+    assert started == runs
+    # every degree, past the stop too, as term_exact gives it on the first
+    # 2m + 1 slots of the pairing's stack
+    (amp, e, de, series), = calls
+    ev, d = JLOEvaluator(amp), amp.hilbert_dim
+    stack = np.empty((1, DEGREE_CAP + 1, d, d), dtype=np.complex128)
+    stack[0, 0], stack[0, 1:] = ev._eigenbasis(
+        (e - 0.5 * np.eye(d))[None], de[None])
+    got = list(terms(amp, e, de, series))
+    assert len(got) == DEGREE_CAP // 2 + 1
+    for m in range(1, DEGREE_CAP // 2 + 1):
+        assert got[m] == ((-1) ** m * math.factorial(2 * m) / math.factorial(m)
+                          * ev.term_exact(stack[:, :2 * m + 1])[0]), m
 
 
 def test_scalar_idempotent_stops_at_degree_two_with_zero_term():

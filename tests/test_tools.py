@@ -1,7 +1,11 @@
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +160,27 @@ def test_same_outputs_rejected_pairs_each_fail_their_own_check(
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert len(same_outputs.BAD_PAIRS) == len(messages)
+
+
+def test_same_outputs_random_pairs_reach_degree_eight(same_outputs,
+                                                      tmp_path, capsys):
+    # the mid-dimension `index` jobs run the pairing's kernel to degree 8 or
+    # more, so a change in it shows in their printed values
+    from jlolab import cli
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    calls = json.loads(subprocess.run(
+        [sys.executable, "-c", same_outputs.WRITE_RANDOM_PAIRS,
+         str(same_outputs.INDEX_SEED), str(tmp_path),
+         json.dumps(same_outputs.RANDOM_PAIRS)], env=env,
+        capture_output=True, text=True, check=True).stdout)
+    assert [name for name, _ in calls] == [
+        "index, random 4|4 at 0.05", "index, random 8|8 at 0.05"]
+    jobs = dict(same_outputs.jobs(str(tmp_path), calls))
+    for name, _ in calls:
+        assert cli.main(jobs[name]) == 0
+        out = capsys.readouterr().out
+        degree = int(re.search(r"truncated at degree (\d+)", out).group(1))
+        assert degree >= 8, name
 
 
 LIBRARY_STDOUT = """\

@@ -22,7 +22,9 @@ through `jlolab.cli.main`:
   `--times`: times the same triple's unit, times itself, where the
   product law is checked as for any pair, and, amplified to `blocks` 9,
   times itself, where each factor is within INDEX_DIM_LIMIT but the
-  product is not, so `index` exits 2;
+  product is not, so `index` exits 2, and over `RANDOM_PAIRS`: random 4|4
+  and 8|8 triples at `dirac_scale` 0.05 with half-rank even projections,
+  whose pairings run to degree 8 at mid dimension;
 - `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`, and the
   runs with no point to sample (`--shuffle 0 0`), with degree-0 blocks
   (`--shuffle 0 3`, `--cyclic 0`, `--cyclic 2 0 1`) and over the row
@@ -30,8 +32,8 @@ through `jlolab.cli.main`:
 - `verify` and `decompose` on bad `--config` files (one nested past the
   recursion limit) and bad flags.
 
-The input files are written once, by the parent's perfbench, and both
-sides read the same ones.  One more job per side calls the library
+The input files are written once, by the parent's perfbench and `src/`,
+and both sides read the same ones.  One more job per side calls the library
 directly, on the inputs of perfbench's `Cochain` workload at seed 743,
 built by the parent's perfbench on that side's `src/`.  It prints the
 `repr` of `jlo_cochain`, `bch_cochain`, `perturbed_cochain` and
@@ -76,6 +78,38 @@ import json, sys
 from workloads import Index
 calls = Index(int(sys.argv[1]), sys.argv[2]).calls
 print(json.dumps([argv for _, argv, _ in calls]))
+"""
+
+# (dim_even = dim_odd, dirac_scale) of the random `index` pairs
+RANDOM_PAIRS = [(4, 0.05), (8, 0.05)]
+
+# writes a random triple and a half-rank even projection on it per entry of
+# RANDOM_PAIRS in a directory, and prints each pair's (name, argv)
+WRITE_RANDOM_PAIRS = """
+import json, os, sys
+import numpy as np
+import jlolab
+seed, workdir, pairs = int(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3])
+rng = np.random.default_rng(seed)
+calls = []
+for half, scale in pairs:
+    t = jlolab.random_triple(rng, half, half, dirac_scale=scale)
+    # QR frames of rank half // 2 in each parity block
+    e = np.zeros((2 * half, 2 * half), dtype=np.complex128)
+    for block in (slice(0, half), slice(half, None)):
+        q, _ = np.linalg.qr(rng.standard_normal((half, half))
+                            + 1j * rng.standard_normal((half, half)))
+        v = q[:, :half // 2]
+        e[block, block] = v @ v.conj().T
+    paths = [os.path.join(workdir, f"random-{half}-{part}.json")
+             for part in ("triple", "idempotent")]
+    objs = (jlolab.triple_to_json(t),
+            jlolab.idempotent_to_json(jlolab.Idempotent(e)))
+    for path, obj in zip(paths, objs):
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+    calls.append((f"index, random {half}|{half} at {scale}", paths))
+print(json.dumps(calls))
 """
 
 # runs the jobs of a JSON file through cli.main; writes {output: text}
@@ -237,8 +271,9 @@ def _matrix(rows):
 
 
 def jobs(inputs, index_calls):
-    """(name, argv) of every command both sides run; config files are
-    written to inputs."""
+    """(name, argv) of every command both sides run; index_calls are the
+    (name, argv) of the `index` runs over written inputs, and config files
+    are written to inputs."""
     out = [(f"verify --seed {seed}",
             ["verify", "--seed", str(seed), "--report", "report.json"])
            for seed in (42, 7)]
@@ -256,8 +291,7 @@ def jobs(inputs, index_calls):
         out.append((f"verify --seed 3, config {json.dumps(raw)}", [
             "verify", "--config", path, "--seed", "3",
             "--report", "report.json"]))
-    out += [(f"index {k}", ["index", *argv])
-            for k, argv in enumerate(index_calls)]
+    out += [(name, ["index", *argv]) for name, argv in index_calls]
     for k, (what, dirac, gens, idem) in enumerate(BAD_PAIRS + KICKS):
         paths = [os.path.join(inputs, f"bad-{part}{k}.json")
                  for part in ("triple", "idempotent")]
@@ -413,10 +447,15 @@ def main() -> int:
         perfbench = roots["parent"] / "perfbench"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(roots["parent"] / "src"), str(perfbench)]))
-        index_calls = json.loads(subprocess.run(
-            [sys.executable, "-c", WRITE_INDEX_INPUTS, str(INDEX_SEED),
-             str(inputs)], env=env, capture_output=True, text=True,
-            check=True).stdout)
+        index_calls = [(f"index {k}", argv) for k, argv in enumerate(
+            json.loads(subprocess.run(
+                [sys.executable, "-c", WRITE_INDEX_INPUTS, str(INDEX_SEED),
+                 str(inputs)], env=env, capture_output=True, text=True,
+                check=True).stdout))]
+        index_calls += json.loads(subprocess.run(
+            [sys.executable, "-c", WRITE_RANDOM_PAIRS, str(INDEX_SEED),
+             str(inputs), json.dumps(RANDOM_PAIRS)], env=env,
+            capture_output=True, text=True, check=True).stdout)
         jobs_path = tmp / "jobs.json"
         jobs_path.write_text(json.dumps(jobs(str(inputs), index_calls)))
         outputs = {side: run_side(str(root), str(jobs_path),
