@@ -6,6 +6,15 @@ A chain is a finite complex-linear combination of elementary tensors
 elementary term carrying a scalar multiple of the identity in such a slot,
 which is the computable shadow of working in A tensor (A / C1)^n.  Every
 operation works on a chain's factor table and integer term rows (Chain).
+
+The products fill their rows from shuffle families.  Each family's slot
+order (the argsort of its image rows) and signs are built once per
+enumerator and degree tuple and kept read-only in a private memo bounded
+in bytes: FAMILY_MEMO_BYTES (1 MiB) in all, oldest evicted first, and no
+entry over FAMILY_ENTRY_BYTES (256 KiB), a family that is built per call
+instead.  The public enumerators in `shuffles` keep no cache.  A
+product's term coefficients are multiplied as whole float64 arrays that
+round as CPython's complex multiply does.
 """
 
 from __future__ import annotations
@@ -265,9 +274,64 @@ def _embedded(chains):
     return np.concatenate(parts), offsets
 
 
+def _shuffles(ps) -> np.ndarray:
+    """The (p, q)-shuffles of a degree pair, as `_interleave` names a family."""
+    return enumerate_shuffles(*ps)
+
+
+# (enumerator, degrees) -> (order, signs) of the families products have
+# used, read-only.  Bounded in bytes: a family over FAMILY_ENTRY_BYTES is
+# built per call and not kept, and an entry that would take the memo past
+# FAMILY_MEMO_BYTES evicts the oldest first, so at least four are kept.
+FAMILY_MEMO_BYTES = 1 << 20
+FAMILY_ENTRY_BYTES = 1 << 18
+_FAMILIES: dict = {}
+
+
+def _family(enumerator, ps) -> tuple:
+    """(order, signs) of the family enumerator(ps): column j of row k of
+    order, the argsort of the image row, names the item in slot j + 1;
+    signs are permutation_signs of the rows.  Served from the memo once
+    built, unless over the per-entry limit."""
+    key = (enumerator, ps)
+    if (entry := _FAMILIES.get(key)) is not None:
+        return entry
+    images = enumerator(ps)
+    entry = (np.argsort(images, axis=1), permutation_signs(images))
+    size = sum(a.nbytes for a in entry)
+    if size <= FAMILY_ENTRY_BYTES:
+        for a in entry:
+            a.setflags(write=False)
+        while size + sum(a.nbytes for e in _FAMILIES.values() for a in e) \
+                > FAMILY_MEMO_BYTES:
+            del _FAMILIES[next(iter(_FAMILIES))]
+        _FAMILIES[key] = entry
+    return entry
+
+
+def _coefficient_products(factors) -> np.ndarray:
+    """math.prod of every choice of one entry from each complex array of
+    factors, the last array fastest, as one flat array.
+
+    Whole-array real arithmetic rounds as CPython's complex multiply does,
+    (ar br - ai bi, ar bi + ai br) from the 1 that math.prod starts with;
+    numpy's complex multiply may fuse operations and round differently.
+    Overflow and inf - inf are as silent as they are in CPython."""
+    re, im = np.ones(1), np.zeros(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in factors:
+            br, bi = c.real, c.imag
+            re, im = (np.multiply.outer(re, br) - np.multiply.outer(im, bi),
+                      np.multiply.outer(re, bi) + np.multiply.outer(im, br))
+    out = re.astype(np.complex128).ravel()
+    out.imag = im.ravel()
+    return out
+
+
 def _interleave(chains, offsets, first, head, family) -> dict:
     """{degree: (rows, coeffs)} of a product of chains: one term per
-    combination of a term of each chain and row of family(degrees).
+    combination of a term of each chain and row of the family
+    family(degrees), read through `_family`.
 
     Slot 0 holds head(rows), the combination's head entry from its terms'
     rows; the factors from slot `first` on, shifted by their chain's table
@@ -280,26 +344,25 @@ def _interleave(chains, offsets, first, head, family) -> dict:
     starts = [dict(zip(c.blocks, itertools.accumulate(
         (len(k) for _, k in c.blocks.values()), initial=0))) for c in chains]
     sizes = [c.num_terms for c in chains]
+    # the coefficient products of every key at once
+    products = _coefficient_products([np.concatenate(
+        [np.zeros(0, np.complex128)] + [k for _, k in c.blocks.values()])
+        for c in chains])
     grouped = {}
     for combo in itertools.product(*(c.blocks.items() for c in chains)):
         # one combination per tuple of term indices, the last chain fastest
         pick = np.indices([len(k) for _, (_, k) in combo]).reshape(len(combo), -1)
         rows = [r[p] for (_, (r, _)), p in zip(combo, pick)]
         slots = np.hstack([off + r[:, first:] for off, r in zip(offsets, rows)])
-        images = family(tuple(n for n, _ in combo))
-        terms = np.empty((len(slots), len(images), slots.shape[1] + 1), np.intp)
+        order, signs = _family(family, tuple(n for n, _ in combo))
+        terms = np.empty((len(slots), len(order), slots.shape[1] + 1), np.intp)
         terms[:, :, 0] = head(rows)[:, None]
-        # column j of the inverse permutation names the item in slot j + 1
-        terms[:, :, 1:] = slots[:, np.argsort(images, axis=1)]
-        # scalar complex products: numpy's vectorised multiply may fuse
-        # operations and round them differently
-        coeff = np.array([math.prod(cs) for cs in zip(
-            *(k[p].tolist() for (_, (_, k)), p in zip(combo, pick)))])
+        terms[:, :, 1:] = slots[:, order]
         key = np.ravel_multi_index(
             [s[n] + p for s, (n, _), p in zip(starts, combo, pick)], sizes)
         grouped.setdefault(slots.shape[1], []).append((
-            np.repeat(key, len(images)), terms.reshape(-1, terms.shape[2]),
-            (coeff[:, None] * permutation_signs(images)).ravel()))
+            np.repeat(key, len(order)), terms.reshape(-1, terms.shape[2]),
+            (products[key][:, None] * signs).ravel()))
     out = {}
     for n, parts in grouped.items():
         key, rows, coeffs = (np.concatenate(x) for x in zip(*parts))
@@ -331,7 +394,7 @@ def shuffle_product(left: Chain, right: Chain) -> Chain:
         (left, right), offsets, 1,
         lambda rows: first_head + np.searchsorted(
             pairs, rows[0][:, 0] * width + rows[1][:, 0]),
-        lambda ps: enumerate_shuffles(*ps))
+        _shuffles)
     return Chain.from_table(left.algebra_dim * right.algebra_dim, table,
                             blocks).normalized()
 

@@ -10,9 +10,10 @@ terms with one take; a term whose supertrace vanishes by parity reaches
 no route.
 
 In the eigenbasis every heat factor and every resolvent is diagonal, so
-one string kernel, `JLOEvaluator._string_run` (by chunks of rows,
-`_strings`), evaluates tr(A0 W0 A1 W1 ... An Wn) for a stack of terms at
-a stack of diagonal weights W, and every route is a quadrature over it.
+one string kernel, `JLOEvaluator._string_run` (over spans of points)
+and `_strings` (by chunks of rows, with no generator), evaluates
+tr(A0 W0 A1 W1 ... An Wn) for a stack of terms at a stack of diagonal
+weights W, and every route is a quadrature over it.
 The weights come points last, (n + 1, d, P), and each term carries its
 partial product transposed as one (d, d P) matrix, so each slot is one
 product Ak^T X^T per term and one scaling along the points, and one
@@ -246,16 +247,19 @@ class JLOEvaluator:
     def _strings(self, slots, weights) -> np.ndarray:
         """(T, P) values tr(A0 W0 A1 W1 ... An Wn) of the T terms of a
         (T, n + 1, d, d) slot stack at the P points of an (n + 1, d, P)
-        stack of diagonal weights, points last: one `_string_run` per chunk
-        of rows whose stack holds at most NODE_STACK_ELEMENTS entries."""
+        stack of diagonal weights, points last: one run of `_string_run`'s
+        products over every point per chunk of rows whose stack holds at
+        most NODE_STACK_ELEMENTS entries, with no generator to set up."""
         n, d, p = slots.shape[1] - 1, slots.shape[-1], weights.shape[-1]
         if n == 0:
             return np.einsum("tii,ip->tp", slots[:, 0], weights[0])
         values = np.empty((len(slots), p), dtype=np.complex128)
         step = max(1, NODE_STACK_ELEMENTS // (p * d * d))
         for lo in range(0, len(slots), step):
-            values[lo:lo + step] = next(self._string_run(
-                slots[lo:lo + step], weights, [(n, p)]))
+            chunk = slots[lo:lo + step]
+            x, live = self._string_open(chunk, weights)
+            values[lo:lo + step] = self._string_close(
+                chunk, self._string_carry(chunk, x, live, 1, n), n, p)
         return values
 
     @staticmethod
@@ -270,21 +274,45 @@ class JLOEvaluator:
         By cyclicity the string is tr(X An), X = WN A0 W0 A1 W1 ... A(n-1)
         W(n-1).  Each row carries X transposed over the live points as one
         (d, d P) matrix, X^T[a, (b, p)] = X_p[b, a]: it starts from
-        (WN A0 W0)^T, and each slot k is one product X^T <- Ak^T X^T and a
-        scaling of its rows by Wk along the points.  On reaching slot n,
-        sum_ab X^T[a, b] (An)_ab closes the span's strings in one
-        contraction over the flattened d^2 pair, an einsum that makes no
-        BLAS call, and their points leave the stack."""
-        t, d = len(slots), slots.shape[-1]
-        transposed, live = slots.swapaxes(-1, -2), weights[:, :, None]
-        x, k = transposed[:, 0, ..., None] * (live[0] * weights[-1]), 1
+        (WN A0 W0)^T (`_string_open`), and each slot k is one product
+        X^T <- Ak^T X^T and a scaling of its rows by Wk along the points
+        (`_string_carry`).  On reaching slot n, sum_ab X^T[a, b] (An)_ab
+        closes the span's strings in one contraction over the flattened d^2
+        pair, an einsum that makes no BLAS call (`_string_close`), and
+        their points leave the stack."""
+        x, live = JLOEvaluator._string_open(slots, weights)
+        k = 1
         for n, count in spans:
-            for k in range(k, n):
-                x = (transposed[:, k] @ x.reshape(t, d, -1)).reshape(x.shape)
-                x *= live[k]
-            yield np.einsum("tk,tkp->tp", slots[:, n].reshape(t, d * d),
-                            x[..., :count].reshape(t, d * d, count))
+            x = JLOEvaluator._string_carry(slots, x, live, k, n)
+            yield JLOEvaluator._string_close(slots, x, n, count)
             x, live, k = x[..., count:], live[..., count:], n
+
+    @staticmethod
+    def _string_open(slots, weights):
+        """(X^T, live weights): X^T = (WN A0 W0)^T of every row, (T, d, d,
+        P), and the weights with a row axis, (N + 1, d, 1, P)."""
+        live = weights[:, :, None]
+        x = slots[:, 0].swapaxes(-1, -2)[..., None] * (live[0] * weights[-1])
+        return x, live
+
+    @staticmethod
+    def _string_carry(slots, x, live, k, n):
+        """X^T carried from slot k to slot n: X^T <- Ak^T X^T, then its rows
+        scaled by Wk, for each slot k .. n - 1."""
+        t, d = len(slots), slots.shape[-1]
+        for k in range(k, n):
+            x = (slots[:, k].swapaxes(-1, -2) @ x.reshape(t, d, -1)) \
+                .reshape(x.shape)
+            x *= live[k]
+        return x
+
+    @staticmethod
+    def _string_close(slots, x, n, count):
+        """(T, count) values sum_ab X^T[a, b] (An)_ab at the first count
+        points of X^T."""
+        t, d = len(slots), slots.shape[-1]
+        return np.einsum("tk,tkp->tp", slots[:, n].reshape(t, d * d),
+                         x[..., :count].reshape(t, d * d, count))
 
     def term_exact(self, slots) -> np.ndarray:
         """Values of the T terms of a (T, n + 1, d, d) stack in Delta's

@@ -358,6 +358,8 @@ IDENTITIES = (
     ("hochschild_square_zero", 1e-10, functools.partial(
         _vanishing_law, lambda a: hochschild_b(hochschild_b(a)), 1,
         max_degree=4)),
+    # every term of B(B(a)) carries the inner B's unit in a slot >= 1, so
+    # normalization leaves no term: this row checks `normalized`, not B
     ("connes_square_zero", 1e-10, functools.partial(
         _vanishing_law, lambda a: connes_B(connes_B(a)), 0, max_degree=4)),
     ("boundaries_anticommute", 1e-10, functools.partial(

@@ -1,17 +1,24 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jlolab import chains
 from jlolab.chains import (
+    FAMILY_ENTRY_BYTES,
+    FAMILY_MEMO_BYTES,
     Chain,
     ElementaryChain,
     MAX_OUTPUT_TERMS,
     TermBudgetError,
+    _coefficient_products,
+    _family,
     _interleave,
+    _shuffles,
     br_operation,
     connes_B,
     hochschild_b,
@@ -180,6 +187,108 @@ def test_signed_terms_move_item_k_to_slot_image_k():
         [[7, 3, 1, 2], [7, 2, 1, 3]]
     assert [t.coeff for t in terms] == [2.0, -2.0]
 
+
+
+# 0.1 * 0.3 and 0.3 * 0.1 round the same, so the real part of
+# (0.1 + 0.3j)(0.3 + 0.1j) cancels to 0 unfused, and a fused multiply-add
+# that keeps one product exact leaves that product's rounding error; the rest are signed zeros, subnormals and exponents near +-300
+ROUNDING_PROBES = np.array([
+    0.1 + 0.3j, 0.3 + 0.1j, complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(-0.0, 1.0), complex(5e-324, -0.0), complex(-0.0, 1e-310),
+    complex(1e300, -1e-300), complex(-3e-300, 2e300), 1.5 - 2.5j])
+
+
+def test_rounding_probes_tell_fused_from_unfused_rounding():
+    a, b = ROUNDING_PROBES[:2]
+    fused = float(Fraction(a.real) * Fraction(b.real)
+                  - Fraction(a.imag * b.imag))
+    assert a.real * b.real - a.imag * b.imag == 0.0 != fused
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_coefficient_products_round_as_math_prod(r):
+    rng = np.random.default_rng(r)
+    factors = [rng.permutation(ROUNDING_PROBES)[:10 - r] for _ in range(r)]
+    expected = np.array([math.prod(cs) for cs in itertools.product(
+        *(f.tolist() for f in factors))], dtype=np.complex128)
+    assert _coefficient_products(factors).tobytes() == expected.tobytes()
+
+
+def _chain_bytes(chain):
+    return chain.table.tobytes(), [
+        (n, rows.tobytes(), coeffs.tobytes())
+        for n, (rows, coeffs) in chain.blocks.items()]
+
+
+def _products(rng):
+    """One chain product of each kind, over small spaces."""
+    a, b, c = (random_chain(rng, GradedSpace(1, 1), range(3))
+               for _ in range(3))
+    return [lambda: shuffle_product(a, b),
+            lambda: shuffle_product(shuffle_product(a, b), c),
+            lambda: connes_B(a), lambda: br_operation([a, b]),
+            lambda: br_operation([a, b, c])]
+
+
+def test_products_agree_with_the_family_memo_cold_and_warm():
+    for product in _products(np.random.default_rng(12)):
+        chains._FAMILIES.clear()
+        cold = product()
+        warm = product()
+        assert chains._FAMILIES
+        assert _chain_bytes(cold) == _chain_bytes(warm)
+
+
+def test_family_memo_hands_out_read_only_arrays():
+    for product in _products(np.random.default_rng(13)):
+        product()
+    assert chains._FAMILIES
+    for order, signs in chains._FAMILIES.values():
+        for a in (order, signs):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+
+def test_family_memo_stays_within_its_byte_bound():
+    assert FAMILY_ENTRY_BYTES * 4 <= FAMILY_MEMO_BYTES <= 1 << 20
+    chains._FAMILIES.clear()
+    big = (4, 4)
+    images = enumerate_cyclic_shuffles(big)
+    order, signs = _family(enumerate_cyclic_shuffles, big)
+    assert order.nbytes + signs.nbytes > FAMILY_ENTRY_BYTES
+    assert (enumerate_cyclic_shuffles, big) not in chains._FAMILIES
+    assert np.array_equal(order, np.argsort(images, axis=1))
+    assert np.array_equal(signs, permutation_signs(images))
+    # the families under the per-entry limit take 1.16 MiB, so the memo
+    # fills and evicts its oldest entries; (5, 5) is over the limit
+    for degrees in itertools.product(range(7), repeat=2):
+        _family(enumerate_cyclic_shuffles, degrees)
+        assert sum(a.nbytes for e in chains._FAMILIES.values() for a in e) \
+            <= FAMILY_MEMO_BYTES
+    assert (enumerate_cyclic_shuffles, (0, 0)) not in chains._FAMILIES
+    assert (enumerate_cyclic_shuffles, (6, 2)) in chains._FAMILIES
+    assert (enumerate_cyclic_shuffles, (5, 5)) not in chains._FAMILIES
+
+
+def test_verify_degree_tuples_are_served_from_the_memo(monkeypatch):
+    # the largest tuples verify's shuffle_associativity, cyclic_shuffle_triple
+    # and connes_square_zero rows meet
+    rng = np.random.default_rng(14)
+    space = GradedSpace(1, 1)
+    four, two = (random_chain(rng, space, (n,)) for n in (4, 2))
+    ones = [random_chain(rng, space, (1,)) for _ in range(3)]
+    products = [lambda: shuffle_product(four, two),
+                lambda: br_operation(ones), lambda: connes_B(four)]
+    chains._FAMILIES.clear()
+    cold = [_chain_bytes(product()) for product in products]
+    assert {(_shuffles, (4, 2)), (enumerate_cyclic_shuffles, (1, 1, 1)),
+            (enumerate_cyclic_shuffles, (4,))} <= set(chains._FAMILIES)
+
+    def forbidden(images):
+        raise AssertionError("a family was rebuilt")
+
+    monkeypatch.setattr("jlolab.chains.permutation_signs", forbidden)
+    assert [_chain_bytes(product()) for product in products] == cold
 
 def test_shuffle_associativity_random():
     rng = np.random.default_rng(10)

@@ -86,6 +86,33 @@ def test_run_returns_the_last_line(bench_pairs, tmp_path):
     assert bench_pairs.run(str(tmp_path), "cochain", 1, 1, 0) == {"failed": 0}
 
 
+
+def test_cpu_run_reads_the_child_cpu_time(bench_pairs, tmp_path):
+    # the stub spins in pure Python, then reports the user CPU it has used
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, os\n"
+        "x = 0\n"
+        "for i in range(3_000_000):\n"
+        "    x += i\n"
+        "print(json.dumps({'user': os.times().user}))\n")
+    result, cpu = bench_pairs.cpu_run(str(tmp_path), "cochain", 1, 1, 0)
+    assert cpu["user"] >= result["user"] > 0.0
+    assert cpu["system"] >= 0.0
+
+
+def test_cpu_medians_are_per_side(bench_pairs):
+    runs = [{"side": side, "workload": "cochain",
+             "cpu_s": {"user": user, "system": user / 10}}
+            for side, user in (("parent", 1.0), ("change", 0.5),
+                               ("parent", 3.0), ("change", 0.7),
+                               ("parent", 2.0), ("change", 0.6))]
+    runs.append({"side": "parent", "workload": "index",
+                 "cpu_s": {"user": 9.0, "system": 9.0}})
+    assert bench_pairs.cpu_medians(runs, "cochain") == {
+        "parent": {"user": 2.0, "system": 0.2},
+        "change": {"user": 0.6, "system": 0.06}}
+
 def test_src_lines_counts_the_python_files_under_src(bench_pairs, tmp_path):
     files = {"src/pkg/__init__.py": "", "src/pkg/a.py": "x = 1\ny = 2\n",
              "src/pkg/sub/b.py": "z = 3\n\n\n", "src/pkg/notes.txt": "a\nb\n",

@@ -11,11 +11,13 @@ of a `--pairs W=A-B` range is one pair of 30-second
 `perfbench/run.py --workload W --seed S` runs, one per side; even pairs run
 the parent first, odd pairs the change first.  A `--trace W=S` run is one
 10-second `--trace 1` run per side.  The output holds every run's
-result (the last stdout line of perfbench) and, per workload and metric,
-each side's median and quartiles, the number of pairs the change won, and
-the relative change of the medians, and the line count of each side's
-`src/**/*.py`.  Nothing else runs meanwhile, and the BLAS thread count is
-whatever the environment gives.
+result (the last stdout line of perfbench) and the user and system CPU
+seconds of its processes, from `getrusage(RUSAGE_CHILDREN)` before and
+after it; per workload and metric, each side's median and quartiles, the
+number of pairs the change won, and the relative change of the medians;
+per workload, each side's median CPU seconds; and the line count of each
+side's `src/**/*.py`.  Nothing else runs meanwhile, and the BLAS thread
+count is whatever the environment gives.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import os
 import pathlib
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -83,6 +86,16 @@ def run(root, workload, seed, seconds, trace):
             f"no result line; stderr ends:\n{out.stderr[-2000:]}") from None
 
 
+def cpu_run(root, workload, seed, seconds, trace):
+    """run's result and the user and system CPU seconds its processes
+    took, read from RUSAGE_CHILDREN before and after it."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = run(root, workload, seed, seconds, trace)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return result, {"user": after.ru_utime - before.ru_utime,
+                    "system": after.ru_stime - before.ru_stime}
+
+
 def spread(values):
     """Median and quartiles; a single value is all three."""
     if len(values) == 1:
@@ -110,6 +123,14 @@ def summarize(runs, workload):
             "parent": parent, "change": change, "change_better_pairs": better,
             "relative_median_change": change["median"] / parent["median"] - 1}
     return summary
+
+
+def cpu_medians(runs, workload):
+    """Each side's median user and system CPU seconds over the runs."""
+    return {side: {kind: statistics.median(
+        r["cpu_s"][kind] for r in runs
+        if r["workload"] == workload and r["side"] == side)
+        for kind in ("user", "system")} for side in ("parent", "change")}
 
 
 def machine():
@@ -149,10 +170,11 @@ def main():
                 order = ("parent", "change") if pair % 2 == 0 else \
                     ("change", "parent")
                 for side in order:
-                    result = run(roots[side], workload, seed, PAIR_SECONDS, 0)
+                    result, cpu = cpu_run(roots[side], workload, seed,
+                                          PAIR_SECONDS, 0)
                     runs.append({"pair": pair, "side": side,
                                  "workload": workload, "seed": seed,
-                                 "result": result})
+                                 "result": result, "cpu_s": cpu})
                     print(workload, seed, side,
                           result["metrics"]["wall_s"]["value"],
                           file=sys.stderr)
@@ -166,7 +188,8 @@ def main():
         "revisions": {"parent": args.parent, "change": "working tree"},
         "machine": machine(),
         "src_lines": lines,
-        "summary": {w: summarize(runs, w) for w, _ in args.pairs},
+        "summary": {w: {**summarize(runs, w), "cpu_s": cpu_medians(runs, w)}
+                    for w, _ in args.pairs},
         "runs": runs,
         "trace_runs": traces,
     }
