@@ -9,7 +9,9 @@ refuses a pair over INDEX_DIM_LIMIT from the sizes its files declare,
 before it decodes any matrix, and with --times
 checks the product law on the product of the two checked (ampliated)
 triples, whatever their blocks; `decompose` runs one count-then-sample
-sequence for its shuffle and cyclic modes.  One reader, `_load_json`,
+sequence for its shuffle and cyclic modes, and locates its samples by
+exact int64 keys of their sorting orders, below 16 ** 15 = 2 ** 60 since
+no family it admits is wider than 16.  One reader, `_load_json`,
 reads every JSON file.  Exit codes: 0 success, 1 a failed check or write
 (one `error:` line; none when stdout was closed early), 2 usage, input or
 size-bound failure, which each command raises as `_Refused` and `main`
@@ -33,11 +35,11 @@ import numpy as np
 from .jlo import NonConvergentError, index_pairing
 from .shuffles import (
     _cyclic_coordinates,
+    _sorting_order,
     cyclic_shuffle_peak_rows,
     enumerate_cyclic_shuffles,
     enumerate_shuffles,
     sample_simplex_batch,
-    sorting_images,
 )
 from .spectral import (
     INDEX_INTEGER_TOL,
@@ -219,58 +221,74 @@ def cmd_index(triple_path, idem_path, times_paths) -> int:
 
 def _print_volume_stats(counts, samples, skipped):
     # per-region hit statistics against the uniform-volume prediction;
-    # counts[k] is the number of samples located in region k
+    # counts[k] is the number of samples located in region k.  Fractions
+    # and z scores are whole-array float64 operations, the same IEEE steps
+    # a per-region loop of Python floats takes, so they print alike.
     n_regions = len(counts)
     n_located = int(counts.sum())
     expected = 1.0 / n_regions
-    rows = []
-    for key in np.flatnonzero(counts).tolist():
-        hits = int(counts[key])
+    regions = np.flatnonzero(counts)
+    hits = counts[regions]
+    frac = z = np.zeros(len(regions))
+    if n_located:
         frac = hits / n_located
         se = math.sqrt(expected * (1.0 - expected) / n_located)
-        z = (frac - expected) / se if se else 0.0
-        rows.append((key, hits, frac, z))
+        if se:
+            z = (frac - expected) / se
     print(f"  samples: {samples} located, {n_located} used,"
           f" {skipped} tied/skipped")
     print(f"  expected volume fraction per region: {expected:.6f}")
-    missing = n_regions - len(rows)
+    missing = n_regions - len(regions)
     if missing:
         print(f"  WARNING: {missing} regions received no samples")
     if n_regions <= 30:
         print(f"  {'region':>8}  {'hits':>8}  {'fraction':>9}  {'z':>6}")
-        for key, hits, frac, z in rows:
-            print(f"  {key:>8}  {hits:>8}  {frac:>9.5f}  {z:>6.2f}")
-    zs = [abs(z) for _, _, _, z in rows]
-    print(f"  max |z| over {len(rows)} populated regions:"
-          f" {max(zs):.2f}" if zs else "  no populated regions")
+        for row in zip(regions.tolist(), hits.tolist(), frac.tolist(),
+                       z.tolist()):
+            print("  {:>8}  {:>8}  {:>9.5f}  {:>6.2f}".format(*row))
+    print(f"  max |z| over {len(regions)} populated regions:"
+          f" {np.abs(z).max():.2f}" if len(regions)
+          else "  no populated regions")
 
 
-def _row_keys(rows) -> np.ndarray:
-    """One fixed-width byte key per row of an integer array, equal exactly
-    when the rows are equal."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+def _order_keys(orders) -> np.ndarray:
+    """One int64 per row of an (N, n) array of 0-based permutations, equal
+    exactly when the rows are equal: entries 0 .. n - 2, which fix the
+    last, read as base-n digits, so every key is below n ** (n - 1).
+
+    decompose admits no family wider than 16: a shuffle pair is at most
+    2 * DECOMPOSE_DEGREE_LIMIT = 12 wide, and a cyclic family r + sum p_i
+    >= 17 wide starts from n!/prod (p_i + 1)! or ends at n!/(r! prod p_i!)
+    rows, one of them over DECOMPOSE_ROW_BUDGET.  So keys stay below
+    16 ** 15 = 2 ** 60, where int64 arithmetic is exact."""
+    n = orders.shape[1]
+    return orders[:, :-1] @ n ** np.arange(n - 2, -1, -1, dtype=np.int64)
 
 
 def _sample_regions(perms, values) -> int:
     """Locate every row of values in the region of its sorting permutation
     and print the per-region counts, one region per row of the image array
-    perms; exact ties are skipped.  Returns 1 when a row falls outside every
-    enumerated region.
+    perms, each a permutation of 1..n; exact ties are skipped.  Returns 1
+    when a row falls outside every enumerated region.
 
-    Rows are compared as byte keys: one sort of the region keys, one
-    binary search for all samples, one bincount of the hits."""
-    images, tied = sorting_images(values)
-    images = images[~tied]
-    keys, found = _row_keys(perms), _row_keys(images)
-    order = np.argsort(keys, kind="stable")
-    # the last region key at or below each sample key (of equal region
-    # rows the last one counts); a sample below every key reads the first
-    at = np.searchsorted(keys[order], found, side="right") - 1
-    region = order[np.maximum(at, 0)]
-    hit = keys[region] == found
-    counts = np.bincount(region[hit], minlength=len(perms))
-    strays = len(images) - int(np.count_nonzero(hit))
+    A sample lies in region k when its sorting order (the stable argsort
+    of its row) is the inverse of perms[k].  Both are compared as exact
+    integer keys: one sort of the region keys and one of the sample keys,
+    then two binary searches per region count the samples on its key."""
+    order, tied = _sorting_order(values)
+    # the argsort of a permutation row is its inverse, 0-based
+    keys = _order_keys(np.argsort(perms, axis=1))
+    found = np.sort(_order_keys(order)[~tied])
+    rank = np.argsort(keys, kind="stable")
+    ranked = keys[rank]
+    hits = (np.searchsorted(found, ranked, side="right")
+            - np.searchsorted(found, ranked, side="left"))
+    # of equal region rows the last one counts: the stable sort lists
+    # them in row order, so every one but the last of a run reads 0
+    hits[:-1][ranked[1:] == ranked[:-1]] = 0
+    counts = np.empty(len(perms), dtype=np.intp)
+    counts[rank] = hits
+    strays = len(found) - int(hits.sum())
     _print_volume_stats(counts, len(values), int(np.count_nonzero(tied)))
     if strays:
         print(f"  WARNING: {strays} samples fell outside every region",
@@ -325,9 +343,10 @@ def cmd_decompose(args) -> int:
     # a degree-0 block's zero-width draw takes nothing from the generator
     rng = np.random.default_rng(args.seed)
     blocks = [sample_simplex_batch(k, rng, args.samples) for k in widths]
-    if args.shuffle is not None:
-        return _sample_regions(perms, np.hstack(blocks))
-    return _sample_regions(perms, _cyclic_coordinates(blocks[0], blocks[1:]))
+    values = (np.hstack(blocks) if args.shuffle is not None
+              else _cyclic_coordinates(blocks[0], blocks[1:]))
+    del blocks  # only the point rows stay in memory while they are located
+    return _sample_regions(perms, values)
 
 
 # ---------------------------------------------------------------- entrypoint

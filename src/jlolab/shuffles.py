@@ -22,8 +22,11 @@ Geometrically, the product of ordered simplices splits, up to measure zero,
 into one region per shuffle; the cyclic variant does the same for products
 with mod-1 offsets.  Points are plain float arrays: sample_simplex_batch
 draws a batch of sorted uniforms, and sorting_images locates a batch of
-points in these regions.  _cyclic_coordinates is the one map from cyclic
-offsets s_i and block coordinates t_i to s_i, then (s_i + t_i) mod 1.
+points in these regions.  _sorting_order is the one locator behind it,
+cyclic_region_locate and `decompose`: one stable argsort per batch, with
+ties read off the argsorted values.  _cyclic_coordinates is the one map
+from cyclic offsets s_i and block coordinates t_i to s_i, then
+(s_i + t_i) mod 1.
 """
 
 from __future__ import annotations
@@ -185,20 +188,40 @@ def sample_simplex_batch(n: int, rng, count: int) -> np.ndarray:
     return np.sort(rng.random((count, n)), axis=1)
 
 
+def _sorting_order(values):
+    """The one locator of a batch of points: (order, tied) for an (N, n)
+    coordinate array.
+
+    Row k of order is the stable argsort of row k.  tied[k] is True when
+    two neighbours of the sorted row differ by exactly 0: -0 ties with +0,
+    while two +inf (whose difference is NaN) and a NaN never tie.
+    """
+    values = np.asarray(values, dtype=float)
+    count, width = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    # the sorted rows, one flat gather by the argsort itself, and the rows
+    # of the zero gaps, one flat search: both cost less than a per-row
+    # take_along_axis or any, on one row as on thousands
+    ranked = values.take(order + np.arange(count)[:, None] * width)
+    gaps = ranked[:, 1:] - ranked[:, :-1]
+    tied = np.zeros(count, dtype=bool)
+    tied[np.flatnonzero(gaps == 0.0) // (width - 1 or 1)] = True
+    return order, tied
+
+
 def sorting_images(values):
     """Sorting permutations of the rows of an (N, n) coordinate array.
 
     Returns (images, tied): row k of the (N, n) integer array images holds
     the 1-based images of the permutation that sorts row k ascending, so
-    entry j lands in slot images[k, j]; tied[k] is True when row k has two
-    exactly equal entries, in which case its region is not unique.
+    entry j lands in slot images[k, j]; tied[k] is True when two sorted
+    neighbours of row k differ by exactly 0, in which case its region is
+    not unique.  images is the inverse of _sorting_order's order.
     """
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, axis=1, kind="stable")
-    tied = np.any(np.diff(np.sort(values, axis=1), axis=1) == 0.0, axis=1)
+    order, tied = _sorting_order(values)
     images = np.empty_like(order)
-    images[np.arange(values.shape[0])[:, None], order] = \
-        np.arange(1, values.shape[1] + 1)
+    images[np.arange(order.shape[0])[:, None], order] = \
+        np.arange(1, order.shape[1] + 1)
     return images, tied
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -659,7 +660,9 @@ def test_decompose_degree_overflow_exits_two(capsys):
 
 # stdout of the decompose calls perfbench's `algebra` workload makes, plus
 # a cyclic table and a sparse cyclic run, at --seed 7; frozen from the
-# dict-based region lookup that the byte-key search replaced.  The two runs
+# dict-based region lookup that the byte-key search replaced, and held
+# unchanged by the integer order keys and whole-array statistics that
+# replaced the byte keys and the per-region loop.  The two runs
 # with a degree-0 block were frozen from the separate shuffle and cyclic
 # routines that cmd_decompose replaced.
 DECOMPOSE_STDOUT = {
@@ -781,6 +784,92 @@ def test_sample_regions_counts_strays_and_ties(capsys):
     assert "samples: 4 located, 2 used, 1 tied/skipped" in out
     assert "         0         2    1.00000" in out
     assert err == "  WARNING: 1 samples fell outside every region\n"
+
+
+
+def _image_of(order):
+    """The 1-based image row of a sorting order: item order[pos] lands in
+    slot pos + 1."""
+    image = [0] * len(order)
+    for pos, item in enumerate(order):
+        image[item] = pos + 1
+    return image
+
+
+def test_sample_regions_keys_are_exact_at_the_widest_width(monkeypatch,
+                                                            capsys):
+    # width-16 sorting orders that lead with 15, 14, ...: read as base 16
+    # over all 16 entries they pass 2**63; a and b differ only in their
+    # last two entries, so a float64 key (exact to 2**53) merges them
+    a = tuple(range(15, -1, -1))
+    b = a[:14] + (a[15], a[14])
+    assert sum(d * 16 ** (15 - j) for j, d in enumerate(a)) >= 2 ** 63
+    assert float(sum(d * 16 ** (14 - j) for j, d in enumerate(a[:15]))) \
+        == float(sum(d * 16 ** (14 - j) for j, d in enumerate(b[:15])))
+    rng = np.random.default_rng(34)
+    others = [(15, 14, *rng.permutation(14).tolist()) for _ in range(4)]
+    stray = a[:12] + (a[13], a[12]) + a[14:]
+    # others[0] is a region twice: of equal rows the last one counts
+    perms = np.array([_image_of(o) for o in (a, b, *others, others[0])])
+    picks = ([a] * 3 + [b] * 5 + [o for k, o in enumerate(others)
+                                   for _ in range(k + 1)] + [stray] * 2)
+    rows = []
+    for order in picks:
+        row = np.empty(16)
+        row[list(order)] = np.arange(16) / 16.0
+        rows.append(row)
+    rows += [np.full(16, 0.5), np.r_[np.arange(15) / 16.0, 0.0]]
+    values = np.array(rows)[rng.permutation(len(rows))]
+
+    region_of = {tuple(p): k for k, p in enumerate(perms.tolist())}
+    expected, strays, tied = [0] * len(perms), 0, 0
+    for row in values.tolist():
+        if len(set(row)) < len(row):
+            tied += 1
+            continue
+        image = _image_of(sorted(range(16), key=row.__getitem__))
+        k = region_of.get(tuple(image))
+        if k is None:
+            strays += 1
+        else:
+            expected[k] += 1
+    assert (expected[:2], expected[2], expected[-1], strays, tied) \
+        == ([3, 5], 0, 1, 2, 2)
+
+    seen = []
+    monkeypatch.setattr(cli, "_print_volume_stats",
+                        lambda *args: seen.append(args))
+    assert _sample_regions(perms, values) == 1
+    (counts, located, skipped), = seen
+    assert counts.tolist() == expected
+    assert (located, skipped) == (len(values), tied)
+    assert capsys.readouterr().err == \
+        f"  WARNING: {strays} samples fell outside every region\n"
+
+
+def test_decompose_admits_no_family_wider_than_sixteen():
+    # the width bound _order_keys states.  A shuffle pair is at most
+    # 2 * DECOMPOSE_DEGREE_LIMIT wide.  A cyclic enumeration holds at
+    # least its first rows (the ordered partitions) and its last (the
+    # regions); adding a block never lowers the first, so the search ends
+    limit, budget = cli.DECOMPOSE_DEGREE_LIMIT, cli.DECOMPOSE_ROW_BUDGET
+    assert 2 * limit <= 16
+    widest, stack = 0, [()]
+    while stack:
+        ps = stack.pop()
+        r, n = len(ps), len(ps) + sum(ps)
+        first = math.factorial(n) // math.prod(
+            math.factorial(p + 1) for p in ps)
+        if first > budget:
+            continue
+        last = math.factorial(n) // (math.factorial(r) * math.prod(
+            math.factorial(p) for p in ps))
+        if ps and last <= budget:
+            widest = max(widest, n)
+        stack += [ps + (p,) for p in range(ps[-1] if ps else 0, limit + 1)]
+    assert widest == 16
+    assert jlolab.cyclic_shuffle_peak_rows((0, 0, 6, 6)) <= budget
+    assert 16 ** 15 < 2 ** 63
 
 
 def test_decompose_budget_counts_rows_before_enumerating(monkeypatch, capsys):

@@ -241,6 +241,43 @@ def test_shuffle_region_volumes_uniform():
         assert abs(c - expect) <= 4 * sigma
 
 
+
+def _two_sort_images(values):
+    """The locator sorting_images used to be: a stable argsort for the
+    images, and a second sort of the same values for the ties."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, axis=1, kind="stable")
+    tied = np.any(np.diff(np.sort(values, axis=1), axis=1) == 0.0, axis=1)
+    images = np.empty_like(order)
+    images[np.arange(values.shape[0])[:, None], order] = \
+        np.arange(1, values.shape[1] + 1)
+    return images, tied
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("rows", [
+    # a tie is a zero difference of sorted neighbours: -0 and +0 tie, two
+    # +inf (inf - inf is NaN) and NaNs do not, repeated finite values do
+    [[0.0, -0.0, 1.0, 2.0], [-0.0, 0.5, 0.0, 0.25], [INF, INF, 1.0, 0.0],
+     [-INF, 0.0, -INF, 1.0], [NAN, 1.0, NAN, 2.0], [NAN, 0.5, 0.5, NAN],
+     [3.0, 1.0, 3.0, 2.0], [INF, -INF, NAN, 0.0], [0.4, 0.1, 0.3, 0.2]],
+    [[0.5], [NAN], [INF], [-0.0]],
+    np.zeros((0, 3)),
+    np.zeros((0, 1)),
+    np.zeros((3, 0)),
+], ids=["specials", "width 1", "no rows", "no rows, width 1", "width 0"])
+def test_sorting_images_keep_the_two_sort_rule(rows):
+    with np.errstate(invalid="ignore"):  # inf - inf, in both locators
+        images, tied = sorting_images(rows)
+        old_images, old_tied = _two_sort_images(rows)
+    assert images.dtype == old_images.dtype
+    assert images.shape == old_images.shape
+    assert images.tolist() == old_images.tolist()
+    assert tied.tolist() == old_tied.tolist()
+
+
 @pytest.mark.parametrize("degrees", [(1, 1), (2, 0, 1)], ids=str)
 def test_cyclic_region_locate_lands_in_enumerated_set(degrees):
     rng = np.random.default_rng(12)

@@ -66,6 +66,36 @@ def test_summary_directions_and_run_length_are_the_benchmarks(bench_pairs):
     assert bench_pairs.PAIR_SECONDS == spec["run_seconds"]
 
 
+
+def _pairs(parent, change):
+    """Pairs of runs whose wall_s reads parent[k] and change[k]."""
+    return [run for p, c in zip(parent, change)
+            for run in _pair({"wall_s": p}, {"wall_s": c})]
+
+
+def test_summary_states_the_claim_rule(bench_pairs):
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    rules = ("won_nine_tenths", "gain_beyond_parent_iqr", "gain_claimable")
+
+    def rule(change):
+        wall = bench_pairs.summarize(_pairs(parent, change),
+                                     "cochain")["metrics"]["wall_s"]
+        return tuple(wall[k] for k in rules)
+    # 9 of 10 pairs won, but the medians (1.45 and 1.40) lie closer than
+    # the parent's quartiles (1.225 and 1.675)
+    assert rule([p - 0.05 for p in parent[:9]] + [2.0]) == \
+        (True, False, False)
+    # every pair won by more than the parent's spread
+    assert rule([p - 0.5 for p in parent]) == (True, True, True)
+    # far ahead in the median, but 8 of 10 pairs
+    assert rule([p - 0.5 for p in parent[:8]] + [3.0, 3.0]) == \
+        (False, True, False)
+    # far behind: a rise is no gain, however wide
+    assert rule([p + 0.5 for p in parent]) == (False, False, False)
+    # ties count for neither side
+    assert rule(parent) == (False, False, False)
+
+
 @pytest.mark.parametrize("script, code, stderr", [
     ("import sys; sys.stderr.write('boom\\n'); sys.exit(3)", 3, "boom\n"),
     ("print('== cochain'); print('not json')", 0, "")])

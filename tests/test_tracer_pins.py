@@ -1,8 +1,10 @@
 """perfbench's tracer still finds every name it pins in the package, and
 its uninstall restores every binding it changed; perfbench's workloads
-still run on the package's calling conventions."""
+still run on the package's calling conventions, and one full-size unit of
+each workload BENCHMARK.json gates passes perfbench's own checks."""
 
 import importlib
+import json
 import pathlib
 import sys
 
@@ -10,7 +12,10 @@ import pytest
 
 import jlolab.cli  # noqa: F401  (the tracer rebinds names in every module)
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+GATED = [w["name"] for w in
+         json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.fixture()
@@ -74,5 +79,19 @@ def test_one_small_unit_of_each_workload_runs_clean(workloads, tmp_path,
     finally:
         if undo is not None:
             undo()
+    assert rec.latencies
+    assert rec.failures == []
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_one_full_size_unit_of_each_gated_workload_runs_clean(
+        workloads, tmp_path, name):
+    # the units the benchmark times, which the small ones cut short:
+    # `decompose` at 4,000 samples, every cyclic tuple and chain law,
+    # every `index` call and every cochain triple; about 0.3 s in all
+    rec = workloads.Recorder()
+    workload = workloads.WORKLOADS[name](0, str(tmp_path))
+    workload.warm_up()
+    workload.unit(0, rec)
     assert rec.latencies
     assert rec.failures == []

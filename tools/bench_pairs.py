@@ -14,9 +14,12 @@ the parent first, odd pairs the change first.  A `--trace W=S` run is one
 result (the last stdout line of perfbench) and the user and system CPU
 seconds of its processes, from `getrusage(RUSAGE_CHILDREN)` before and
 after it; per workload and metric, each side's median and quartiles, the
-number of pairs the change won, and the relative change of the medians;
-per workload, each side's median CPU seconds; and the line count of each
-side's `src/**/*.py`.  Nothing else runs meanwhile, and the BLAS thread
+number of pairs the change won, the relative change of the medians and
+the claim rule: whether the change won at least 9/10 of the pairs (ties
+count for neither side), whether its median is better than the parent's
+by more than the parent's interquartile distance, and whether both hold,
+so that a gain may be claimed; per workload, each side's median CPU
+seconds; and the line count of each side's `src/**/*.py`.  Nothing else runs meanwhile, and the BLAS thread
 count is whatever the environment gives.
 """
 
@@ -119,9 +122,14 @@ def summarize(runs, workload):
         better = sum(sign * (c - p) < 0
                      for p, c in zip(vals["parent"], vals["change"]))
         parent, change = spread(vals["parent"]), spread(vals["change"])
+        won = 10 * better >= 9 * len(vals["parent"])
+        beyond = (sign * (parent["median"] - change["median"])
+                  > parent["q3"] - parent["q1"])
         summary["metrics"][name] = {
             "parent": parent, "change": change, "change_better_pairs": better,
-            "relative_median_change": change["median"] / parent["median"] - 1}
+            "relative_median_change": change["median"] / parent["median"] - 1,
+            "won_nine_tenths": won, "gain_beyond_parent_iqr": beyond,
+            "gain_claimable": won and beyond}
     return summary
 
 

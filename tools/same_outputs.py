@@ -25,10 +25,13 @@ through `jlolab.cli.main`:
   product is not, so `index` exits 2, and over `RANDOM_PAIRS`: random 4|4
   and 8|8 triples at `dirac_scale` 0.05 with half-rank even projections,
   whose pairings run to degree 8 at mid dimension;
-- `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`, and the
-  runs with no point to sample (`--shuffle 0 0`), with degree-0 blocks
-  (`--shuffle 0 3`, `--cyclic 0`, `--cyclic 2 0 1`) and over the row
-  budget (`--cyclic 1 1 1 1 1 1`);
+- `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`; the
+  other two calls perfbench's `Algebra` workload makes, `--shuffle 4 4`
+  and `--cyclic 1 3` at 4,000 samples; the widest family the row budget
+  admits, `--cyclic 0 0 6 6` (16 wide, 1,681,680 regions) at 1,000
+  samples; and the runs with no point to sample (`--shuffle 0 0`), with
+  degree-0 blocks (`--shuffle 0 3`, `--cyclic 0`, `--cyclic 2 0 1`) and
+  over the row budget (`--cyclic 1 1 1 1 1 1`);
 - `verify` and `decompose` on bad `--config` files (one nested past the
   recursion limit) and bad flags.
 
@@ -339,6 +342,9 @@ def jobs(inputs, index_calls):
     out += [(f"decompose {' '.join(args)}", ["decompose", *args])
             for args in (["--shuffle", "3", "2"], ["--cyclic", "1", "2", "1"],
                          ["--cyclic", "2", "1"],
+                         ["--shuffle", "4", "4", "--samples", "4000"],
+                         ["--cyclic", "1", "3", "--samples", "4000"],
+                         ["--cyclic", "0", "0", "6", "6", "--samples", "1000"],
                          ["--shuffle", "0", "0", "--samples", "10"],
                          ["--shuffle", "0", "3", "--samples", "50"],
                          ["--cyclic", "0", "--samples", "100"],
