@@ -5,9 +5,9 @@ integral of Str(a0 e^{-u0 Delta} [D,a1] e^{-u1 Delta} ... [D,an]
 e^{-un Delta}) over the gap variables u.  Both evaluation routes run over
 one term loop: it represents, brackets and parity-classifies a chain's
 whole factor table as one stack, takes it into Delta's eigenbasis once
-(the grading folded into the head), and gathers each degree block's live
-terms with one take; a term whose supertrace vanishes by parity reaches
-no route.
+(the grading folded into the head), groups each degree block's terms by
+the pattern of their slots' parity codes and gathers each group with one
+take; a term whose supertrace vanishes by parity reaches no route.
 
 In the eigenbasis every heat factor and every resolvent is diagonal, so
 one string kernel, `JLOEvaluator._string_run` (over spans of points)
@@ -15,14 +15,21 @@ and `_strings` (by chunks of rows, with no generator), evaluates
 tr(A0 W0 A1 W1 ... An Wn) for a stack of terms at a stack of diagonal
 weights W, and every route is a quadrature over it.
 The weights come points last, (n + 1, d, P), and each term carries its
-partial product transposed as one (d, d P) matrix, so each slot is one
-product Ak^T X^T per term and one scaling along the points, and one
-contraction over the flattened d^2 pair with the last slot closes every
-string; a run may close the points of a lower degree n at its slot n,
-with the last slot's weights after An (the pairing's weights are the
-same at every slot).  The exact route takes W = R(z) =
-diag(1/(z + w)) at the nodes of the trapezoid rule on a parabolic contour
-around (-inf, 0] (Weideman & Trefethen, Math. Comp. 76, 2007), the
+partial product transposed, so each slot is one product Ak^T X^T per
+term and one scaling along the points, and one contraction with the last
+slot closes every string; a run may close the points of a lower degree n
+at its slot n, with the last slot's weights after An (the pairing's
+weights are the same at every slot).  Delta's eigenvectors are pure
+(`SpectralTripleFD.delta_eigensystem` takes them per parity block), so a
+slot of one parity keeps two nonzero blocks there, and a string of pure
+slots is pure.  The kernel carries such a string as two halves, its rows
+of each parity, each padded to m = max(d_even, d_odd): one (m, m P)
+matrix per half, each slot one batched product over both halves.  A term
+with a mixed slot (parity code 2) runs the dense kernel, one (d, d P)
+matrix; the route is chosen by the slots' parity codes alone (`_Terms`).
+The exact route takes W = R(z) = diag(1/(z + w)) at the nodes of the
+trapezoid rule on a parabolic contour around (-inf, 0] (Weideman &
+Trefethen, Math. Comp. 76, 2007), the
 Bromwich integral Str(A0 (1/2 pi i) int e^z R(z) A1 R(z) ... An R(z) dz),
 with a node count derived a priori from n (see `_contour`).  Monte Carlo
 takes W = e^{-g w} at the gaps g of sorted uniform times; it shares the
@@ -46,11 +53,12 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .chains import Chain, _scalar_entries
-from .linalg import parity_codes, supertrace
+from .linalg import GradedSpace, parity_codes, supertrace
 from .shuffles import sample_simplex_batch
 from .spectral import INDEX_INTEGER_TOL, SpectralTripleFD, _rounded_index, \
     commutator_d
@@ -198,6 +206,109 @@ def _pairing_contour():
     return z, tuple(itertools.accumulate(map(len, rules), initial=0))
 
 
+# bounded: one entry per parity split (dim_even, dim_odd) in use
+@functools.lru_cache(maxsize=64)
+def _halves(space: GradedSpace):
+    """(rows, at), read-only: the string kernel's layout of vectors in two
+    halves of m = max(dim_even, dim_odd) places, half j holding the vectors
+    of parity j, then padding.  rows (2, m) is the vector at each place, a
+    vector of the other half at a padded place (where the kernel only ever
+    scales zeros); at (d,) is each vector's place in the flattened (2 m,)
+    layout."""
+    de, do = space.dim_even, space.dim_odd
+    m = max(de, do)
+    rows = np.minimum(np.add.outer((0, de), np.arange(m)), de + do - 1)
+    at = np.concatenate([np.arange(de), m + np.arange(do)])
+    for a in (rows, at):
+        a.setflags(write=False)
+    return rows, at
+
+
+# the base-3 place values of a row's parity codes, one digit per slot
+_BASE3 = 3 ** np.arange(DEGREE_CAP + 1)
+
+
+# bounded: a key is one of at most 3^(n + 1) code patterns per degree, and
+# a block has few distinct ones
+@functools.lru_cache(maxsize=256)
+def _parity_pattern(n: int, key: int):
+    """The string kernel's route for a row of n + 1 slots whose parity
+    codes are the base-3 digits of key, lowest first, as (swapped, near,
+    far), read-only; None when its supertrace vanishes by parity (every
+    slot pure and an odd count of them odd).
+
+    A row with a mixed slot runs the dense kernel: near = far = None and
+    swapped all False.  Otherwise half s of slot k is its block to the
+    vectors of parity near[k, s] = s + p_k from those of parity far[k, s]
+    = s + p_(k+1), where p_k is the parity of the slots before slot k; so
+    half s of every string always holds its rows of parity s, and past
+    slot k its columns have parity s + p_(k+1), swapped[k] = p_(k+1)."""
+    codes = np.array([key // 3 ** k % 3 for k in range(n + 1)])
+    if codes.max() == 2:
+        out = (np.zeros(n + 1, dtype=bool), None, None)
+    else:
+        through = np.cumsum(codes) % 2
+        if through[-1]:
+            return None
+        half = np.arange(2)
+        out = (through == 1, (half + (through - codes)[:, None]) % 2,
+               (half + through[:, None]) % 2)
+    for a in out:
+        if a is not None:
+            a.setflags(write=False)
+    return out
+
+
+class _Group(NamedTuple):
+    """Terms of one route through the string kernel: their rows `at` in
+    the stack, ascending, their slots (T, n + 1, H, m, m), `swapped`
+    (n + 1,) and `rows` (H, m), the vector of each row of a half.
+    swapped[k] says that past slot k the first half carries the odd rows."""
+
+    at: np.ndarray
+    slots: np.ndarray
+    swapped: np.ndarray
+    rows: np.ndarray
+
+
+class _Terms:
+    """The terms of one degree-n slot stack as the string kernel takes
+    them, in groups (`_Group`), one per pattern of the slots' parity codes.
+    A row with a mixed slot (code 2) runs the dense kernel, one half (H =
+    1) of m = d rows; a row of pure slots runs two halves (H = 2) of m =
+    max(d_even, d_odd) rows, unless its count of odd slots is odd: then its
+    supertrace vanishes by parity, `vanish` marks it, and it reads 0."""
+
+    __slots__ = ("degree", "vanish", "groups")
+
+    def __init__(self, degree: int, vanish, groups: tuple):
+        self.degree, self.vanish, self.groups = degree, vanish, groups
+
+    def __len__(self):
+        return len(self.vanish)
+
+    def __getitem__(self, t):
+        """Term t alone, as a one-term stack."""
+        vanish = self.vanish[t:t + 1]
+        if not (0 <= t and len(vanish)):
+            raise IndexError(t)
+        for at, slots, swapped, rows in self.groups:
+            j = np.searchsorted(at, t)
+            if j < len(at) and at[j] == t:
+                return _Terms(self.degree, vanish, (_Group(
+                    np.zeros(1, np.intp), slots[j:j + 1], swapped, rows),))
+        return _Terms(self.degree, vanish, ())
+
+
+def _gaps(ts, out):
+    """The gaps of P sorted simplex points ts (P, n) written into out
+    (n + 1, P), bit for bit np.diff(ts, prepend=0.0, append=1.0).T."""
+    out[0] = ts[:, 0]
+    np.subtract(ts[:, 1:].T, ts[:, :-1].T, out=out[1:-1])
+    np.subtract(1.0, ts[:, -1], out=out[-1])
+    return out
+
+
 class JLOEvaluator:
     """Per-triple evaluation engine; reuses the cached eigensystem of Delta."""
 
@@ -217,118 +328,185 @@ class JLOEvaluator:
         return ops
 
     def _eigenbasis(self, heads, slots):
-        """The graded heads, then the slots, in Delta's eigenbasis."""
+        """The graded heads, then the slots, flattened to one stack in
+        Delta's eigenbasis in the halves' layout, (E, 2, m, 2, m): block
+        [j, j'] maps the vectors of parity j' to those of parity j, padded
+        with zeros to m x m (see `_halves`).  It is conjugated by Delta's
+        eigenvectors, each placed in its half, by two products over the
+        whole stack (not two per matrix).  The eigenvectors are pure, so a
+        pure matrix keeps exact zero blocks there."""
         _, u = self.triple.delta_eigensystem()
-        g = self.triple.space.gamma_diag[:, None]
-        return u.conj().T @ np.concatenate([g * heads, slots]) @ u
+        space = self.triple.space
+        rows, at = _halves(space)
+        d, m = len(u), rows.shape[1]
+        # the eigenvectors as the columns of P, (d, 2 m), each at its place
+        placed = np.zeros((d, 2 * m), dtype=np.complex128)
+        placed[:, at] = u
+        stack = np.concatenate([space.gamma_diag[:, None] * heads, slots])
+        e = stack.size // (d * d)
+        # X_e P for every e, then P^* (X_e P) for every e, side by side
+        right = (stack.reshape(e * d, d) @ placed).reshape(e, d, 2 * m)
+        both = placed.conj().T @ right.transpose(1, 0, 2).reshape(d, e * 2 * m)
+        return both.reshape(2, m, e, 2, m).transpose(2, 0, 1, 3, 4)
+
+    def _terms(self, blocks, codes, rows) -> _Terms:
+        """The terms whose slots are rows (T, n + 1) of an `_eigenbasis`
+        table, blocks (E, 2, m, 2, m), of parity codes (E,), grouped by the
+        pattern of their slots' codes (`_Terms`, `_parity_pattern`)."""
+        n = rows.shape[1] - 1
+        vectors, at = _halves(self.triple.space)
+        key = codes[rows] @ _BASE3[:n + 1]
+        keys = sorted(set(key.tolist()))
+        vanish = np.zeros(len(rows), dtype=bool)
+        groups = []
+        for k in keys:
+            match = np.flatnonzero(key == k) if len(keys) > 1 \
+                else np.arange(len(rows))
+            pattern = _parity_pattern(n, k)
+            if pattern is None:
+                vanish[match] = True
+                continue
+            swapped, near, far = pattern
+            if near is None:
+                # the dense d x d slots, read off their places
+                grid = blocks.reshape(
+                    len(codes), vectors.size, -1)[rows[match]]
+                groups.append(_Group(
+                    match, grid[..., at[:, None], at][:, :, None], swapped,
+                    np.arange(at.size)[None]))
+            else:
+                groups.append(_Group(match, blocks[
+                    rows[match][..., None], near, :, far], swapped, vectors))
+        return _Terms(n, vanish, tuple(groups))
 
     def _prepared_terms(self, chain: Chain, heads):
         """Per degree block of a normalized chain, ascending, and per head
         form in heads (False: a0, True: [D, a0]), yield (form, coeffs,
-        slots, vanish): vanish marks the terms whose supertrace vanishes by
-        parity (no slot mixed, odd count of odd slots), and slots holds the
-        other terms, (L, n + 1, d, d) in Delta's eigenbasis, bracketed
-        after the head and with the grading folded into the head."""
+        terms): the block's terms as a `_Terms` in Delta's eigenbasis,
+        bracketed after the head and with the grading folded into the
+        head, whose `vanish` marks the terms that vanish by parity."""
         if (top := max(chain.blocks, default=0)) > DEGREE_CAP:
             raise DegreeCapError(f"degree {top} exceeds the cap {DEGREE_CAP}")
         ops = self._forms(chain.table)
         codes = parity_codes(ops, self.triple.space)
         # graded heads, one row per form in heads, then the brackets
-        eig = self._eigenbasis(ops[np.array(heads, dtype=np.intp)], ops[1:])
+        forms = np.array([*heads, True], dtype=np.intp)
+        blocks = self._eigenbasis(ops[forms[:-1]], ops[1:])
+        codes = codes[forms].ravel()
         for rows, coeffs in chain.blocks.values():
             slot = np.minimum(np.arange(rows.shape[1]), 1)
             for i, form in enumerate(heads):
-                c = codes[slot | form, rows]
-                vanish = (c.max(1) < 2) & (c.sum(1) % 2 == 1)
-                where = np.where(slot, len(heads), i)
-                yield form, coeffs, eig[where, rows[~vanish]], vanish
+                yield form, coeffs, self._terms(
+                    blocks, codes,
+                    np.where(slot, len(heads), i) * len(chain.table) + rows)
 
     # ---------------------------------------------------------------- exact
-    def _strings(self, slots, weights) -> np.ndarray:
+    def _strings(self, terms: _Terms, weights) -> np.ndarray:
         """(T, P) values tr(A0 W0 A1 W1 ... An Wn) of the T terms of a
-        (T, n + 1, d, d) slot stack at the P points of an (n + 1, d, P)
-        stack of diagonal weights, points last: one run of `_string_run`'s
-        products over every point per chunk of rows whose stack holds at
-        most NODE_STACK_ELEMENTS entries, with no generator to set up."""
-        n, d, p = slots.shape[1] - 1, slots.shape[-1], weights.shape[-1]
-        if n == 0:
-            return np.einsum("tii,ip->tp", slots[:, 0], weights[0])
-        values = np.empty((len(slots), p), dtype=np.complex128)
+        `_Terms` at the P points of an (n + 1, d, P) stack of diagonal
+        weights, points last.  Each group (`_Group`) reads its halves'
+        rows of the weights, (n + 1, H, m, P): the rows with a mixed slot
+        run the dense kernel (H = 1, m = d), each pure pattern the two
+        halves (H = 2).  A group runs `_string_run`'s products over every
+        point once per chunk of rows whose d x d slot stack would hold at
+        most NODE_STACK_ELEMENTS entries, with no generator to set up; a
+        row in no group vanishes by parity and reads 0."""
+        n, d, p = terms.degree, weights.shape[1], weights.shape[-1]
+        values = np.zeros((len(terms), p), dtype=np.complex128)
         step = max(1, NODE_STACK_ELEMENTS // (p * d * d))
-        for lo in range(0, len(slots), step):
-            chunk = slots[lo:lo + step]
-            x, live = self._string_open(chunk, weights)
-            values[lo:lo + step] = self._string_close(
-                chunk, self._string_carry(chunk, x, live, 1, n), n, p)
+        for at, slots, swapped, rows in terms.groups:
+            live = weights[:, rows]
+            if n == 0:
+                values[at] = np.einsum("thii,hip->tp", slots[:, 0], live[0])
+                continue
+            for lo in range(0, len(at), step):
+                chunk = slots[lo:lo + step]
+                x, run = self._string_open(chunk, swapped, live)
+                values[at[lo:lo + step]] = self._string_close(
+                    chunk, self._string_carry(chunk, swapped, x, run, 1, n),
+                    n, p)
         return values
 
     @staticmethod
-    def _string_run(slots, weights, spans):
+    def _string_run(slots, swapped, weights, spans):
         """Per span (n, count) of spans, ascending in n >= 1 and in points,
         yield the (T, count) values tr(A0 W0 A1 W1 ... A(n-1) W(n-1) An WN)
-        of the T terms of a (T, N + 1, d, d) slot stack at the span's points
-        of an (N + 1, d, P) stack of diagonal weights W, points last.
-        Each is the string tr(A0 W0 ... An Wn) where Wn = WN: at n = N,
-        and at every n when one W serves every slot.
+        of the T terms of one group's (T, N + 1, H, m, m) slots (`_Group`)
+        at the span's points of their (N + 1, H, m, P) diagonal weights W,
+        points last.  Each is the string tr(A0 W0 ... An Wn) where Wn = WN:
+        at n = N, and at every n when one W serves every slot.  The halves
+        close a span only where the slots through n hold an even count of
+        odd ones, swapped[n] False; at any other n the string is 0 by
+        parity, and what they yield is not it.
 
         By cyclicity the string is tr(X An), X = WN A0 W0 A1 W1 ... A(n-1)
-        W(n-1).  Each row carries X transposed over the live points as one
-        (d, d P) matrix, X^T[a, (b, p)] = X_p[b, a]: it starts from
-        (WN A0 W0)^T (`_string_open`), and each slot k is one product
-        X^T <- Ak^T X^T and a scaling of its rows by Wk along the points
-        (`_string_carry`).  On reaching slot n, sum_ab X^T[a, b] (An)_ab
-        closes the span's strings in one contraction over the flattened d^2
-        pair, an einsum that makes no BLAS call (`_string_close`), and
-        their points leave the stack."""
-        x, live = JLOEvaluator._string_open(slots, weights)
+        W(n-1).  Each row carries X transposed over the live points as H
+        halves of one (m, m P) matrix each, X^T[s, a, (b, p)] = X_p[b, a]
+        for the rows b of half s.  With H = 1, m = d, that is the dense
+        string.  With H = 2, half s holds X's rows of parity s: X is pure
+        when its slots are, so the halves hold all of it, and the rest of
+        each half is zero padding.  X^T starts from (WN A0 W0)^T
+        (`_string_open`), and each slot k is one batched product X^T <- Ak^T
+        X^T, (T, H, m, m) by (T, H, m, m P), and a scaling of its rows by
+        Wk along the points (`_string_carry`).  A slot maps each half into
+        itself; past slot k half s holds the columns a of parity s + p,
+        where p is the parity of the slots so far, swapped[k], so its rows
+        take the weights of half s + p.  No half is moved or copied.  On
+        reaching slot n, sum_sab X^T[s, a, b] (An)_sab closes the span's
+        strings in one contraction over the flattened H m^2 entries, an
+        einsum that makes no BLAS call (`_string_close`), and their points
+        leave the stack."""
+        x, live = JLOEvaluator._string_open(slots, swapped, weights)
         k = 1
         for n, count in spans:
-            x = JLOEvaluator._string_carry(slots, x, live, k, n)
+            x = JLOEvaluator._string_carry(slots, swapped, x, live, k, n)
             yield JLOEvaluator._string_close(slots, x, n, count)
             x, live, k = x[..., count:], live[..., count:], n
 
     @staticmethod
-    def _string_open(slots, weights):
-        """(X^T, live weights): X^T = (WN A0 W0)^T of every row, (T, d, d,
-        P), and the weights with a row axis, (N + 1, d, 1, P)."""
-        live = weights[:, :, None]
-        x = slots[:, 0].swapaxes(-1, -2)[..., None] * (live[0] * weights[-1])
+    def _string_open(slots, swapped, weights):
+        """(X^T, live weights): X^T = (WN A0 W0)^T of every row, (T, H, m,
+        m, P), and the weights with a row axis, (N + 1, H, m, 1, P)."""
+        live = weights[:, :, :, None]
+        first = live[0, ::-1] if swapped[0] else live[0]
+        x = slots[:, 0].swapaxes(-1, -2)[..., None] \
+            * (first * weights[-1][:, None])
         return x, live
 
     @staticmethod
-    def _string_carry(slots, x, live, k, n):
+    def _string_carry(slots, swapped, x, live, k, n):
         """X^T carried from slot k to slot n: X^T <- Ak^T X^T, then its rows
         scaled by Wk, for each slot k .. n - 1."""
-        t, d = len(slots), slots.shape[-1]
+        t, h, m = len(slots), slots.shape[2], slots.shape[-1]
         for k in range(k, n):
-            x = (slots[:, k].swapaxes(-1, -2) @ x.reshape(t, d, -1)) \
+            x = (slots[:, k].swapaxes(-1, -2) @ x.reshape(t, h, m, -1)) \
                 .reshape(x.shape)
-            x *= live[k]
+            x *= live[k, ::-1] if swapped[k] else live[k]
         return x
 
     @staticmethod
     def _string_close(slots, x, n, count):
-        """(T, count) values sum_ab X^T[a, b] (An)_ab at the first count
-        points of X^T."""
-        t, d = len(slots), slots.shape[-1]
-        return np.einsum("tk,tkp->tp", slots[:, n].reshape(t, d * d),
-                         x[..., :count].reshape(t, d * d, count))
+        """(T, count) values sum_sab X^T[s, a, b] (An)_sab at the first
+        count points of X^T."""
+        t = len(slots)
+        return np.einsum("tk,tkp->tp", slots[:, n].reshape(t, -1),
+                         x[..., :count].reshape(t, -1, count))
 
-    def term_exact(self, slots) -> np.ndarray:
-        """Values of the T terms of a (T, n + 1, d, d) stack in Delta's
-        eigenbasis, head graded, as `_prepared_terms` gives them.
+    def term_exact(self, terms: _Terms) -> np.ndarray:
+        """Values of the T terms of a `_Terms` in Delta's eigenbasis, head
+        graded, as `_prepared_terms` gives them.
 
         Degree 0 is sum_i (A0)_ii e^{-w_i}.  Degree n >= 1 is the
         trapezoid rule of `_contour(n)` for (1/2 pi i) int e^z tr(A0 R(z)
         A1 ... An R(z)) dz, R(z) = diag(1/(z + w)), every node a point of
         the string kernel."""
         w, _ = self.triple.delta_eigensystem()
-        n = slots.shape[1] - 1
+        n = terms.degree
         if n == 0:
-            return self._strings(slots, np.exp(-w)[None, :, None])[:, 0]
+            return self._strings(terms, np.exp(-w)[None, :, None])[:, 0]
         z, weights = _contour(n)
         r = 1.0 / (z + w[:, None])
-        return self._strings(slots, np.broadcast_to(r, (n + 1, *r.shape))) \
+        return self._strings(terms, np.broadcast_to(r, (n + 1, *r.shape))) \
             @ weights
 
     # ------------------------------------------------------------- pointwise
@@ -347,29 +525,41 @@ class JLOEvaluator:
             raise ValueError("simplex dimension must equal the chain degree")
         w, _ = self.triple.delta_eigensystem()
         gaps = np.diff(np.concatenate([[0.0], t, [1.0]]))
+        codes = parity_codes(np.concatenate([plain[:1], brackets[1:]]),
+                             self.triple.space)
+        terms = self._terms(self._eigenbasis(plain[:1], brackets[1:]), codes,
+                            np.arange(len(plain))[None])
         return complex(self._strings(
-            self._eigenbasis(plain[:1], brackets[1:])[None],
+            terms,
             np.exp(-gaps[:, None, None] * w[:, None]))[0, 0])
 
     # ------------------------------------------------------------------- MC
-    def term_mc(self, ops, samples: int, rng):
+    def term_mc(self, terms: _Terms, samples: int, rng):
         """(estimate, standard error) by sorted-uniform simplex sampling, for
-        one term's (n + 1, d, d) stack in Delta's eigenbasis, head graded,
-        as `_prepared_terms` gives it; every sample is a point of the
-        string kernel with weights e^{-g w} at its gaps g."""
-        n = len(ops) - 1
+        a one-term `_Terms` in Delta's eigenbasis, head graded, as
+        `_prepared_terms` gives it; every sample is a point of the string
+        kernel with weights e^{-g w} at its gaps g, taken in the term's
+        halves.  A term that vanishes by parity reads (0, 0) and draws
+        nothing."""
+        n = terms.degree
         if n == 0:
-            return complex(self.term_exact(ops[None])[0]), 0.0
+            return complex(self.term_exact(terms)[0]), 0.0
+        if not terms.groups:
+            return 0.0 + 0.0j, 0.0
+        (_, slots, swapped, rows), = terms.groups
         w, _ = self.triple.delta_eigensystem()
         chunk = max(1, _product_points(w.size))
+        gaps = np.empty((n + 1, min(chunk, samples)))
+        w = w[rows][..., None]
         # the sum and the squared deviation from the mean so far, joined per
         # chunk by Chan's update: no cancelling E|X|^2 against |EX|^2
         total, dev_sq = 0.0 + 0.0j, 0.0
         for done in range(0, samples, chunk):
             ts = sample_simplex_batch(n, rng, min(chunk, samples - done))
-            gaps = np.diff(ts, prepend=0.0, append=1.0)
-            weights = np.exp(-gaps.T[:, None] * w[:, None])
-            vals = self._strings(ops[None], weights)[0]
+            weights = np.exp(-_gaps(ts, gaps[:, :len(ts)])[:, None, None] * w)
+            x, live = self._string_open(slots, swapped, weights)
+            vals = self._string_close(slots, self._string_carry(
+                slots, swapped, x, live, 1, n), n, len(ts))[0]
             part, k = complex(vals.sum()), len(vals)
             dev_sq += float(np.sum(np.abs(vals - part / k) ** 2))
             if done:
@@ -385,9 +575,9 @@ class JLOEvaluator:
         """{form: cochain value} per head form, from one preparation."""
         totals = dict.fromkeys(heads, 0.0 + 0.0j)
         chain = chain.normalized()
-        for form, coeffs, slots, vanish in self._prepared_terms(chain, heads):
-            if len(slots):
-                totals[form] += complex(coeffs[~vanish] @ self.term_exact(slots))
+        for form, coeffs, terms in self._prepared_terms(chain, heads):
+            if terms.groups:
+                totals[form] += complex(coeffs @ self.term_exact(terms))
         return totals
 
     def cochain(self, chain: Chain, first_slot_d: bool = False) -> complex:
@@ -401,15 +591,15 @@ class JLOEvaluator:
             raise ValueError("samples must be a positive integer")
         chain = chain.normalized()
         seeds = rng.integers(2 ** 63 - 1, size=max(chain.num_terms, 1))
-        total, var, at = 0.0 + 0.0j, 0.0, 0
-        for _, coeffs, slots, vanish in self._prepared_terms(chain, (False,)):
-            live = ~vanish
-            for coeff, ops, seed in zip(coeffs[live].tolist(), slots,
-                                        seeds[at:at + len(live)][live].tolist()):
-                est, se = self.term_mc(ops, samples, np.random.default_rng(seed))
-                total += coeff * est
-                var += (abs(coeff) * se) ** 2
-            at += len(live)
+        seeds, total, var, at = seeds.tolist(), 0.0 + 0.0j, 0.0, 0
+        for _, coeffs, terms in self._prepared_terms(chain, (False,)):
+            coeffs = coeffs.tolist()
+            for t in np.flatnonzero(~terms.vanish).tolist():
+                est, se = self.term_mc(terms[t], samples,
+                                       np.random.default_rng(seeds[at + t]))
+                total += coeffs[t] * est
+                var += (abs(coeffs[t]) * se) ** 2
+            at += len(terms)
         return total, math.sqrt(var)
 
 
@@ -485,7 +675,7 @@ def index_pairing(amp: SpectralTripleFD, e) -> PairingReport:
     # and ||[D, e]|| <= ||D|| for a projection; the bound's tail past the
     # stop grows with c and is far over the threshold at c = 700, where
     # e^c is still finite
-    c = min(amp.delta_eigensystem()[0][-1], np.vdot(de, de).real, 700.0)
+    c = min(amp.delta_eigensystem()[0].max(), np.vdot(de, de).real, 700.0)
     series = [c ** m / math.factorial(m)
               for m in range(DEGREE_CAP // 2 + 1)]
     acc = 0.0 + 0.0j
@@ -527,9 +717,14 @@ def _pairing_terms(amp: SpectralTripleFD, e, de, series):
         yield 0.0 + 0.0j
         return
     d, ev = amp.hilbert_dim, JLOEvaluator(amp)
-    stack = np.empty((1, DEGREE_CAP + 1, d, d), dtype=np.complex128)
-    stack[0, 0], stack[0, 1:] = ev._eigenbasis(
-        (e - 0.5 * np.eye(d))[None], de[None])
+    head = e - 0.5 * np.eye(d)
+    blocks = ev._eigenbasis(head[None], de[None])
+    codes = parity_codes(np.stack([head, de]), amp.space)
+    # one row, in one group: its head is even, as e is, and its other
+    # slots are one matrix, so every degree 2m holds an even count of odd
+    # slots and no run closes where the halves could not
+    (_, slots, swapped, rows), = ev._terms(
+        blocks, codes, np.minimum(np.arange(DEGREE_CAP + 1), 1)[None]).groups
     w, _ = amp.delta_eigensystem()
     z, at = _pairing_contour()
     top, points = len(series) - 1, _product_points(d)
@@ -542,10 +737,10 @@ def _pairing_terms(amp: SpectralTripleFD, e, de, series):
         last = first
         while last + 1 < stop and at[last + 1] - at[first - 1] <= points:
             last += 1
-        r = 1.0 / (z[at[first - 1]:at[last]] + w[:, None])
+        r = (1.0 / (z[at[first - 1]:at[last]] + w[:, None]))[rows]
         degrees = range(first, last + 1)
         for m, values in zip(degrees, ev._string_run(
-                stack[:, :2 * last + 1],
+                slots[:, :2 * last + 1], swapped,
                 np.broadcast_to(r, (2 * last + 1, *r.shape)),
                 [(2 * m, at[m] - at[m - 1]) for m in degrees])):
             yield ((-1) ** m * math.factorial(2 * m) / math.factorial(m)

@@ -109,10 +109,17 @@ class SpectralTripleFD:
         return self.space.dim
 
     def delta_eigensystem(self):
-        """Eigensystem of the Hermitian part of Delta = D^2.  The
-        Hermiticity rule is checked on D itself: the anti-Hermitian part
-        of D^2 can be up to 2 ||D|| times that of D.  Raises ValueError
-        when Delta overflows, so that no evaluation runs on its NaNs."""
+        """Eigensystem (w, u) of the Hermitian part of Delta = D^2, taken
+        per parity block: eigh of the even block, then of the odd block, so
+        w lists the even block's eigenvalues (each block's ascending) before
+        the odd block's, and u is block diagonal with every eigenvector of
+        one parity.  The blocks this drops, D_odd E + E D_odd for D's even
+        part E, are at most 2 ||D|| |E| in norm, and D must be odd by
+        validate_triple's rule, |g D g + D| = 2 |E| <= DEFAULT_TOL, or a
+        ParityError is raised.  The Hermiticity rule is checked on D
+        itself: the anti-Hermitian part of D^2 can be up to 2 ||D|| times
+        that of D.  Raises ValueError when Delta overflows, so that no
+        evaluation runs on its NaNs."""
         if self._delta_eig is None:
             check_hermitian(self.dirac)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -120,7 +127,19 @@ class SpectralTripleFD:
                 h = (d + d.conj().T) / 2.0
             if not np.isfinite(h).all():
                 raise ValueError("Delta = D^2 overflows the float range")
-            self._delta_eig = tuple(np.linalg.eigh(h))
+            # D is finite here, since D^2 is; frob bounds the operator norm
+            # from above, so the SVD runs only past DEFAULT_TOL
+            g = self.space.gamma_diag
+            even = g[:, None] * self.dirac * g + self.dirac
+            if frob(even) > DEFAULT_TOL:
+                _refuse(ParityError, "Dirac oddness",
+                        np.linalg.svd(even, compute_uv=False)[0])
+            de = self.space.dim_even
+            w = np.empty(self.hilbert_dim)
+            u = np.zeros_like(h)
+            for block in (slice(None, de), slice(de, None)):
+                w[block], u[block, block] = np.linalg.eigh(h[block, block])
+            self._delta_eig = (w, u)
         return self._delta_eig
 
     def heat(self, t: float) -> np.ndarray:
@@ -168,8 +187,14 @@ def validate_triple(triple: SpectralTripleFD) -> None:
             (NotSelfAdjointError, "Dirac hermiticity", norms[0]),
             (ParityError, "Dirac oddness", norms[1]),
             (ParityError, "generator evenness", norms[2:].max(initial=0.0))):
-        if not residual <= DEFAULT_TOL:  # NaN is refused
-            raise error(f"{axiom} residual {residual:.3g} > {DEFAULT_TOL:g}")
+        _refuse(error, axiom, residual)
+
+
+def _refuse(error, axiom: str, residual) -> None:
+    """Raise error, naming the axiom and its residual, unless the residual
+    is at most DEFAULT_TOL; NaN is refused."""
+    if not residual <= DEFAULT_TOL:
+        raise error(f"{axiom} residual {residual:.3g} > {DEFAULT_TOL:g}")
 
 
 def commutator_d(triple: SpectralTripleFD, a) -> np.ndarray:

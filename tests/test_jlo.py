@@ -26,7 +26,14 @@ from jlolab.jlo import (
     jlo_integrand,
     perturbed_cochain,
 )
-from jlolab.linalg import GradedSpace, Parity, _freeze, parity_of, supertrace
+from jlolab.linalg import (
+    GradedSpace,
+    Parity,
+    _freeze,
+    parity_codes,
+    parity_of,
+    supertrace,
+)
 from jlolab.randomgen import (
     random_chain,
     random_even,
@@ -203,7 +210,7 @@ def test_node_stack_chunks_give_the_same_rows(monkeypatch):
     t = product_triple(random_triple(rng, 2, 1), random_triple(rng, 1, 1))
     chain = random_chain(rng, t.space, (4,) * 5).normalized()
     ev = JLOEvaluator(t)
-    (_, _, slots, _), = ev._prepared_terms(chain, (False,))
+    (_, _, slots), = ev._prepared_terms(chain, (False,))
     assert len(slots) == 5
     whole = ev.term_exact(slots)
     samples = 50
@@ -241,12 +248,46 @@ def _explicit_strings(slots, weights):
         for p in range(weights.shape[-1])] for row in slots])
 
 
+def _random_of_parity(rng, space, code):
+    """A random complex matrix of parity code 0 (even), 1 (odd) or 2
+    (mixed) in the canonical basis."""
+    d, g = space.dim, space.gamma_diag
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    split = np.not_equal.outer(g, g)
+    return a if code == 2 else a * (split if code else ~split)
+
+
+def _kernel_terms(ev, stack, rows):
+    """The terms whose slots are rows (T, n + 1) of a canonical (E, d, d)
+    stack, as the string kernel takes them in Delta's eigenbasis, and the
+    same slots there as dense (T, n + 1, d, d) matrices."""
+    _, u = ev.triple.delta_eigensystem()
+    terms = ev._terms(ev._eigenbasis(stack[:0], stack),
+                      parity_codes(stack, ev.triple.space), rows)
+    return terms, (u.conj().T @ stack @ u)[rows]
+
+
+def _routed_rows(rng, n):
+    """Rows (6, n + 1) over a stack of two mixed (0, 1), an even (2) and an
+    odd (3) matrix: two with a mixed slot, three pure ones in random parity
+    patterns and one pure one that vanishes by parity."""
+    mixed = rng.integers(0, 4, (2, n + 1))
+    mixed[:, 0] = 0
+    pure = rng.integers(2, 4, (4, n + 1))
+    # an even count of odd slots, then one odd count
+    pure[:, -1] = 2 + (pure[:, :-1] == 3).sum(1) % 2
+    pure[3, -1] ^= 1
+    return np.concatenate([mixed, pure])
+
+
 @pytest.mark.parametrize("n", [0, 1, 6])
 def test_strings_match_the_explicit_product_at_each_point(monkeypatch, n):
     # at one point (the integrand), at the 37 contour nodes and at one full
     # Monte Carlo chunk; on a generic, a flat (D = 0) and a repeated-
-    # eigenvalue triple (the product of two identical factors); with every
-    # row in one chunk and with one row a chunk
+    # eigenvalue triple (the product of two identical factors); rows with a
+    # mixed slot (the dense kernel), pure rows in several parity patterns
+    # (the halves) and one that vanishes by parity; with every row in one
+    # chunk and with one row a chunk
     rng = np.random.default_rng(31)
     t21 = random_triple(rng, 2, 1)
     flat = SpectralTripleFD(GradedSpace(2, 1), np.zeros((3, 3)), (np.eye(3),))
@@ -254,8 +295,11 @@ def test_strings_match_the_explicit_product_at_each_point(monkeypatch, n):
     for t in (t21, flat, product_triple(t21, t21)):
         ev, d = JLOEvaluator(t), t.hilbert_dim
         w = t.delta_eigensystem()[0][:, None]
-        slots = (rng.standard_normal((2, n + 1, d, d))
-                 + 1j * rng.standard_normal((2, n + 1, d, d)))
+        stack = np.stack([_random_of_parity(rng, t.space, code)
+                          for code in (2, 2, 0, 1)])
+        terms, slots = _kernel_terms(ev, stack, _routed_rows(rng, n))
+        assert [g.slots.shape[2] for g in terms.groups].count(1) >= 1
+        assert terms.vanish.tolist() == [False] * 5 + [True]
         chunk = (jlo.NODE_STACK_ELEMENTS - 1) // d ** 3
         gaps = np.diff(sample_simplex_batch(n, rng, chunk),
                        prepend=0.0, append=1.0).T[:, None]
@@ -266,8 +310,106 @@ def test_strings_match_the_explicit_product_at_each_point(monkeypatch, n):
             for budget in (jlo.NODE_STACK_ELEMENTS, weights[0].size * d):
                 monkeypatch.setattr(jlo, "NODE_STACK_ELEMENTS", budget)
                 np.testing.assert_allclose(
-                    ev._strings(slots, weights), want, rtol=0,
+                    ev._strings(terms, weights), want, rtol=0,
                     atol=64 * UNIT_ROUNDOFF * abs(want).max())
+
+
+def _split_triples():
+    """Random 1|1, 2|1, 2|2, 5|4 and 4|1 triples (4|1 pads its odd half
+    from 1 to 4 rows), the flat 2|1 (D = 0), the square of the 2|1 triple
+    (repeated eigenvalues of Delta) and the 2|1 triple ampliated by
+    C^{2|0}."""
+    rng = np.random.default_rng(3_502)
+    t21 = random_triple(rng, 2, 1)
+    flat = SpectralTripleFD(GradedSpace(2, 1), np.zeros((3, 3)), (np.eye(3),))
+    ampliation = SpectralTripleFD(GradedSpace(2, 0), np.zeros((2, 2)), ())
+    return [random_triple(rng, 1, 1), t21, random_triple(rng, 2, 2),
+            random_triple(rng, 5, 4), random_triple(rng, 4, 1), flat,
+            product_triple(t21, t21), product_triple(t21, ampliation)]
+
+
+def _kernel_values(ev, chain, seed):
+    """Per degree block and head form, the strings of its rows at the
+    contour's nodes (at e^{-w} in degree 0), at a chunk of Monte Carlo
+    samples and at one point of it."""
+    w = ev.triple.delta_eigensystem()[0][:, None]
+    values = []
+    for _, _, terms in ev._prepared_terms(chain, (False, True)):
+        n = terms.degree
+        gaps = np.diff(sample_simplex_batch(n, np.random.default_rng(seed),
+                                            50), prepend=0.0, append=1.0)
+        r = np.exp(-w) if n == 0 else 1.0 / (jlo._contour(n)[0] + w)
+        nodes = np.broadcast_to(r, (n + 1, *r.shape))
+        for weights in (nodes, np.exp(-gaps.T[:, None] * w),
+                        np.exp(-gaps.T[:, None, :1] * w)):
+            values.append(ev._strings(terms, weights))
+    return values
+
+
+def test_split_kernel_matches_the_dense_kernel_on_the_same_eigenbasis(
+        monkeypatch):
+    # the same rows on the same eigenbasis through the halves and, with
+    # every pattern sent to it, through the dense kernel: two terms of
+    # even factors in degrees 0, 1, 6 and 12, both head forms, at the
+    # contour nodes, at Monte Carlo samples and at one point; with the
+    # default row budget and with one row a chunk (37 contour nodes)
+    rng = np.random.default_rng(35)
+    pattern = jlo._parity_pattern
+
+    def dense(n, key):
+        out = pattern(n, key)
+        return out if out is None else (np.zeros(n + 1, dtype=bool),
+                                        None, None)
+
+    budget = jlo.NODE_STACK_ELEMENTS
+    for t in _split_triples():
+        ev, d = JLOEvaluator(t), t.hilbert_dim
+        chain = sum((Chain.elementary(complex(*rng.standard_normal(2)), tuple(
+            t.unrepresent(random_even(rng, t.space)) for _ in range(n + 1)))
+            for n in (0, 1, 6, 12) for _ in range(2)),
+            Chain.zero(d)).normalized()
+        seed = int(rng.integers(1 << 30))
+        for rows in (budget, len(jlo._contour(6)[0]) * d * d):
+            monkeypatch.setattr(jlo, "NODE_STACK_ELEMENTS", rows)
+            monkeypatch.setattr(jlo, "_parity_pattern", pattern)
+            split = _kernel_values(ev, chain, seed)
+            assert any(g.slots.shape[2] == 2 for *_, terms in
+                       ev._prepared_terms(chain, (False,))
+                       for g in terms.groups)
+            monkeypatch.setattr(jlo, "_parity_pattern", dense)
+            for got, want in zip(split, _kernel_values(ev, chain, seed)):
+                np.testing.assert_allclose(
+                    got, want, rtol=0,
+                    atol=64 * UNIT_ROUNDOFF * abs(want).max())
+
+
+def test_a_mixed_slot_takes_the_dense_kernel_and_meets_the_oracle():
+    # a term with a mixed slot runs the dense kernel and the pure terms of
+    # the same block the halves, in both head forms
+    rng = np.random.default_rng(36)
+    for t in (random_triple(rng, 2, 1), random_triple(rng, 5, 4)):
+        chain = _mixed_chain(rng, t.space, (1, 2, 3))
+        ev = JLOEvaluator(t)
+        for form in (False, True):
+            routes = {g.slots.shape[2] for *_, terms in ev._prepared_terms(
+                chain.normalized(), (form,)) for g in terms.groups}
+            assert routes == {1, 2}
+            want = cochain_vanloan(t, chain, form)
+            assert abs(ev.cochain(chain, form) - want) <= 1e-12 * (1 + abs(want))
+
+
+def test_monte_carlo_gaps_are_np_diffs_bit_for_bit():
+    # zeros, ones, ties and random sorted rows, written into a wider array
+    rng = np.random.default_rng(37)
+    for ts in (np.zeros((3, 2)), np.ones((2, 4)),
+               np.array([[0.25, 0.25, 0.75], [0.0, 0.5, 0.5]]),
+               np.sort(rng.random((2427, 2)), axis=1),
+               np.sort(rng.random((5, 1)), axis=1)):
+        want = np.diff(ts, prepend=0.0, append=1.0).T
+        out = np.full((ts.shape[1] + 1, len(ts) + 3), np.nan)[:, :len(ts)]
+        assert jlo._gaps(ts, out) is out
+        assert np.ascontiguousarray(out).tobytes() == \
+            np.ascontiguousarray(want).tobytes()
 
 
 def test_contour_rule_meets_its_bound_on_the_worst_string():
@@ -301,22 +443,42 @@ def test_contour_past_the_factorial_range_is_finite():
 
 def test_string_run_closes_each_span_at_its_own_slot():
     # degrees 1, 2 and 4 over 3, 5 and 2 points of one generic weight stack,
-    # each string closed by the last slot's weights
+    # each string closed by the last slot's weights; the dense kernel on
+    # generic slots and both kernels on the routed rows of a 2|1 triple,
+    # whose pure rows close where their string does not vanish by parity
     rng = np.random.default_rng(32)
     d, spans = 3, [(1, 3), (2, 5), (4, 2)]
-    slots = (rng.standard_normal((2, 5, d, d))
-             + 1j * rng.standard_normal((2, 5, d, d)))
     weights = (rng.standard_normal((5, d, 10))
                + 1j * rng.standard_normal((5, d, 10)))
-    runs = list(JLOEvaluator._string_run(slots, weights, spans))
-    assert len(runs) == len(spans)
-    lo = 0
-    for (n, count), got in zip(spans, runs):
-        want = _explicit_strings(slots[:, :n + 1], np.concatenate(
-            [weights[:n], weights[4:]])[..., lo:lo + count])
-        np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=64 * UNIT_ROUNDOFF * abs(want).max())
-        lo += count
+    dense = (rng.standard_normal((2, 5, d, d))
+             + 1j * rng.standard_normal((2, 5, d, d)))
+    t = random_triple(rng, 2, 1)
+    stack = np.stack([_random_of_parity(rng, t.space, code)
+                      for code in (2, 2, 0, 1)])
+    terms, slots = _kernel_terms(JLOEvaluator(t), stack, _routed_rows(rng, 4))
+    runs = [(dense, [(np.arange(2), np.zeros(5, dtype=bool),
+                      dense[:, :, None], np.arange(d)[None])]),
+            (slots, [(g.at, g.swapped, g.slots, g.rows)
+                     for g in terms.groups])]
+    for explicit, groups in runs:
+        for at, swapped, group, rows in groups:
+            got = list(JLOEvaluator._string_run(group, swapped,
+                                                weights[:, rows], spans))
+            assert len(got) == len(spans)
+            lo = 0
+            for (n, count), values in zip(spans, got):
+                lo += count
+                if swapped[n]:
+                    # an odd count of odd slots through slot n: the string
+                    # is 0 by parity, and the halves close none
+                    continue
+                want = _explicit_strings(explicit[at][:, :n + 1],
+                                         np.concatenate([
+                                             weights[:n], weights[4:]])
+                                         [..., lo - count:lo])
+                np.testing.assert_allclose(
+                    values, want, rtol=0,
+                    atol=64 * UNIT_ROUNDOFF * abs(want).max())
 
 
 def test_integrand_at_simplex_points():
@@ -433,7 +595,7 @@ def test_monte_carlo_error_is_the_spread_of_its_draws(monkeypatch):
         factors = tuple(rng.standard_normal((d, d))
                         + 1j * rng.standard_normal((d, d)) for _ in range(3))
         ev = JLOEvaluator(t)
-        (_, _, slots, _), = ev._prepared_terms(
+        (_, _, slots), = ev._prepared_terms(
             Chain.elementary(1.0, factors).normalized(), (False,))
         samples = 50
         points = sample_simplex_batch(2, np.random.default_rng(5), samples)
@@ -614,8 +776,9 @@ def test_stacked_preparation_matches_per_entry_loop():
             want = _per_entry_cochain(ev, chain, first_slot_d)
             got = ev.cochain(chain, first_slot_d)
             assert abs(got - want) <= 1e-13 * (1 + abs(want))
-            skipped += sum(int(v.sum()) for *_, v in ev._prepared_terms(
-                chain.normalized(), (first_slot_d,)))
+            skipped += sum(int(terms.vanish.sum()) for *_, terms in
+                           ev._prepared_terms(chain.normalized(),
+                                              (first_slot_d,)))
         assert perturbed_cochain(t, chain) == \
             ev.cochain(chain) + INV_SQRT2 * ev.cochain(chain, True)
     assert skipped > 0
@@ -626,7 +789,7 @@ def test_stacked_preparation_matches_per_entry_loop():
     ev = JLOEvaluator(t21)
     for first_slot_d in (False, True):
         want = _per_entry_cochain(ev, boundary, first_slot_d)
-        got = sum(complex(coeffs[~vanish] @ ev.term_exact(slots))
-                  for _, coeffs, slots, vanish in ev._prepared_terms(
-                      padded, (first_slot_d,)) if len(slots))
+        got = sum(complex(coeffs @ ev.term_exact(terms))
+                  for _, coeffs, terms in ev._prepared_terms(
+                      padded, (first_slot_d,)) if terms.groups)
         assert abs(got - want) <= 1e-13 * (1 + abs(want))

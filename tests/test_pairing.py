@@ -15,7 +15,7 @@ from jlolab.jlo import (
     index_pairing,
     jlo_cochain,
 )
-from jlolab.linalg import GradedSpace, _freeze, supertrace
+from jlolab.linalg import GradedSpace, _freeze, parity_codes, supertrace
 from jlolab.randomgen import random_triple
 from jlolab.spectral import (
     Idempotent,
@@ -148,9 +148,9 @@ def test_pairing_degrees_share_runs_below_the_bound_stop(monkeypatch, case):
     started, calls = [], []
     run, terms = JLOEvaluator._string_run, jlo._pairing_terms
 
-    def spy_run(slots, weights, spans):
+    def spy_run(slots, swapped, weights, spans):
         started.append(tuple(n for n, _ in spans))
-        return run(slots, weights, spans)
+        return run(slots, swapped, weights, spans)
 
     def spy_terms(*args):
         calls.append(args)
@@ -164,14 +164,16 @@ def test_pairing_degrees_share_runs_below_the_bound_stop(monkeypatch, case):
     # 2m + 1 slots of the pairing's stack
     (amp, e, de, series), = calls
     ev, d = JLOEvaluator(amp), amp.hilbert_dim
-    stack = np.empty((1, DEGREE_CAP + 1, d, d), dtype=np.complex128)
-    stack[0, 0], stack[0, 1:] = ev._eigenbasis(
-        (e - 0.5 * np.eye(d))[None], de[None])
+    head = e - 0.5 * np.eye(d)
+    blocks = ev._eigenbasis(head[None], de[None])
+    codes = parity_codes(np.stack([head, de]), amp.space)
     got = list(terms(amp, e, de, series))
     assert len(got) == DEGREE_CAP // 2 + 1
     for m in range(1, DEGREE_CAP // 2 + 1):
+        stack = ev._terms(blocks, codes,
+                          np.minimum(np.arange(2 * m + 1), 1)[None])
         assert got[m] == ((-1) ** m * math.factorial(2 * m) / math.factorial(m)
-                          * ev.term_exact(stack[:, :2 * m + 1])[0]), m
+                          * ev.term_exact(stack)[0]), m
 
 
 def test_scalar_idempotent_stops_at_degree_two_with_zero_term():

@@ -692,3 +692,60 @@ def test_random_generators_have_declared_structure():
     assert np.allclose(e @ e, e, atol=1e-12)
     assert np.allclose(e, e.conj().T)
     assert np.trace(e).real == pytest.approx(3.0)
+
+
+def _collision_triples():
+    """Triples whose Delta has paired and repeated eigenvalues: random 1|1,
+    2|1, 2|2, 5|4 and 4|1, the flat 2|1 (Delta = 0), the square of a 2|1
+    triple and a 2|1 triple ampliated by C^{3|0}."""
+    rng = np.random.default_rng(3_501)
+    t21 = random_triple(rng, 2, 1)
+    flat = SpectralTripleFD(GradedSpace(3, 0), np.zeros((3, 3)), ())
+    return [random_triple(rng, p, q) for p, q in ((1, 1), (2, 2), (5, 4),
+                                                  (4, 1))] + [
+        t21, _flat(2, 1), product_triple(t21, t21), product_triple(t21, flat)]
+
+
+def test_delta_eigensystem_is_even_first_with_pure_columns():
+    # eigh per parity block: the even block's eigenvalues, ascending, then
+    # the odd block's, and a unitary u with exact zero off-parity blocks
+    # that diagonalizes Delta; the eigenvalues match the full eigh's
+    for t in _collision_triples():
+        w, u = t.delta_eigensystem()
+        de, d = t.space.dim_even, t.hilbert_dim
+        assert not u[:de, de:].any() and not u[de:, :de].any()
+        assert np.all(np.diff(w[:de]) >= 0) and np.all(np.diff(w[de:]) >= 0)
+        delta = t.dirac @ t.dirac
+        scale = max(1.0, np.abs(w).max())
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(d), rtol=0,
+                                   atol=64 * 2.0 ** -53)
+        np.testing.assert_allclose(u.conj().T @ delta @ u, np.diag(w),
+                                   rtol=0, atol=64 * 2.0 ** -53 * scale)
+        np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(delta),
+                                   rtol=0, atol=8 * 2.0 ** -53 * scale)
+
+
+@pytest.mark.parametrize("even_part, refused", [(6e-11, True),
+                                                (4e-11, False)])
+def test_delta_eigensystem_refuses_a_dirac_that_is_not_odd(even_part,
+                                                           refused):
+    # |g D g + D| = 2 |E| for D's even part E, validate_triple's oddness
+    # residual: 1.2e-10 is over DEFAULT_TOL and 0.8e-10 under it; the heat
+    # flow and the cochains read the eigensystem, so they refuse alike
+    from jlolab.chains import Chain
+    from jlolab.jlo import jlo_cochain
+    dirac = 0.5 * X + even_part * np.diag([1.0, -1.0])
+    t = SpectralTripleFD(GradedSpace(1, 1), dirac, (np.eye(2),))
+    chain = Chain.elementary(1.0, (np.diag([1.0, 2.0]),) * 3)
+    if refused:
+        with pytest.raises(ParityError, match="Dirac oddness residual 1.2e-10"):
+            validate_triple(t)
+        for call in (lambda: t.heat(1.0), lambda: jlo_cochain(t, chain),
+                     t.delta_eigensystem):
+            with pytest.raises(ParityError,
+                               match="Dirac oddness residual 1.2e-10"):
+                call()
+    else:
+        validate_triple(t)
+        assert abs(t.heat(1.0)[0, 0] - np.exp(-0.25)) < 1e-12
+        assert jlo_cochain(t, chain) != 0

@@ -288,3 +288,24 @@ def test_same_outputs_says_how_far_each_diff_moved(same_outputs):
     assert same_outputs.movement(old, new).startswith(
         "moved 1 line(s); largest relative change between paired numbers "
         "0.0013;")
+
+
+def test_same_outputs_kernel_routes_run_both_kernels(same_outputs,
+                                                     monkeypatch, capsys):
+    # the job's chains open strings in both routes: the dense kernel (one
+    # half of d rows) and the halves, padded to 4 rows on 4|1
+    from jlolab.jlo import JLOEvaluator
+    opened, open_ = set(), JLOEvaluator._string_open
+
+    def spy_open(slots, swapped, weights):
+        opened.add(slots.shape[2:4])
+        return open_(slots, swapped, weights)
+
+    monkeypatch.setattr(JLOEvaluator, "_string_open", staticmethod(spy_open))
+    monkeypatch.setattr(sys, "argv", ["-c", str(same_outputs.LIBRARY_SEED)])
+    exec(same_outputs.ROUTE_CALLS, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        f"{dims} {name}" for dims in ("4|1", "2|1")
+        for name in ("jlo_cochain", "bch_cochain")]
+    assert {(1, 5), (2, 4), (1, 3), (2, 2)} <= opened

@@ -43,9 +43,12 @@ built by the parent's perfbench on that side's `src/`.  It prints the
 `jlo_cochain(t, delta_perturbation(t, c))` on every chain; of
 `jlo_cochain_mc` at a fixed generator, on the workload's Monte Carlo
 chains and on their degree-0 heads; and of `jlo_integrand` at one fixed
-point of every term the workload evaluates.  Stdout, stderr and the exit
-code of every command and of that job are compared, and so are those of
-two last jobs: `parity_of` and `commutator_d` on an odd matrix whose
+point of every term the workload evaluates.  A second job prints
+`jlo_cochain` and `bch_cochain` of a chain with one term of even factors
+and one with a mixed slot, on a 4|1 and a 2|1 triple, so that both routes
+of the string kernel, and its padded halves, show.  Stdout, stderr and the
+exit code of every command and of those jobs are compared, and so are
+those of two last jobs: `parity_of` and `commutator_d` on an odd matrix whose
 squares overflow, and `represent`, `unrepresent` and `commutator_d` on
 operators of the wrong size for their triple.  A command that raises is
 recorded by its exception.
@@ -168,6 +171,28 @@ for k, (t, factors) in enumerate(w.integrand + [
     point = np.sort(np.random.default_rng(k).random(len(factors) - 1))
     print(t.label, "jlo_integrand", point.tolist(),
           repr(jlolab.jlo_integrand(t, factors, point)))
+"""
+
+# prints jlo_cochain and bch_cochain of one chain on a 4|1 and a 2|1 triple:
+# in degrees 2 and 3, one term of even factors, which runs the string
+# kernel's halves (on 4|1 its odd half pads 1 row to 4), and one with a mixed
+# slot, which runs the dense kernel
+ROUTE_CALLS = """
+import sys
+import numpy as np
+import jlolab
+rng = np.random.default_rng(int(sys.argv[1]))
+for dims in ((4, 1), (2, 1)):
+    t = jlolab.random_triple(rng, *dims)
+    table = np.stack([jlolab.random_even(rng, t.space) for _ in range(4)] + [
+        jlolab.random_even(rng, t.space)
+        + jlolab.random_odd_hermitian(rng, t.space)])
+    chain = jlolab.Chain.from_table(t.hilbert_dim, table, {
+        n: (np.array([[0, 1, 2, 3][:n + 1], [0, 4, 2, 3][:n + 1]]),
+            np.array([1.0, 0.5j])) for n in (2, 3)})
+    for name in ("jlo_cochain", "bch_cochain"):
+        print(f"{dims[0]}|{dims[1]}", name,
+              repr(getattr(jlolab, name)(t, chain)))
 """
 
 # prints what parity_of and commutator_d return or raise on an odd matrix
@@ -470,6 +495,7 @@ def main() -> int:
         for side, root in roots.items():
             for name, script in (
                     ("library calls", LIBRARY_CALLS),
+                    ("kernel routes", ROUTE_CALLS),
                     ("library refusals", LIBRARY_REFUSALS),
                     ("wrong-size refusals", WRONG_SIZE_REFUSALS)):
                 outputs[side].update(run_library(
