@@ -12,8 +12,9 @@ triples, whatever their blocks; `decompose` runs one count-then-sample
 sequence for its shuffle and cyclic modes, and locates its samples by
 exact int64 keys of their sorting orders, below 16 ** 15 = 2 ** 60 since
 no family it admits is wider than 16.  One reader, `_load_json`,
-reads every JSON file.  Exit codes: 0 success, 1 a failed check or write
-(one `error:` line; none when stdout was closed early), 2 usage, input or
+reads every JSON file, as UTF-8 under any locale.  Exit codes: 0
+success, 1 a failed check or write (one `error:` line; none when stdout
+was closed early), 2 usage, input or
 size-bound failure, which each command raises as `_Refused` and `main`
 alone prints as one `error:` line.  Reports are deterministic for a fixed
 configuration and seed up to the timestamp field.
@@ -61,7 +62,11 @@ DECOMPOSE_ROW_BUDGET = 2_000_000
 # product included: a 256-dimensional pair at dirac_scale 0.05 took
 # 1.8-2.7 s and peaked at 138 MB as a 16 x 16 product, and 2.1-2.9 s and
 # 181 MB as one factor read from 7.7 MB of JSON, on one BLAS thread of a
-# shared 2-core Xeon; time grows as d^3
+# shared 2-core Xeon; time grows as d^3.  The bound is read from the sizes
+# the decoded files declare, so an oversize file is still read and decoded
+# whole first (0.5 s and 160 MB for a refused 512-dimensional pair): no
+# byte size bounds d, because a valid file may carry many generators or
+# long number strings
 INDEX_DIM_LIMIT = 256
 # what reading and checking an input file or the config may raise
 _BAD_INPUT = (OSError, ValueError, KeyError, TypeError)
@@ -72,12 +77,19 @@ class _Refused(Exception):
 
 
 def _load_json(path):
-    """The JSON value in a file; too deep a nesting is a ValueError."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nesting is too deep to decode") from None
+    """The JSON value in a file, read once and decoded as UTF-8 (RFC 8259
+    section 8.1) under any locale; a BOM, another encoding or too deep a
+    nesting is a ValueError."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    # line breaks as a text-mode read gives them, so a JSON error's line,
+    # column and position count each break as one character
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep to decode") from None
 
 
 def load_config(args) -> RunConfig:

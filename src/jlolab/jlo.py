@@ -206,24 +206,6 @@ def _pairing_contour():
     return z, tuple(itertools.accumulate(map(len, rules), initial=0))
 
 
-# bounded: one entry per parity split (dim_even, dim_odd) in use
-@functools.lru_cache(maxsize=64)
-def _halves(space: GradedSpace):
-    """(rows, at), read-only: the string kernel's layout of vectors in two
-    halves of m = max(dim_even, dim_odd) places, half j holding the vectors
-    of parity j, then padding.  rows (2, m) is the vector at each place, a
-    vector of the other half at a padded place (where the kernel only ever
-    scales zeros); at (d,) is each vector's place in the flattened (2 m,)
-    layout."""
-    de, do = space.dim_even, space.dim_odd
-    m = max(de, do)
-    rows = np.minimum(np.add.outer((0, de), np.arange(m)), de + do - 1)
-    at = np.concatenate([np.arange(de), m + np.arange(do)])
-    for a in (rows, at):
-        a.setflags(write=False)
-    return rows, at
-
-
 # the base-3 place values of a row's parity codes, one digit per slot
 _BASE3 = 3 ** np.arange(DEGREE_CAP + 1)
 
@@ -331,17 +313,16 @@ class JLOEvaluator:
         """The graded heads, then the slots, flattened to one stack in
         Delta's eigenbasis in the halves' layout, (E, 2, m, 2, m): block
         [j, j'] maps the vectors of parity j' to those of parity j, padded
-        with zeros to m x m (see `_halves`).  It is conjugated by Delta's
-        eigenvectors, each placed in its half, by two products over the
-        whole stack (not two per matrix).  The eigenvectors are pure, so a
-        pure matrix keeps exact zero blocks there."""
+        with zeros to m x m (see `linalg._Grading`).  It is conjugated by
+        Delta's eigenvectors, each placed in its half, by two products over
+        the whole stack (not two per matrix).  The eigenvectors are pure, so
+        a pure matrix keeps exact zero blocks there."""
         _, u = self.triple.delta_eigensystem()
         space = self.triple.space
-        rows, at = _halves(space)
-        d, m = len(u), rows.shape[1]
+        d, m = len(u), max(space.dim_even, space.dim_odd)
         # the eigenvectors as the columns of P, (d, 2 m), each at its place
         placed = np.zeros((d, 2 * m), dtype=np.complex128)
-        placed[:, at] = u
+        placed[:, space._constants.at] = u
         stack = np.concatenate([space.gamma_diag[:, None] * heads, slots])
         e = stack.size // (d * d)
         # X_e P for every e, then P^* (X_e P) for every e, side by side
@@ -354,7 +335,7 @@ class JLOEvaluator:
         table, blocks (E, 2, m, 2, m), of parity codes (E,), grouped by the
         pattern of their slots' codes (`_Terms`, `_parity_pattern`)."""
         n = rows.shape[1] - 1
-        vectors, at = _halves(self.triple.space)
+        _, _, vectors, at = self.triple.space._constants
         key = codes[rows] @ _BASE3[:n + 1]
         keys = sorted(set(key.tolist()))
         vanish = np.zeros(len(rows), dtype=bool)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,10 +91,47 @@ def opnorm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
+class _Grading(NamedTuple):
+    """The read-only constants of the grading of C^{p|q}, shared by every
+    GradedSpace of those dimensions (see `_grading`).
+
+    gamma (d,) is diag(+1, ..., -1, ...).  parity_weights (d^2, 2) holds
+    the 0/1 masks of the odd-block and the even-block entries of a
+    flattened d x d matrix, as columns.  rows and at are the string
+    kernel's layout of vectors in two halves of m = max(p, q) places, half
+    j holding the vectors of parity j, then padding: rows (2, m) is the
+    vector at each place, a vector of the other half at a padded place
+    (where the kernel only ever scales zeros), and at (d,) is each
+    vector's place in the flattened (2 m,) layout."""
+
+    gamma: np.ndarray
+    parity_weights: np.ndarray
+    rows: np.ndarray
+    at: np.ndarray
+
+
+# bounded: one entry per parity split (dim_even, dim_odd) in use
+@lru_cache(maxsize=64)
+def _grading(dim_even: int, dim_odd: int) -> _Grading:
+    d, m = dim_even + dim_odd, max(dim_even, dim_odd)
+    gamma = np.ones(d)
+    gamma[dim_even:] = -1.0
+    split = np.not_equal.outer(gamma, gamma).ravel()
+    out = _Grading(
+        gamma, np.stack([split, ~split], axis=1).astype(float),
+        np.minimum(np.add.outer((0, dim_even), np.arange(m)), d - 1),
+        np.concatenate([np.arange(dim_even), m + np.arange(dim_odd)]))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class GradedSpace:
     """Finite-dimensional graded Hilbert space C^{p|q}, even vectors first.
-    Each dimension must be an integer (see _integer) and is stored as int."""
+    Each dimension must be an integer (see _integer) and is stored as int.
+    Its grading's constants come from `_grading`, so equal spaces share
+    them."""
 
     dim_even: int
     dim_odd: int
@@ -111,21 +149,16 @@ class GradedSpace:
         return self.dim_even + self.dim_odd
 
     @cached_property
-    def gamma_diag(self) -> np.ndarray:
-        g = np.ones(self.dim)
-        g[self.dim_even:] = -1.0
-        g.setflags(write=False)
-        return g
+    def _constants(self) -> _Grading:
+        return _grading(self.dim_even, self.dim_odd)
 
-    @cached_property
+    @property
+    def gamma_diag(self) -> np.ndarray:
+        return self._constants.gamma
+
+    @property
     def _parity_weights(self) -> np.ndarray:
-        """(d^2, 2) read-only: the 0/1 masks of the odd-block and the
-        even-block entries of a flattened d x d matrix, as columns."""
-        g = self.gamma_diag
-        split = np.not_equal.outer(g, g).ravel()
-        w = np.stack([split, ~split], axis=1).astype(float)
-        w.setflags(write=False)
-        return w
+        return self._constants.parity_weights
 
 
 def supertrace(x, space: GradedSpace) -> complex:

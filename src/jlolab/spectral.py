@@ -103,6 +103,8 @@ class SpectralTripleFD:
         self.basis_map = np.array(bm, dtype=np.intp)
         self.basis_map.setflags(write=False)
         self._delta_eig = None
+        # set by validate_triple, whose rules for D are the stricter
+        self._dirac_checked = False
 
     @property
     def hilbert_dim(self) -> int:
@@ -118,22 +120,26 @@ class SpectralTripleFD:
         validate_triple's rule, |g D g + D| = 2 |E| <= DEFAULT_TOL, or a
         ParityError is raised.  The Hermiticity rule is checked on D
         itself: the anti-Hermitian part of D^2 can be up to 2 ||D|| times
-        that of D.  Raises ValueError when Delta overflows, so that no
-        evaluation runs on its NaNs."""
+        that of D.  A triple that passed validate_triple, whose rules imply
+        both, skips these two checks.  Raises ValueError when Delta
+        overflows, so that no evaluation runs on its NaNs."""
         if self._delta_eig is None:
-            check_hermitian(self.dirac)
+            checked = self._dirac_checked
+            if not checked:
+                check_hermitian(self.dirac)
             with np.errstate(over="ignore", invalid="ignore"):
                 d = self.dirac @ self.dirac
                 h = (d + d.conj().T) / 2.0
             if not np.isfinite(h).all():
                 raise ValueError("Delta = D^2 overflows the float range")
-            # D is finite here, since D^2 is; frob bounds the operator norm
-            # from above, so the SVD runs only past DEFAULT_TOL
-            g = self.space.gamma_diag
-            even = g[:, None] * self.dirac * g + self.dirac
-            if frob(even) > DEFAULT_TOL:
-                _refuse(ParityError, "Dirac oddness",
-                        np.linalg.svd(even, compute_uv=False)[0])
+            if not checked:
+                # D is finite here, since D^2 is; frob bounds the operator
+                # norm from above, so the SVD runs only past DEFAULT_TOL
+                g = self.space.gamma_diag
+                even = g[:, None] * self.dirac * g + self.dirac
+                if frob(even) > DEFAULT_TOL:
+                    _refuse(ParityError, "Dirac oddness",
+                            np.linalg.svd(even, compute_uv=False)[0])
             de = self.space.dim_even
             w = np.empty(self.hilbert_dim)
             u = np.zeros_like(h)
@@ -173,21 +179,31 @@ class SpectralTripleFD:
 def validate_triple(triple: SpectralTripleFD) -> None:
     """Raise unless the Dirac operator is Hermitian and odd and every
     generator is even, each to DEFAULT_TOL in operator norm, in that order
-    of checks; each message gives the residual."""
+    of checks; each message gives the residual.  The residuals' operator
+    norms are taken (one stacked SVD) only when some Frobenius norm, their
+    upper bound, is over DEFAULT_TOL or NaN.  A triple that passes is
+    marked, so that its delta_eigensystem skips the checks these imply."""
     g = triple.space.gamma_diag
     d = triple.dirac
     gens = np.asarray(triple.generators).reshape(-1, *d.shape)
-    with np.errstate(over="ignore"):  # an overflowed residual's norm is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         stack = np.concatenate(([d - d.conj().T, g[:, None] * d * g + d],
                                 g[:, None] * gens * g - gens))
-    # the largest singular value of each residual, from the LAPACK call
-    # `opnorm` makes, so the values match it bit for bit
-    norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    for error, axiom, residual in (
-            (NotSelfAdjointError, "Dirac hermiticity", norms[0]),
-            (ParityError, "Dirac oddness", norms[1]),
-            (ParityError, "generator evenness", norms[2:].max(initial=0.0))):
-        _refuse(error, axiom, residual)
+        # frob bounds opnorm from above, so the SVD runs only past
+        # DEFAULT_TOL; an overflowed residual's norm is inf and reaches it
+        small = (np.linalg.norm(stack, axis=(1, 2)) <= DEFAULT_TOL).all()
+    if not small:
+        # the largest singular value of each residual, from the LAPACK call
+        # `opnorm` makes, so the values match it bit for bit; an overflowed
+        # residual's is NaN
+        norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        for error, axiom, residual in (
+                (NotSelfAdjointError, "Dirac hermiticity", norms[0]),
+                (ParityError, "Dirac oddness", norms[1]),
+                (ParityError, "generator evenness",
+                 norms[2:].max(initial=0.0))):
+            _refuse(error, axiom, residual)
+    triple._dirac_checked = True
 
 
 def _refuse(error, axiom: str, residual) -> None:

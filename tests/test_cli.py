@@ -599,6 +599,65 @@ def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys,
     assert err == f"error: {prefix}JSON nesting is too deep to decode\n"
 
 
+def _write_labelled_triple(tmp_path, prefix=b""):
+    """The kick-0.1 triple of `_write_pair`, labelled "kick \u00e9" and
+    written as UTF-8 after prefix."""
+    t = SpectralTripleFD(GradedSpace(1, 1), 0.1 * X, (np.eye(2),),
+                         label="kick \u00e9")
+    path = tmp_path / "labelled.json"
+    path.write_bytes(prefix + json.dumps(triple_to_json(t),
+                                         ensure_ascii=False).encode("utf-8"))
+    return str(path)
+
+
+def test_index_reads_utf8_json_under_any_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259 section 8.1); under the POSIX locale, with
+    # neither locale coercion nor UTF-8 mode, Python's default text
+    # encoding is ASCII, which cannot read the label's two-byte character
+    tp = _write_labelled_triple(tmp_path)
+    ep = _write_pair(tmp_path)[1]
+    env = dict(os.environ, LC_ALL="POSIX", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(jlolab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "jlolab", "index", tp, ep],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert b"character pairing : +1.000000000" in proc.stdout
+    assert b"fredholm index    : +1" in proc.stdout
+
+
+@pytest.mark.parametrize("prefix, raw, message", [
+    (b"\xef\xbb\xbf", None, "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    (b"", b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    (b"", "{}".encode("utf-16"), "'utf-8' codec can't decode byte 0xff in "
+     "position 0: invalid start byte"),
+])
+def test_index_refuses_json_that_is_not_plain_utf8(tmp_path, capsys, prefix,
+                                                   raw, message):
+    # a BOM, an invalid UTF-8 byte and UTF-16 are refused, not guessed at
+    tp = _write_labelled_triple(tmp_path, prefix)
+    if raw is not None:
+        (tmp_path / "labelled.json").write_bytes(raw)
+    assert main(["index", tp, _write_pair(tmp_path)[1]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_json_errors_count_each_line_break_once(tmp_path, capsys, newline):
+    # the reader takes \r\n and \r as one line break each, as a text-mode
+    # read does, so an error's line, column and position count them so
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(newline.join([b"{", b'"dim_even": 1,', b' "x": }', b""]))
+    assert main(["index", str(bad), _write_pair(tmp_path)[1]]) == 2
+    assert capsys.readouterr().err == (
+        "error: Expecting value: line 3 column 7 (char 23)\n")
+
+
 def test_main_calls_in_one_process_share_no_state(tmp_path, monkeypatch,
                                                    capsys):
     import argparse

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from jlolab.linalg import (
     PARITY_TOL,
     GradedSpace,
+    _grading,
     NonHermitianError,
     Parity,
     check_hermitian,
@@ -33,6 +34,24 @@ def test_graded_space_basics():
         GradedSpace(-1, 2)
     with pytest.raises(ValueError):
         GradedSpace(0, 0)
+
+
+def test_equal_spaces_share_their_grading_constants():
+    a, b = GradedSpace(2, 3), GradedSpace(2, 3)
+    assert a is not b
+    for name in ("gamma_diag", "_parity_weights"):
+        assert getattr(a, name) is getattr(b, name)
+        assert not getattr(a, name).flags.writeable
+    assert GradedSpace(3, 2).gamma_diag is not a.gamma_diag
+    # the arrays each space used to build for itself, bit for bit
+    g = np.ones(5)
+    g[2:] = -1.0
+    split = np.not_equal.outer(g, g).ravel()
+    for got, want in ((a.gamma_diag, g), (a._parity_weights, np.stack(
+            [split, ~split], axis=1).astype(float))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the shared cache is bounded
+    assert isinstance(_grading.cache_info().maxsize, int)
 
 
 def test_supertrace_of_identity_counts_signed_dimensions():

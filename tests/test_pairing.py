@@ -9,13 +9,20 @@ from jlolab import cli, jlo
 from jlolab.chains import Chain, ElementaryChain
 from jlolab.jlo import (
     DEGREE_CAP,
+    INV_SQRT2,
     PAIRING_TRUNCATION,
     JLOEvaluator,
     NonConvergentError,
     index_pairing,
     jlo_cochain,
 )
-from jlolab.linalg import GradedSpace, _freeze, parity_codes, supertrace
+from jlolab.linalg import (
+    GradedSpace,
+    ParityError,
+    _freeze,
+    parity_codes,
+    supertrace,
+)
 from jlolab.randomgen import random_triple
 from jlolab.spectral import (
     Idempotent,
@@ -289,6 +296,50 @@ def test_parity_mixed_projection_is_caught_as_non_integer():
     with pytest.raises(NonIntegerIndexError, match=r"^pairing value 0\.53649"
                        r"[-+]\S*j is not within 0\.01 of an integer$"):
         index_pairing(_kick(0.1), tilted)
+
+
+def _edge_pair(eps):
+    """A random 2|2 triple at dirac_scale 0.05 and e = P + eps X, for P =
+    diag(1, 1, 0, 0) and X the odd Hermitian matrix with X[0, 2] = X[2, 0]
+    = 1/sqrt(2), so that |g e g - e|_F = 2 eps |X|_F = 2 eps."""
+    t = random_triple(np.random.default_rng(36), 2, 2, dirac_scale=0.05)
+    x = np.zeros((4, 4), dtype=np.complex128)
+    x[0, 2] = x[2, 0] = INV_SQRT2
+    return t, Idempotent(np.diag([1.0, 1.0, 0.0, 0.0]) + eps * x)
+
+
+@pytest.mark.parametrize("eps, codes, halves", [
+    (0.0, [0, 1], 2), (5.5e-13, [2, 1], 1), (6.5e-13, [2, 1], 1)])
+def test_pairing_keeps_its_own_parity_call(monkeypatch, eps, codes, halves):
+    # validate_idempotent reads e as even while 2 eps <= PARITY_TOL |e|_F
+    # = sqrt(2) 1e-12, but the head e - 1/2, of norm 1, reads mixed once
+    # 2 eps > PARITY_TOL: so the pairing cannot take the codes (0, 1) on
+    # validate_idempotent's word, and its row runs the dense kernel (one
+    # half) at the value of eps = 0
+    amp, e = validate_idempotent(*_edge_pair(eps))
+    de = amp.dirac @ e - e @ amp.dirac
+    assert parity_codes(np.stack([e - 0.5 * np.eye(4), de]),
+                        amp.space).tolist() == codes
+    grouped = []
+    terms = JLOEvaluator._terms
+
+    def recorded(self, *args):
+        grouped.append(terms(self, *args))
+        return grouped[-1]
+
+    monkeypatch.setattr(JLOEvaluator, "_terms", recorded)
+    rep = index_pairing(amp, e)
+    (group,), = [t.groups for t in grouped]
+    assert group.slots.shape[2] == halves
+    monkeypatch.undo()
+    exact = _pairing(*_edge_pair(0.0))
+    assert abs(rep.value - exact.value) <= 1e-12
+    assert rep.truncation_degree == exact.truncation_degree == 8
+
+
+def test_idempotent_past_the_parity_tolerance_is_refused():
+    with pytest.raises(ParityError, match="^idempotent must be even"):
+        validate_idempotent(*_edge_pair(8e-13))
 
 
 def test_pairing_report_fields_are_coherent():

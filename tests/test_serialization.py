@@ -35,6 +35,35 @@ def test_matrix_json_rejects_boolean_entries():
     assert matrix_from_json({"rows": 1, "cols": 1, "data": [[1, 0]]})[0, 0] == 1
 
 
+@pytest.mark.parametrize("entry, message", [
+    ('["1.0", 0.0]', "malformed matrix entries: complex() can't take second "
+     "arg if first is a string"),
+    ("[null, 0.0]", "malformed matrix entries: complex() first argument "
+     "must be a string or a number, not 'NoneType'"),
+    ("null", "malformed matrix entries: cannot unpack non-iterable NoneType "
+     "object"),
+    ("[1.0]", "malformed matrix entries: not enough values to unpack "
+     "(expected 2, got 1)"),
+    ("[1.0, 0.0, 0.0]", "malformed matrix entries: too many values to "
+     "unpack (expected 2)"),
+    ("1.0", "malformed matrix entries: cannot unpack non-iterable float "
+     "object"),
+    ("[[1.0, 0.0], 0.0]", "malformed matrix entries: complex() first "
+     "argument must be a string or a number, not 'list'"),
+    # tokens that Python's json reads, though JSON has no such numbers
+    ("[NaN, 0.0]", "matrix entries must be finite"),
+    ("[0.0, Infinity]", "matrix entries must be finite"),
+    ("[-Infinity, 0.0]", "matrix entries must be finite"),
+    ("[1" + "0" * 400 + ", 0]", "malformed matrix entries: int too large to "
+     "convert to float"),
+])
+def test_matrix_json_refuses_each_malformed_entry(entry, message):
+    obj = json.loads(f'{{"rows": 1, "cols": 1, "data": [{entry}]}}')
+    with pytest.raises(ValueError) as info:
+        matrix_from_json(obj)
+    assert str(info.value) == message
+
+
 def test_triple_round_trip_preserves_evaluation():
     rng = np.random.default_rng(0)
     t = random_triple(rng, 2, 1, label="probe")

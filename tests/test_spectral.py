@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from jlolab import spectral
 from jlolab.jlo import index_pairing
 from jlolab.linalg import (
     DEFAULT_TOL,
@@ -183,6 +184,57 @@ def test_validate_triple_switches_at_the_tolerance():
                 validate_triple(SpectralTripleFD(s, dirac, (gen,)))
             else:
                 _rejects(s, dirac, (gen,), error, axiom, residual)
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_validate_triple_takes_the_svd_only_past_a_frobenius_norm(
+        monkeypatch):
+    # the skew defect's residual has operator norm `size` and Frobenius
+    # norm sqrt(2) size, so at 0.9e-10 only the SVD tells it is within
+    # DEFAULT_TOL; every residual of the 0.5e-10 triple is within it by
+    # Frobenius norm alone
+    calls = _count_svds(monkeypatch)
+    s = GradedSpace(1, 1)
+    skew = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    for size, svds in ((0.5e-10, 0), (0.9e-10, 1)):
+        validate_triple(SpectralTripleFD(
+            s, X + size * skew, (np.eye(2) + size / 2 * X,)))
+        assert len(calls) == svds
+    # an overflowed residual still reaches the SVD, which reads it as NaN
+    with pytest.raises(ParityError,
+                       match=r"^Dirac oddness residual nan > 1e-10$"):
+        validate_triple(SpectralTripleFD(s, np.diag([1e308, 0.0]), ()))
+    assert len(calls) == 2
+
+
+def test_a_validated_triple_skips_the_dirac_checks_of_its_eigensystem(
+        monkeypatch):
+    # validate_triple's rules for D imply both of delta_eigensystem's;
+    # an unchecked copy still makes them, and both read the same bits
+    rng = np.random.default_rng(36)
+    t = random_triple(rng, 2, 3)
+    copy = SpectralTripleFD(t.space, t.dirac, t.generators)
+    validate_triple(t)
+    calls = _count_svds(monkeypatch)
+    hermitian = []
+    monkeypatch.setattr(spectral, "check_hermitian", hermitian.append)
+    t.delta_eigensystem()
+    assert hermitian == []
+    copy.delta_eigensystem()
+    assert len(hermitian) == 1 and calls == []
+    for got, want in zip(t.delta_eigensystem(), copy.delta_eigensystem()):
+        assert np.array_equal(got, want)
 
 
 def test_validate_triple_raises_on_bad_inputs():

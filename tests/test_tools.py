@@ -240,6 +240,54 @@ def test_same_outputs_random_pairs_reach_degree_eight(same_outputs,
         assert degree >= 8, name
 
 
+def test_same_outputs_edge_pairs_run_the_dense_kernel(same_outputs, tmp_path,
+                                                     monkeypatch, capsys):
+    # each tolerance-edge idempotent is accepted, and its pairing opens its
+    # strings in one half of d = 4 rows, not in two halves of 2
+    from jlolab import cli
+    from jlolab.jlo import JLOEvaluator
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    calls = json.loads(subprocess.run(
+        [sys.executable, "-c", same_outputs.WRITE_EDGE_PAIRS,
+         str(same_outputs.INDEX_SEED), str(tmp_path),
+         json.dumps(same_outputs.EDGE_EPSILONS)], env=env,
+        capture_output=True, text=True, check=True).stdout)
+    assert [name for name, _ in calls] == [
+        "index, tolerance-edge idempotent at 5.5e-13",
+        "index, tolerance-edge idempotent at 6.5e-13"]
+    opened, open_ = set(), JLOEvaluator._string_open
+
+    def spy_open(slots, swapped, weights):
+        opened.add(slots.shape[2:4])
+        return open_(slots, swapped, weights)
+
+    monkeypatch.setattr(JLOEvaluator, "_string_open", staticmethod(spy_open))
+    jobs = dict(same_outputs.jobs(str(tmp_path), calls))
+    for name, _ in calls:
+        assert cli.main(jobs[name]) == 0
+        out = capsys.readouterr().out
+        assert "truncated at degree 8" in out and "index    : +2" in out
+    assert opened == {(1, 4)}
+
+
+def test_same_outputs_encoding_jobs_read_or_refuse(same_outputs, tmp_path,
+                                                   capsys):
+    from jlolab import cli
+    jobs = dict(same_outputs.jobs(str(tmp_path), []))
+    assert cli.main(jobs["index, non-ASCII UTF-8 label"]) == 0
+    assert "fredholm index    : +1" in capsys.readouterr().out
+    for what, message in (
+            ("UTF-8 BOM", "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ("invalid UTF-8 byte",
+             "'utf-8' codec can't decode byte 0xe9 in position"),
+            ("string matrix entry", "malformed matrix entries: complex() "
+             "can't take second arg if first is a string")):
+        assert cli.main(jobs[f"index, {what}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 LIBRARY_STDOUT = """\
 jlo_cochain flat 2|1 degrees (2,) jlo_cochain (-0.43+0.25j)
 jlo_cochain flat 2|1 degrees (2,) perturbed_cochain (-0.43+0.25j)

@@ -22,9 +22,14 @@ through `jlolab.cli.main`:
   `--times`: times the same triple's unit, times itself, where the
   product law is checked as for any pair, and, amplified to `blocks` 9,
   times itself, where each factor is within INDEX_DIM_LIMIT but the
-  product is not, so `index` exits 2, and over `RANDOM_PAIRS`: random 4|4
+  product is not, so `index` exits 2, over `RANDOM_PAIRS`: random 4|4
   and 8|8 triples at `dirac_scale` 0.05 with half-rank even projections,
-  whose pairings run to degree 8 at mid dimension;
+  whose pairings run to degree 8 at mid dimension, over the
+  `EDGE_EPSILONS` pairs: idempotents within validate_idempotent's parity
+  tolerance whose pairing head reads mixed, so the pairing runs the dense
+  kernel, and over a UTF-8 triple file with a non-ASCII label, the same
+  file after a UTF-8 BOM and in Latin-1 (an invalid UTF-8 byte), and a
+  triple with a string matrix entry;
 - `decompose --shuffle 3 2`, `--cyclic 1 2 1` and `--cyclic 2 1`; the
   other two calls perfbench's `Algebra` workload makes, `--shuffle 4 4`
   and `--cyclic 1 3` at 4,000 samples; the widest family the row budget
@@ -115,6 +120,36 @@ for half, scale in pairs:
         with open(path, "w") as fh:
             json.dump(obj, fh)
     calls.append((f"index, random {half}|{half} at {scale}", paths))
+print(json.dumps(calls))
+"""
+
+# the eps of the tolerance-edge `index` pairs, e = P + eps X on a random 2|2
+# triple: validate_idempotent reads e as even, the pairing's head e - 1/2
+# as mixed, so its row runs the dense kernel
+EDGE_EPSILONS = [5.5e-13, 6.5e-13]
+
+# writes a random 2|2 triple at dirac_scale 0.05 and, per entry of
+# EDGE_EPSILONS, e = diag(1, 1, 0, 0) + eps X with X[0, 2] = X[2, 0] =
+# 1/sqrt(2) in a directory, and prints each pair's (name, argv)
+WRITE_EDGE_PAIRS = """
+import json, os, sys
+import numpy as np
+import jlolab
+seed, workdir = int(sys.argv[1]), sys.argv[2]
+t = jlolab.random_triple(np.random.default_rng(seed), 2, 2, dirac_scale=0.05)
+x = np.zeros((4, 4))
+x[0, 2] = x[2, 0] = 2 ** -0.5
+triple = os.path.join(workdir, "edge-triple.json")
+with open(triple, "w") as fh:
+    json.dump(jlolab.triple_to_json(t), fh)
+calls = []
+for k, eps in enumerate(json.loads(sys.argv[3])):
+    path = os.path.join(workdir, f"edge-idempotent{k}.json")
+    with open(path, "w") as fh:
+        json.dump(jlolab.idempotent_to_json(jlolab.Idempotent(
+            np.diag([1.0, 1.0, 0.0, 0.0]) + eps * x)), fh)
+    calls.append((f"index, tolerance-edge idempotent at {eps}",
+                  [triple, path]))
 print(json.dumps(calls))
 """
 
@@ -340,6 +375,23 @@ def jobs(inputs, index_calls):
         fh.write("[" * 200_000)
     with open(unit, "w") as fh:
         json.dump({"matrix": _matrix(GOOD_IDEMPOTENT)}, fh)
+    # the reader decodes UTF-8 whatever the locale, and refuses a BOM and
+    # an invalid byte; a string matrix entry is refused as malformed
+    labelled = json.dumps({
+        "dim_even": 1, "dim_odd": 1, "dirac": _matrix([[0, 0.1], [0.1, 0]]),
+        "generators": [], "label": "kick \u00e9"}, ensure_ascii=False)
+    string_entry = {"dim_even": 1, "dim_odd": 1, "generators": [],
+                    "dirac": _matrix(GOOD_DIRAC)}
+    string_entry["dirac"]["data"][1] = ["0.3", 0.0]
+    for k, (what, raw) in enumerate((
+            ("non-ASCII UTF-8 label", labelled.encode("utf-8")),
+            ("UTF-8 BOM", b"\xef\xbb\xbf" + labelled.encode("utf-8")),
+            ("invalid UTF-8 byte", labelled.encode("latin-1")),
+            ("string matrix entry", json.dumps(string_entry).encode()))):
+        path = os.path.join(inputs, f"encoded{k}.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        out.append((f"index, {what}", ["index", path, unit]))
     out += [("index, integer past the float range", ["index", big, unit]),
             ("index, JSON nested past the recursion limit",
              ["index", deep, unit]),
@@ -483,10 +535,12 @@ def main() -> int:
                 [sys.executable, "-c", WRITE_INDEX_INPUTS, str(INDEX_SEED),
                  str(inputs)], env=env, capture_output=True, text=True,
                 check=True).stdout))]
-        index_calls += json.loads(subprocess.run(
-            [sys.executable, "-c", WRITE_RANDOM_PAIRS, str(INDEX_SEED),
-             str(inputs), json.dumps(RANDOM_PAIRS)], env=env,
-            capture_output=True, text=True, check=True).stdout)
+        for script, pairs in ((WRITE_RANDOM_PAIRS, RANDOM_PAIRS),
+                              (WRITE_EDGE_PAIRS, EDGE_EPSILONS)):
+            index_calls += json.loads(subprocess.run(
+                [sys.executable, "-c", script, str(INDEX_SEED), str(inputs),
+                 json.dumps(pairs)], env=env, capture_output=True, text=True,
+                check=True).stdout)
         jobs_path = tmp / "jobs.json"
         jobs_path.write_text(json.dumps(jobs(str(inputs), index_calls)))
         outputs = {side: run_side(str(root), str(jobs_path),
