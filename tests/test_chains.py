@@ -470,6 +470,20 @@ def _kron_br_operation(chains):
     return Chain(total, tuple(terms)).normalized()
 
 
+def _term_hochschild_b(chain):
+    """hochschild_b rebuilt with one f @ g per face of every term."""
+    terms = []
+    for t in chain.terms:
+        a, n = t.factors, t.degree
+        for k in range(n):
+            terms.append(ElementaryChain(t.coeff * (-1.0) ** k, a[:k] + (
+                a[k] @ a[k + 1],) + a[k + 2:]))
+        if n > 0:
+            terms.append(ElementaryChain(t.coeff * (-1.0) ** n,
+                                         (a[n] @ a[0],) + a[1:n]))
+    return Chain(chain.algebra_dim, tuple(terms)).normalized()
+
+
 def _assert_rebuilt(out, ref, most):
     assert out.num_terms == ref.num_terms > 0
     for t, r in zip(out.terms, ref.terms):
@@ -525,6 +539,37 @@ def test_products_order_several_terms_per_degree():
     for args in ((a,), (b,), (a, b), (b, c), (c, a, c)):
         _assert_rebuilt(br_operation(list(args)), _kron_br_operation(list(args)),
                         1 + sum(len(x.table) for x in args))
+
+
+def test_hochschild_b_matches_a_face_by_face_rebuild():
+    rng = np.random.default_rng(29)
+    # even matrices of 1|1 are diagonal and commute, so their faces could
+    # coincide; those of 2|1 do not
+    space = GradedSpace(2, 1)
+    f, g = _mats(rng, 3, 2)
+    for m in (f, g):
+        m.setflags(write=False)
+    # one array in several terms and slots, so adjacent pairs repeat
+    shared = Chain(3, (ElementaryChain(0.5, (f, g, f)),
+                       ElementaryChain(-2.0, (g, f)),
+                       ElementaryChain(1j, (f, f, g, f)),
+                       ElementaryChain(0.25, (g, f, g)),
+                       ElementaryChain(3, (f,))))
+    assert len(shared.table) == 2
+    a = random_chain(rng, space, (1, 1, 2)) + random_chain(rng, space, (0, 2, 3))
+    for chain in (a, shared, shared + a, a + shared):
+        out = hochschild_b(chain)
+        pairs = {(row[k], row[(k + 1) % len(row)])
+                 for rows, _ in chain.blocks.values() if rows.shape[1] > 1
+                 for row in rows.tolist() for k in range(len(row))}
+        inputs = {x.tobytes() for x in chain.table}
+        kept = {x.tobytes() for x in out.table} & inputs
+        _assert_rebuilt(out, _term_hochschild_b(chain), len(kept) + len(pairs))
+        # the table holds the input entries the faces keep, plus one entry
+        # per distinct adjacent pair of table entries
+        assert len(out.table) == len(kept) + len(pairs)
+    zero = hochschild_b(Chain.zero(3))
+    assert zero.blocks == {} and zero.table.shape == (0, 3, 3)
 
 
 def test_normalized_keeps_only_the_entries_its_rows_use():
