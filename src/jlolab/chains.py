@@ -7,18 +7,22 @@ elementary term carrying a scalar multiple of the identity in such a slot,
 which is the computable shadow of working in A tensor (A / C1)^n.  Every
 operation works on a chain's factor table and integer term rows (Chain).
 
-The products fill their rows from shuffle families.  Each family's slot
-order (the argsort of its image rows) and signs are built once per
-enumerator and degree tuple and kept read-only in a private memo bounded
-in bytes: FAMILY_MEMO_BYTES (1 MiB) in all, oldest evicted first, and no
-entry over FAMILY_ENTRY_BYTES (256 KiB), a family that is built per call
-instead.  The public enumerators in `shuffles` keep no cache.  A
-product's term coefficients are multiplied as whole float64 arrays that
-round as CPython's complex multiply does.
+The products fill their rows from shuffle families.  A product's index
+layout depends only on its operands' shape: the family, the first slot it
+reads, and each chain's (degree, term count) blocks in order.  So each
+layout is built once per shape, the families enumerated only then, and
+kept read-only in a private memo keyed by that shape and bounded in bytes:
+LAYOUT_MEMO_BYTES (1 MiB) in all, oldest evicted first, and no entry over
+LAYOUT_ENTRY_BYTES (256 KiB), a layout that is built per call instead.
+The public enumerators in `shuffles` keep no cache.  A product's term
+coefficients are multiplied as whole float64 arrays that round as
+CPython's complex multiply does.  hochschild_b reads each degree's face
+layout from a small lru_cache.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -203,33 +207,48 @@ class Chain:
             n: (remap[rows], coeffs) for n, (rows, coeffs) in kept.items()})
 
 
+@functools.lru_cache(maxsize=32)
+def _faces(n: int) -> tuple:
+    """(after, src, signs) of degree n >= 1, read-only: slot k's neighbour
+    after[k] = k + 1 (mod n + 1); src, the columns of a term's row followed
+    by its n + 1 adjacent products that make its faces; the faces' signs."""
+    # face k keeps slots j < k, the product at slot k and slots j + 1
+    # after it; the last face puts the product first, then slots 1..n-1
+    j = np.arange(n)
+    src = np.array([np.where(j < k, j, j + 1) for k in range(n)] + [j])
+    src[np.arange(n + 1), np.arange(n + 1) % n] = n + 1 + np.arange(n + 1)
+    out = np.roll(np.arange(n + 1), -1), src, (-1.0) ** np.arange(n + 1)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def hochschild_b(chain: Chain) -> Chain:
     """Hochschild boundary.
 
     b(a0, ..., an) = sum_{i<n} (-1)^i (a0, ..., a_i a_{i+1}, ..., an)
                      + (-1)^n (an a0, a1, ..., a_{n-1}).
     Degree-0 terms are annihilated.  Each distinct adjacent pair of table
-    entries is multiplied once, in one batched product.
+    entries is multiplied once, in one batched product; each degree's face
+    layout is built once (`_faces`).
     """
-    blocks = {n: b for n, b in chain.blocks.items() if n > 0}
-    # face k of a degree-n term multiplies slots k and k + 1 (mod n + 1)
-    pairs, which = np.unique(np.concatenate([np.zeros((0, 2), np.intp)] + [
-        np.stack([rows, np.roll(rows, -1, axis=1)], axis=2).reshape(-1, 2)
-        for rows, _ in blocks.values()]), axis=0, return_inverse=True)
-    merged = np.split(len(chain.table) + which.ravel(), np.cumsum(
-        [rows.size for rows, _ in blocks.values()])[:-1])
+    blocks = {n: (rows, coeffs, _faces(n))
+              for n, (rows, coeffs) in chain.blocks.items() if n > 0}
+    # face k of a degree-n term multiplies slots k and k + 1 (mod n + 1);
+    # a pair is the integer left * width + right, which sorts as the pair
+    width = len(chain.table)
+    pairs, which = np.unique(np.concatenate([np.zeros(0, np.intp)] + [
+        (rows * width + rows[:, after]).ravel()
+        for rows, _, (after, _, _) in blocks.values()]), return_inverse=True)
+    merged = np.split(width + which, np.cumsum(
+        [rows.size for rows, _, _ in blocks.values()])[:-1])
     out = {}
-    for (n, (rows, coeffs)), products in zip(blocks.items(), merged):
-        # face k keeps slots j < k, the product at slot k and slots j + 1
-        # after it; the last face puts the product first, then slots 1..n-1
-        j = np.arange(n)
-        src = np.array([np.where(j < k, j, j + 1) for k in range(n)] + [j])
-        src[np.arange(n + 1), np.arange(n + 1) % n] = n + 1 + np.arange(n + 1)
+    for (n, (rows, coeffs, (_, src, signs))), products in zip(blocks.items(),
+                                                              merged):
         faces = np.hstack([rows, products.reshape(rows.shape)])[:, src]
-        out[n - 1] = (faces.reshape(-1, n),
-                      (coeffs[:, None] * (-1.0) ** np.arange(n + 1)).ravel())
-    table = np.concatenate([chain.table,
-                            chain.table[pairs[:, 0]] @ chain.table[pairs[:, 1]]])
+        out[n - 1] = (faces.reshape(-1, n), (coeffs[:, None] * signs).ravel())
+    table = np.concatenate([chain.table, chain.table[pairs // width]
+                            @ chain.table[pairs % width]])
     return Chain.from_table(chain.algebra_dim, table, out).normalized()
 
 
@@ -279,34 +298,80 @@ def _shuffles(ps) -> np.ndarray:
     return enumerate_shuffles(*ps)
 
 
-# (enumerator, degrees) -> (order, signs) of the families products have
-# used, read-only.  Bounded in bytes: a family over FAMILY_ENTRY_BYTES is
-# built per call and not kept, and an entry that would take the memo past
-# FAMILY_MEMO_BYTES evicts the oldest first, so at least four are kept.
-FAMILY_MEMO_BYTES = 1 << 20
-FAMILY_ENTRY_BYTES = 1 << 18
-_FAMILIES: dict = {}
+# (family, first, shape) -> the layout `_layout` builds, read-only.
+# Bounded in bytes: a layout over LAYOUT_ENTRY_BYTES is built per call and
+# not kept, and one that would take the memo past LAYOUT_MEMO_BYTES evicts
+# the oldest first, so at least four are kept.
+LAYOUT_MEMO_BYTES = 1 << 20
+LAYOUT_ENTRY_BYTES = 1 << 18
+_LAYOUTS: dict = {}
 
 
-def _family(enumerator, ps) -> tuple:
-    """(order, signs) of the family enumerator(ps): column j of row k of
-    order, the argsort of the image row, names the item in slot j + 1;
-    signs are permutation_signs of the rows.  Served from the memo once
-    built, unless over the per-entry limit."""
-    key = (enumerator, ps)
-    if (entry := _FAMILIES.get(key)) is not None:
-        return entry
-    images = enumerator(ps)
-    entry = (np.argsort(images, axis=1), permutation_signs(images))
-    size = sum(a.nbytes for a in entry)
-    if size <= FAMILY_ENTRY_BYTES:
-        for a in entry:
-            a.setflags(write=False)
-        while size + sum(a.nbytes for e in _FAMILIES.values() for a in e) \
-                > FAMILY_MEMO_BYTES:
-            del _FAMILIES[next(iter(_FAMILIES))]
-        _FAMILIES[key] = entry
-    return entry
+def _layout(family, first, shape) -> dict:
+    """{degree: (slots, terms, key, signs)} of a product of chains whose
+    blocks have the shape ((degree, term count), ...) chain by chain.
+
+    Row k of a degree's output is the combination of chain c's term
+    terms[c, k] (its index in that chain's term order) with one row of the
+    family family(degrees).  slots[k] are the positions, in the chains'
+    raveled term rows concatenated, of the factors that fill slots 1..; key[k]
+    is the combination's index in `_coefficient_products` of the chains'
+    coefficients, and signs[k] the family row's sign.  Rows follow the
+    chains' term order, then the family.  Served from the memo once built,
+    unless over the per-entry limit.
+    """
+    memo_key = (family, first, shape)
+    if (layout := _LAYOUTS.get(memo_key)) is not None:
+        return layout
+    sizes = [sum(m for _, m in blocks) for blocks in shape]
+    # each block's first term index in its chain, and first position in
+    # the raveled rows of every chain
+    starts, bases, at = [], [], 0
+    for blocks in shape:
+        starts.append(dict(zip((n for n, _ in blocks), itertools.accumulate(
+            (m for _, m in blocks), initial=0))))
+        bases.append({})
+        for n, m in blocks:
+            bases[-1][n] = at
+            at += m * (n + 1)
+    grouped = {}
+    for combo in itertools.product(*shape):
+        # one combination per tuple of term indices, the last chain fastest
+        pick = np.indices([m for _, m in combo]).reshape(len(combo), -1)
+        slots = np.hstack([base[n] + (n + 1) * p[:, None] + np.arange(first, n + 1)
+                           for base, (n, _), p in zip(bases, combo, pick)])
+        images = family(tuple(n for n, _ in combo))
+        order = np.argsort(images, axis=1)
+        terms = np.array([s[n] + p for s, (n, _), p in zip(starts, combo, pick)])
+        width = slots.shape[1]
+        grouped.setdefault(width, []).append((
+            slots[:, order].reshape(len(slots) * len(order), width),
+            np.repeat(terms, len(order), axis=1),
+            np.tile(permutation_signs(images), len(slots))))
+    layout = {}
+    for n, parts in grouped.items():
+        slots, terms, signs = zip(*parts)
+        slots, terms, signs = (np.concatenate(slots), np.hstack(terms),
+                               np.concatenate(signs))
+        key = np.ravel_multi_index(terms, sizes)
+        # a stable sort: the rows of one combination keep the family order
+        by_term = np.argsort(key, kind="stable")
+        layout[n] = (slots[by_term], terms[:, by_term], key[by_term],
+                     signs[by_term])
+    size = _layout_bytes(layout)
+    if size <= LAYOUT_ENTRY_BYTES:
+        for entry in layout.values():
+            for a in entry:
+                a.setflags(write=False)
+        while size + sum(map(_layout_bytes, _LAYOUTS.values())) \
+                > LAYOUT_MEMO_BYTES:
+            del _LAYOUTS[next(iter(_LAYOUTS))]
+        _LAYOUTS[memo_key] = layout
+    return layout
+
+
+def _layout_bytes(layout) -> int:
+    return sum(a.nbytes for entry in layout.values() for a in entry)
 
 
 def _coefficient_products(factors) -> np.ndarray:
@@ -331,44 +396,32 @@ def _coefficient_products(factors) -> np.ndarray:
 def _interleave(chains, offsets, first, head, family) -> dict:
     """{degree: (rows, coeffs)} of a product of chains: one term per
     combination of a term of each chain and row of the family
-    family(degrees), read through `_family`.
+    family(degrees).
 
-    Slot 0 holds head(rows), the combination's head entry from its terms'
-    rows; the factors from slot `first` on, shifted by their chain's table
-    offset, fill slots 1.. as the family row places them; the coefficient
-    is the terms' product times the row's sign.  Within a degree, terms
-    follow the chains' term order, then the family.
+    Slot 0 holds head(terms), the combination's head entry from terms[c],
+    the index of its term in chain c's term order; the factors from slot
+    `first` on, shifted by their chain's table offset, fill slots 1.. as the
+    family row places them; the coefficient is the terms' product times the
+    row's sign.  Within a degree, terms follow the chains' term order, then
+    the family.  The index layout depends only on the chains' shapes, so it
+    is read from `_layout`: each call is one gather of the term rows, one
+    head call and one product of coefficients per degree.
     """
-    # a term's key is its position in each chain's term order, combined
-    # with the last chain fastest: (degree, index) chain by chain
-    starts = [dict(zip(c.blocks, itertools.accumulate(
-        (len(k) for _, k in c.blocks.values()), initial=0))) for c in chains]
-    sizes = [c.num_terms for c in chains]
-    # the coefficient products of every key at once
+    layout = _layout(family, first, tuple(
+        tuple((n, len(k)) for n, (_, k) in c.blocks.items()) for c in chains))
+    entries = np.concatenate([np.zeros(0, np.intp)] + [
+        off + rows.ravel() for c, off in zip(chains, offsets)
+        for rows, _ in c.blocks.values()])
+    # the coefficient products of every combination at once
     products = _coefficient_products([np.concatenate(
         [np.zeros(0, np.complex128)] + [k for _, k in c.blocks.values()])
         for c in chains])
-    grouped = {}
-    for combo in itertools.product(*(c.blocks.items() for c in chains)):
-        # one combination per tuple of term indices, the last chain fastest
-        pick = np.indices([len(k) for _, (_, k) in combo]).reshape(len(combo), -1)
-        rows = [r[p] for (_, (r, _)), p in zip(combo, pick)]
-        slots = np.hstack([off + r[:, first:] for off, r in zip(offsets, rows)])
-        order, signs = _family(family, tuple(n for n, _ in combo))
-        terms = np.empty((len(slots), len(order), slots.shape[1] + 1), np.intp)
-        terms[:, :, 0] = head(rows)[:, None]
-        terms[:, :, 1:] = slots[:, order]
-        key = np.ravel_multi_index(
-            [s[n] + p for s, (n, _), p in zip(starts, combo, pick)], sizes)
-        grouped.setdefault(slots.shape[1], []).append((
-            np.repeat(key, len(order)), terms.reshape(-1, terms.shape[2]),
-            (products[key][:, None] * signs).ravel()))
     out = {}
-    for n, parts in grouped.items():
-        key, rows, coeffs = (np.concatenate(x) for x in zip(*parts))
-        # a stable sort: the rows of one combination keep the family order
-        by_term = np.argsort(key, kind="stable")
-        out[n] = (rows[by_term], coeffs[by_term])
+    for n, (slots, terms, key, signs) in layout.items():
+        rows = np.empty((len(key), n + 1), np.intp)
+        rows[:, 0] = head(terms)
+        rows[:, 1:] = entries[slots]
+        out[n] = (rows, products[key] * signs)
     return out
 
 
@@ -386,15 +439,13 @@ def shuffle_product(left: Chain, right: Chain) -> Chain:
     width = len(right.table)
     heads = [np.concatenate([np.zeros(0, np.intp)] + [
         rows[:, 0] for rows, _ in c.blocks.values()]) for c in (left, right)]
-    pairs = np.unique(np.add.outer(heads[0] * width, heads[1]))
-    first_head = len(table)
+    pairs, which = np.unique(np.add.outer(heads[0] * width, heads[1]),
+                             return_inverse=True)
+    which = len(table) + which.reshape(len(heads[0]), len(heads[1]))
     table = np.concatenate([table, _kron(left.table[pairs // width],
                                          right.table[pairs % width])])
-    blocks = _interleave(
-        (left, right), offsets, 1,
-        lambda rows: first_head + np.searchsorted(
-            pairs, rows[0][:, 0] * width + rows[1][:, 0]),
-        _shuffles)
+    blocks = _interleave((left, right), offsets, 1,
+                         lambda terms: which[terms[0], terms[1]], _shuffles)
     return Chain.from_table(left.algebra_dim * right.algebra_dim, table,
                             blocks).normalized()
 
@@ -416,7 +467,7 @@ def br_operation(chains) -> Chain:
     d = math.prod(c.algebra_dim for c in chains)
     table = np.concatenate([table, np.eye(d, dtype=np.complex128)[None]])
     blocks = _interleave(chains, offsets, 0,
-                         lambda rows: np.full(len(rows[0]), unit),
+                         lambda terms: np.full(len(terms[0]), unit),
                          enumerate_cyclic_shuffles)
     return Chain.from_table(d, table, blocks).normalized()
 

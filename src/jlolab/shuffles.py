@@ -227,11 +227,15 @@ def sorting_images(values):
 
 def _cyclic_coordinates(s, ts) -> np.ndarray:
     """(N, r + sum p_i) coordinates of N cyclic points, from s (N, r) and
-    ts[i] (N, p_i): per block i, s_i then (s_i + t_i) mod 1."""
+    ts[i] (N, p_i): per block i, s_i then (s_i + t_i) mod 1.
+
+    x - floor(x) is x % 1.0 bit for bit, signed zeros, subnormals, inf and
+    NaN included, and takes a fraction of np.remainder's time."""
     cols = []
     for i, t in enumerate(ts):
         lead = s[:, i:i + 1]
-        cols += [lead, (lead + t) % 1.0]
+        x = lead + t
+        cols += [lead, x - np.floor(x)]
     return np.concatenate(cols, axis=1)
 
 

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from jlolab import chains
 from jlolab.chains import (
-    FAMILY_ENTRY_BYTES,
-    FAMILY_MEMO_BYTES,
+    LAYOUT_ENTRY_BYTES,
+    LAYOUT_MEMO_BYTES,
     Chain,
     ElementaryChain,
     MAX_OUTPUT_TERMS,
     TermBudgetError,
     _coefficient_products,
-    _family,
     _interleave,
+    _layout,
+    _layout_bytes,
     _shuffles,
     br_operation,
     connes_B,
@@ -230,48 +231,60 @@ def _products(rng):
             lambda: br_operation([a, b, c])]
 
 
-def test_products_agree_with_the_family_memo_cold_and_warm():
+def test_products_agree_with_the_layout_memo_cold_and_warm():
+    kept = []
     for product in _products(np.random.default_rng(12)):
-        chains._FAMILIES.clear()
+        chains._LAYOUTS.clear()
         cold = product()
+        kept.append(bool(chains._LAYOUTS))
         warm = product()
-        assert chains._FAMILIES
         assert _chain_bytes(cold) == _chain_bytes(warm)
+    # the 27 combinations of three chains of degrees 0, 1 and 2 make a
+    # layout over the per-entry limit, built on each call
+    assert kept == [True] * 4 + [False]
 
 
-def test_family_memo_hands_out_read_only_arrays():
+def test_layout_memo_hands_out_read_only_arrays():
     for product in _products(np.random.default_rng(13)):
         product()
-    assert chains._FAMILIES
-    for order, signs in chains._FAMILIES.values():
-        for a in (order, signs):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1
+    assert chains._LAYOUTS
+    for layout in chains._LAYOUTS.values():
+        for entry in layout.values():
+            for a in entry:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1
 
 
-def test_family_memo_stays_within_its_byte_bound():
-    assert FAMILY_ENTRY_BYTES * 4 <= FAMILY_MEMO_BYTES <= 1 << 20
-    chains._FAMILIES.clear()
-    big = (4, 4)
-    images = enumerate_cyclic_shuffles(big)
-    order, signs = _family(enumerate_cyclic_shuffles, big)
-    assert order.nbytes + signs.nbytes > FAMILY_ENTRY_BYTES
-    assert (enumerate_cyclic_shuffles, big) not in chains._FAMILIES
-    assert np.array_equal(order, np.argsort(images, axis=1))
-    assert np.array_equal(signs, permutation_signs(images))
-    # the families under the per-entry limit take 1.16 MiB, so the memo
-    # fills and evicts its oldest entries; (5, 5) is over the limit
-    for degrees in itertools.product(range(7), repeat=2):
-        _family(enumerate_cyclic_shuffles, degrees)
-        assert sum(a.nbytes for e in chains._FAMILIES.values() for a in e) \
-            <= FAMILY_MEMO_BYTES
-    assert (enumerate_cyclic_shuffles, (0, 0)) not in chains._FAMILIES
-    assert (enumerate_cyclic_shuffles, (6, 2)) in chains._FAMILIES
-    assert (enumerate_cyclic_shuffles, (5, 5)) not in chains._FAMILIES
+def _memo_bytes():
+    return sum(map(_layout_bytes, chains._LAYOUTS.values()))
 
 
-def test_verify_degree_tuples_are_served_from_the_memo(monkeypatch):
-    # the largest tuples verify's shuffle_associativity, cyclic_shuffle_triple
+def test_layout_memo_stays_within_its_byte_bound():
+    assert LAYOUT_ENTRY_BYTES * 4 <= LAYOUT_MEMO_BYTES <= 1 << 20
+    chains._LAYOUTS.clear()
+    # two degree-4 terms over 1|1 make a (4, 4) layout of 3,150 rows, over
+    # the per-entry limit: it is built and used, then not kept
+    rng = np.random.default_rng(30)
+    x, y = (Chain.elementary(1.0, tuple(_mats(rng, 2, 5))) for _ in range(2))
+    big = ((enumerate_cyclic_shuffles, 0, (((4, 1),), ((4, 1),))))
+    assert _layout_bytes(_layout(*big)) > LAYOUT_ENTRY_BYTES
+    assert not chains._LAYOUTS
+    _assert_rebuilt(br_operation([x, y]), _kron_br_operation([x, y]), 11)
+    assert not chains._LAYOUTS
+    # the layouts under the per-entry limit take 1.39 MiB, so the memo
+    # fills and evicts its oldest entries; (4, 4) is over the limit
+    for p, q in itertools.product(range(7), repeat=2):
+        _layout(enumerate_cyclic_shuffles, 0, (((p, 2),), ((q, 1),)))
+        assert _memo_bytes() <= LAYOUT_MEMO_BYTES
+    kept = {shape for _, _, shape in chains._LAYOUTS}
+    assert (((0, 2),), ((0, 1),)) not in kept
+    assert (((6, 2),), ((1, 1),)) in kept
+    assert (((4, 2),), ((4, 1),)) not in kept
+
+
+def test_verify_shapes_are_served_from_the_memo(monkeypatch):
+    # the largest shapes verify's shuffle_associativity, cyclic_shuffle_triple
     # and connes_square_zero rows meet
     rng = np.random.default_rng(14)
     space = GradedSpace(1, 1)
@@ -279,16 +292,22 @@ def test_verify_degree_tuples_are_served_from_the_memo(monkeypatch):
     ones = [random_chain(rng, space, (1,)) for _ in range(3)]
     products = [lambda: shuffle_product(four, two),
                 lambda: br_operation(ones), lambda: connes_B(four)]
-    chains._FAMILIES.clear()
+    chains._LAYOUTS.clear()
     cold = [_chain_bytes(product()) for product in products]
-    assert {(_shuffles, (4, 2)), (enumerate_cyclic_shuffles, (1, 1, 1)),
-            (enumerate_cyclic_shuffles, (4,))} <= set(chains._FAMILIES)
+    assert {(_shuffles, 1, (((4, 1),), ((2, 1),))),
+            (enumerate_cyclic_shuffles, 0, (((1, 1),),) * 3),
+            (enumerate_cyclic_shuffles, 0, (((4, 1),),))} <= set(chains._LAYOUTS)
 
-    def forbidden(images):
+    def forbidden(*args):
         raise AssertionError("a family was rebuilt")
 
-    monkeypatch.setattr("jlolab.chains.permutation_signs", forbidden)
+    # both enumerators build their families from ordered partitions
+    for name in ("jlolab.chains.permutation_signs",
+                 "jlolab.chains.enumerate_shuffles",
+                 "jlolab.shuffles._ordered_partitions"):
+        monkeypatch.setattr(name, forbidden)
     assert [_chain_bytes(product()) for product in products] == cold
+
 
 def test_shuffle_associativity_random():
     rng = np.random.default_rng(10)

@@ -309,6 +309,31 @@ def test_cyclic_region_locate_lands_in_enumerated_set(degrees):
     assert tied.tolist() == [False] * len(located) + [True]
 
 
+# signed zeros, the least subnormal and normal, +-inf, NaN of both signs,
+# +-2**52 and its neighbours, where floor is exact, and values next to whole
+# numbers, where the fraction rounds up to 1
+MOD_ONE_EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, INF, -INF, NAN,
+    -NAN, 2.0 ** 52, -2.0 ** 52, 2.0 ** 52 - 0.5, -2.0 ** 52 + 0.5,
+    2.0 ** 53 + 2, 1e300, -1e300, 1.0, -1.0, 1 - 2.0 ** -53, -2.0 ** -53,
+    -1e-20, 0.1, -0.1, 3.7, -3.7])
+
+
+def test_cyclic_coordinates_reduce_mod_one_as_remainder_does():
+    x = MOD_ONE_EDGES[:, None]
+    # one block at offset 0 keeps each edge value as it is; two blocks at
+    # offsets 0.5 and -0.5 reduce sums of an offset and an edge value
+    s, lead = np.zeros((len(x), 1)), np.array([[0.5, -0.5]] * len(x))
+    with np.errstate(invalid="ignore"):  # inf - inf and inf % 1
+        # x - floor(x) is x % 1.0 bit for bit on every edge value
+        assert (x - np.floor(x)).tobytes() == (x % 1.0).tobytes()
+        assert _cyclic_coordinates(s, [x]).tobytes() == \
+            np.hstack([s, x % 1.0]).tobytes()
+        assert _cyclic_coordinates(lead, [x, x]).tobytes() == np.hstack([
+            lead[:, :1], (lead[:, :1] + x) % 1.0,
+            lead[:, 1:], (lead[:, 1:] + x) % 1.0]).tobytes()
+
+
 def test_cyclic_region_locate_checks_every_block_alike():
     # a degree-0 block takes no coordinates, as a degree-1 block takes one
     for degrees, ts in [((0, 1), [[0.3, 0.9, 0.4], [0.2]]),

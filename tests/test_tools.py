@@ -357,3 +357,37 @@ def test_same_outputs_kernel_routes_run_both_kernels(same_outputs,
         f"{dims} {name}" for dims in ("4|1", "2|1")
         for name in ("jlo_cochain", "bch_cochain")]
     assert {(1, 5), (2, 4), (1, 3), (2, 2)} <= opened
+
+
+def test_same_outputs_chain_products_run_cold_then_warm(same_outputs,
+                                                        monkeypatch, capsys):
+    # the chain job runs among the library jobs; its second round reads the
+    # layouts the first built, bit for bit, and one product's layout is
+    # over the per-entry limit, so it is built on each call
+    from jlolab import chains
+    assert ("chain products", same_outputs.CHAIN_CALLS) in \
+        same_outputs.LIBRARY_JOBS
+    sizes, layout = [], chains._layout
+
+    def spy_layout(*key):
+        out = layout(*key)
+        sizes.append(chains._layout_bytes(out))
+        return out
+
+    chains._LAYOUTS.clear()
+    monkeypatch.setattr(chains, "_layout", spy_layout)
+    monkeypatch.setattr(sys, "argv", ["-c", str(same_outputs.LIBRARY_SEED)])
+    exec(same_outputs.CHAIN_CALLS, {})
+    rounds = {"first": {}, "second": {}}
+    for line in capsys.readouterr().out.splitlines():
+        head, dim, entries, terms, digest = line.rsplit(" ", 4)
+        round_, name = head.split(" ", 1)
+        rounds[round_][name] = (int(terms), digest)
+    assert rounds["first"] == rounds["second"]
+    assert len(rounds["first"]) == 18
+    assert max(sizes) > chains.LAYOUT_ENTRY_BYTES
+    assert chains._LAYOUTS
+    terms = {name: n for name, (n, _) in rounds["first"].items()}
+    assert terms["br_operation([x, y])"] == 3150
+    assert [name for name, n in terms.items() if n == 0] == [
+        "shuffle_product(a, zero)", "connes_B(zero)", "hochschild_b(zero)"]

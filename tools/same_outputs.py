@@ -53,9 +53,15 @@ point of every term the workload evaluates.  A second job prints
 and one with a mixed slot, on a 4|1 and a 2|1 triple, so that both routes
 of the string kernel, and its padded halves, show.  Stdout, stderr and the
 exit code of every command and of those jobs are compared, and so are
-those of two last jobs: `parity_of` and `commutator_d` on an odd matrix whose
-squares overflow, and `represent`, `unrepresent` and `commutator_d` on
-operators of the wrong size for their triple.  A command that raises is
+those of three last jobs.  One compares the chain layer directly: it
+prints the SHA-256 of the table, rows and coefficients of `shuffle_product`,
+`br_operation` at r = 1, 2 and 3, `connes_B` and `hochschild_b` on seeded
+chains with several terms per degree, degree-0 blocks, shared table entries
+and the zero chain, and on one product whose index layout is over the
+chains module's per-entry limit, each twice, cold and then from the layout
+memo.  The other two run `parity_of` and `commutator_d` on an odd matrix
+whose squares overflow, and `represent`, `unrepresent` and `commutator_d`
+on operators of the wrong size for their triple.  A command that raises is
 recorded by its exception.
 Prints `identical`, or one unified diff per output that differs and exits
 1.  Each diff is followed by one line that says how far it moved: the
@@ -230,6 +236,61 @@ for dims in ((4, 1), (2, 1)):
               repr(getattr(jlolab, name)(t, chain)))
 """
 
+# prints the SHA-256 of the table, rows and coefficients of shuffle_product,
+# br_operation at r = 1, 2 and 3, connes_B and hochschild_b on seeded chains
+# with several terms per degree, degree-0 blocks, table entries that rows
+# share and the zero chain, and of br_operation on two degree-4 terms, whose
+# (4, 4) layout is over chains' per-entry limit; all of it twice, so that
+# the second round reads the layouts the first built
+CHAIN_CALLS = """
+import hashlib, sys
+import numpy as np
+import jlolab
+rng = np.random.default_rng(int(sys.argv[1]))
+rc, s1, s2 = jlolab.random_chain, jlolab.GradedSpace(1, 1), jlolab.GradedSpace(2, 1)
+a = rc(rng, s1, (1, 1, 2)) + rc(rng, s1, (0, 2))
+b = rc(rng, s2, (0, 1)) + rc(rng, s2, (1, 0, 1))
+c = rc(rng, s1, (1, 0)) + rc(rng, s1, (1,))
+x, y = (rc(rng, s1, (4,)) for _ in range(2))
+# degrees 1 and 2 over three entries of a, some in several slots
+shared = jlolab.Chain.from_table(2, a.table[:3], {
+    1: (np.array([[0, 1], [1, 0], [2, 2]]), np.array([1.0, 0.5j, -2.0])),
+    2: (np.array([[0, 1, 0], [2, 1, 1]]), np.array([0.25, 1.5 - 1j]))})
+zero = jlolab.Chain.zero(2)
+sp, br = jlolab.shuffle_product, jlolab.br_operation
+calls = {
+    "shuffle_product(a, b)": lambda: sp(a, b),
+    "shuffle_product(b, a)": lambda: sp(b, a),
+    "shuffle_product(c, c)": lambda: sp(c, c),
+    "shuffle_product(a, zero)": lambda: sp(a, zero),
+    "shuffle_product(shuffle_product(a, b), c)": lambda: sp(sp(a, b), c),
+    "shuffle_product(shared, c)": lambda: sp(shared, c),
+    "br_operation([a])": lambda: br([a]),
+    "br_operation([a, b])": lambda: br([a, b]),
+    "br_operation([c, a, c])": lambda: br([c, a, c]),
+    "br_operation([shared, c])": lambda: br([shared, c]),
+    "br_operation([x, y])": lambda: br([x, y]),
+    "connes_B(b)": lambda: jlolab.connes_B(b),
+    "connes_B(zero)": lambda: jlolab.connes_B(zero),
+    "hochschild_b(a)": lambda: jlolab.hochschild_b(a),
+    "hochschild_b(b + b)": lambda: jlolab.hochschild_b(b + b),
+    "hochschild_b(shared)": lambda: jlolab.hochschild_b(shared),
+    "hochschild_b(zero)": lambda: jlolab.hochschild_b(zero),
+    "hochschild_b(shuffle_product(a, c))": lambda: jlolab.hochschild_b(sp(a, c)),
+}
+for round_ in ("first", "second"):
+    for name, call in calls.items():
+        chain = call()
+        digest = hashlib.sha256(chain.table.tobytes())
+        for n, (rows, coeffs) in chain.blocks.items():
+            digest.update(repr((n, rows.shape, rows.dtype.str,
+                                coeffs.dtype.str)).encode())
+            digest.update(rows.tobytes())
+            digest.update(coeffs.tobytes())
+        print(round_, name, chain.algebra_dim, chain.table.shape[0],
+              chain.num_terms, digest.hexdigest())
+"""
+
 # prints what parity_of and commutator_d return or raise on an odd matrix
 # whose squares overflow
 LIBRARY_REFUSALS = """
@@ -267,6 +328,15 @@ for name, call in (
     except Exception as exc:
         print(name, type(exc).__name__, exc)
 """
+
+# (name, script) of the jobs that call the library directly
+LIBRARY_JOBS = (
+    ("library calls", LIBRARY_CALLS),
+    ("kernel routes", ROUTE_CALLS),
+    ("chain products", CHAIN_CALLS),
+    ("library refusals", LIBRARY_REFUSALS),
+    ("wrong-size refusals", WRONG_SIZE_REFUSALS),
+)
 
 # min(2, max_degree) and range(lowest, max_degree + 1) at their ends
 EDGE_CONFIGS = [
@@ -547,11 +617,7 @@ def main() -> int:
                                   tmp / f"{side}-run")
                    for side, root in roots.items()}
         for side, root in roots.items():
-            for name, script in (
-                    ("library calls", LIBRARY_CALLS),
-                    ("kernel routes", ROUTE_CALLS),
-                    ("library refusals", LIBRARY_REFUSALS),
-                    ("wrong-size refusals", WRONG_SIZE_REFUSALS)):
+            for name, script in LIBRARY_JOBS:
                 outputs[side].update(run_library(
                     str(root), str(perfbench), str(tmp / f"{side}-run"),
                     name, script))
