@@ -298,6 +298,12 @@ def _shuffles(ps) -> np.ndarray:
     return enumerate_shuffles(*ps)
 
 
+def _cyclic_shuffles(ps) -> np.ndarray:
+    """The cyclic shuffles of a degree tuple under a name of this module, so
+    the layout memo keeps its key while the enumerator is rebound."""
+    return enumerate_cyclic_shuffles(ps)
+
+
 # (family, first, shape) -> the layout `_layout` builds, read-only.
 # Bounded in bytes: a layout over LAYOUT_ENTRY_BYTES is built per call and
 # not kept, and one that would take the memo past LAYOUT_MEMO_BYTES evicts
@@ -468,7 +474,7 @@ def br_operation(chains) -> Chain:
     table = np.concatenate([table, np.eye(d, dtype=np.complex128)[None]])
     blocks = _interleave(chains, offsets, 0,
                          lambda terms: np.full(len(terms[0]), unit),
-                         enumerate_cyclic_shuffles)
+                         _cyclic_shuffles)
     return Chain.from_table(d, table, blocks).normalized()
 
 

@@ -16,6 +16,7 @@ from jlolab.chains import (
     MAX_OUTPUT_TERMS,
     TermBudgetError,
     _coefficient_products,
+    _cyclic_shuffles,
     _interleave,
     _layout,
     _layout_bytes,
@@ -267,7 +268,7 @@ def test_layout_memo_stays_within_its_byte_bound():
     # the per-entry limit: it is built and used, then not kept
     rng = np.random.default_rng(30)
     x, y = (Chain.elementary(1.0, tuple(_mats(rng, 2, 5))) for _ in range(2))
-    big = ((enumerate_cyclic_shuffles, 0, (((4, 1),), ((4, 1),))))
+    big = (_cyclic_shuffles, 0, (((4, 1),), ((4, 1),)))
     assert _layout_bytes(_layout(*big)) > LAYOUT_ENTRY_BYTES
     assert not chains._LAYOUTS
     _assert_rebuilt(br_operation([x, y]), _kron_br_operation([x, y]), 11)
@@ -275,7 +276,7 @@ def test_layout_memo_stays_within_its_byte_bound():
     # the layouts under the per-entry limit take 1.39 MiB, so the memo
     # fills and evicts its oldest entries; (4, 4) is over the limit
     for p, q in itertools.product(range(7), repeat=2):
-        _layout(enumerate_cyclic_shuffles, 0, (((p, 2),), ((q, 1),)))
+        _layout(_cyclic_shuffles, 0, (((p, 2),), ((q, 1),)))
         assert _memo_bytes() <= LAYOUT_MEMO_BYTES
     kept = {shape for _, _, shape in chains._LAYOUTS}
     assert (((0, 2),), ((0, 1),)) not in kept
@@ -295,17 +296,15 @@ def test_verify_shapes_are_served_from_the_memo(monkeypatch):
     chains._LAYOUTS.clear()
     cold = [_chain_bytes(product()) for product in products]
     assert {(_shuffles, 1, (((4, 1),), ((2, 1),))),
-            (enumerate_cyclic_shuffles, 0, (((1, 1),),) * 3),
-            (enumerate_cyclic_shuffles, 0, (((4, 1),),))} <= set(chains._LAYOUTS)
+            (_cyclic_shuffles, 0, (((1, 1),),) * 3),
+            (_cyclic_shuffles, 0, (((4, 1),),))} <= set(chains._LAYOUTS)
 
     def forbidden(*args):
         raise AssertionError("a family was rebuilt")
 
-    # both enumerators build their families from ordered partitions
-    for name in ("jlolab.chains.permutation_signs",
-                 "jlolab.chains.enumerate_shuffles",
-                 "jlolab.shuffles._ordered_partitions"):
-        monkeypatch.setattr(name, forbidden)
+    for name in ("permutation_signs", "enumerate_shuffles",
+                 "enumerate_cyclic_shuffles"):
+        monkeypatch.setattr(f"jlolab.chains.{name}", forbidden)
     assert [_chain_bytes(product()) for product in products] == cold
 
 
