@@ -254,7 +254,11 @@ def cyclic_region_locate(block_degrees, s, ts):
     tv = [np.asarray(t, dtype=float).reshape(1, -1) for t in ts]
     if len(tv) != len(ps) or any(t.size != p for t, p in zip(tv, ps)):
         raise ValueError("block coordinate count disagrees with its degree")
-    images, tied = sorting_images(_cyclic_coordinates(sv, tv))
+    order, tied = _sorting_order(_cyclic_coordinates(sv, tv))
     if tied[0]:
         return None
-    return tuple(images[0].tolist())
+    # sorting_images' row, inverted in Python: cheaper for one short row
+    images = [0] * order.shape[1]
+    for slot, item in enumerate(order[0].tolist(), 1):
+        images[item] = slot
+    return tuple(images)
