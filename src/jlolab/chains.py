@@ -330,30 +330,32 @@ def _layout(family, first, shape) -> dict:
     if (layout := _LAYOUTS.get(memo_key)) is not None:
         return layout
     sizes = [sum(m for _, m in blocks) for blocks in shape]
-    # each block's first term index in its chain, and first position in
-    # the raveled rows of every chain
-    starts, bases, at = [], [], 0
+    # per chain and degree: the block's first term index in its chain, and
+    # each of its terms' positions from slot `first` on in the raveled rows
+    # of every chain
+    places, at = [], 0
     for blocks in shape:
-        starts.append(dict(zip((n for n, _ in blocks), itertools.accumulate(
-            (m for _, m in blocks), initial=0))))
-        bases.append({})
+        places.append({})
+        term = 0
         for n, m in blocks:
-            bases[-1][n] = at
+            places[-1][n] = (term, at + (n + 1) * np.arange(m)[:, None]
+                             + np.arange(first, n + 1))
+            term += m
             at += m * (n + 1)
     grouped = {}
     for combo in itertools.product(*shape):
         # one combination per tuple of term indices, the last chain fastest
         pick = np.indices([m for _, m in combo]).reshape(len(combo), -1)
-        slots = np.hstack([base[n] + (n + 1) * p[:, None] + np.arange(first, n + 1)
-                           for base, (n, _), p in zip(bases, combo, pick)])
+        block = [own[n] for own, (n, _) in zip(places, combo)]
+        slots = np.hstack([pos[p] for (_, pos), p in zip(block, pick)])
         images = family(tuple(n for n, _ in combo))
-        order = np.argsort(images, axis=1)
-        terms = np.array([s[n] + p for s, (n, _), p in zip(starts, combo, pick)])
-        width = slots.shape[1]
+        order, signs = np.argsort(images, axis=1), permutation_signs(images)
+        count, width = len(slots) * len(order), slots.shape[1]
+        terms = pick + [[term] for term, _ in block]
         grouped.setdefault(width, []).append((
-            slots[:, order].reshape(len(slots) * len(order), width),
+            slots[:, order].reshape(count, width),
             np.repeat(terms, len(order), axis=1),
-            np.tile(permutation_signs(images), len(slots))))
+            np.repeat(signs[None], len(slots), axis=0).reshape(count)))
     layout = {}
     for n, parts in grouped.items():
         slots, terms, signs = zip(*parts)
